@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """An exhaustive computation was asked to exceed its enumeration guard."""
+    """A computation was asked to exceed its size guard."""
 
 
 class PhaseMismatchError(ValueError):

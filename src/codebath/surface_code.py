@@ -13,19 +13,16 @@ they cross in a single qubit.
 The decoder works in "contour mode": a single length-L row with open ends,
 junctions 0..L-2 between neighbouring positions.  Any junction defect set is
 consistent with exactly two corrections (a set and its complement), so
-minimum-weight decoding is exact here and its weight-L/2 ambiguity is fully
-enumerable.
+minimum-weight decoding is exact here.  A weight-w chain is therefore
+corrected when w < L/2, completed to a logical string when w > L/2, and
+ties with its complement when w = L/2, which gives the failure census in
+closed form.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from .errors import ResourceLimitError
-
-CENSUS_LIMIT = 20
 
 Coord = tuple[str, int, int]
 
@@ -233,27 +230,32 @@ def _classify(L: int, correction: frozenset[int], true_error: ErrorChain | None)
 
 
 def failure_census(L: int, weight: int, tie_break: TieBreak = TieBreak.REPORT) -> CensusRecord:
-    """Decode every weight-``weight`` contour configuration and tally outcomes."""
-    if L > CENSUS_LIMIT:
-        raise ResourceLimitError(f"census is guarded at L <= {CENSUS_LIMIT}")
+    """Tally the decoder outcomes over all C(L, weight) contour chains of that weight.
+
+    Closed form of ``decode_contour``: the other correction consistent with a
+    chain's syndrome is its complement, of weight L - weight.  Lighter chains
+    are all corrected, heavier ones all complete the logical string, and at
+    weight L/2 every chain is a tie that ``tie_break`` reports, resolves to
+    success (benign) or to a logical error (adversarial).
+    """
     if L < 2:
         raise ValueError("contour length must be >= 2")
     if not 0 <= weight <= L:
         raise ValueError("weight must lie in 0..L")
-    counts = {DecodeStatus.SUCCESS: 0, DecodeStatus.LOGICAL_ERROR: 0, DecodeStatus.TIE: 0}
-    for support in itertools.combinations(range(L), weight):
-        err = ErrorChain("Z", frozenset(support))
-        out = decode_contour(L, contour_syndrome(L, err), tie_break, true_error=err)
-        counts[out.status] += 1
-    total = counts[DecodeStatus.SUCCESS] + counts[DecodeStatus.LOGICAL_ERROR] + counts[DecodeStatus.TIE]
-    assert total == math.comb(L, weight)
+    count = math.comb(L, weight)
+    if 2 * weight < L or 2 * weight == L and tie_break is TieBreak.BENIGN:
+        outcome = DecodeStatus.SUCCESS
+    elif 2 * weight > L or tie_break is TieBreak.ADVERSARIAL:
+        outcome = DecodeStatus.LOGICAL_ERROR
+    else:
+        outcome = DecodeStatus.TIE
     return CensusRecord(
         L=L,
         weight=weight,
         rule=tie_break,
-        n_success=counts[DecodeStatus.SUCCESS],
-        n_logical=counts[DecodeStatus.LOGICAL_ERROR],
-        n_tie=counts[DecodeStatus.TIE],
+        n_success=count if outcome is DecodeStatus.SUCCESS else 0,
+        n_logical=count if outcome is DecodeStatus.LOGICAL_ERROR else 0,
+        n_tie=count if outcome is DecodeStatus.TIE else 0,
     )
 
 

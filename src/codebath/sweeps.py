@@ -33,7 +33,7 @@ from enum import Enum
 
 from . import lifetimes, surface_code, wick
 from .bath import BathSpec
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError
 from .rg_flow import (
     CouplingVector,
     CutoffReached,
@@ -320,9 +320,7 @@ def _eval_matching(args):
     params, point = args
     n = int(point["n"])
     z = float(params.get("z", 1.0))
-    ceiling = wick.MATCHING_HARD_LIMIT if params.get("allow_large") else wick.PROBE_DEFAULT_LIMIT
-    if n > ceiling:
-        raise ResourceLimitError(f"n = {n} above probe ceiling {ceiling}")
+    wick.check_probe_ceiling(n, params.get("allow_large", False))
     total = wick.matching_sum(wick.MatchingProblem(tuple(range(n)), z))
     return [n, total, total ** (2.0 / n)]
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebath.errors import ResourceLimitError
 from codebath.surface_code import (
     DecodeStatus,
     ErrorChain,
@@ -258,11 +257,34 @@ def test_census_totals():
         assert rec.n_success + rec.n_logical + rec.n_tie == math.comb(6, weight)
 
 
+def oracle_census(L, weight, rule):
+    """(success, logical, tie) from decoding every weight-``weight`` chain."""
+    counts = {DecodeStatus.SUCCESS: 0, DecodeStatus.LOGICAL_ERROR: 0, DecodeStatus.TIE: 0}
+    for support in itertools.combinations(range(L), weight):
+        err = ErrorChain("Z", frozenset(support))
+        out = decode_contour(L, contour_syndrome(L, err), rule, true_error=err)
+        counts[out.status] += 1
+    return counts[DecodeStatus.SUCCESS], counts[DecodeStatus.LOGICAL_ERROR], counts[DecodeStatus.TIE]
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_census_equals_exhaustive_decoding(L):
+    for weight in range(L + 1):
+        for rule in TieBreak:
+            rec = failure_census(L, weight, rule)
+            assert (rec.L, rec.weight, rec.rule) == (L, weight, rule)
+            assert (rec.n_success, rec.n_logical, rec.n_tie) == oracle_census(L, weight, rule)
+
+
 def test_census_guards():
-    with pytest.raises(ResourceLimitError):
-        failure_census(22, 2, TieBreak.REPORT)
+    rec = failure_census(22, 2, TieBreak.REPORT)
+    assert (rec.n_success, rec.n_logical, rec.n_tie) == (231, 0, 0)
+    rec = failure_census(22, 11, TieBreak.REPORT)
+    assert (rec.n_success, rec.n_logical, rec.n_tie) == (0, 0, math.comb(22, 11))
     with pytest.raises(ValueError):
         failure_census(4, 5, TieBreak.REPORT)
+    with pytest.raises(ValueError):
+        failure_census(1, 0, TieBreak.REPORT)
 
 
 # --- static field profile ---------------------------------------------------

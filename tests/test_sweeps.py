@@ -365,11 +365,27 @@ def test_cli_task_mismatch(tmp_path):
 
 def test_cli_resource_limit_exit_code(tmp_path):
     cfg = {
-        "task": "census",
-        "axes": {"L": [22], "weight": [2]},
+        "task": "matching",
+        "axes": {"n": [26]},
+        "params": {"allow_large": True},
         "output_path": str(tmp_path / "big.csv"),
     }
-    assert main(["census", "--config", write_config(tmp_path, cfg)]) == 3
+    assert main(["matching", "--config", write_config(tmp_path, cfg)]) == 3
+    assert not (tmp_path / "big.csv").exists()
+
+
+def test_cli_census_large_L(tmp_path):
+    out = tmp_path / "census22.csv"
+    cfg = {
+        "task": "census",
+        "axes": {"L": [22], "weight": [2, 11]},
+        "output_path": str(out),
+    }
+    assert main(["census", "--config", write_config(tmp_path, cfg)]) == 0
+    assert read_rows(out)[1:] == [
+        ["22", "2", "report", "231", "0", "0"],
+        ["22", "11", "report", "0", "0", str(math.comb(22, 11))],
+    ]
 
 
 def test_cli_overwrite_exit_code(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from codebath.errors import ResourceLimitError
 from codebath.wick import (
     MatchingProblem,
     RegimeLabel,
+    check_probe_ceiling,
     classify_regime,
     lambda_bar_sq,
     matching_scaling_probe,
@@ -19,26 +21,34 @@ from codebath.wick import (
 )
 
 
-# independent pairing oracle: generator-based, no shared code with the package
-def all_pairings(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items.pop(0)
-    for i, other in enumerate(items):
-        for rest in all_pairings(items[:i] + items[i + 1 :]):
-            yield [(first, other)] + rest
-
-
+# brute-force oracle: the (n-1)!! recursion pairs the smallest unmatched site
+# with every partner, so each matching is visited exactly once
 def oracle_sum(positions, z):
-    total = 0.0
-    for pairing in all_pairings(range(len(positions))):
-        prod = 1.0
-        for i, j in pairing:
-            prod *= abs(positions[i] - positions[j]) ** (-2.0 * z)
-        total += prod
-    return total
+    n = len(positions)
+    expo = -2.0 * z
+    w = [
+        [abs(positions[i] - positions[j]) ** expo if i != j else 0.0 for j in range(n)]
+        for i in range(n)
+    ]
+    used = [False] * n
+
+    def rec(remaining, acc, lo):
+        if remaining == 0:
+            return acc
+        i = lo
+        while used[i]:
+            i += 1
+        used[i] = True
+        total = 0.0
+        for j in range(i + 1, n):
+            if not used[j]:
+                used[j] = True
+                total += rec(remaining - 2, acc * w[i][j], i + 1)
+                used[j] = False
+        used[i] = False
+        return total
+
+    return rec(n, 1.0, 0)
 
 
 def double_factorial(n):
@@ -65,7 +75,7 @@ def test_matching_sum_frozen_examples():
 
 
 def test_matching_sum_z0_is_double_factorial():
-    for n in range(2, 13, 2):
+    for n in range(2, 25, 2):
         got = matching_sum(MatchingProblem(tuple(range(n)), 0.0))
         assert got == float(double_factorial(n - 1))
 
@@ -83,6 +93,26 @@ def test_matching_sum_matches_oracle(n_half, z, data):
         positions.append(positions[-1] + g)
     got = matching_sum(MatchingProblem(tuple(positions), z))
     assert got == pytest.approx(oracle_sum(positions, z), rel=1e-12)
+
+
+def _spaced(n, seed):
+    if seed is None:
+        return tuple(range(n))
+    rng = random.Random(seed)
+    positions = [0]
+    for _ in range(n - 1):
+        positions.append(positions[-1] + rng.randint(1, 5))
+    return tuple(positions)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 1.5])
+def test_matching_sum_equals_enumeration(z, seed):
+    # unit spacing (seed None) and random integer gaps, every even n <= 14
+    for n in range(2, 15, 2):
+        positions = _spaced(n, seed)
+        got = matching_sum(MatchingProblem(positions, z))
+        assert got == pytest.approx(oracle_sum(positions, z), rel=1e-12)
 
 
 @given(offset=st.integers(-1000, 1000))
@@ -109,7 +139,7 @@ def test_matching_problem_validation():
     with pytest.raises(ValueError):
         MatchingProblem((), 1.0)
     with pytest.raises(ResourceLimitError):
-        matching_sum(MatchingProblem(tuple(range(22)), 1.0))
+        matching_sum(MatchingProblem(tuple(range(26)), 1.0))
 
 
 def test_probe_bounded_trend_z1():
@@ -136,13 +166,37 @@ def test_probe_log_trend_z05():
     assert all(b < a for a, b in zip(probe.increments, probe.increments[1:]))
 
 
+def test_probe_trends_hold_to_n20():
+    # the C07 trend properties, checked out to the default probe ceiling n = 20
+    ns = range(4, 21, 2)
+    bounded = matching_scaling_probe(ns, 1.0)
+    incs = bounded.increments
+    assert all(b < a for a, b in zip(incs, incs[1:]))
+    w = dict(zip(bounded.n_values, bounded.weights))
+    assert w[20] - w[16] < w[8] - w[4]
+
+    power = matching_scaling_probe(ns, 0.25)
+    assert all(i > 0 for i in power.increments)
+    assert power.loglog_slope > 0
+
+    log = matching_scaling_probe(ns, 0.5)
+    assert all(i > 0 for i in log.increments)
+    assert all(b < a for a, b in zip(log.increments, log.increments[1:]))
+    lw = [math.log(v) for v in log.weights]
+    ln = [math.log(n) for n in log.n_values]
+    local = [(lw[i + 1] - lw[i]) / (ln[i + 1] - ln[i]) for i in range(len(lw) - 1)]
+    assert all(b < a for a, b in zip(local, local[1:]))
+
+
 def test_probe_guards():
     with pytest.raises(ValueError):
         matching_scaling_probe([4, 6], 1.0)
-    with pytest.raises(ResourceLimitError):
-        matching_scaling_probe([4, 6, 18], 1.0)
-    with pytest.raises(ResourceLimitError):
-        matching_scaling_probe([4, 6, 22], 1.0, allow_large=True)
+    with pytest.raises(ResourceLimitError, match="above probe ceiling 20"):
+        matching_scaling_probe([4, 6, 22], 1.0)
+    with pytest.raises(ResourceLimitError, match="above probe ceiling 24"):
+        matching_scaling_probe([4, 6, 26], 1.0, allow_large=True)
+    check_probe_ceiling(20)
+    check_probe_ceiling(24, allow_large=True)
 
 
 def test_lambda_bar_sq_branches():
