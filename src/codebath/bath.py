@@ -46,6 +46,9 @@ class BathSpec:
     kB: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if name != "D_dim" and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number")
         if self.z <= 0:
             raise ValueError("z must be positive")
         if not 0.0 < self.s <= 1.0:

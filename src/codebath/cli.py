@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 config error, 3 resource limit, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import sweeps
@@ -34,7 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON sweep config file")
         p.add_argument("--out", help="override the config output_path")
         p.add_argument("--force", action="store_true", help="allow overwriting outputs")
-        p.add_argument("--workers", type=int, help="override the config parallelism")
+        p.add_argument(
+            "--workers", type=int, help="accepted for compatibility; evaluation is serial"
+        )
         if command == "preset":
             p.add_argument(
                 "--name", choices=PRESET_NAMES, help="preset name (config-free shortcut)"
@@ -52,15 +53,7 @@ def _build_config(args) -> sweeps.SweepConfig:
                 {"task": "preset", "params": {"name": args.name}, "output_path": args.out}
             )
         raise ConfigError("$", "--config is required")
-    try:
-        with open(args.config) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("$", f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("$", "config must be a JSON object")
+    obj = sweeps.read_config(args.config)
     if task is not None:
         stated = obj.get("task")
         if stated is None:

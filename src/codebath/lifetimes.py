@@ -24,21 +24,12 @@ from .rg_flow import (
     FlowOptions,
     Localized,
     Phase,
+    _exp,
     integrate_flow,
 )
-from .wick import RegimeLabel, classify_regime, lambda_bar_sq
+from .wick import RegimeLabel, check_even_L, classify_regime, lambda_bar_sq
 
 SATURATION_J = 1e3
-_EXP_ARG_MAX = 709.0
-
-
-def _exp(x: float) -> float:
-    return math.inf if x > _EXP_ARG_MAX else math.exp(x)
-
-
-def _check_even_L(L) -> None:
-    if not isinstance(L, int) or isinstance(L, bool) or L < 2 or L % 2:
-        raise ValueError("L must be an even integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,7 @@ class CodePoint:
     jz_star: float | None = None
 
     def __post_init__(self):
-        _check_even_L(self.L)
+        check_even_L(self.L)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
         if self.jz_star is not None and not math.isfinite(self.jz_star):
@@ -89,7 +80,7 @@ class LifetimeReport:
 
 def j_of_L(spec: BathSpec, L: int) -> float:
     """Macroscopic dimensionless coupling (lam/hbar v) sqrt(2L/pi) (lbar^2)^(L/4)."""
-    _check_even_L(L)
+    check_even_L(L)
     lb = lambda_bar_sq(spec, L)
     pref = spec.lam / (spec.hbar * spec.v)
     try:
@@ -182,7 +173,7 @@ def critical_coupling(spec: BathSpec, L: int) -> float:
     and by L**((1-2z)/2) below it; only the short-range branch is
     L-independent.
     """
-    _check_even_L(L)
+    check_even_L(L)
     base = spec.hbar * spec.a0 ** (1.0 - spec.z) * spec.a**spec.z / (4.0 * spec.tau_qec)
     regime = classify_regime(spec.z, 1.0)
     if regime is RegimeLabel.SHORT_RANGE:
@@ -320,7 +311,7 @@ def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetRep
         pitch = 1.0e-3
         grid = _SC_L_GRID if L_grid is None else tuple(L_grid)
         for L in grid:
-            _check_even_L(L)
+            check_even_L(L)
         curve = []
         specs = {}
         for z in _SC_Z_VALUES:

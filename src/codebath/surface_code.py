@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .wick import check_even_L
+
 Coord = tuple[str, int, int]
 
 
@@ -49,7 +51,6 @@ class SurfaceCode:
     plaquettes: tuple[frozenset[int], ...]
     logical_x: tuple[int, ...]
     logical_z: tuple[int, ...]
-    delta0: float = 1.0  # code gap constant, metadata only: nothing evolves under it
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,9 @@ class CensusRecord:
     n_tie: int
 
 
-def build_code(L: int, delta0: float = 1.0) -> SurfaceCode:
+def build_code(L: int) -> SurfaceCode:
     """Construct the distance-L planar code described in the module docstring."""
-    if not isinstance(L, int) or isinstance(L, bool) or L < 2 or L % 2:
-        raise ValueError("L must be an even integer >= 2")
+    check_even_L(L)
 
     index: dict[Coord, int] = {}
     qubits: list[Coord] = []
@@ -139,7 +139,6 @@ def build_code(L: int, delta0: float = 1.0) -> SurfaceCode:
         plaquettes=tuple(plaquettes),
         logical_x=logical_x,
         logical_z=logical_z,
-        delta0=delta0,
     )
 
 

@@ -8,27 +8,30 @@ A sweep is described by a single JSON config file::
       "axes": {"L": [4, 8], "z": [1.0]},   # named grids, Cartesian product
       "params": {"lambda": 0.05},          # fixed scalars
       "output_path": "out.csv",
-      "parallelism": 1,                    # worker count
+      "parallelism": 1,                    # accepted; evaluation is serial
       "seed": 0                            # reserved; every task is deterministic
     }
 
 Axes are ordered alphabetically by name and the product is enumerated with
 earlier axes varying slowest, so output row order is a pure function of the
-config.  Evaluation is a pure map over grid points; with ``parallelism`` > 1
-the map runs on a process pool, and outputs are byte-identical regardless of
-worker count.  Floats are written with 17 significant digits and files are
-written to a temporary name and atomically renamed, so an interrupted run
-leaves no partial output.
+config.  Evaluation is a serial map over grid points: each point is a
+closed form of microseconds or one RK45 trajectory, too little work for a
+process pool to pay for itself.  ``parallelism`` (and ``run``'s ``workers``)
+is accepted for compatibility and changes nothing, so outputs are
+byte-identical for any value.  Floats are written with 17 significant digits
+and files are written to a temporary name and atomically renamed, so an
+interrupted run leaves no partial output.
 """
 from __future__ import annotations
 
 import csv
+import fnmatch
+import functools
 import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from . import lifetimes, surface_code, wick
@@ -58,20 +61,18 @@ _AXIS_NAMES = {
     "lifetime": {"L", "z", "lambda", "temperature", "epsilon", "s", "jz_star"},
     "preset": set(),
 }
-_FLOW_PARAMS = {"j_max", "j_min", "l_max", "abs_tol", "rel_tol", "sample_stride"}
+_FLOW_PARAMS = {f.name for f in fields(FlowOptions)}
 _PARAM_NAMES = {
     "flow": _FLOW_PARAMS,
     "phase_diagram": _FLOW_PARAMS,
     "matching": {"z", "allow_large"},
     "census": {"rule"},
-    "lifetime": {
-        "L", "z", "s", "lambda", "v", "a", "a0", "D_dim", "alpha",
-        "temperature", "tau_qec", "hbar", "kB", "epsilon", "jz_star",
-    },
+    "lifetime": {"lambda" if f.name == "lam" else f.name for f in fields(BathSpec)}
+    | {"L", "epsilon", "jz_star"},
     "preset": {"name", "L_grid"},
 }
 _INT_AXES = {"L", "weight", "n"}
-_EVEN_AXES = {"n"}  # lifetime L is checked per task below
+_EVEN_AXES = {"n"}  # lifetime L is a code distance, checked by _check_code_distance
 
 LIFETIME_FIELDS = (
     "regime", "phase", "L", "j_L", "t_K_over_tau", "t_comp_over_tau",
@@ -90,7 +91,15 @@ class SweepConfig:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number; Python's decoder also accepts NaN and 1e999."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_code_distance(path: str, L) -> None:
+    try:
+        wick.check_even_L(L)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def validate_config(obj) -> SweepConfig:
@@ -125,13 +134,15 @@ def validate_config(obj) -> SweepConfig:
             raise ConfigError(f"axes.{name}", "must be a non-empty list")
         for i, v in enumerate(values):
             if not _is_number(v):
-                raise ConfigError(f"axes.{name}[{i}]", "must be a number")
-            if name in _INT_AXES or (task == "lifetime" and name == "L"):
+                raise ConfigError(f"axes.{name}[{i}]", "must be a finite number")
+            if task == "lifetime" and name == "L":
+                _check_code_distance(f"axes.L[{i}]", v)
+            elif name in _INT_AXES:
                 if not isinstance(v, int):
                     raise ConfigError(f"axes.{name}[{i}]", "must be an integer")
                 if v < 0:
                     raise ConfigError(f"axes.{name}[{i}]", "must be non-negative")
-            if (name in _EVEN_AXES or (task == "lifetime" and name == "L")) and v % 2:
+            if name in _EVEN_AXES and v % 2:
                 raise ConfigError(f"axes.{name}[{i}]", "must be even")
             if task == "phase_diagram" and abs(v) > PORTRAIT_RANGE:
                 raise ConfigError(
@@ -170,16 +181,19 @@ def validate_config(obj) -> SweepConfig:
             if not isinstance(value, list) or not value:
                 raise ConfigError("params.L_grid", "must be a non-empty list")
             for i, v in enumerate(value):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 2 or v % 2:
-                    raise ConfigError(f"params.L_grid[{i}]", "must be an even integer >= 2")
-        elif name in ("L", "D_dim", "sample_stride"):
+                _check_code_distance(f"params.L_grid[{i}]", v)
+        elif name == "L":
+            _check_code_distance("params.L", value)
+        elif name in ("D_dim", "sample_stride"):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"params.{name}", "must be an integer")
         elif not _is_number(value):
-            raise ConfigError(f"params.{name}", "must be a number")
+            raise ConfigError(f"params.{name}", "must be a finite number")
         params[name] = value
     if task == "preset" and "name" not in params:
         raise ConfigError("params.name", "required")
+    if task == "lifetime" and "L" not in params and "L" not in axes:
+        raise ConfigError("params.L", "required (as a parameter or an axis)")
 
     parallelism = obj.get("parallelism", 1)
     if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
@@ -198,13 +212,22 @@ def validate_config(obj) -> SweepConfig:
     )
 
 
-def load_config(path: str) -> SweepConfig:
+def read_config(path: str) -> dict:
+    """Open and decode a config file, which must hold one JSON object."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
+    except OSError as exc:
+        raise ConfigError("$", f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    return validate_config(obj)
+    if not isinstance(obj, dict):
+        raise ConfigError("$", "config must be a JSON object")
+    return obj
+
+
+def load_config(path: str) -> SweepConfig:
+    return validate_config(read_config(path))
 
 
 def grid_points(axes: dict[str, tuple]) -> list[dict]:
@@ -255,18 +278,20 @@ def _write_text(path: str, lines: list[str]) -> None:
     os.replace(tmp, path)
 
 
-# --- per-point evaluation (module level so process pools can pickle) -------
+# --- per-point evaluation ----------------------------------------------------
 
 
-def _flow_options(params: dict, default_j_max: float = 1.0) -> FlowOptions:
-    return FlowOptions(
-        j_max=float(params.get("j_max", default_j_max)),
-        j_min=float(params.get("j_min", 1e-8)),
-        l_max=float(params.get("l_max", 100.0)),
-        abs_tol=float(params.get("abs_tol", 1e-10)),
-        rel_tol=float(params.get("rel_tol", 1e-10)),
-        sample_stride=int(params.get("sample_stride", 1)),
-    )
+@functools.cache  # fields() per grid point shows up in lifetime sweep times
+def _field_types(cls) -> dict[str, type]:
+    return {f.name: type(f.default) for f in fields(cls)}
+
+
+def _from_fields(cls, values: dict, **defaults):
+    """Build the dataclass ``cls`` from the entries of ``values`` that name its
+    fields, each coerced to the type of the field's default, over ``defaults``."""
+    types = _field_types(cls)
+    given = {name: types[name](v) for name, v in values.items() if name in types}
+    return cls(**{**defaults, **given})
 
 
 def _terminal_fields(trace: FlowTrace) -> tuple[str, float | None, float | None]:
@@ -287,12 +312,11 @@ def trace_rows(trace: FlowTrace) -> list[list]:
     return rows
 
 
-def _eval_flow(args):
-    params, point = args
+def _eval_flow(params: dict, point: dict):
     jx = float(point.get("j_perp", point.get("jx", 0.0)))
     jy = float(point.get("j_perp", point.get("jy", 0.0)))
     jz = float(point.get("jz", 0.0))
-    trace = integrate_flow(CouplingVector(jx, jy, jz), _flow_options(params))
+    trace = integrate_flow(CouplingVector(jx, jy, jz), _from_fields(FlowOptions, params))
     kind, l_star, jz_star = _terminal_fields(trace)
     return (jx, jy, jz, kind, l_star, jz_star, trace_rows(trace))
 
@@ -305,19 +329,20 @@ def _separatrix_tag(j_perp: float, jz: float) -> str:
     return ""
 
 
-def _eval_portrait(args):
-    params, point = args
-    j_perp = float(point["j_perp"])
-    jz = float(point["jz"])
-    opts = _flow_options(params, default_j_max=_PORTRAIT_DEFAULT_J_MAX)
+def _portrait_rows(j_perp: float, jz: float, opts: FlowOptions) -> list[list]:
+    """(l, j_perp, j_z, terminal_label, separatrix) samples of one symmetric start."""
     trace = integrate_flow(CouplingVector(j_perp, j_perp, jz), opts)
     kind, _, _ = _terminal_fields(trace)
     tag = _separatrix_tag(j_perp, jz)
     return [[l, j.jx, j.jz, kind, tag] for l, j in trace.samples]
 
 
-def _eval_matching(args):
-    params, point = args
+def _eval_portrait(params: dict, point: dict):
+    opts = _from_fields(FlowOptions, params, j_max=_PORTRAIT_DEFAULT_J_MAX)
+    return _portrait_rows(float(point["j_perp"]), float(point["jz"]), opts)
+
+
+def _eval_matching(params: dict, point: dict):
     n = int(point["n"])
     z = float(params.get("z", 1.0))
     wick.check_probe_ceiling(n, params.get("allow_large", False))
@@ -325,37 +350,21 @@ def _eval_matching(args):
     return [n, total, total ** (2.0 / n)]
 
 
-def _eval_census(args):
-    params, point = args
+def _eval_census(params: dict, point: dict):
     rule = surface_code.TieBreak(params.get("rule", "report"))
     rec = surface_code.failure_census(int(point["L"]), int(point["weight"]), rule)
     return [rec.L, rec.weight, rec.rule, rec.n_success, rec.n_logical, rec.n_tie]
 
 
-def _eval_lifetime(args):
-    params, point = args
+def _eval_lifetime(params: dict, point: dict):
     merged = {**params, **point}
-    if "L" not in merged:
-        raise ConfigError("params.L", "required (as a parameter or an axis)")
-    spec = BathSpec(
-        z=float(merged.get("z", 1.0)),
-        s=float(merged.get("s", 1.0)),
-        lam=float(merged.get("lambda", 1.0)),
-        v=float(merged.get("v", 1.0)),
-        a=float(merged.get("a", 1.0)),
-        a0=float(merged.get("a0", 1.0)),
-        D_dim=int(merged.get("D_dim", 2)),
-        alpha=float(merged.get("alpha", 0.0)),
-        temperature=float(merged.get("temperature", 0.0)),
-        tau_qec=float(merged.get("tau_qec", 1.0)),
-        hbar=float(merged.get("hbar", 1.0)),
-        kB=float(merged.get("kB", 1.0)),
-    )
+    if "lambda" in merged:
+        merged["lam"] = merged.pop("lambda")
     jz_star = merged.get("jz_star")
     cp = lifetimes.CodePoint(
         L=int(merged["L"]),
         epsilon=float(merged.get("epsilon", 0.01)),
-        spec=spec,
+        spec=_from_fields(BathSpec, merged),
         jz_star=None if jz_star is None else float(jz_star),
     )
     rep = lifetimes.build_report(cp)
@@ -372,12 +381,10 @@ _EVALUATORS = {
 }
 
 
+# The benchmark's tracer patches this binding and unpacks the four positional
+# arguments, so the name and the unused ``workers`` stay.
 def _map_points(fn, params: dict, points: list[dict], workers: int) -> list:
-    jobs = [(params, point) for point in points]
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=1))
+    return [fn(params, point) for point in points]
 
 
 def emit_phase_portrait(
@@ -388,23 +395,19 @@ def emit_phase_portrait(
     for j_perp, jz in grid:
         if abs(j_perp) > PORTRAIT_RANGE or abs(jz) > PORTRAIT_RANGE:
             raise ValueError(f"portrait grid must lie within |j| <= {PORTRAIT_RANGE}")
-    params: dict = {}
-    if opts is not None:
-        params = {
-            "j_max": opts.j_max, "j_min": opts.j_min, "l_max": opts.l_max,
-            "abs_tol": opts.abs_tol, "rel_tol": opts.rel_tol,
-            "sample_stride": opts.sample_stride,
-        }
-    rows = []
-    for tid, (j_perp, jz) in enumerate(grid):
-        for sample in _eval_portrait((params, {"j_perp": j_perp, "jz": jz})):
-            rows.append([tid] + sample)
-    return rows
+    opts = opts or FlowOptions(j_max=_PORTRAIT_DEFAULT_J_MAX)
+    return [
+        [tid] + sample
+        for tid, (j_perp, jz) in enumerate(grid)
+        for sample in _portrait_rows(j_perp, jz, opts)
+    ]
 
 
 def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> list[str]:
-    """Execute a validated config; returns the list of files written."""
-    nworkers = cfg.parallelism if workers is None else max(1, workers)
+    """Execute a validated config; returns the list of files written.
+
+    ``workers`` is accepted for compatibility and changes nothing.
+    """
     out = cfg.output_path
 
     if cfg.task == "preset":
@@ -426,7 +429,7 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
         return [out]
 
     points = grid_points(cfg.axes)
-    results = _map_points(_EVALUATORS[cfg.task], cfg.params, points, nworkers)
+    results = _map_points(_EVALUATORS[cfg.task], cfg.params, points, 1)
 
     if cfg.task == "flow":
         _refuse_overwrite(out, force)
@@ -437,29 +440,27 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
             jx, jy, jz, kind, l_star, jz_star, rows = result
             fname = f"trace_{tid:04d}.csv"
             fpath = os.path.join(out, fname)
-            if not force and os.path.exists(fpath):
-                raise FileExistsError(f"{fpath} exists; pass --force to overwrite")
             _write_rows(fpath, ["l", "jx", "jy", "jz", "c1", "c2"], rows)
             written.append(fpath)
             index_rows.append([tid, jx, jy, jz, kind, l_star, jz_star, fname])
         index_path = os.path.join(out, "index.csv")
-        if not force and os.path.exists(index_path):
-            raise FileExistsError(f"{index_path} exists; pass --force to overwrite")
         _write_rows(
             index_path,
             ["trajectory_id", "jx0", "jy0", "jz0", "terminal", "l_star", "jz_star", "file"],
             index_rows,
         )
+        # a forced rerun with fewer starts leaves no trace the index omits
+        listed = {row[-1] for row in index_rows}
+        for name in os.listdir(out):
+            if fnmatch.fnmatch(name, "trace_*.csv") and name not in listed:
+                os.remove(os.path.join(out, name))
         written.append(index_path)
         return written
 
     _refuse_overwrite(out, force)
     if cfg.task == "phase_diagram":
         header = ["trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"]
-        rows = []
-        for tid, sample_rows in enumerate(results):
-            for sample in sample_rows:
-                rows.append([tid] + sample)
+        rows = [[tid] + sample for tid, samples in enumerate(results) for sample in samples]
     elif cfg.task == "matching":
         header = ["n", "matching_sum", "per_pair_weight"]
         rows = results

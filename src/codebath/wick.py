@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .bath import BathSpec
 from .errors import ResourceLimitError
+from .rg_flow import _exp
 
 MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the absolute ceiling
 PROBE_DEFAULT_LIMIT = 20   # 10946 memoized subsets, ~0.04 s: comfortable desk scale
@@ -175,10 +176,10 @@ def matching_scaling_probe(n_values, z, allow_large: bool = False) -> ProbeResul
     )
 
 
-def _check_even_L(L) -> int:
+def check_even_L(L) -> None:
+    """Raise ValueError unless L is an even integer >= 2 (a code distance)."""
     if not isinstance(L, int) or isinstance(L, bool) or L < 2 or L % 2:
         raise ValueError("L must be an even integer >= 2")
-    return L
 
 
 def lambda_bar_sq(spec: BathSpec, L: int) -> float:
@@ -186,12 +187,17 @@ def lambda_bar_sq(spec: BathSpec, L: int) -> float:
 
     Base value 16 (lam tau / hbar)**2 / (a0**(2(1-z)) a**(2z)); multiplied by
     ln L at z = 1/2 and by L**(1-2z) below it.  Branches on z against 1/2
-    (the s = 1 spatial criterion); ln L > 0 is guaranteed by L >= 2.
+    (the s = 1 spatial criterion); ln L > 0 is guaranteed by L >= 2.  A
+    coupling whose square overflows saturates to inf, as ``j_of_L`` does.
     """
-    _check_even_L(L)
+    check_even_L(L)
+    try:
+        coupling_sq = (spec.lam * spec.tau_qec) ** 2
+    except OverflowError:
+        return math.inf
     base = (
         16.0
-        * (spec.lam * spec.tau_qec) ** 2
+        * coupling_sq
         / (spec.hbar**2 * spec.a0 ** (2.0 * (1.0 - spec.z)) * spec.a ** (2.0 * spec.z))
     )
     regime = classify_regime(spec.z, 1.0)
@@ -204,7 +210,7 @@ def lambda_bar_sq(spec: BathSpec, L: int) -> float:
 
 def n_paths(L: int) -> int:
     """Exact number of degenerate failure pathways, L * C(L, L/2)."""
-    _check_even_L(L)
+    check_even_L(L)
     if L > 512:
         raise ResourceLimitError("exact path count is guarded at L <= 512")
     return L * math.comb(L, L // 2)
@@ -212,8 +218,5 @@ def n_paths(L: int) -> int:
 
 def n_paths_stirling(L: int) -> float:
     """Stirling form sqrt(2L/pi) * 2**L of the exact path count."""
-    _check_even_L(L)
-    log_val = 0.5 * math.log(2.0 * L / math.pi) + L * math.log(2.0)
-    if log_val > 709.0:
-        return math.inf
-    return math.exp(log_val)
+    check_even_L(L)
+    return _exp(0.5 * math.log(2.0 * L / math.pi) + L * math.log(2.0))

@@ -32,6 +32,10 @@ def test_spec_validation():
         BathSpec(temperature=-0.1)
     with pytest.raises(ValueError):
         BathSpec(D_dim=0)
+    with pytest.raises(ValueError, match="lam must be a finite number"):
+        BathSpec(lam=math.nan)
+    with pytest.raises(ValueError, match="a must be a finite number"):
+        BathSpec(a=math.inf)
 
 
 def test_ohmic_constraint_examples():

@@ -81,10 +81,6 @@ def test_build_code_rejects_bad_L():
             build_code(bad)
 
 
-def test_delta0_is_carried():
-    assert build_code(2, delta0=3.5).delta0 == 3.5
-
-
 # --- syndrome extraction ----------------------------------------------------
 
 

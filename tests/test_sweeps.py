@@ -80,6 +80,30 @@ MALFORMED = [
         {"task": "lifetime", "axes": {"L": [4]}, "output_path": "x.csv", "seed": "abc"},
         "seed",
     ),
+    (
+        {"task": "lifetime", "axes": {"L": [4]}, "params": {"lambda": math.nan},
+         "output_path": "x.csv"},
+        "params.lambda",
+    ),
+    (
+        {"task": "lifetime", "axes": {"L": [4], "z": [1.0, math.inf]}, "output_path": "x.csv"},
+        "axes.z[1]",
+    ),
+    (
+        {"task": "flow", "axes": {"jz": [0.1]}, "params": {"l_max": -math.inf},
+         "output_path": "x"},
+        "params.l_max",
+    ),
+    ({"task": "lifetime", "axes": {"L": [0]}, "output_path": "x.csv"}, "axes.L[0]"),
+    (
+        {"task": "lifetime", "axes": {"z": [1.0]}, "params": {"L": 3}, "output_path": "x.csv"},
+        "params.L",
+    ),
+    (
+        {"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 5]},
+         "output_path": "x.txt"},
+        "params.L_grid[1]",
+    ),
 ]
 
 
@@ -174,6 +198,8 @@ def test_load_config(tmp_path):
     bad.write_text("[1, 2")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+    with pytest.raises(ConfigError):
+        load_config(str(tmp_path / "absent.json"))
 
 
 def test_lifetime_task_fm_row(tmp_path):
@@ -226,6 +252,21 @@ def test_matching_task(tmp_path):
     assert rows[0] == ["n", "matching_sum", "per_pair_weight"]
     assert float(rows[1][1]) == pytest.approx(1 + 1 / 16 + 1 / 9)
     assert float(rows[1][2]) == pytest.approx((1 + 1 / 16 + 1 / 9) ** 0.5)
+
+
+def test_flow_force_removes_stale_traces(tmp_path):
+    out = tmp_path / "flows"
+    cfg = {
+        "task": "flow",
+        "axes": {"j_perp": [0.05, 0.1, 0.15], "jz": [0.2]},
+        "params": {"l_max": 5.0},
+        "output_path": str(out),
+    }
+    run(validate_config(cfg))
+    (out / "notes.txt").write_text("kept")
+    cfg["axes"]["j_perp"] = [0.05]
+    run(validate_config(cfg), force=True)
+    assert sorted(p.name for p in out.iterdir()) == ["index.csv", "notes.txt", "trace_0000.csv"]
 
 
 def test_flow_task_writes_traces_and_index(tmp_path):
@@ -372,6 +413,21 @@ def test_cli_resource_limit_exit_code(tmp_path):
     }
     assert main(["matching", "--config", write_config(tmp_path, cfg)]) == 3
     assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:j\\(L\\) >= 1e3")
+@pytest.mark.parametrize("s", [1.0, 0.5])
+@pytest.mark.parametrize("jz_star", [None, -0.3])
+def test_cli_overflowing_coupling_saturates(tmp_path, s, jz_star):
+    params = {"lambda": 1e308, "s": s}
+    if jz_star is not None:
+        params["jz_star"] = jz_star
+    out = tmp_path / "overflow.csv"
+    axes = {"L": [4, 64], "z": [1.0, 0.5, 0.25], "temperature": [0.0, 0.5]}
+    cfg_path = write_config(tmp_path, lifetime_config(out, axes=axes, params=params))
+    code = main(["lifetime", "--config", cfg_path])
+    assert code in (0, 2)
+    assert code == 2 or "nan" not in out.read_text()
 
 
 def test_cli_census_large_L(tmp_path):
