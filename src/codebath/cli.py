@@ -11,15 +11,8 @@ from . import sweeps
 from .errors import ConfigError, ResourceLimitError
 from .lifetimes import PRESET_NAMES
 
-_COMMANDS = {
-    "sweep": None,  # task comes from the config
-    "flow": "flow",
-    "phase-diagram": "phase_diagram",
-    "matching": "matching",
-    "census": "census",
-    "lifetime": "lifetime",
-    "preset": "preset",
-}
+# ``sweep`` takes the task from the config; each task is also a subcommand
+_COMMANDS = {"sweep": None, **{task.replace("_", "-"): task for task in sweeps.TASKS}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,23 +38,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args) -> sweeps.SweepConfig:
     task = _COMMANDS[args.command]
-    if args.config is None:
-        if args.command == "preset" and args.name is not None:
-            if args.out is None:
-                raise ConfigError("output_path", "required (use --out)")
-            return sweeps.validate_config(
-                {"task": "preset", "params": {"name": args.name}, "output_path": args.out}
-            )
+    if args.config is not None:
+        obj = sweeps.read_config(args.config)
+    elif args.command == "preset" and args.name is not None:
+        obj = {"task": "preset", "params": {"name": args.name}}
+    else:
         raise ConfigError("$", "--config is required")
-    obj = sweeps.read_config(args.config)
-    if task is not None:
-        stated = obj.get("task")
-        if stated is None:
-            obj = {**obj, "task": task}
-        elif stated != task:
-            raise ConfigError(
-                "task", f"config says {stated!r} but the subcommand is '{args.command}'"
-            )
+    stated = obj.get("task")
+    if stated is None:
+        obj = {**obj, "task": task}
+    elif task is not None and stated != task:
+        raise ConfigError("task", f"config says {stated!r} but the subcommand is '{args.command}'")
     if args.out is not None:
         obj = {**obj, "output_path": args.out}
     return sweeps.validate_config(obj)

@@ -25,6 +25,7 @@ from .rg_flow import (
     Localized,
     Phase,
     _exp,
+    _saturating,
     integrate_flow,
 )
 from .wick import RegimeLabel, check_even_L, classify_regime, lambda_bar_sq
@@ -82,11 +83,11 @@ def j_of_L(spec: BathSpec, L: int) -> float:
     """Macroscopic dimensionless coupling (lam/hbar v) sqrt(2L/pi) (lbar^2)^(L/4)."""
     check_even_L(L)
     lb = lambda_bar_sq(spec, L)
-    pref = spec.lam / (spec.hbar * spec.v)
-    try:
-        return pref * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0)
-    except OverflowError:
-        return math.inf
+    return _saturating(
+        lambda: spec.lam / (spec.hbar * spec.v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
+        lambda: ((spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5),
+                 (lb, L / 4.0)),
+    )
 
 
 def t_comp_ohmic(point: CodePoint, j_L: float | None = None) -> float:
@@ -103,7 +104,10 @@ def t_comp_ohmic(point: CodePoint, j_L: float | None = None) -> float:
         )
     if j <= 0:
         return math.inf
-    return point.epsilon * point.spec.tau_qec * _exp(1.0 / j)
+    eps, tau = point.epsilon, point.spec.tau_qec
+    return _saturating(
+        lambda: eps * tau * _exp(1.0 / j), lambda: ((eps, 1), (tau, 1), (math.e, 1.0 / j))
+    )
 
 
 def t_comp_subohmic(point: CodePoint, s: float, j_L: float | None = None) -> float:
@@ -115,10 +119,10 @@ def t_comp_subohmic(point: CodePoint, s: float, j_L: float | None = None) -> flo
     j = j_of_L(point.spec, point.L) if j_L is None else j_L
     if j <= 0:
         return math.inf
-    try:
-        return point.epsilon * point.spec.tau_qec * (1.0 / j) ** (1.0 / (1.0 - s))
-    except OverflowError:
-        return math.inf
+    eps, tau, p = point.epsilon, point.spec.tau_qec, 1.0 / (1.0 - s)
+    return _saturating(
+        lambda: eps * tau * (1.0 / j) ** p, lambda: ((eps, 1), (tau, 1), (1.0 / j, p))
+    )
 
 
 def t_mem_fm(point: CodePoint) -> FmMemory:
@@ -132,10 +136,8 @@ def t_mem_fm(point: CodePoint) -> FmMemory:
     if point.jz_star is None:
         raise ValueError("jz_star required for the localized channel")
     jz = point.jz_star
-    if jz == 0.0:
-        return FmMemory(exact=math.inf, approx=math.inf)
     tau = point.spec.tau_qec
-    expo = 1.0 / (2.0 * jz * jz)
+    expo = _saturating(lambda: 1.0 / (2.0 * jz * jz), lambda: ((2.0, -1), (abs(jz), -2)))
     exact = tau * _exp(-expo * math.log1p(-point.epsilon))
     approx = tau * _exp(expo * point.epsilon)
     return FmMemory(exact=exact, approx=approx)
@@ -150,14 +152,15 @@ def thermal_rates(point: CodePoint, j_L: float | None = None) -> ThermalRates:
     spec = point.spec
     if spec.temperature == 0.0:
         return ThermalRates(t2_thermal=math.inf, gamma_korringa=0.0)
-    kbt = spec.kB * spec.temperature / spec.hbar
     j = j_of_L(spec, point.L) if j_L is None else j_L
-    gamma = j * j * kbt
-    t2 = None
-    if point.jz_star is not None and point.jz_star != 0.0:
-        t2 = spec.hbar / (2.0 * math.pi * spec.kB * spec.temperature * point.jz_star**2)
-    elif point.jz_star == 0.0:
-        t2 = math.inf
+    kB, T, hbar, jz = spec.kB, spec.temperature, spec.hbar, point.jz_star
+    gamma = _saturating(
+        lambda: j * j * (kB * T / hbar), lambda: ((abs(j), 2), (kB, 1), (T, 1), (hbar, -1))
+    )
+    t2 = None if jz is None else _saturating(
+        lambda: hbar / (2.0 * math.pi * kB * T * jz**2),
+        lambda: ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz), -2)),
+    )
     return ThermalRates(t2_thermal=t2, gamma_korringa=gamma)
 
 
@@ -174,7 +177,11 @@ def critical_coupling(spec: BathSpec, L: int) -> float:
     L-independent.
     """
     check_even_L(L)
-    base = spec.hbar * spec.a0 ** (1.0 - spec.z) * spec.a**spec.z / (4.0 * spec.tau_qec)
+    base = _saturating(
+        lambda: spec.hbar * spec.a0 ** (1.0 - spec.z) * spec.a**spec.z / (4.0 * spec.tau_qec),
+        lambda: ((spec.hbar, 1), (spec.a0, 1.0 - spec.z), (spec.a, spec.z),
+                 (4.0 * spec.tau_qec, -1)),
+    )
     regime = classify_regime(spec.z, 1.0)
     if regime is RegimeLabel.SHORT_RANGE:
         return base
@@ -202,42 +209,32 @@ def build_report(point: CodePoint, jz_star_source: str | None = None) -> Lifetim
     thr = threshold_exists(spec.z, spec.s)
     rates = thermal_rates(point, j_L=j_L)
 
-    if point.jz_star is not None:
-        mem = t_mem_fm(point)
-        report = LifetimeReport(
-            regime=regime,
-            phase=Phase.FERROMAGNETIC,
-            L=point.L,
-            j_L=j_L,
-            t_K_over_tau=None,
-            t_comp_over_tau=None,
-            t_mem_over_tau=mem.exact / spec.tau_qec,
-            gamma_korringa=rates.gamma_korringa,
-            t2_thermal=rates.t2_thermal,
-            threshold_exists=thr,
-            lambda_critical=lam_c,
-            jz_star=point.jz_star,
-            jz_star_source=jz_star_source or "user",
-        )
+    localized = point.jz_star is not None
+    t_K = t_comp = t_mem = None
+    if localized:
+        t_mem = t_mem_fm(point).exact / spec.tau_qec
     else:
         if spec.s == 1.0:
             t_comp = t_comp_ohmic(point, j_L=j_L)
         else:
             t_comp = t_comp_subohmic(point, spec.s, j_L=j_L)
-        t_K = t_comp / point.epsilon
-        report = LifetimeReport(
-            regime=regime,
-            phase=Phase.ANTIFERROMAGNETIC,
-            L=point.L,
-            j_L=j_L,
-            t_K_over_tau=t_K / spec.tau_qec,
-            t_comp_over_tau=t_comp / spec.tau_qec,
-            t_mem_over_tau=None,
-            gamma_korringa=rates.gamma_korringa,
-            t2_thermal=rates.t2_thermal,
-            threshold_exists=thr,
-            lambda_critical=lam_c,
-        )
+        t_K = t_comp / point.epsilon / spec.tau_qec
+        t_comp = t_comp / spec.tau_qec
+    report = LifetimeReport(
+        regime=regime,
+        phase=Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC,
+        L=point.L,
+        j_L=j_L,
+        t_K_over_tau=t_K,
+        t_comp_over_tau=t_comp,
+        t_mem_over_tau=t_mem,
+        gamma_korringa=rates.gamma_korringa,
+        t2_thermal=rates.t2_thermal,
+        threshold_exists=thr,
+        lambda_critical=lam_c,
+        jz_star=point.jz_star,
+        jz_star_source=(jz_star_source or "user") if localized else None,
+    )
     for name in ("t_K_over_tau", "t_comp_over_tau", "t_mem_over_tau"):
         value = getattr(report, name)
         if value is not None and value <= 0:

@@ -13,6 +13,7 @@ choice of ceiling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -20,15 +21,30 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .bath import BathSpec
-from .errors import PhaseMismatchError
+from .errors import PhaseMismatchError, ResourceLimitError
 
 DWELL_INTERVAL = 1.0   # scale window the transverse pair must stay below j_min
 _MAX_SEGMENTS = 1000
 _EXP_ARG_MAX = 709.0
+_J_LIMIT = math.sqrt(sys.float_info.max)  # couplings whose squares stay finite
 
 
 def _exp(x: float) -> float:
     return math.inf if x > _EXP_ARG_MAX else math.exp(x)
+
+
+def _saturating(value, powers) -> float:
+    """``value()``, a float expression for prod(x ** p for x, p in ``powers()``),
+    all x >= 0; where it leaves float range (raises, or gives nan from inf * 0)
+    the product is summed in logs and saturates to 0 or inf (0 if x = 0, p > 0)."""
+    try:
+        result = value()
+    except (OverflowError, ZeroDivisionError):
+        result = math.nan
+    if result == result:  # not nan
+        return result
+    log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers())
+    return 0.0 if math.isnan(log) else _exp(log)
 
 
 class Phase(Enum):
@@ -56,8 +72,8 @@ class FlowOptions:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if not 0 < self.j_min < self.j_max:
-            raise ValueError("need 0 < j_min < j_max")
+        if not 0 < self.j_min < self.j_max < _J_LIMIT:
+            raise ValueError(f"need 0 < j_min < j_max < {_J_LIMIT:.3g}")
         if self.l_max <= 0:
             raise ValueError("l_max must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -113,8 +129,8 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     """
     opts = opts or FlowOptions()
     y = j0.as_array()
-    if not np.all(np.isfinite(y)):
-        raise ValueError("initial couplings must be finite")
+    if not np.all(np.abs(y) < _J_LIMIT):
+        raise ValueError(f"initial couplings must be finite, below {_J_LIMIT:.3g} in size")
 
     def ceiling(l, y):
         return max(abs(y[0]), abs(y[1]), abs(y[2])) - opts.j_max
@@ -122,17 +138,10 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     ceiling.terminal = True
     ceiling.direction = 1.0
 
-    def trans_down(l, y):
+    def transverse(l, y):
         return max(abs(y[0]), abs(y[1])) - opts.j_min
 
-    trans_down.terminal = True
-    trans_down.direction = -1.0
-
-    def trans_up(l, y):
-        return max(abs(y[0]), abs(y[1])) - opts.j_min
-
-    trans_up.terminal = True
-    trans_up.direction = 1.0
+    transverse.terminal = True
 
     ls: list[float] = [0.0]
     ys: list[np.ndarray] = [y.copy()]
@@ -152,44 +161,31 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
         for _ in range(_MAX_SEGMENTS):
             if terminal is not None or l >= opts.l_max:
                 break
-            if dwell_since is not None:
-                target = dwell_since + DWELL_INTERVAL
-                sol = solve_ivp(
-                    _rhs, (l, min(target, opts.l_max)), y, method="RK45",
-                    events=(ceiling, trans_up), rtol=opts.rel_tol, atol=opts.abs_tol,
-                )
-                absorb(sol)
-                if sol.t_events[0].size:
-                    l = float(sol.t_events[0][0])
-                    terminal = StrongCoupling(l_star=l + 1.0 / opts.j_max)
-                elif sol.t_events[1].size:
-                    l = float(sol.t_events[1][0])
-                    y = sol.y_events[1][0].copy()
-                    dwell_since = None
-                else:
-                    l = float(sol.t[-1])
-                    y = sol.y[:, -1].copy()
-                    if target <= opts.l_max:
-                        terminal = Localized(j_star=CouplingVector(*map(float, y)))
-                    # else: cutoff interrupted the dwell; fall through to CutoffReached
+            # a dwell below j_min ends at its interval or when the pair rises
+            # back through j_min; any other segment when the pair falls below it
+            dwelling = dwell_since is not None
+            transverse.direction = 1.0 if dwelling else -1.0
+            target = dwell_since + DWELL_INTERVAL if dwelling else opts.l_max
+            sol = solve_ivp(
+                _rhs, (l, min(target, opts.l_max)), y, method="RK45",
+                events=(ceiling, transverse), rtol=opts.rel_tol, atol=opts.abs_tol,
+            )
+            absorb(sol)
+            if sol.t_events[0].size:
+                l = float(sol.t_events[0][0])
+                terminal = StrongCoupling(l_star=l + 1.0 / opts.j_max)
+            elif sol.t_events[1].size:
+                l = float(sol.t_events[1][0])
+                y = sol.y_events[1][0].copy()
+                dwell_since = None if dwelling else l
             else:
-                sol = solve_ivp(
-                    _rhs, (l, opts.l_max), y, method="RK45",
-                    events=(ceiling, trans_down), rtol=opts.rel_tol, atol=opts.abs_tol,
-                )
-                absorb(sol)
-                if sol.t_events[0].size:
-                    l = float(sol.t_events[0][0])
-                    terminal = StrongCoupling(l_star=l + 1.0 / opts.j_max)
-                elif sol.t_events[1].size:
-                    l = float(sol.t_events[1][0])
-                    y = sol.y_events[1][0].copy()
-                    dwell_since = l
-                else:
-                    l = float(sol.t[-1])
-                    y = sol.y[:, -1].copy()
+                l = float(sol.t[-1])
+                y = sol.y[:, -1].copy()
+                if dwelling and target <= opts.l_max:
+                    terminal = Localized(j_star=CouplingVector(*map(float, y)))
+                # a dwell the cutoff interrupts falls through to CutoffReached
         else:
-            raise RuntimeError("flow integration exceeded its segment budget")
+            raise ResourceLimitError("flow integration exceeded its segment budget")
     if terminal is None:
         terminal = CutoffReached(l_max=opts.l_max)
 

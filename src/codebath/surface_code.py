@@ -228,6 +228,14 @@ def _classify(L: int, correction: frozenset[int], true_error: ErrorChain | None)
     return DecodeStatus.SUCCESS if not residue else DecodeStatus.LOGICAL_ERROR
 
 
+def check_census(L: int, weight: int) -> None:
+    """Raise ValueError unless weight-``weight`` chains fit a length-L contour."""
+    if L < 2:
+        raise ValueError("contour length must be >= 2")
+    if not 0 <= weight <= L:
+        raise ValueError("weight must lie in 0..L")
+
+
 def failure_census(L: int, weight: int, tie_break: TieBreak = TieBreak.REPORT) -> CensusRecord:
     """Tally the decoder outcomes over all C(L, weight) contour chains of that weight.
 
@@ -237,10 +245,7 @@ def failure_census(L: int, weight: int, tie_break: TieBreak = TieBreak.REPORT) -
     weight L/2 every chain is a tie that ``tie_break`` reports, resolves to
     success (benign) or to a logical error (adversarial).
     """
-    if L < 2:
-        raise ValueError("contour length must be >= 2")
-    if not 0 <= weight <= L:
-        raise ValueError("weight must lie in 0..L")
+    check_census(L, weight)
     count = math.comb(L, weight)
     if 2 * weight < L or 2 * weight == L and tie_break is TieBreak.BENIGN:
         outcome = DecodeStatus.SUCCESS

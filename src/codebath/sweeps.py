@@ -1,29 +1,19 @@
 """Config-driven deterministic parameter sweeps with CSV/text emission.
 
-A sweep is described by a single JSON config file::
-
-    {
-      "task": "lifetime",                  # flow | phase_diagram | matching |
-                                           # census | lifetime | preset
-      "axes": {"L": [4, 8], "z": [1.0]},   # named grids, Cartesian product
-      "params": {"lambda": 0.05},          # fixed scalars
-      "output_path": "out.csv",
-      "parallelism": 1,                    # accepted; evaluation is serial
-      "seed": 0                            # reserved; every task is deterministic
-    }
-
-Axes are ordered alphabetically by name and the product is enumerated with
-earlier axes varying slowest, so output row order is a pure function of the
-config.  Evaluation is a serial map over grid points: each point is a
-closed form of microseconds or one RK45 trajectory, too little work for a
-process pool to pay for itself.  ``parallelism`` (and ``run``'s ``workers``)
-is accepted for compatibility and changes nothing, so outputs are
-byte-identical for any value.  Floats are written with 17 significant digits
-and files are written to a temporary name and atomically renamed, so an
-interrupted run leaves no partial output.
+A config (schema in README) names a task of ``TASKS``, its axes and params
+and an output path.  Axes are ordered alphabetically by name and the product
+is enumerated with earlier axes varying slowest, so output row order is a
+pure function of the config.  Evaluation is a serial map over grid points:
+each point is a closed form of microseconds or one RK45 trajectory, too
+little work for a process pool to pay for itself.  ``parallelism`` (and
+``run``'s ``workers``) is accepted for compatibility and changes nothing, so
+outputs are byte-identical for any value.  Floats are written with 17
+significant digits and each file is written under a unique temporary name
+and atomically renamed, so an interrupted run leaves no partial output.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import fnmatch
 import functools
@@ -31,6 +21,8 @@ import itertools
 import json
 import math
 import os
+import sys
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -48,31 +40,8 @@ from .rg_flow import (
     integrate_flow,
 )
 
-TASKS = ("flow", "phase_diagram", "matching", "census", "lifetime", "preset")
-
 PORTRAIT_RANGE = 3.5
-_PORTRAIT_DEFAULT_J_MAX = 4.0  # just outside the plotted window
-
-_AXIS_NAMES = {
-    "flow": {"jx", "jy", "jz", "j_perp"},
-    "phase_diagram": {"j_perp", "jz"},
-    "matching": {"n"},
-    "census": {"L", "weight"},
-    "lifetime": {"L", "z", "lambda", "temperature", "epsilon", "s", "jz_star"},
-    "preset": set(),
-}
-_FLOW_PARAMS = {f.name for f in fields(FlowOptions)}
-_PARAM_NAMES = {
-    "flow": _FLOW_PARAMS,
-    "phase_diagram": _FLOW_PARAMS,
-    "matching": {"z", "allow_large"},
-    "census": {"rule"},
-    "lifetime": {"lambda" if f.name == "lam" else f.name for f in fields(BathSpec)}
-    | {"L", "epsilon", "jz_star"},
-    "preset": {"name", "L_grid"},
-}
 _INT_AXES = {"L", "weight", "n"}
-_EVEN_AXES = {"n"}  # lifetime L is a code distance, checked by _check_code_distance
 
 LIFETIME_FIELDS = (
     "regime", "phase", "L", "j_L", "t_K_over_tau", "t_comp_over_tau",
@@ -91,19 +60,37 @@ class SweepConfig:
 
 
 def _is_number(v) -> bool:
-    """A finite JSON number; Python's decoder also accepts NaN and 1e999."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A JSON number in float range; Python's decoder also accepts NaN, 1e999 and 10**400."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _check_code_distance(path: str, L) -> None:
+def _checked(path: str, fn, *args):
+    """``fn(*args)``, with a ValueError it raises re-raised at ``path``."""
     try:
-        wick.check_even_L(L)
+        return fn(*args)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
+def _check_values(check, params: dict, axes: dict) -> None:
+    """Pass the params, then each axis value over them, through ``check``; if
+    the params fail, the path is the first one (in config order) they fail at."""
+    try:
+        check(params)
+    except ValueError:
+        given = {}
+        for name, value in params.items():
+            given[name] = value
+            _checked(f"params.{name}", check, given)
+    for name, values in axes.items():
+        for i, v in enumerate(values):
+            _checked(f"axes.{name}[{i}]", check, {**params, name: v})
+
+
 def validate_config(obj) -> SweepConfig:
-    """Check a decoded JSON object against the schema; raise ConfigError."""
+    """Check a decoded JSON object against the schema, and each value against
+    the rules of the object it becomes (``Task.check``); raise ConfigError, or
+    ResourceLimitError for a matching size above the probe ceiling."""
     if not isinstance(obj, dict):
         raise ConfigError("$", "config must be a JSON object")
     known = {"task", "axes", "params", "output_path", "parallelism", "seed"}
@@ -116,6 +103,7 @@ def validate_config(obj) -> SweepConfig:
         raise ConfigError("task", "required")
     if task not in TASKS:
         raise ConfigError("task", f"must be one of {'|'.join(TASKS)}")
+    spec = TASKS[task]
 
     output_path = obj.get("output_path")
     if output_path is None:
@@ -128,31 +116,21 @@ def validate_config(obj) -> SweepConfig:
         raise ConfigError("axes", "must be an object of name -> list")
     axes: dict[str, tuple] = {}
     for name, values in axes_obj.items():
-        if name not in _AXIS_NAMES[task]:
+        if name not in spec.axes:
             raise ConfigError(f"axes.{name}", f"unknown axis for task '{task}'")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"axes.{name}", "must be a non-empty list")
         for i, v in enumerate(values):
             if not _is_number(v):
                 raise ConfigError(f"axes.{name}[{i}]", "must be a finite number")
-            if task == "lifetime" and name == "L":
-                _check_code_distance(f"axes.L[{i}]", v)
-            elif name in _INT_AXES:
-                if not isinstance(v, int):
-                    raise ConfigError(f"axes.{name}[{i}]", "must be an integer")
-                if v < 0:
-                    raise ConfigError(f"axes.{name}[{i}]", "must be non-negative")
-            if name in _EVEN_AXES and v % 2:
-                raise ConfigError(f"axes.{name}[{i}]", "must be even")
+            if name in _INT_AXES and not isinstance(v, int):
+                raise ConfigError(f"axes.{name}[{i}]", "must be an integer")
             if task == "phase_diagram" and abs(v) > PORTRAIT_RANGE:
                 raise ConfigError(
                     f"axes.{name}[{i}]", f"must lie within |j| <= {PORTRAIT_RANGE}"
                 )
         axes[name] = tuple(values)
-    if task == "preset":
-        if axes:
-            raise ConfigError("axes", "preset task takes no axes")
-    elif not axes:
+    if spec.axes and not axes:  # preset takes none: any name is unknown above
         raise ConfigError("axes", f"at least one axis is required for task '{task}'")
     if task == "flow" and "j_perp" in axes and ("jx" in axes or "jy" in axes):
         raise ConfigError("axes.j_perp", "exclusive with axes.jx/axes.jy")
@@ -162,7 +140,7 @@ def validate_config(obj) -> SweepConfig:
         raise ConfigError("params", "must be an object")
     params: dict = {}
     for name, value in params_obj.items():
-        if name not in _PARAM_NAMES[task]:
+        if name not in spec.params:
             raise ConfigError(f"params.{name}", f"unknown parameter for task '{task}'")
         if name in axes:
             raise ConfigError(f"params.{name}", "also swept in axes")
@@ -181,19 +159,13 @@ def validate_config(obj) -> SweepConfig:
             if not isinstance(value, list) or not value:
                 raise ConfigError("params.L_grid", "must be a non-empty list")
             for i, v in enumerate(value):
-                _check_code_distance(f"params.L_grid[{i}]", v)
-        elif name == "L":
-            _check_code_distance("params.L", value)
+                _checked(f"params.L_grid[{i}]", wick.check_even_L, v)
         elif name in ("D_dim", "sample_stride"):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"params.{name}", "must be an integer")
         elif not _is_number(value):
             raise ConfigError(f"params.{name}", "must be a finite number")
         params[name] = value
-    if task == "preset" and "name" not in params:
-        raise ConfigError("params.name", "required")
-    if task == "lifetime" and "L" not in params and "L" not in axes:
-        raise ConfigError("params.L", "required (as a parameter or an axis)")
 
     parallelism = obj.get("parallelism", 1)
     if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
@@ -202,14 +174,18 @@ def validate_config(obj) -> SweepConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed", "must be an integer")
 
-    return SweepConfig(
-        task=task,
-        axes=axes,
-        params=params,
-        output_path=output_path,
-        parallelism=parallelism,
-        seed=seed,
-    )
+    for name in spec.required:
+        if name not in params and name not in axes:
+            where = "params" if name in spec.params else "axes"
+            raise ConfigError(f"{where}.{name}", "required")
+    if spec.check is not None:
+        _check_values(spec.check, params, axes)
+    if task == "census":  # weight <= L is a rule on grid points, not on values
+        for i, L in enumerate(axes["L"]):
+            _checked(f"axes.L[{i}]", surface_code.check_census, L, 0)
+            for j, weight in enumerate(axes["weight"]):
+                _checked(f"axes.weight[{j}]", surface_code.check_census, L, weight)
+    return SweepConfig(task, axes, params, output_path, parallelism, seed)
 
 
 def read_config(path: str) -> dict:
@@ -261,21 +237,26 @@ def _refuse_overwrite(path: str, force: bool) -> None:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
+@contextlib.contextmanager
+def _atomic(path: str, newline: str | None = None):
+    """A new file, uniquely named beside ``path``, renamed over ``path`` when
+    the block ends; if the block raises, the new file is removed."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with _atomic(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
-    os.replace(tmp, path)
-
-
-def _write_text(path: str, lines: list[str]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+        writer.writerows([format_cell(v) for v in row] for row in rows)
 
 
 # --- per-point evaluation ----------------------------------------------------
@@ -294,6 +275,32 @@ def _from_fields(cls, values: dict, **defaults):
     return cls(**{**defaults, **given})
 
 
+_flow_options = functools.partial(_from_fields, FlowOptions)
+# a portrait's ceiling sits just outside the plotted window
+_portrait_options = functools.partial(_from_fields, FlowOptions, j_max=4.0)
+
+
+def _code_point(values: dict) -> lifetimes.CodePoint:
+    """A lifetime point from config names (``lambda`` for ``lam``; L = 2 if absent)."""
+    values = {**values}
+    if "lambda" in values:
+        values["lam"] = values.pop("lambda")
+    jz_star = values.get("jz_star")
+    return lifetimes.CodePoint(
+        L=values.get("L", 2),
+        epsilon=float(values.get("epsilon", 0.01)),
+        spec=_from_fields(BathSpec, values),
+        jz_star=None if jz_star is None else float(jz_star),
+    )
+
+
+def _matching_problem(values: dict) -> wick.MatchingProblem:
+    """Sites ``range(n)`` (n = 2 if absent), refused above the probe ceiling."""
+    n = values.get("n", 2)
+    wick.check_probe_ceiling(n, values.get("allow_large", False))
+    return wick.MatchingProblem(tuple(range(n)), float(values.get("z", 1.0)))
+
+
 def _terminal_fields(trace: FlowTrace) -> tuple[str, float | None, float | None]:
     terminal = trace.terminal
     if isinstance(terminal, StrongCoupling):
@@ -303,22 +310,15 @@ def _terminal_fields(trace: FlowTrace) -> tuple[str, float | None, float | None]
     return "CutoffReached", None, None
 
 
-def trace_rows(trace: FlowTrace) -> list[list]:
-    """Flatten a trace to (l, jx, jy, jz, c1, c2) rows for CSV export."""
-    rows = []
-    for l, j in trace.samples:
-        c1, c2 = constants_of_motion(j)
-        rows.append([l, j.jx, j.jy, j.jz, c1, c2])
-    return rows
-
-
 def _eval_flow(params: dict, point: dict):
+    """One start's index row (without id and file name) and its trace's
+    (l, jx, jy, jz, c1, c2) rows."""
     jx = float(point.get("j_perp", point.get("jx", 0.0)))
     jy = float(point.get("j_perp", point.get("jy", 0.0)))
     jz = float(point.get("jz", 0.0))
-    trace = integrate_flow(CouplingVector(jx, jy, jz), _from_fields(FlowOptions, params))
-    kind, l_star, jz_star = _terminal_fields(trace)
-    return (jx, jy, jz, kind, l_star, jz_star, trace_rows(trace))
+    trace = integrate_flow(CouplingVector(jx, jy, jz), _flow_options(params))
+    rows = [[l, j.jx, j.jy, j.jz, *constants_of_motion(j)] for l, j in trace.samples]
+    return [jx, jy, jz, *_terminal_fields(trace)], rows
 
 
 def _separatrix_tag(j_perp: float, jz: float) -> str:
@@ -338,46 +338,77 @@ def _portrait_rows(j_perp: float, jz: float, opts: FlowOptions) -> list[list]:
 
 
 def _eval_portrait(params: dict, point: dict):
-    opts = _from_fields(FlowOptions, params, j_max=_PORTRAIT_DEFAULT_J_MAX)
-    return _portrait_rows(float(point["j_perp"]), float(point["jz"]), opts)
+    return _portrait_rows(float(point["j_perp"]), float(point["jz"]), _portrait_options(params))
 
 
 def _eval_matching(params: dict, point: dict):
-    n = int(point["n"])
-    z = float(params.get("z", 1.0))
-    wick.check_probe_ceiling(n, params.get("allow_large", False))
-    total = wick.matching_sum(wick.MatchingProblem(tuple(range(n)), z))
-    return [n, total, total ** (2.0 / n)]
+    problem = _matching_problem({**params, **point})
+    n = len(problem.positions)
+    total = wick.matching_sum(problem)
+    return [[n, total, total ** (2.0 / n)]]
 
 
 def _eval_census(params: dict, point: dict):
     rule = surface_code.TieBreak(params.get("rule", "report"))
-    rec = surface_code.failure_census(int(point["L"]), int(point["weight"]), rule)
-    return [rec.L, rec.weight, rec.rule, rec.n_success, rec.n_logical, rec.n_tie]
+    rec = surface_code.failure_census(point["L"], point["weight"], rule)
+    return [[rec.L, rec.weight, rec.rule, rec.n_success, rec.n_logical, rec.n_tie]]
+
+
+def _lifetime_axes(names) -> list[str]:
+    """Swept lifetime axes written ahead of the record: all but L, which it holds."""
+    return [name for name in sorted(names) if name != "L"]
 
 
 def _eval_lifetime(params: dict, point: dict):
-    merged = {**params, **point}
-    if "lambda" in merged:
-        merged["lam"] = merged.pop("lambda")
-    jz_star = merged.get("jz_star")
-    cp = lifetimes.CodePoint(
-        L=int(merged["L"]),
-        epsilon=float(merged.get("epsilon", 0.01)),
-        spec=_from_fields(BathSpec, merged),
-        jz_star=None if jz_star is None else float(jz_star),
-    )
-    rep = lifetimes.build_report(cp)
-    extra = [point[name] for name in sorted(point) if name != "L"]
-    return extra + [getattr(rep, f) for f in LIFETIME_FIELDS]
+    rep = lifetimes.build_report(_code_point({**params, **point}))
+    return [[point[name] for name in _lifetime_axes(point)]
+            + [getattr(rep, f) for f in LIFETIME_FIELDS]]
 
 
-_EVALUATORS = {
-    "flow": _eval_flow,
-    "phase_diagram": _eval_portrait,
-    "matching": _eval_matching,
-    "census": _eval_census,
-    "lifetime": _eval_lifetime,
+@dataclass(frozen=True)
+class Task:
+    """One task: the axes and params a config may name (``required`` ones as
+    either), ``check(values)`` building the object whose rules the params and
+    each axis value must pass, and ``evaluate(params, point)`` returning a
+    grid point's rows under ``header`` (``flow`` writes its own files;
+    ``preset`` has no grid and no evaluator).
+    """
+
+    axes: Collection[str]
+    params: Collection[str]
+    evaluate: Callable[[dict, dict], list] | None = None
+    header: tuple[str, ...] = ()
+    required: Collection[str] = ()
+    check: Callable[[dict], object] | None = None
+
+
+_FLOW_PARAMS = {f.name for f in fields(FlowOptions)}
+TASKS = {
+    "flow": Task(
+        {"jx", "jy", "jz", "j_perp"}, _FLOW_PARAMS, _eval_flow,
+        ("trajectory_id", "jx0", "jy0", "jz0", "terminal", "l_star", "jz_star", "file"),
+        check=_flow_options,
+    ),
+    "phase_diagram": Task(
+        {"j_perp", "jz"}, _FLOW_PARAMS, _eval_portrait,
+        ("trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"),
+        required={"j_perp", "jz"}, check=_portrait_options,
+    ),
+    "matching": Task(
+        {"n"}, {"z", "allow_large"}, _eval_matching, ("n", "matching_sum", "per_pair_weight"),
+        check=_matching_problem,
+    ),
+    "census": Task(
+        {"L", "weight"}, {"rule"}, _eval_census,
+        ("L", "weight", "rule", "n_success", "n_logical", "n_tie"), required={"L", "weight"},
+    ),
+    "lifetime": Task(
+        {"L", "z", "lambda", "temperature", "epsilon", "s", "jz_star"},
+        {"lambda" if f.name == "lam" else f.name for f in fields(BathSpec)}
+        | {"L", "epsilon", "jz_star"},
+        _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point,
+    ),
+    "preset": Task(set(), {"name", "L_grid"}, required={"name"}),
 }
 
 
@@ -395,7 +426,7 @@ def emit_phase_portrait(
     for j_perp, jz in grid:
         if abs(j_perp) > PORTRAIT_RANGE or abs(jz) > PORTRAIT_RANGE:
             raise ValueError(f"portrait grid must lie within |j| <= {PORTRAIT_RANGE}")
-    opts = opts or FlowOptions(j_max=_PORTRAIT_DEFAULT_J_MAX)
+    opts = opts or _portrait_options({})
     return [
         [tid] + sample
         for tid, (j_perp, jz) in enumerate(grid)
@@ -403,14 +434,32 @@ def emit_phase_portrait(
     ]
 
 
+def _write_flow(out: str, results: list) -> list[str]:
+    """One trace file per start plus the index; returns the files written."""
+    os.makedirs(out, exist_ok=True)
+    written, index_rows = [], []
+    for tid, (start, rows) in enumerate(results):
+        fname = f"trace_{tid:04d}.csv"
+        written.append(os.path.join(out, fname))
+        _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows)
+        index_rows.append([tid, *start, fname])
+    written.append(os.path.join(out, "index.csv"))
+    _write_rows(written[-1], TASKS["flow"].header, index_rows)
+    # a forced rerun with fewer starts leaves no trace the index omits
+    listed = {row[-1] for row in index_rows}
+    for name in os.listdir(out):
+        if fnmatch.fnmatch(name, "trace_*.csv") and name not in listed:
+            os.remove(os.path.join(out, name))
+    return written
+
+
 def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> list[str]:
     """Execute a validated config; returns the list of files written.
 
     ``workers`` is accepted for compatibility and changes nothing.
     """
-    out = cfg.output_path
-
-    if cfg.task == "preset":
+    out, task = cfg.output_path, TASKS[cfg.task]
+    if task.evaluate is None:
         _refuse_overwrite(out, force)
         report = lifetimes.preset_report(
             cfg.params["name"],
@@ -425,51 +474,16 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
         if report.lambda_critical_curve is not None:
             for z, L, lam_c in report.lambda_critical_curve:
                 lines.append(f"lambda_c[z={z:g},L={L}] = {lam_c!r}")
-        _write_text(out, lines)
+        with _atomic(out) as fh:
+            fh.write("\n".join(lines) + "\n")
         return [out]
-
-    points = grid_points(cfg.axes)
-    results = _map_points(_EVALUATORS[cfg.task], cfg.params, points, 1)
-
-    if cfg.task == "flow":
-        _refuse_overwrite(out, force)
-        os.makedirs(out, exist_ok=True)
-        written = []
-        index_rows = []
-        for tid, result in enumerate(results):
-            jx, jy, jz, kind, l_star, jz_star, rows = result
-            fname = f"trace_{tid:04d}.csv"
-            fpath = os.path.join(out, fname)
-            _write_rows(fpath, ["l", "jx", "jy", "jz", "c1", "c2"], rows)
-            written.append(fpath)
-            index_rows.append([tid, jx, jy, jz, kind, l_star, jz_star, fname])
-        index_path = os.path.join(out, "index.csv")
-        _write_rows(
-            index_path,
-            ["trajectory_id", "jx0", "jy0", "jz0", "terminal", "l_star", "jz_star", "file"],
-            index_rows,
-        )
-        # a forced rerun with fewer starts leaves no trace the index omits
-        listed = {row[-1] for row in index_rows}
-        for name in os.listdir(out):
-            if fnmatch.fnmatch(name, "trace_*.csv") and name not in listed:
-                os.remove(os.path.join(out, name))
-        written.append(index_path)
-        return written
-
+    results = _map_points(task.evaluate, cfg.params, grid_points(cfg.axes), 1)
     _refuse_overwrite(out, force)
-    if cfg.task == "phase_diagram":
-        header = ["trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"]
-        rows = [[tid] + sample for tid, samples in enumerate(results) for sample in samples]
-    elif cfg.task == "matching":
-        header = ["n", "matching_sum", "per_pair_weight"]
-        rows = results
-    elif cfg.task == "census":
-        header = ["L", "weight", "rule", "n_success", "n_logical", "n_tie"]
-        rows = results
-    else:  # lifetime
-        extra = [name for name in sorted(cfg.axes) if name != "L"]
-        header = extra + list(LIFETIME_FIELDS)
-        rows = results
+    if cfg.task == "flow":
+        return _write_flow(out, results)
+    lead = _lifetime_axes(cfg.axes) if cfg.task == "lifetime" else []
+    header = lead + list(task.header)
+    numbered = header[0] == "trajectory_id"  # a grid point's rows carry its index
+    rows = [[tid, *row] if numbered else row for tid, rs in enumerate(results) for row in rs]
     _write_rows(out, header, rows)
     return [out]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .bath import BathSpec
 from .errors import ResourceLimitError
-from .rg_flow import _exp
+from .rg_flow import _exp, _saturating
 
 MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the absolute ceiling
 PROBE_DEFAULT_LIMIT = 20   # 10946 memoized subsets, ~0.04 s: comfortable desk scale
@@ -187,18 +187,16 @@ def lambda_bar_sq(spec: BathSpec, L: int) -> float:
 
     Base value 16 (lam tau / hbar)**2 / (a0**(2(1-z)) a**(2z)); multiplied by
     ln L at z = 1/2 and by L**(1-2z) below it.  Branches on z against 1/2
-    (the s = 1 spatial criterion); ln L > 0 is guaranteed by L >= 2.  A
-    coupling whose square overflows saturates to inf, as ``j_of_L`` does.
+    (the s = 1 spatial criterion); ln L > 0 is guaranteed by L >= 2.  Out of
+    float range the base saturates: to inf for an overflowing coupling or an
+    underflowing denominator, to 0 for an overflowing denominator.
     """
     check_even_L(L)
-    try:
-        coupling_sq = (spec.lam * spec.tau_qec) ** 2
-    except OverflowError:
-        return math.inf
-    base = (
-        16.0
-        * coupling_sq
-        / (spec.hbar**2 * spec.a0 ** (2.0 * (1.0 - spec.z)) * spec.a ** (2.0 * spec.z))
+    base = _saturating(
+        lambda: 16.0 * (spec.lam * spec.tau_qec) ** 2
+        / (spec.hbar**2 * spec.a0 ** (2.0 * (1.0 - spec.z)) * spec.a ** (2.0 * spec.z)),
+        lambda: ((16.0, 1), (spec.lam, 2), (spec.tau_qec, 2), (spec.hbar, -2),
+                 (spec.a0, -2.0 * (1.0 - spec.z)), (spec.a, -2.0 * spec.z)),
     )
     regime = classify_regime(spec.z, 1.0)
     if regime is RegimeLabel.SHORT_RANGE:

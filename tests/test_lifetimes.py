@@ -177,6 +177,25 @@ def test_thermal_rates_zero_temperature_sentinel():
     assert rates.gamma_korringa == 0.0
 
 
+def test_closed_forms_saturate_out_of_float_range():
+    fm = CodePoint(
+        L=4, epsilon=0.01, spec=BathSpec(temperature=1e-300, kB=1e-10), jz_star=1e-200
+    )
+    assert thermal_rates(fm).t2_thermal == math.inf  # denominator underflows
+    assert t_mem_fm(fm).exact == math.inf
+    # 0 * inf in j^2 kB T / hbar: (1e-200)^2 * 1e300 * 1e300 is 1e200
+    hot = CodePoint(L=4, epsilon=0.01, spec=BathSpec(temperature=1e300, kB=1e300))
+    assert thermal_rates(hot, j_L=1e-200).gamma_korringa == pytest.approx(1e200, rel=1e-9)
+    # eps * tau underflows to 0 while exp(1/j) overflows
+    tiny = CodePoint(L=4, epsilon=1e-200, spec=BathSpec(tau_qec=1e-200))
+    assert t_comp_ohmic(tiny, j_L=1e-5) == math.inf
+    # 1e-200 * 1e-200 * (1 / 1e-200) ** 2 is 1 in exact arithmetic
+    assert t_comp_subohmic(tiny, 0.5, j_L=1e-200) == pytest.approx(1.0, rel=1e-9)
+    assert critical_coupling(BathSpec(a=1e200, z=2.0), 4) == math.inf
+    assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, s=0.5), 4) == math.inf
+    assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, lam=0.0), 4) == 0.0
+
+
 def test_t_comp_subohmic_values():
     point = CodePoint(L=8, epsilon=0.01, spec=BathSpec(s=0.5))
     assert t_comp_subohmic(point, 0.5, j_L=0.1) == pytest.approx(1.0, rel=1e-12)

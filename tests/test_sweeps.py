@@ -2,9 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
+from codebath import sweeps
 from codebath.cli import main
 from codebath.errors import ConfigError
 from codebath.rg_flow import FlowOptions
@@ -104,6 +106,30 @@ MALFORMED = [
          "output_path": "x.txt"},
         "params.L_grid[1]",
     ),
+    # domain rules of the object each value becomes
+    ({"task": "lifetime", "axes": {"L": [4]}, "params": {"z": -1}, "output_path": "x.csv"},
+     "params.z"),
+    ({"task": "lifetime", "axes": {"L": [4]}, "params": {"epsilon": 1.5}, "output_path": "x.csv"},
+     "params.epsilon"),
+    ({"task": "matching", "axes": {"n": [0]}, "output_path": "x.csv"}, "axes.n[0]"),
+    ({"task": "lifetime", "axes": {"L": [4], "s": [1.5]}, "output_path": "x.csv"}, "axes.s[0]"),
+    ({"task": "lifetime", "axes": {"L": [4]}, "params": {"D_dim": 0}, "output_path": "x.csv"},
+     "params.D_dim"),
+    ({"task": "census", "axes": {"L": [4], "weight": [9]}, "output_path": "x.csv"},
+     "axes.weight[0]"),
+    ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"sample_stride": 0}, "output_path": "x"},
+     "params.sample_stride"),
+    (
+        {"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [0.1]}, "params": {"l_max": 0},
+         "output_path": "x.csv"},
+        "params.l_max",
+    ),
+    ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"j_min": 2.0}, "output_path": "x"},
+     "params.j_min"),
+    ({"task": "lifetime", "axes": {"L": [10**400]}, "output_path": "x.csv"}, "axes.L[0]"),
+    ({"task": "census", "axes": {"L": [4]}, "output_path": "x.csv"}, "axes.weight"),
+    ({"task": "phase_diagram", "axes": {"jz": [0.1]}, "output_path": "x.csv"}, "axes.j_perp"),
+    ({"task": "census", "axes": {"L": [1], "weight": [0]}, "output_path": "x.csv"}, "axes.L[0]"),
 ]
 
 
@@ -112,6 +138,19 @@ def test_malformed_configs_fail_with_field_path(obj, path):
     with pytest.raises(ConfigError) as err:
         validate_config(obj)
     assert err.value.path == path
+
+
+def test_flow_options_are_checked_together():
+    flow = {"task": "flow", "axes": {"jz": [0.1]}, "output_path": "x"}
+    validate_config({**flow, "params": {"j_min": 2.0, "j_max": 5.0}})
+    # the portrait's default ceiling j_max = 4 admits j_min = 2
+    validate_config(
+        {**flow, "task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [0.1]},
+         "params": {"j_min": 2.0}}
+    )
+    with pytest.raises(ConfigError) as err:
+        validate_config({**flow, "params": {"j_min": 0.5, "j_max": 0.4}})
+    assert err.value.path == "params.j_max"
 
 
 def test_distinct_paths_across_canonical_malformed_set():
@@ -176,6 +215,31 @@ def test_format_cell():
     assert format_cell(0.1) == "0.10000000000000001"
     assert format_cell(math.inf) == "inf"
     assert len(format_cell(1.0 / 3.0).replace("0.", "")) == 17
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    out = tmp_path / "rows.csv"
+    calls = []
+
+    def failing_cell(v):
+        calls.append(v)
+        if len(calls) > 5:
+            raise RuntimeError("disk full")
+        return str(v)
+
+    monkeypatch.setattr(sweeps, "format_cell", failing_cell)
+    with pytest.raises(RuntimeError):
+        sweeps._write_rows(str(out), ["a", "b"], [[1, 2]] * 10)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_written_files_keep_the_default_mode(tmp_path):
+    out = tmp_path / "life.csv"
+    run(validate_config(lifetime_config(out)))
+    reference = tmp_path / "plain.txt"
+    reference.write_text("")
+    assert out.stat().st_mode == reference.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["life.csv", "plain.txt"]
 
 
 # --- tasks ------------------------------------------------------------------
@@ -428,6 +492,29 @@ def test_cli_overflowing_coupling_saturates(tmp_path, s, jz_star):
     code = main(["lifetime", "--config", cfg_path])
     assert code in (0, 2)
     assert code == 2 or "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "params,expected",
+    [
+        ({"a": 1e200}, {"j_L": "0", "t_comp_over_tau": "inf"}),
+        ({"hbar": 1e-300}, {"j_L": "inf", "t_comp_over_tau": "0.01"}),
+        ({"a0": 1e-300, "z": 0.25}, {"j_L": "inf", "t_comp_over_tau": "0.01"}),
+        (
+            {"temperature": 1e-300, "jz_star": 1e-200, "kB": 1e-10},
+            {"t2_thermal": "inf", "t_mem_over_tau": "inf"},
+        ),
+    ],
+)
+def test_cli_out_of_range_magnitudes_saturate(tmp_path, params, expected):
+    out = tmp_path / "extreme.csv"
+    cfg = lifetime_config(out, axes={"L": [4]}, params=params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # j(L) >= 1e3 where a denominator underflows
+        assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 0
+    header, row = read_rows(out)
+    assert "nan" not in row
+    assert {name: row[header.index(name)] for name in expected} == expected
 
 
 def test_cli_census_large_L(tmp_path):

@@ -216,6 +216,29 @@ def test_lambda_bar_sq_prefactors():
     assert lambda_bar_sq(spec, 10) == pytest.approx(expected, rel=1e-12)
 
 
+def test_lambda_bar_sq_saturates_out_of_float_range():
+    assert lambda_bar_sq(BathSpec(a=1e200), 4) == 0.0  # denominator overflows
+    assert lambda_bar_sq(BathSpec(hbar=1e-300), 4) == math.inf  # denominator underflows
+    assert lambda_bar_sq(BathSpec(a0=1e-300, z=0.25), 16) == math.inf
+    assert lambda_bar_sq(BathSpec(hbar=1e-300, lam=0.0), 4) == 0.0
+    assert lambda_bar_sq(BathSpec(lam=1e308), 4) == math.inf  # coupling overflows
+    # inf * 0 inside the denominator: 16 / (1e200 * 1e200 * 1e-800) is 1.6e401
+    assert lambda_bar_sq(BathSpec(hbar=1e100, a0=1e-100, a=1e-200, z=2.0), 4) == math.inf
+    # back in range through the log form: 16 * 1e-300 / (1e-200 * 1e-200) = 1.6e101
+    spec = BathSpec(lam=1e-150, hbar=1e-100, a=1e-100, z=1.0)
+    assert lambda_bar_sq(spec, 4) == pytest.approx(1.6e101, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(0.0, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.6, 3.0),
+)
+def test_lambda_bar_sq_in_range_is_the_plain_expression(lam, a, a0, z):
+    spec = BathSpec(lam=lam, a=a, a0=a0, z=z)
+    plain = 16.0 * (lam * 1.0) ** 2 / (1.0**2 * a0 ** (2.0 * (1.0 - z)) * a ** (2.0 * z))
+    assert lambda_bar_sq(spec, 4) == plain
+
+
 def test_lambda_bar_sq_guards():
     with pytest.raises(ValueError):
         lambda_bar_sq(BathSpec(), 7)
