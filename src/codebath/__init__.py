@@ -22,8 +22,7 @@ from .lifetimes import (
     j_of_L,
     preset_report,
     renormalized_fm_coupling,
-    t_comp_ohmic,
-    t_comp_subohmic,
+    t_comp,
     t_mem_fm,
     thermal_rates,
     threshold_exists,

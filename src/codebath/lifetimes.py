@@ -75,8 +75,6 @@ class LifetimeReport:
     t2_thermal: float | None
     threshold_exists: bool
     lambda_critical: float
-    jz_star: float | None = None
-    jz_star_source: str | None = None
 
 
 def j_of_L(spec: BathSpec, L: int) -> float:
@@ -90,14 +88,15 @@ def j_of_L(spec: BathSpec, L: int) -> float:
     )
 
 
-def t_comp_ohmic(point: CodePoint, j_L: float | None = None) -> float:
-    """Computational window eps * tau * exp(1/j(L)) in the runaway channel (s = 1)."""
+def t_comp(point: CodePoint, j_L: float | None = None) -> float:
+    """Computational window in the runaway channel, its form set by the bath's s:
+    eps * tau * exp(1/j(L)) for an Ohmic bath (s = 1), the power law
+    eps * tau * (1/j(L))**(1/(1-s)) for a sub-Ohmic one."""
     if point.jz_star is not None:
         raise PhaseMismatchError("localized-channel point; use t_mem_fm")
-    if point.spec.s != 1.0:
-        raise ValueError("Ohmic formula needs s = 1; use t_comp_subohmic")
     j = j_of_L(point.spec, point.L) if j_L is None else j_L
-    if j >= SATURATION_J:
+    s = point.spec.s
+    if s == 1.0 and j >= SATURATION_J:
         warnings.warn(
             "j(L) >= 1e3: perturbative early-decay inversion is untrusted here",
             stacklevel=2,
@@ -105,21 +104,11 @@ def t_comp_ohmic(point: CodePoint, j_L: float | None = None) -> float:
     if j <= 0:
         return math.inf
     eps, tau = point.epsilon, point.spec.tau_qec
-    return _saturating(
-        lambda: eps * tau * _exp(1.0 / j), lambda: ((eps, 1), (tau, 1), (math.e, 1.0 / j))
-    )
-
-
-def t_comp_subohmic(point: CodePoint, s: float, j_L: float | None = None) -> float:
-    """Power-law window eps * tau * (1/j(L))**(1/(1-s)) for a sub-Ohmic bath."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie strictly inside (0, 1)")
-    if point.jz_star is not None:
-        raise PhaseMismatchError("localized-channel point; use t_mem_fm")
-    j = j_of_L(point.spec, point.L) if j_L is None else j_L
-    if j <= 0:
-        return math.inf
-    eps, tau, p = point.epsilon, point.spec.tau_qec, 1.0 / (1.0 - s)
+    if s == 1.0:
+        return _saturating(
+            lambda: eps * tau * _exp(1.0 / j), lambda: ((eps, 1), (tau, 1), (math.e, 1.0 / j))
+        )
+    p = 1.0 / (1.0 - s)
     return _saturating(
         lambda: eps * tau * (1.0 / j) ** p, lambda: ((eps, 1), (tau, 1), (1.0 / j, p))
     )
@@ -200,7 +189,7 @@ def renormalized_fm_coupling(
     return trace.terminal.j_star.jz
 
 
-def build_report(point: CodePoint, jz_star_source: str | None = None) -> LifetimeReport:
+def build_report(point: CodePoint) -> LifetimeReport:
     """Evaluate every applicable formula for one point and bundle the results."""
     spec = point.spec
     regime = classify_regime(spec.z, spec.s)
@@ -210,30 +199,25 @@ def build_report(point: CodePoint, jz_star_source: str | None = None) -> Lifetim
     rates = thermal_rates(point, j_L=j_L)
 
     localized = point.jz_star is not None
-    t_K = t_comp = t_mem = None
+    t_K = t_comp_over_tau = t_mem = None
     if localized:
         t_mem = t_mem_fm(point).exact / spec.tau_qec
     else:
-        if spec.s == 1.0:
-            t_comp = t_comp_ohmic(point, j_L=j_L)
-        else:
-            t_comp = t_comp_subohmic(point, spec.s, j_L=j_L)
-        t_K = t_comp / point.epsilon / spec.tau_qec
-        t_comp = t_comp / spec.tau_qec
+        window = t_comp(point, j_L=j_L)
+        t_K = window / point.epsilon / spec.tau_qec
+        t_comp_over_tau = window / spec.tau_qec
     report = LifetimeReport(
         regime=regime,
         phase=Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC,
         L=point.L,
         j_L=j_L,
         t_K_over_tau=t_K,
-        t_comp_over_tau=t_comp,
+        t_comp_over_tau=t_comp_over_tau,
         t_mem_over_tau=t_mem,
         gamma_korringa=rates.gamma_korringa,
         t2_thermal=rates.t2_thermal,
         threshold_exists=thr,
         lambda_critical=lam_c,
-        jz_star=point.jz_star,
-        jz_star_source=(jz_star_source or "user") if localized else None,
     )
     for name in ("t_K_over_tau", "t_comp_over_tau", "t_mem_over_tau"):
         value = getattr(report, name)
@@ -253,7 +237,6 @@ _SC_Z_VALUES = (1.0, 0.5, 0.3)
 @dataclass(frozen=True)
 class PresetReport:
     name: str
-    spec: BathSpec
     check_values: dict[str, float]
     report: LifetimeReport | None = None
     lambda_critical_curve: tuple[tuple[float, int, float], ...] | None = None
@@ -301,7 +284,7 @@ def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetRep
             "lambda_bar_sq_at_critical": lambda_bar_sq(spec, 100),
         }
         report = build_report(CodePoint(L=100, epsilon=0.01, spec=spec))
-        return PresetReport(name=name, spec=spec, check_values=checks, report=report)
+        return PresetReport(name=name, check_values=checks, report=report)
 
     if name == "superconducting":
         tau = 1.0e-6
@@ -326,11 +309,6 @@ def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetRep
                 critical_coupling(specs[1.0], grid[-1]) / critical_coupling(specs[1.0], grid[0])
             ),
         }
-        return PresetReport(
-            name=name,
-            spec=specs[0.5],
-            check_values=checks,
-            lambda_critical_curve=tuple(curve),
-        )
+        return PresetReport(name=name, check_values=checks, lambda_critical_curve=tuple(curve))
 
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

@@ -7,8 +7,8 @@ three terminals: a coupling reaching the strong-coupling ceiling, the
 transverse pair dying below the localization floor and staying there for a
 dwell interval, or the scale cutoff.  Because the one-loop equations blow up
 in finite scale, the strong-coupling scale is reported with the isotropic
-pole correction l_star = l_stop + 1/j_max, which makes it insensitive to the
-choice of ceiling.
+pole correction l_star = l_stop + 1/j_max (1/max|j| where RK45 fails short
+of a very high ceiling), which makes it insensitive to the choice of ceiling.
 """
 from __future__ import annotations
 
@@ -120,6 +120,12 @@ def _rhs(l, y):
     return (y[1] * y[2], y[0] * y[2], y[0] * y[1])
 
 
+def check_start(j0: CouplingVector) -> None:
+    """Raise ValueError unless every start coupling has a finite square."""
+    if not np.all(np.abs(j0.as_array()) < _J_LIMIT):
+        raise ValueError(f"initial couplings must be finite, below {_J_LIMIT:.3g} in size")
+
+
 def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowTrace:
     """Integrate from j0 until a terminal condition (see module docstring).
 
@@ -128,9 +134,8 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     tolerances it stays below 100 * abs_tol.
     """
     opts = opts or FlowOptions()
+    check_start(j0)
     y = j0.as_array()
-    if not np.all(np.abs(y) < _J_LIMIT):
-        raise ValueError(f"initial couplings must be finite, below {_J_LIMIT:.3g} in size")
 
     def ceiling(l, y):
         return max(abs(y[0]), abs(y[1]), abs(y[2])) - opts.j_max
@@ -171,12 +176,21 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
                 events=(ceiling, transverse), rtol=opts.rel_tol, atol=opts.abs_tol,
             )
             absorb(sol)
-            if sol.t_events[0].size:
+            if sol.status == -1:
+                # RK45 fails just short of the pole, below a ceiling too high
+                # to reach: the pole correction takes the largest |j| there
+                l = float(sol.t[-1])
+                terminal = StrongCoupling(l_star=l + 1.0 / float(np.abs(sol.y[:, -1]).max()))
+            elif sol.t_events[0].size:
                 l = float(sol.t_events[0][0])
                 terminal = StrongCoupling(l_star=l + 1.0 / opts.j_max)
-            elif sol.t_events[1].size:
+            elif sol.status == 1:  # the transverse event ended the segment
                 l = float(sol.t_events[1][0])
                 y = sol.y_events[1][0].copy()
+                if dwelling and l == dwell_since:
+                    # the pair rose back through j_min where it fell: it rests
+                    # on j_min, never below it, and would stop every segment
+                    transverse.terminal = False
                 dwell_since = None if dwelling else l
             else:
                 l = float(sol.t[-1])

@@ -81,7 +81,6 @@ class Syndrome:
 class DecodeOutcome:
     correction: ErrorChain
     status: DecodeStatus
-    tie_break_used: TieBreak
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,7 @@ def decode_contour(
             chosen = cand_b if truth == cand_a else cand_a
         status = _classify(L, chosen, true_error)
     correction = ErrorChain(kind="Z", support=frozenset(chosen))
-    return DecodeOutcome(correction=correction, status=status, tie_break_used=tie_break)
+    return DecodeOutcome(correction=correction, status=status)
 
 
 def _classify(L: int, correction: frozenset[int], true_error: ErrorChain | None) -> DecodeStatus:

@@ -36,6 +36,7 @@ from .rg_flow import (
     FlowTrace,
     Localized,
     StrongCoupling,
+    check_start,
     constants_of_motion,
     integrate_flow,
 )
@@ -152,9 +153,6 @@ def validate_config(obj) -> SweepConfig:
                 raise ConfigError(
                     "params.name", f"must be one of {'|'.join(lifetimes.PRESET_NAMES)}"
                 )
-        elif name == "allow_large":
-            if not isinstance(value, bool):
-                raise ConfigError("params.allow_large", "must be a boolean")
         elif name == "L_grid":
             if not isinstance(value, list) or not value:
                 raise ConfigError("params.L_grid", "must be a non-empty list")
@@ -297,7 +295,7 @@ def _code_point(values: dict) -> lifetimes.CodePoint:
 def _matching_problem(values: dict) -> wick.MatchingProblem:
     """Sites ``range(n)`` (n = 2 if absent), refused above the probe ceiling."""
     n = values.get("n", 2)
-    wick.check_probe_ceiling(n, values.get("allow_large", False))
+    wick.check_probe_ceiling(n)
     return wick.MatchingProblem(tuple(range(n)), float(values.get("z", 1.0)))
 
 
@@ -310,15 +308,27 @@ def _terminal_fields(trace: FlowTrace) -> tuple[str, float | None, float | None]
     return "CutoffReached", None, None
 
 
+def _flow_start(values: dict) -> CouplingVector:
+    """A flow's start from config names (``j_perp`` sets jx and jy; 0 if absent)."""
+    return CouplingVector(
+        float(values.get("j_perp", values.get("jx", 0.0))),
+        float(values.get("j_perp", values.get("jy", 0.0))),
+        float(values.get("jz", 0.0)),
+    )
+
+
+def _check_flow(values: dict) -> None:
+    _flow_options(values)
+    check_start(_flow_start(values))
+
+
 def _eval_flow(params: dict, point: dict):
     """One start's index row (without id and file name) and its trace's
     (l, jx, jy, jz, c1, c2) rows."""
-    jx = float(point.get("j_perp", point.get("jx", 0.0)))
-    jy = float(point.get("j_perp", point.get("jy", 0.0)))
-    jz = float(point.get("jz", 0.0))
-    trace = integrate_flow(CouplingVector(jx, jy, jz), _flow_options(params))
+    start = _flow_start(point)
+    trace = integrate_flow(start, _flow_options(params))
     rows = [[l, j.jx, j.jy, j.jz, *constants_of_motion(j)] for l, j in trace.samples]
-    return [jx, jy, jz, *_terminal_fields(trace)], rows
+    return [start.jx, start.jy, start.jz, *_terminal_fields(trace)], rows
 
 
 def _separatrix_tag(j_perp: float, jz: float) -> str:
@@ -387,7 +397,7 @@ TASKS = {
     "flow": Task(
         {"jx", "jy", "jz", "j_perp"}, _FLOW_PARAMS, _eval_flow,
         ("trajectory_id", "jx0", "jy0", "jz0", "terminal", "l_star", "jz_star", "file"),
-        check=_flow_options,
+        check=_check_flow,
     ),
     "phase_diagram": Task(
         {"j_perp", "jz"}, _FLOW_PARAMS, _eval_portrait,
@@ -395,7 +405,7 @@ TASKS = {
         required={"j_perp", "jz"}, check=_portrait_options,
     ),
     "matching": Task(
-        {"n"}, {"z", "allow_large"}, _eval_matching, ("n", "matching_sum", "per_pair_weight"),
+        {"n"}, {"z"}, _eval_matching, ("n", "matching_sum", "per_pair_weight"),
         check=_matching_problem,
     ),
     "census": Task(

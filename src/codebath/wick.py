@@ -14,8 +14,8 @@ from .bath import BathSpec
 from .errors import ResourceLimitError
 from .rg_flow import _exp, _saturating
 
-MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the absolute ceiling
-PROBE_DEFAULT_LIMIT = 20   # 10946 memoized subsets, ~0.04 s: comfortable desk scale
+MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the pairing-sum ceiling
+_CRITICAL_TOL = 1e-12      # floats this close to the regime boundary count as critical
 
 
 class RegimeLabel(Enum):
@@ -26,11 +26,11 @@ class RegimeLabel(Enum):
     LONG_RANGE = "LongRange"
 
 
-def classify_regime(z, s=1.0, tol: float = 1e-12) -> RegimeLabel:
+def classify_regime(z, s=1.0) -> RegimeLabel:
     """Compare z against 1/(s+1): above is short range, equal is critical.
 
-    Fraction (or int) inputs are compared exactly; floats within ``tol`` of
-    the boundary count as critical.
+    Fraction (or int) inputs are compared exactly; floats within
+    ``_CRITICAL_TOL`` of the boundary count as critical.
     """
     if z <= 0:
         raise ValueError("z must be positive")
@@ -44,7 +44,7 @@ def classify_regime(z, s=1.0, tol: float = 1e-12) -> RegimeLabel:
             return RegimeLabel.CRITICAL
         return RegimeLabel.LONG_RANGE
     boundary = 1.0 / (float(s) + 1.0)
-    if abs(float(z) - boundary) <= tol:
+    if abs(float(z) - boundary) <= _CRITICAL_TOL:
         return RegimeLabel.CRITICAL
     return RegimeLabel.SHORT_RANGE if float(z) > boundary else RegimeLabel.LONG_RANGE
 
@@ -78,10 +78,7 @@ def matching_sum(problem: MatchingProblem) -> float:
     """
     pos = problem.positions
     n = len(pos)
-    if n > MATCHING_HARD_LIMIT:
-        raise ResourceLimitError(
-            f"n = {n} exceeds the pairing-sum ceiling of {MATCHING_HARD_LIMIT}"
-        )
+    check_probe_ceiling(n)
     expo = -2.0 * problem.z
     w = [
         [abs(pos[i] - pos[j]) ** expo if i != j else 0.0 for j in range(n)]
@@ -109,14 +106,10 @@ def matching_sum(problem: MatchingProblem) -> float:
     return rest((1 << n) - 1)
 
 
-def check_probe_ceiling(n: int, allow_large: bool = False) -> None:
-    """Raise ResourceLimitError when n is above the probe ceiling for ``allow_large``."""
-    ceiling = MATCHING_HARD_LIMIT if allow_large else PROBE_DEFAULT_LIMIT
-    if n > ceiling:
-        raise ResourceLimitError(
-            f"n = {n} above probe ceiling {ceiling}"
-            + ("" if allow_large else f" (pass allow_large=True for n <= {MATCHING_HARD_LIMIT})")
-        )
+def check_probe_ceiling(n: int) -> None:
+    """Raise ResourceLimitError when n sites are more than the pairing sum takes."""
+    if n > MATCHING_HARD_LIMIT:
+        raise ResourceLimitError(f"n = {n} above probe ceiling {MATCHING_HARD_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -140,20 +133,19 @@ class ProbeResult:
         }[self.regime]
 
 
-def matching_scaling_probe(n_values, z, allow_large: bool = False) -> ProbeResult:
+def matching_scaling_probe(n_values, z) -> ProbeResult:
     """Evaluate the pairing sum on unit-spaced strings and report its trend.
 
     The label comes from comparing z against 1/2 (the s = 1 criterion); the
     raw weights let callers verify the trend class directly.  Sizes above
-    ``PROBE_DEFAULT_LIMIT`` need ``allow_large`` (hard ceiling
-    ``MATCHING_HARD_LIMIT`` either way).
+    ``MATCHING_HARD_LIMIT`` are refused before any sum is computed.
     """
     ns = tuple(int(n) for n in n_values)
     if len(ns) < 3:
         raise ValueError("need at least 3 sample sizes to read off a trend")
     if any(n < 2 or n % 2 for n in ns):
         raise ValueError("sample sizes must be even and >= 2")
-    check_probe_ceiling(max(ns), allow_large)
+    check_probe_ceiling(max(ns))
     ns = tuple(sorted(ns))
     sums = tuple(matching_sum(MatchingProblem(tuple(range(n)), z)) for n in ns)
     weights = tuple(s ** (2.0 / n) for s, n in zip(sums, ns))

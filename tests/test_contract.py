@@ -84,8 +84,7 @@ phase_diagram = config("phase_diagram", {"j_perp": axis(st.floats(-4, 4)),
 matching = config(
     "matching",
     {"n": axis(st.one_of(st.integers(-2, 20), st.just(26)))},
-    {"z": st.one_of(st.floats(-1.0, 3.0), st.sampled_from(EXTREMES)),
-     "allow_large": st.booleans()},
+    {"z": st.one_of(st.floats(-1.0, 3.0), st.sampled_from(EXTREMES))},
 )
 census = config(
     "census",

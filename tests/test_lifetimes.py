@@ -14,8 +14,7 @@ from codebath.lifetimes import (
     j_of_L,
     preset_report,
     renormalized_fm_coupling,
-    t_comp_ohmic,
-    t_comp_subohmic,
+    t_comp,
     t_mem_fm,
     thermal_rates,
     threshold_exists,
@@ -72,7 +71,7 @@ NAT = BathSpec()
 
 def test_t_comp_ohmic_value():
     point = CodePoint(L=8, epsilon=0.01, spec=NAT)
-    t = t_comp_ohmic(point, j_L=0.1)
+    t = t_comp(point, j_L=0.1)
     assert t == pytest.approx(0.01 * math.exp(10.0), rel=1e-12)
     assert t == pytest.approx(220.26, abs=0.01)
 
@@ -80,7 +79,7 @@ def test_t_comp_ohmic_value():
 def test_t_comp_is_epsilon_times_t_K():
     for eps in (1e-3, 0.1, 0.999):
         point = CodePoint(L=8, epsilon=eps, spec=NAT)
-        assert t_comp_ohmic(point, j_L=0.2) == pytest.approx(
+        assert t_comp(point, j_L=0.2) == pytest.approx(
             eps * math.exp(5.0), rel=1e-12
         )
 
@@ -89,22 +88,19 @@ def test_t_comp_double_exponential_growth():
     spec = unit_weight_spec(0.25)  # below threshold: j(L) shrinks with L
     p8 = CodePoint(L=8, epsilon=0.01, spec=spec)
     p12 = CodePoint(L=12, epsilon=0.01, spec=spec)
-    assert t_comp_ohmic(p12) > t_comp_ohmic(p8)
+    assert t_comp(p12) > t_comp(p8)
 
 
 def test_t_comp_saturation_warning():
     point = CodePoint(L=8, epsilon=0.01, spec=NAT)
     with pytest.warns(UserWarning):
-        t_comp_ohmic(point, j_L=2e3)
+        t_comp(point, j_L=2e3)
 
 
 def test_t_comp_phase_and_regime_guards():
     fm_point = CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=-0.1)
     with pytest.raises(PhaseMismatchError):
-        t_comp_ohmic(fm_point)
-    sub = CodePoint(L=8, epsilon=0.01, spec=BathSpec(s=0.5))
-    with pytest.raises(ValueError):
-        t_comp_ohmic(sub)
+        t_comp(fm_point)
 
 
 def test_t_mem_fm_frozen_values():
@@ -188,9 +184,10 @@ def test_closed_forms_saturate_out_of_float_range():
     assert thermal_rates(hot, j_L=1e-200).gamma_korringa == pytest.approx(1e200, rel=1e-9)
     # eps * tau underflows to 0 while exp(1/j) overflows
     tiny = CodePoint(L=4, epsilon=1e-200, spec=BathSpec(tau_qec=1e-200))
-    assert t_comp_ohmic(tiny, j_L=1e-5) == math.inf
+    assert t_comp(tiny, j_L=1e-5) == math.inf
     # 1e-200 * 1e-200 * (1 / 1e-200) ** 2 is 1 in exact arithmetic
-    assert t_comp_subohmic(tiny, 0.5, j_L=1e-200) == pytest.approx(1.0, rel=1e-9)
+    tiny_sub = CodePoint(L=4, epsilon=1e-200, spec=BathSpec(tau_qec=1e-200, s=0.5))
+    assert t_comp(tiny_sub, j_L=1e-200) == pytest.approx(1.0, rel=1e-9)
     assert critical_coupling(BathSpec(a=1e200, z=2.0), 4) == math.inf
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, s=0.5), 4) == math.inf
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, lam=0.0), 4) == 0.0
@@ -198,20 +195,16 @@ def test_closed_forms_saturate_out_of_float_range():
 
 def test_t_comp_subohmic_values():
     point = CodePoint(L=8, epsilon=0.01, spec=BathSpec(s=0.5))
-    assert t_comp_subohmic(point, 0.5, j_L=0.1) == pytest.approx(1.0, rel=1e-12)
-    assert t_comp_subohmic(point, 0.5, j_L=1.0) == pytest.approx(0.01, rel=1e-12)
-    assert t_comp_subohmic(point, 0.9, j_L=0.1) == pytest.approx(1e8, rel=1e-9)
+    assert t_comp(point, j_L=0.1) == pytest.approx(1.0, rel=1e-12)
+    assert t_comp(point, j_L=1.0) == pytest.approx(0.01, rel=1e-12)
+    point = CodePoint(L=8, epsilon=0.01, spec=BathSpec(s=0.9))
+    assert t_comp(point, j_L=0.1) == pytest.approx(1e8, rel=1e-9)
 
 
 def test_t_comp_subohmic_guards():
-    point = CodePoint(L=8, epsilon=0.01, spec=BathSpec(s=0.5))
-    with pytest.raises(ValueError):
-        t_comp_subohmic(point, 1.0, j_L=0.1)
-    with pytest.raises(ValueError):
-        t_comp_subohmic(point, 0.0, j_L=0.1)
     fm = CodePoint(L=8, epsilon=0.01, spec=BathSpec(s=0.5), jz_star=-0.1)
     with pytest.raises(PhaseMismatchError):
-        t_comp_subohmic(fm, 0.5, j_L=0.1)
+        t_comp(fm, j_L=0.1)
 
 
 def test_threshold_exists_grid():
@@ -290,15 +283,15 @@ def test_t_comp_matches_regime_closed_forms():
     kw = dict(lam=0.3, v=1.3, a=1.7, a0=0.4, tau_qec=0.9)
     for z, L in ((0.8, 8), (1.0, 12)):
         spec = BathSpec(z=z, **kw)
-        got = t_comp_ohmic(CodePoint(L=L, epsilon=0.01, spec=spec))
+        got = t_comp(CodePoint(L=L, epsilon=0.01, spec=spec))
         assert got == pytest.approx(closed_form(spec, L, 0.01, 1.0), rel=1e-12)
     spec = BathSpec(z=0.5, **kw)
-    got = t_comp_ohmic(CodePoint(L=8, epsilon=0.01, spec=spec))
+    got = t_comp(CodePoint(L=8, epsilon=0.01, spec=spec))
     assert got == pytest.approx(closed_form(spec, 8, 0.01, math.sqrt(math.log(8))), rel=1e-12)
     # long range: the deflation consistent with the L**(1-2z) contraction
     # weight is L**((1-2z)/2) inside the (.)**(L/2) bracket
     spec = BathSpec(z=0.3, **kw)
-    got = t_comp_ohmic(CodePoint(L=8, epsilon=0.01, spec=spec))
+    got = t_comp(CodePoint(L=8, epsilon=0.01, spec=spec))
     assert got == pytest.approx(closed_form(spec, 8, 0.01, 8 ** ((1 - 2 * 0.3) / 2)), rel=1e-12)
 
 
@@ -329,13 +322,12 @@ def test_build_report_fm_with_flow_sourced_jz_star():
     jz_star = renormalized_fm_coupling(0.05, -0.2)
     assert jz_star == pytest.approx(-math.sqrt(0.0375), abs=1e-4)
     point = CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=jz_star)
-    rep = build_report(point, jz_star_source="flow")
+    rep = build_report(point)
     assert rep.phase is Phase.FERROMAGNETIC
     assert rep.t_K_over_tau is None and rep.t_comp_over_tau is None
     assert rep.t_mem_over_tau == pytest.approx(
         0.99 ** (-1.0 / (2 * jz_star**2)), rel=1e-12
     )
-    assert rep.jz_star_source == "flow"
 
 
 def test_renormalized_fm_coupling_rejects_afm():

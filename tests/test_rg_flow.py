@@ -160,6 +160,30 @@ def test_axis_start_is_localized_invariant_line():
         assert j.jx == 0.0 and j.jy == 0.0
 
 
+@pytest.mark.parametrize(
+    "start,j_min",
+    [((0.0625, 0.0, 0.0), 0.0625), ((0.0, 0.0625, 0.0), 0.0625), ((0.0625, 1e-200, 0.0), 0.0625),
+     ((1e-8, 1e-8, 0.0), 1e-8)],
+)
+def test_pair_resting_on_j_min_reaches_the_cutoff(start, j_min):
+    # the pair sits exactly at j_min and does not move in floating point
+    # (a fixed point, or motion below rounding), so it is never below j_min
+    trace = integrate_flow(CouplingVector(*start), FlowOptions(j_min=j_min))
+    assert isinstance(trace.terminal, CutoffReached)
+    assert trace.samples[-1][0] == 100.0
+
+
+@pytest.mark.parametrize("j_max", [1e50, 1e100, 1e153])
+def test_ceiling_past_where_rk45_fails_still_reports_the_pole(j_max):
+    # RK45 gives up near |j| ~ 1e13, short of these ceilings
+    start = CouplingVector(0.5, 0.5, 0.5)
+    reference = integrate_flow(start, FlowOptions(j_max=1e10)).terminal.l_star
+    terminal = integrate_flow(start, FlowOptions(j_max=j_max)).terminal
+    assert isinstance(terminal, StrongCoupling)
+    assert abs(terminal.l_star - reference) <= 1e-9
+    assert terminal.l_star == pytest.approx(2.0, abs=1e-9)  # isotropic pole at 1/j0
+
+
 def test_nonfinite_start_rejected():
     with pytest.raises(ValueError):
         integrate_flow(CouplingVector(math.nan, 0.0, 0.0))

@@ -130,6 +130,7 @@ MALFORMED = [
     ({"task": "census", "axes": {"L": [4]}, "output_path": "x.csv"}, "axes.weight"),
     ({"task": "phase_diagram", "axes": {"jz": [0.1]}, "output_path": "x.csv"}, "axes.j_perp"),
     ({"task": "census", "axes": {"L": [1], "weight": [0]}, "output_path": "x.csv"}, "axes.L[0]"),
+    ({"task": "flow", "axes": {"jz": [1e160]}, "output_path": "x"}, "axes.jz[0]"),
 ]
 
 
@@ -367,6 +368,36 @@ def test_preset_task_contains_headline_numbers(tmp_path):
     assert float(values["g_critical"]) == 2.5e-12
 
 
+def read_preset(path):
+    return [tuple(line.split(" = ")) for line in path.read_text().splitlines()]
+
+
+def test_preset_superconducting_curve(tmp_path):
+    out = tmp_path / "sc.txt"
+    assert main(["preset", "--name", "superconducting", "--out", str(out)]) == 0
+    lines = read_preset(out)
+    curve = [(key, float(value)) for key, value in lines if key.startswith("lambda_c[")]
+    assert [key for key, _ in curve] == [
+        f"lambda_c[z={z},L={L}]" for z in (1, 0.5, 0.3) for L in (10, 30, 100, 300, 1000)
+    ]
+    lam_c = dict(curve)
+    assert lam_c["lambda_c[z=1,L=10]"] == lam_c["lambda_c[z=1,L=1000]"]
+    assert lam_c["lambda_c[z=0.5,L=100]"] / lam_c["lambda_c[z=0.5,L=10]"] == pytest.approx(
+        math.sqrt(0.5), rel=1e-12
+    )
+    checks = dict(lines)
+    assert float(checks["lambda_c_ratio_L100_L10_z0.5"]) == pytest.approx(math.sqrt(0.5))
+    assert float(checks["lambda_c_z1_L_independent"]) == 1.0
+
+    grid_out = tmp_path / "grid.txt"
+    cfg = {"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 8, 64]},
+           "output_path": str(grid_out)}
+    assert main(["preset", "--config", write_config(tmp_path, cfg)]) == 0
+    assert [key for key, _ in read_preset(grid_out) if key.startswith("lambda_c[")] == [
+        f"lambda_c[z={z},L={L}]" for z in (1, 0.5, 0.3) for L in (4, 8, 64)
+    ]
+
+
 def test_phase_diagram_task(tmp_path):
     out = tmp_path / "portrait.csv"
     cfg = validate_config(
@@ -472,11 +503,18 @@ def test_cli_resource_limit_exit_code(tmp_path):
     cfg = {
         "task": "matching",
         "axes": {"n": [26]},
-        "params": {"allow_large": True},
         "output_path": str(tmp_path / "big.csv"),
     }
     assert main(["matching", "--config", write_config(tmp_path, cfg)]) == 3
     assert not (tmp_path / "big.csv").exists()
+
+
+def test_cli_flow_resting_on_j_min(tmp_path):
+    out = tmp_path / "rest"
+    cfg = {"task": "flow", "axes": {"jx": [0.0625]}, "params": {"j_min": 0.0625},
+           "output_path": str(out)}
+    assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 0
+    assert read_rows(out / "index.csv")[1][4] == "CutoffReached"
 
 
 @pytest.mark.filterwarnings("ignore:j\\(L\\) >= 1e3")

@@ -167,7 +167,7 @@ def test_probe_log_trend_z05():
 
 
 def test_probe_trends_hold_to_n20():
-    # the C07 trend properties, checked out to the default probe ceiling n = 20
+    # the C07 trend properties, checked out to n = 20
     ns = range(4, 21, 2)
     bounded = matching_scaling_probe(ns, 1.0)
     incs = bounded.increments
@@ -191,12 +191,10 @@ def test_probe_trends_hold_to_n20():
 def test_probe_guards():
     with pytest.raises(ValueError):
         matching_scaling_probe([4, 6], 1.0)
-    with pytest.raises(ResourceLimitError, match="above probe ceiling 20"):
-        matching_scaling_probe([4, 6, 22], 1.0)
     with pytest.raises(ResourceLimitError, match="above probe ceiling 24"):
-        matching_scaling_probe([4, 6, 26], 1.0, allow_large=True)
+        matching_scaling_probe([4, 6, 26], 1.0)
     check_probe_ceiling(20)
-    check_probe_ceiling(24, allow_large=True)
+    check_probe_ceiling(24)
 
 
 def test_lambda_bar_sq_branches():
