@@ -9,6 +9,11 @@ dwell interval, or the scale cutoff.  Because the one-loop equations blow up
 in finite scale, the strong-coupling scale is reported with the isotropic
 pole correction l_star = l_stop + 1/j_max (1/max|j| where RK45 fails short
 of a very high ceiling), which makes it insensitive to the choice of ceiling.
+
+scipy and numpy (about 0.8 s to import) load on the first integration, not with
+this module, so the closed-form tasks never pay for them.  ``solve_ivp`` is
+then bound in this module, where ``rg_flow.solve_ivp`` also resolves it
+before any flow has run; a binding set earlier, such as a wrapper, is kept.
 """
 from __future__ import annotations
 
@@ -16,9 +21,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bath import BathSpec
 from .errors import PhaseMismatchError, ResourceLimitError
@@ -57,9 +59,6 @@ class CouplingVector:
     jx: float
     jy: float
     jz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.jx, self.jy, self.jz], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,24 @@ def _rhs(l, y):
     return (y[1] * y[2], y[0] * y[2], y[0] * y[1])
 
 
+def _solver():
+    """The module's ``solve_ivp`` binding, scipy's unless one is already set."""
+    if "solve_ivp" not in globals():
+        from scipy.integrate import solve_ivp
+
+        globals()["solve_ivp"] = solve_ivp
+    return globals()["solve_ivp"]
+
+
+def __getattr__(name: str):
+    if name == "solve_ivp":
+        return _solver()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def check_start(j0: CouplingVector) -> None:
     """Raise ValueError unless every start coupling has a finite square."""
-    if not np.all(np.abs(j0.as_array()) < _J_LIMIT):
+    if not all(abs(v) < _J_LIMIT for v in (j0.jx, j0.jy, j0.jz)):
         raise ValueError(f"initial couplings must be finite, below {_J_LIMIT:.3g} in size")
 
 
@@ -133,9 +147,12 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     two constants of motion over every accepted step; with the default
     tolerances it stays below 100 * abs_tol.
     """
+    import numpy as np
+
     opts = opts or FlowOptions()
     check_start(j0)
-    y = j0.as_array()
+    solve_ivp = _solver()
+    y = np.array([j0.jx, j0.jy, j0.jz], dtype=float)
 
     def ceiling(l, y):
         return max(abs(y[0]), abs(y[1]), abs(y[2])) - opts.j_max

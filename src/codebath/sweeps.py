@@ -339,16 +339,13 @@ def _separatrix_tag(j_perp: float, jz: float) -> str:
     return ""
 
 
-def _portrait_rows(j_perp: float, jz: float, opts: FlowOptions) -> list[list]:
+def _eval_portrait(params: dict, point: dict):
     """(l, j_perp, j_z, terminal_label, separatrix) samples of one symmetric start."""
-    trace = integrate_flow(CouplingVector(j_perp, j_perp, jz), opts)
+    j_perp, jz = float(point["j_perp"]), float(point["jz"])
+    trace = integrate_flow(CouplingVector(j_perp, j_perp, jz), _portrait_options(params))
     kind, _, _ = _terminal_fields(trace)
     tag = _separatrix_tag(j_perp, jz)
     return [[l, j.jx, j.jz, kind, tag] for l, j in trace.samples]
-
-
-def _eval_portrait(params: dict, point: dict):
-    return _portrait_rows(float(point["j_perp"]), float(point["jz"]), _portrait_options(params))
 
 
 def _eval_matching(params: dict, point: dict):
@@ -426,22 +423,6 @@ TASKS = {
 # arguments, so the name and the unused ``workers`` stay.
 def _map_points(fn, params: dict, points: list[dict], workers: int) -> list:
     return [fn(params, point) for point in points]
-
-
-def emit_phase_portrait(
-    grid: list[tuple[float, float]], opts: FlowOptions | None = None
-) -> list[list]:
-    """Rows (trajectory_id, l, j_perp, j_z, terminal_label, separatrix) for a
-    symmetric-coupling portrait over (j_perp, jz) starts."""
-    for j_perp, jz in grid:
-        if abs(j_perp) > PORTRAIT_RANGE or abs(jz) > PORTRAIT_RANGE:
-            raise ValueError(f"portrait grid must lie within |j| <= {PORTRAIT_RANGE}")
-    opts = opts or _portrait_options({})
-    return [
-        [tid] + sample
-        for tid, (j_perp, jz) in enumerate(grid)
-        for sample in _portrait_rows(j_perp, jz, opts)
-    ]
 
 
 def _write_flow(out: str, results: list) -> list[str]:

@@ -14,7 +14,9 @@ from codebath.rg_flow import (
     Localized,
     Phase,
     StrongCoupling,
+    _J_LIMIT,
     apply_thermal_cutoff,
+    check_start,
     classify_phase,
     constants_of_motion,
     flow_rhs,
@@ -187,6 +189,27 @@ def test_ceiling_past_where_rk45_fails_still_reports_the_pole(j_max):
 def test_nonfinite_start_rejected():
     with pytest.raises(ValueError):
         integrate_flow(CouplingVector(math.nan, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("value", [math.nan, 1.35e154, _J_LIMIT, math.inf])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_check_start_refuses_unsquarable_couplings(slot, value, sign):
+    start = [0.1, 0.1, 0.1]
+    start[slot] = sign * value
+    with pytest.raises(ValueError) as err:
+        check_start(CouplingVector(*start))
+    assert str(err.value) == "initial couplings must be finite, below 1.34e+154 in size"
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("value", [math.nextafter(_J_LIMIT, 0.0), 1.34e154, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_check_start_accepts_squarable_couplings(slot, value, sign):
+    start = [0, 1, -2]  # ints, as a caller may pass them
+    start[slot] = sign * value
+    check_start(CouplingVector(*start))
+    assert math.isfinite(start[slot] ** 2)
 
 
 def test_flow_options_validation():

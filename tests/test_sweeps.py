@@ -9,11 +9,9 @@ import pytest
 from codebath import sweeps
 from codebath.cli import main
 from codebath.errors import ConfigError
-from codebath.rg_flow import FlowOptions
 from codebath.sweeps import (
     LIFETIME_FIELDS,
     SweepConfig,
-    emit_phase_portrait,
     format_cell,
     grid_points,
     load_config,
@@ -420,19 +418,22 @@ def test_phase_diagram_task(tmp_path):
     assert by_tid["3"][0][4] == "StrongCoupling"
 
 
-def test_emit_phase_portrait_labels_separatrix():
-    rows = emit_phase_portrait(
-        [(0.1, -0.1), (0.1, 0.1), (0.1, -0.3)], FlowOptions(l_max=30.0)
-    )
-    tags = {row[0]: row[5] for row in rows}
-    assert tags[0] == "jz=-jperp"
-    assert tags[1] == "jz=+jperp"
-    assert tags[2] == ""
+def test_phase_diagram_cli_labels_separatrix(tmp_path):
+    out = tmp_path / "portrait.csv"
+    cfg = {"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [-0.1, 0.1, -0.3]},
+           "params": {"l_max": 30.0}, "output_path": str(out)}
+    assert main(["phase-diagram", "--config", write_config(tmp_path, cfg)]) == 0
+    tags = {row[0]: row[5] for row in read_rows(out)[1:]}
+    assert tags == {"0": "jz=-jperp", "1": "jz=+jperp", "2": ""}
 
 
-def test_emit_phase_portrait_range_guard():
-    with pytest.raises(ValueError):
-        emit_phase_portrait([(0.1, -4.0)])
+def test_phase_diagram_cli_range_guard(tmp_path, capsys):
+    out = tmp_path / "portrait.csv"
+    cfg = {"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [-4.0]},
+           "output_path": str(out)}
+    assert main(["phase-diagram", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "axes.jz[0]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- determinism ------------------------------------------------------------
@@ -492,6 +493,13 @@ def test_cli_out_override(tmp_path):
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, {"task": "lifetime", "output_path": "x.csv"})
     assert main(["lifetime", "--config", cfg_path]) == 2
+
+
+def test_cli_unsquarable_flow_start_exit_code(tmp_path, capsys):
+    cfg = {"task": "flow", "axes": {"jz": [1e160]}, "output_path": str(tmp_path / "f")}
+    assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "axes.jz[0]" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_cli_task_mismatch(tmp_path):

@@ -2,12 +2,16 @@
 still sees every layer of the sweep pipeline: it patches module bindings, so a
 table that captured them at import time would hide the calls it counts."""
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import codebath
 from codebath.cli import main
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+sys.path.insert(0, BENCH)
 import tracing  # noqa: E402
 
 CONFIGS = {
@@ -39,3 +43,41 @@ def test_tracer_sees_every_layer(tmp_path):
         "sweeps.validate", "sweeps.grid", "sweeps.evaluate", "sweeps.write",
         "rg_flow.integrate_flow",
     } <= spans
+
+
+# The tracer installed before scipy is bound, as in a fresh benchmark run of
+# a workload whose first configs never integrate.
+FRESH_SCRIPT = """
+import json, sys
+import tracing
+from codebath import rg_flow
+from codebath.cli import main
+tracer = tracing.Tracer()
+tracer.pass_no = 0
+with tracer.installed():
+    codes = [main(["sweep", "--config", path]) for path in sys.argv[1:]]
+import scipy.integrate
+print(json.dumps({
+    "codes": codes,
+    "solve_ivp_calls": tracer.counts[0]["rg_flow.solve_ivp_calls"],
+    "restored": rg_flow.solve_ivp is scipy.integrate.solve_ivp,
+}))
+"""
+
+
+def test_tracer_installed_in_a_fresh_interpreter(tmp_path):
+    paths = []
+    for name in ("lifetime", "flow"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({**CONFIGS[name], "output_path": str(tmp_path / name)}))
+    src = str(Path(codebath.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, BENCH])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_SCRIPT, *map(str, paths)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert result["solve_ivp_calls"] > 0
+    assert result["restored"]
