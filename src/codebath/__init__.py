@@ -21,7 +21,6 @@ from .lifetimes import (
     critical_coupling,
     j_of_L,
     preset_report,
-    renormalized_fm_coupling,
     t_comp,
     t_mem_fm,
     thermal_rates,
@@ -32,18 +31,12 @@ from .rg_flow import (
     CutoffReached,
     FlowOptions,
     FlowTrace,
-    KondoScale,
     Localized,
     Phase,
     StrongCoupling,
-    apply_thermal_cutoff,
-    classify_phase,
     constants_of_motion,
     flow_rhs,
     integrate_flow,
-    kondo_scale,
-    subohmic_flow,
-    thermal_cutoff,
 )
 from .surface_code import (
     CensusRecord,

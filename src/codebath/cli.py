@@ -26,9 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON sweep config file")
         p.add_argument("--out", help="override the config output_path")
         p.add_argument("--force", action="store_true", help="allow overwriting outputs")
-        p.add_argument(
-            "--workers", type=int, help="accepted for compatibility; evaluation is serial"
-        )
         if command == "preset":
             p.add_argument(
                 "--name", choices=PRESET_NAMES, help="preset name (config-free shortcut)"
@@ -59,7 +56,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        written = sweeps.run(cfg, force=args.force, workers=args.workers)
+        written = sweeps.run(cfg, force=args.force)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,15 +19,7 @@ from fractions import Fraction
 
 from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI
 from .errors import PhaseMismatchError
-from .rg_flow import (
-    CouplingVector,
-    FlowOptions,
-    Localized,
-    Phase,
-    _exp,
-    _saturating,
-    integrate_flow,
-)
+from .rg_flow import Phase, _exp, _saturating
 from .wick import RegimeLabel, check_even_L, classify_regime, lambda_bar_sq
 
 SATURATION_J = 1e3
@@ -179,23 +171,12 @@ def critical_coupling(spec: BathSpec, L: int) -> float:
     return base / L ** ((1.0 - 2.0 * spec.z) / 2.0)
 
 
-def renormalized_fm_coupling(
-    j_perp: float, jz: float, opts: FlowOptions | None = None
-) -> float:
-    """Terminal jz of a localized symmetric flow started at (j_perp, jz)."""
-    trace = integrate_flow(CouplingVector(j_perp, j_perp, jz), opts)
-    if not isinstance(trace.terminal, Localized):
-        raise PhaseMismatchError("flow did not localize; not a ferromagnetic start")
-    return trace.terminal.j_star.jz
-
-
 def build_report(point: CodePoint) -> LifetimeReport:
     """Evaluate every applicable formula for one point and bundle the results."""
     spec = point.spec
     regime = classify_regime(spec.z, spec.s)
     j_L = j_of_L(spec, point.L)
     lam_c = critical_coupling(spec, point.L)
-    thr = threshold_exists(spec.z, spec.s)
     rates = thermal_rates(point, j_L=j_L)
 
     localized = point.jz_star is not None
@@ -216,7 +197,7 @@ def build_report(point: CodePoint) -> LifetimeReport:
         t_mem_over_tau=t_mem,
         gamma_korringa=rates.gamma_korringa,
         t2_thermal=rates.t2_thermal,
-        threshold_exists=thr,
+        threshold_exists=regime is RegimeLabel.SHORT_RANGE,
         lambda_critical=lam_c,
     )
     for name in ("t_K_over_tau", "t_comp_over_tau", "t_mem_over_tau"):

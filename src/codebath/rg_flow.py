@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .bath import BathSpec
-from .errors import PhaseMismatchError, ResourceLimitError
+from .errors import ResourceLimitError
 
 DWELL_INTERVAL = 1.0   # scale window the transverse pair must stay below j_min
 _MAX_SEGMENTS = 1000
@@ -72,7 +71,7 @@ class FlowOptions:
 
     def __post_init__(self):
         if not 0 < self.j_min < self.j_max < _J_LIMIT:
-            raise ValueError(f"need 0 < j_min < j_max < {_J_LIMIT:.3g}")
+            raise ValueError(f"need 0 < j_min < j_max < {_J_LIMIT!r}")
         if self.l_max <= 0:
             raise ValueError("l_max must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -106,16 +105,13 @@ class FlowTrace:
     invariant_drift: float
 
 
-def flow_rhs(j: CouplingVector) -> CouplingVector:
-    return CouplingVector(j.jy * j.jz, j.jx * j.jz, j.jx * j.jy)
-
-
 def constants_of_motion(j: CouplingVector) -> tuple[float, float]:
     """(jx**2 - jy**2, jz**2 - jx**2), exactly conserved by the flow."""
     return (j.jx**2 - j.jy**2, j.jz**2 - j.jx**2)
 
 
-def _rhs(l, y):
+def flow_rhs(l, y):
+    """(dj_x/dl, dj_y/dl, dj_z/dl) at couplings y = (jx, jy, jz)."""
     return (y[1] * y[2], y[0] * y[2], y[0] * y[1])
 
 
@@ -137,7 +133,7 @@ def __getattr__(name: str):
 def check_start(j0: CouplingVector) -> None:
     """Raise ValueError unless every start coupling has a finite square."""
     if not all(abs(v) < _J_LIMIT for v in (j0.jx, j0.jy, j0.jz)):
-        raise ValueError(f"initial couplings must be finite, below {_J_LIMIT:.3g} in size")
+        raise ValueError(f"initial couplings must be finite, below {_J_LIMIT!r} in size")
 
 
 def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowTrace:
@@ -189,7 +185,7 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
             transverse.direction = 1.0 if dwelling else -1.0
             target = dwell_since + DWELL_INTERVAL if dwelling else opts.l_max
             sol = solve_ivp(
-                _rhs, (l, min(target, opts.l_max)), y, method="RK45",
+                flow_rhs, (l, min(target, opts.l_max)), y, method="RK45",
                 events=(ceiling, transverse), rtol=opts.rel_tol, atol=opts.abs_tol,
             )
             absorb(sol)
@@ -231,95 +227,3 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     samples = tuple((ls[k], CouplingVector(*map(float, ys[k]))) for k in keep)
     return FlowTrace(samples=samples, terminal=terminal, invariant_drift=drift)
 
-
-def classify_phase(j0: CouplingVector, opts: FlowOptions | None = None) -> Phase:
-    """Ferromagnetic iff jz <= -j_perp in the symmetric model (jx = jy >= 0).
-
-    Asymmetric input delegates to the flow terminal: Localized means
-    ferromagnetic, StrongCoupling antiferromagnetic.  A flow that only
-    reaches the cutoff never ran away, which we label ferromagnetic to match
-    the boundary convention on the separatrix.
-    """
-    if j0.jx == j0.jy and j0.jx >= 0:
-        return Phase.FERROMAGNETIC if j0.jz <= -j0.jx else Phase.ANTIFERROMAGNETIC
-    terminal = integrate_flow(j0, opts).terminal
-    if isinstance(terminal, StrongCoupling):
-        return Phase.ANTIFERROMAGNETIC
-    return Phase.FERROMAGNETIC
-
-
-@dataclass(frozen=True)
-class KondoScale:
-    T_K: float
-    t_K: float
-    l_star: float
-    T_K_analytic: float | None = None
-    t_K_analytic: float | None = None
-
-
-def kondo_scale(j0: CouplingVector, spec: BathSpec, opts: FlowOptions | None = None) -> KondoScale:
-    """Strong-coupling scale: kB T_K = (hbar/tau) exp(-l_star), t_K = hbar/(kB T_K).
-
-    The analytic fields carry the isotropic closed form exp(-1/j) when the
-    start is isotropic; the two routes agree to within 10% for j <= 0.1.
-    """
-    trace = integrate_flow(j0, opts)
-    if isinstance(trace.terminal, Localized):
-        raise PhaseMismatchError("ferromagnetic start: no strong-coupling scale")
-    if isinstance(trace.terminal, CutoffReached):
-        raise ValueError("flow hit l_max before strong coupling; raise l_max")
-    l_star = trace.terminal.l_star
-    uv = spec.hbar / (spec.kB * spec.tau_qec)
-    T_K = uv * math.exp(-l_star)
-    t_K = spec.tau_qec * _exp(l_star)
-    T_K_a = t_K_a = None
-    if j0.jx == j0.jy == j0.jz and j0.jz > 0:
-        T_K_a = uv * math.exp(-1.0 / j0.jz)
-        t_K_a = spec.tau_qec * _exp(1.0 / j0.jz)
-    return KondoScale(T_K=T_K, t_K=t_K, l_star=l_star, T_K_analytic=T_K_a, t_K_analytic=t_K_a)
-
-
-@dataclass(frozen=True)
-class SubohmicFlow:
-    """Closed-form relevant flow j(l) = j0 exp((1-s) l) for s < 1."""
-
-    j0: float
-    s: float
-    l_star: float
-
-    def j_of_l(self, l: float) -> float:
-        return self.j0 * _exp((1.0 - self.s) * l)
-
-
-def subohmic_flow(j0: float, s: float) -> SubohmicFlow:
-    """Relevant flow of a sub-Ohmic coupling; l_star is where j reaches 1."""
-    if not 0.0 < s < 1.0:
-        if s >= 1.0:
-            raise ValueError("s >= 1 is the marginal case: use the Ohmic flow")
-        raise ValueError("s must lie in (0, 1)")
-    if j0 <= 0:
-        raise ValueError("j0 must be positive")
-    l_star = math.log(1.0 / j0) / (1.0 - s)
-    return SubohmicFlow(j0=j0, s=s, l_star=l_star)
-
-
-def thermal_cutoff(spec: BathSpec) -> float:
-    """RG scale ln(t_th / tau) of the thermal time t_th = hbar/(pi kB T).
-
-    Returns infinity at T = 0.  Flows at T > 0 should be truncated at
-    min(l_max, l_th); see :func:`apply_thermal_cutoff`.
-    """
-    if spec.temperature == 0:
-        return math.inf
-    t_th = spec.hbar / (math.pi * spec.kB * spec.temperature)
-    return math.log(t_th / spec.tau_qec)
-
-
-def apply_thermal_cutoff(opts: FlowOptions, spec: BathSpec) -> FlowOptions:
-    """Clamp l_max to the thermal cutoff scale when T > 0."""
-    l_th = thermal_cutoff(spec)
-    if l_th >= opts.l_max:
-        return opts
-    if l_th <= 0:
-        raise ValueError("thermal cutoff is at or below the UV scale; no flow window")
-    return replace(opts, l_max=l_th)

@@ -5,11 +5,12 @@ and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
 pure function of the config.  Evaluation is a serial map over grid points:
 each point is a closed form of microseconds or one RK45 trajectory, too
-little work for a process pool to pay for itself.  ``parallelism`` (and
-``run``'s ``workers``) is accepted for compatibility and changes nothing, so
-outputs are byte-identical for any value.  Floats are written with 17
-significant digits and each file is written under a unique temporary name
-and atomically renamed, so an interrupted run leaves no partial output.
+little work for a process pool to pay for itself.  The config key
+``parallelism`` and ``run``'s ``workers`` keyword (the CLI has no flag for
+it) are accepted for compatibility and change nothing, so outputs are
+byte-identical for any value.  Floats are written with 17 significant
+digits and each file is written under a unique temporary name and
+atomically renamed, so an interrupted run leaves no partial output.
 """
 from __future__ import annotations
 

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import random
 
@@ -13,13 +15,13 @@ from codebath.lifetimes import (
     critical_coupling,
     j_of_L,
     preset_report,
-    renormalized_fm_coupling,
     t_comp,
     t_mem_fm,
     thermal_rates,
     threshold_exists,
 )
-from codebath.rg_flow import Phase
+from codebath.cli import main
+from codebath.rg_flow import CouplingVector, Phase, StrongCoupling, integrate_flow
 from codebath.wick import RegimeLabel, classify_regime, lambda_bar_sq
 
 
@@ -74,6 +76,18 @@ def test_t_comp_ohmic_value():
     t = t_comp(point, j_L=0.1)
     assert t == pytest.approx(0.01 * math.exp(10.0), rel=1e-12)
     assert t == pytest.approx(220.26, abs=0.01)
+
+
+def test_t_comp_ohmic_matches_rk45_pole():
+    # the closed form's t_K = tau exp(1/j) is the isotropic one-loop pole
+    # l* = 1/j, which RK45 finds independently
+    point = CodePoint(L=8, epsilon=0.01, spec=NAT)
+    for j in (0.05, 0.1):
+        terminal = integrate_flow(CouplingVector(j, j, j)).terminal
+        assert isinstance(terminal, StrongCoupling)
+        assert terminal.l_star == pytest.approx(1.0 / j, rel=0.05)
+        t_K = t_comp(point, j_L=j) / point.epsilon
+        assert t_K == pytest.approx(NAT.tau_qec * math.exp(terminal.l_star), rel=0.10)
 
 
 def test_t_comp_is_epsilon_times_t_K():
@@ -318,8 +332,27 @@ def test_build_report_afm():
     assert rep.threshold_exists
 
 
-def test_build_report_fm_with_flow_sourced_jz_star():
-    jz_star = renormalized_fm_coupling(0.05, -0.2)
+def _flow_index(tmp_path, j_perp, jz):
+    """Rows of the index.csv a `codebath flow` run over one start grid writes."""
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"task": "flow", "axes": {"j_perp": j_perp, "jz": jz}}))
+    assert main(["flow", "--config", str(cfg), "--out", str(tmp_path / "flows")]) == 0
+    with open(tmp_path / "flows" / "index.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_flow_index_has_no_jz_star_for_runaway_start(tmp_path):
+    # an antiferromagnetic start runs away and the flow index gives it no jz*
+    (afm,) = _flow_index(tmp_path, [0.1], [0.1])
+    assert afm["terminal"] == "StrongCoupling"
+    assert afm["jz_star"] == ""
+
+
+def test_build_report_fm_with_flow_sourced_jz_star(tmp_path):
+    # jz* of a localized start is the jz_star column of a flow run's index
+    (fm,) = _flow_index(tmp_path, [0.05], [-0.2])
+    assert fm["terminal"] == "Localized"
+    jz_star = float(fm["jz_star"])
     assert jz_star == pytest.approx(-math.sqrt(0.0375), abs=1e-4)
     point = CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=jz_star)
     rep = build_report(point)
@@ -328,11 +361,6 @@ def test_build_report_fm_with_flow_sourced_jz_star():
     assert rep.t_mem_over_tau == pytest.approx(
         0.99 ** (-1.0 / (2 * jz_star**2)), rel=1e-12
     )
-
-
-def test_renormalized_fm_coupling_rejects_afm():
-    with pytest.raises(PhaseMismatchError):
-        renormalized_fm_coupling(0.1, 0.1)
 
 
 def test_build_report_subohmic():

@@ -5,34 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebath.bath import BathSpec
-from codebath.errors import PhaseMismatchError
 from codebath.rg_flow import (
     CouplingVector,
     CutoffReached,
     FlowOptions,
     Localized,
-    Phase,
     StrongCoupling,
     _J_LIMIT,
-    apply_thermal_cutoff,
     check_start,
-    classify_phase,
     constants_of_motion,
     flow_rhs,
     integrate_flow,
-    kondo_scale,
-    subohmic_flow,
-    thermal_cutoff,
 )
 
 
 def test_flow_rhs_examples():
-    assert flow_rhs(CouplingVector(0, 0, 0)) == CouplingVector(0, 0, 0)
-    j = flow_rhs(CouplingVector(0.1, 0.1, 0.1))
-    assert (j.jx, j.jy, j.jz) == pytest.approx((0.01, 0.01, 0.01))
-    j = flow_rhs(CouplingVector(0.1, 0.1, -0.1))
-    assert (j.jx, j.jy, j.jz) == pytest.approx((-0.01, -0.01, 0.01))
+    assert flow_rhs(0.0, (0, 0, 0)) == (0, 0, 0)
+    assert flow_rhs(0.0, (0.1, 0.1, 0.1)) == pytest.approx((0.01, 0.01, 0.01))
+    assert flow_rhs(3.0, (0.1, 0.1, -0.1)) == pytest.approx((-0.01, -0.01, 0.01))
 
 
 @given(
@@ -42,11 +32,9 @@ def test_flow_rhs_examples():
 def test_flow_rhs_two_sign_flip_symmetry(jx, jy, jz):
     # flipping the signs of jx and jy flips the first two components of the
     # rhs and leaves the third unchanged
-    base = flow_rhs(CouplingVector(jx, jy, jz))
-    flipped = flow_rhs(CouplingVector(-jx, -jy, jz))
-    assert flipped.jx == -base.jx
-    assert flipped.jy == -base.jy
-    assert flipped.jz == base.jz
+    base = flow_rhs(0.0, (jx, jy, jz))
+    flipped = flow_rhs(0.0, (-jx, -jy, jz))
+    assert flipped == (-base[0], -base[1], base[2])
 
 
 def test_constants_of_motion_examples():
@@ -199,7 +187,9 @@ def test_check_start_refuses_unsquarable_couplings(slot, value, sign):
     start[slot] = sign * value
     with pytest.raises(ValueError) as err:
         check_start(CouplingVector(*start))
-    assert str(err.value) == "initial couplings must be finite, below 1.34e+154 in size"
+    assert str(err.value) == (
+        "initial couplings must be finite, below 1.3407807929942596e+154 in size"
+    )
 
 
 @pytest.mark.parametrize("slot", range(3))
@@ -219,113 +209,30 @@ def test_flow_options_validation():
         FlowOptions(l_max=0.0)
     with pytest.raises(ValueError):
         FlowOptions(sample_stride=0)
+    with pytest.raises(ValueError) as err:
+        FlowOptions(j_max=_J_LIMIT)
+    assert str(err.value) == "need 0 < j_min < j_max < 1.3407807929942596e+154"
 
 
-def test_classify_phase_symmetric():
-    assert classify_phase(CouplingVector(0.1, 0.1, -0.3)) is Phase.FERROMAGNETIC
-    assert classify_phase(CouplingVector(0.1, 0.1, 0.1)) is Phase.ANTIFERROMAGNETIC
-    # boundary case lands ferromagnetic by the <= convention
-    assert classify_phase(CouplingVector(0.1, 0.1, -0.1)) is Phase.FERROMAGNETIC
-
-
-def test_classify_phase_delegates_for_asymmetric():
-    assert classify_phase(CouplingVector(0.2, 0.05, 0.15)) is Phase.ANTIFERROMAGNETIC
+_TERMINAL_STARTS = [
+    ((0.2, 0.05, 0.15), StrongCoupling),
     # |jx| != |jy| pins jx^2 - jy^2 away from zero, so the transverse pair can
     # never die: anisotropic-transverse starts run away even at negative jz
-    assert classify_phase(CouplingVector(0.05, 0.02, -0.4)) is Phase.ANTIFERROMAGNETIC
+    ((0.05, 0.02, -0.4), StrongCoupling),
     # equal magnitudes with opposite signs map onto the symmetric localized
     # flow under the two-sign-flip symmetry
-    assert classify_phase(CouplingVector(0.05, -0.05, 0.2)) is Phase.FERROMAGNETIC
+    ((0.05, -0.05, 0.2), Localized),
+    # symmetric starts off the separatrix localize iff jz <= -j_perp
+    *(((0.1, 0.1, jz), Localized if jz <= -0.1 else StrongCoupling)
+      for jz in (-0.3, -0.15, -0.102, -0.098, 0.0, 0.1)),
+]
 
 
-def test_classify_phase_agrees_with_flow_off_separatrix():
-    opts = FlowOptions(l_max=2000.0)
-    for jz in (-0.3, -0.15, -0.102, -0.098, 0.0, 0.1):
-        if abs(jz + 0.1) < 1e-3:
-            continue
-        label = classify_phase(CouplingVector(0.1, 0.1, jz))
-        terminal = integrate_flow(CouplingVector(0.1, 0.1, jz), opts).terminal
-        if isinstance(terminal, StrongCoupling):
-            assert label is Phase.ANTIFERROMAGNETIC
-        elif isinstance(terminal, Localized):
-            assert label is Phase.FERROMAGNETIC
-
-
-NAT = BathSpec()
-
-
-def test_kondo_scale_analytic_route():
-    scale = kondo_scale(CouplingVector(0.1, 0.1, 0.1), NAT)
-    assert scale.t_K_analytic == pytest.approx(math.exp(10.0), rel=1e-12)
-    assert scale.t_K_analytic == pytest.approx(2.2026e4, rel=1e-4)
-    assert scale.T_K_analytic == pytest.approx(math.exp(-10.0), rel=1e-12)
-
-
-def test_kondo_scale_numeric_matches_analytic():
-    for j in (0.05, 0.1):
-        scale = kondo_scale(CouplingVector(j, j, j), NAT)
-        assert scale.l_star == pytest.approx(1.0 / j, rel=0.05)
-        assert scale.t_K == pytest.approx(scale.t_K_analytic, rel=0.10)
-        assert scale.t_K == pytest.approx(NAT.tau_qec * math.exp(scale.l_star), rel=1e-12)
-        # t_K = hbar / (kB T_K) by construction
-        assert scale.t_K * scale.T_K == pytest.approx(1.0, rel=1e-9)
-
-
-def test_kondo_scale_diverges_as_j_vanishes():
-    ts = [
-        kondo_scale(CouplingVector(j, j, j), NAT).t_K_analytic
-        for j in (0.2, 0.1, 0.05)
-    ]
-    assert ts[0] < ts[1] < ts[2]
-
-
-def test_kondo_scale_rejects_fm():
-    with pytest.raises(PhaseMismatchError):
-        kondo_scale(CouplingVector(0.05, 0.05, -0.2), NAT)
-
-
-def test_kondo_scale_needs_room():
-    with pytest.raises(ValueError):
-        kondo_scale(CouplingVector(0.01, 0.01, 0.01), NAT, FlowOptions(l_max=10.0))
-
-
-def test_subohmic_flow():
-    flow = subohmic_flow(0.1, 0.5)
-    assert flow.l_star == pytest.approx(math.log(10.0) / 0.5, rel=1e-12)
-    assert flow.l_star == pytest.approx(4.6052, abs=1e-4)
-    assert flow.j_of_l(0.0) == pytest.approx(0.1)
-    assert flow.j_of_l(flow.l_star) == pytest.approx(1.0, rel=1e-12)
-    # closer to marginal means slower growth and larger l_star
-    assert subohmic_flow(0.1, 0.9).l_star > flow.l_star
-    assert subohmic_flow(1.0, 0.5).l_star == 0.0
-
-
-def test_subohmic_flow_guards():
-    with pytest.raises(ValueError):
-        subohmic_flow(0.1, 1.0)
-    with pytest.raises(ValueError):
-        subohmic_flow(0.1, 0.0)
-    with pytest.raises(ValueError):
-        subohmic_flow(-0.1, 0.5)
-
-
-def test_thermal_cutoff():
-    # t_th = hbar/(pi kB T); with T = 1/pi the thermal time equals tau
-    assert thermal_cutoff(BathSpec(temperature=1.0 / math.pi)) == pytest.approx(0.0)
-    assert thermal_cutoff(
-        BathSpec(temperature=1.0 / (math.pi * math.e**5))
-    ) == pytest.approx(5.0, rel=1e-12)
-    l1 = thermal_cutoff(BathSpec(temperature=0.01))
-    l2 = thermal_cutoff(BathSpec(temperature=0.02))
-    assert l1 - l2 == pytest.approx(math.log(2.0), rel=1e-12)
-    assert thermal_cutoff(BathSpec(temperature=0.0)) == math.inf
-
-
-def test_apply_thermal_cutoff():
-    opts = FlowOptions(l_max=100.0)
-    spec = BathSpec(temperature=1.0 / (math.pi * math.e**5))
-    clamped = apply_thermal_cutoff(opts, spec)
-    assert clamped.l_max == pytest.approx(5.0)
-    assert apply_thermal_cutoff(opts, BathSpec()) is opts
-    with pytest.raises(ValueError):
-        apply_thermal_cutoff(opts, BathSpec(temperature=10.0))
+@pytest.mark.parametrize(
+    "start,terminal",
+    _TERMINAL_STARTS,
+    ids=[",".join(map(str, s)) + f"-{t.__name__}" for s, t in _TERMINAL_STARTS],
+)
+def test_flow_terminal_by_start(start, terminal):
+    trace = integrate_flow(CouplingVector(*start), FlowOptions(l_max=2000.0))
+    assert isinstance(trace.terminal, terminal)

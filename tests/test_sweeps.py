@@ -495,6 +495,16 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["lifetime", "--config", cfg_path]) == 2
 
 
+def test_cli_refuses_workers_flag(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    cfg_path = write_config(tmp_path, lifetime_config(out))
+    with pytest.raises(SystemExit) as exc:
+        main(["lifetime", "--config", cfg_path, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unsquarable_flow_start_exit_code(tmp_path, capsys):
     cfg = {"task": "flow", "axes": {"jz": [1e160]}, "output_path": str(tmp_path / "f")}
     assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 2
