@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI
 from .errors import PhaseMismatchError
-from .rg_flow import Phase, _exp, _saturating
-from .wick import RegimeLabel, check_even_L, classify_regime, lambda_bar_sq
+from .rg_flow import Phase
+from .wick import RegimeLabel, _exp, _saturating, check_even_L, classify_regime, lambda_bar_sq
 
 SATURATION_J = 1e3
 

@@ -2,18 +2,15 @@
 
 dj_x/dl = j_y j_z,  dj_y/dl = j_x j_z,  dj_z/dl = j_x j_y.
 
-Integration is adaptive (embedded Runge-Kutta via scipy) and stops at one of
-three terminals: a coupling reaching the strong-coupling ceiling, the
-transverse pair dying below the localization floor and staying there for a
-dwell interval, or the scale cutoff.  Because the one-loop equations blow up
-in finite scale, the strong-coupling scale is reported with the isotropic
-pole correction l_star = l_stop + 1/j_max (1/max|j| where RK45 fails short
-of a very high ceiling), which makes it insensitive to the choice of ceiling.
-
-scipy and numpy (about 0.8 s to import) load on the first integration, not with
-this module, so the closed-form tasks never pay for them.  ``solve_ivp`` is
-then bound in this module, where ``rg_flow.solve_ivp`` also resolves it
-before any flow has run; a binding set earlier, such as a wrapper, is kept.
+Integration is adaptive (the embedded Dormand-Prince 5(4) pair of
+``solve_ivp``, scipy's RK45 on float tuples) and stops at one of three
+terminals: a coupling reaching the strong-coupling ceiling, the transverse
+pair dying below the localization floor and staying there for a dwell
+interval, or the scale cutoff.  Because the one-loop equations blow up in
+finite scale, the strong-coupling scale is reported with the isotropic pole
+correction l_star = l_stop + 1/j_max (1/max|j| where the step size falls
+below its floor short of a very high ceiling), which makes it insensitive to
+the choice of ceiling.
 """
 from __future__ import annotations
 
@@ -21,31 +18,14 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul as _mul
+from typing import NamedTuple
 
 from .errors import ResourceLimitError
 
 DWELL_INTERVAL = 1.0   # scale window the transverse pair must stay below j_min
 _MAX_SEGMENTS = 1000
-_EXP_ARG_MAX = 709.0
 _J_LIMIT = math.sqrt(sys.float_info.max)  # couplings whose squares stay finite
-
-
-def _exp(x: float) -> float:
-    return math.inf if x > _EXP_ARG_MAX else math.exp(x)
-
-
-def _saturating(value, powers) -> float:
-    """``value()``, a float expression for prod(x ** p for x, p in ``powers()``),
-    all x >= 0; where it leaves float range (raises, or gives nan from inf * 0)
-    the product is summed in logs and saturates to 0 or inf (0 if x = 0, p > 0)."""
-    try:
-        result = value()
-    except (OverflowError, ZeroDivisionError):
-        result = math.nan
-    if result == result:  # not nan
-        return result
-    log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers())
-    return 0.0 if math.isnan(log) else _exp(log)
 
 
 class Phase(Enum):
@@ -115,19 +95,169 @@ def flow_rhs(l, y):
     return (y[1] * y[2], y[0] * y[2], y[0] * y[1])
 
 
-def _solver():
-    """The module's ``solve_ivp`` binding, scipy's unless one is already set."""
-    if "solve_ivp" not in globals():
-        from scipy.integrate import solve_ivp
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 19 (1980)) as scipy's RK45
+# writes it: stage nodes and rows after the first stage, the last row being the
+# 5th-order solution whose derivative starts the next step (FSAL), the error
+# weights over all seven stages and the quartic dense output of Shampine
+# (Math. Comp. 46, 135 (1986)), stored by power of the step fraction.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = tuple(zip(
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+))
+_EPS = sys.float_info.epsilon
 
-        globals()["solve_ivp"] = solve_ivp
-    return globals()["solve_ivp"]
+
+class OdeResult(NamedTuple):  # not a dataclass, which costs 1.5 ms at import
+    """What ``solve_ivp`` returns: accepted points, status (0 end of span, 1
+    terminal event, -1 step below 10 ulp of t) and event roots per event."""
+
+    t: list[float]
+    y: list[tuple[float, float, float]]
+    status: int
+    t_events: list[list[float]]
+    y_events: list[list[tuple[float, float, float]]]
+    nfev: int
 
 
-def __getattr__(name: str):
-    if name == "solve_ivp":
-        return _solver()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _rms(v) -> float:
+    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+
+
+def _lincomb(y, coeffs, columns, h):
+    """y + h * (coeffs . column), for each of the three components."""
+    return (
+        y[0] + sum(map(_mul, coeffs, columns[0])) * h,
+        y[1] + sum(map(_mul, coeffs, columns[1])) * h,
+        y[2] + sum(map(_mul, coeffs, columns[2])) * h,
+    )
+
+
+def _bisect(f, a: float, b: float) -> float:
+    """A root of f in [a, b], where f changes sign, to scipy's event tolerance
+    of 4 EPS (absolute and relative)."""
+    fa = f(a)
+    if fa == 0:
+        return a
+    while b - a > 4 * _EPS * (1 + abs(b)):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0:
+            return m
+        if (fm < 0) == (fa < 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return b
+
+
+def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6) -> OdeResult:
+    """Integrate y' = fun(t, y) forward over t_span from the float 3-tuple y0
+    with scipy's RK45, step for step: Dormand-Prince 5(4) with FSAL, the
+    Hairer II.4 initial step, SAFETY 0.9 with factors clamped to [0.2, 10]
+    and no growth after a rejection, failure (status -1) once the step falls
+    below 10 ulp of t, and rtol raised to at least 100 EPS.  An event is a
+    function g(t, y) whose zero crossing, in its optional ``direction`` (sign
+    of the slope, 0 for both), is looked for at each accepted step and
+    located on the dense output; a ``terminal`` event ends the integration
+    at its first root."""
+    t, t_bound = t_span
+    rtol = max(rtol, 100 * _EPS)
+    y, f = tuple(y0), fun(t, y0)
+    nfev = 1
+    ts, ys = [t], [y]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    if t == t_bound:
+        return OdeResult([t, t], [y, y], 0, t_events, y_events, nfev)
+    directions = [getattr(event, "direction", 0) for event in events]
+    terminals = [getattr(event, "terminal", False) for event in events]
+    g = [event(t, y) for event in events]
+
+    # the initial step, Hairer, Norsett & Wanner, Sec. II.4
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    f1 = fun(t + h0, tuple(v + h0 * d for v, d in zip(y, f)))
+    nfev += 1
+    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound - t)
+
+    status = None
+    while status is None:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return OdeResult(ts, ys, -1, t_events, y_events, nfev)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            k0, k1, k2 = columns = ([f[0]], [f[1]], [f[2]])  # stage derivatives
+            for c, a in zip(_C, _A):  # the last stage is the step's y_new, f_new
+                y_new = _lincomb(y, a, columns, h)
+                f_new = fun(t + c * h, y_new)
+                k0.append(f_new[0])
+                k1.append(f_new[1])
+                k2.append(f_new[2])
+            nfev += 6
+            error = _lincomb((0.0, 0.0, 0.0), _E, columns, h)
+            error_norm = _rms([
+                e / (atol + max(abs(a), abs(b)) * rtol) for e, a, b in zip(error, y, y_new)
+            ])
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if t == t_bound:
+            status = 0
+        g_new = [event(t, y) for event in events]
+        active = [
+            i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
+            if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)
+        ]
+        if active:
+            q = [[sum(map(_mul, k, p)) for p in _P] for k in columns]
+
+            def dense(s):
+                x = (s - t_old) / h
+                x2 = x * x
+                return _lincomb(y_old, (x, x2, x2 * x, x2 * x * x), q, h)
+
+            roots = [(_bisect(lambda s: events[i](s, dense(s)), t_old, t), i) for i in active]
+            for root, i in sorted(roots):  # up to the first terminal root
+                t_events[i].append(root)
+                y_events[i].append(dense(root))
+                if terminals[i]:
+                    status, t, y = 1, root, dense(root)
+                    break
+        g = g_new
+        ts.append(t)
+        ys.append(y)
+    return OdeResult(ts, ys, status, t_events, y_events, nfev)
 
 
 def check_start(j0: CouplingVector) -> None:
@@ -143,12 +273,9 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     two constants of motion over every accepted step; with the default
     tolerances it stays below 100 * abs_tol.
     """
-    import numpy as np
-
     opts = opts or FlowOptions()
     check_start(j0)
-    solve_ivp = _solver()
-    y = np.array([j0.jx, j0.jy, j0.jz], dtype=float)
+    y = (float(j0.jx), float(j0.jy), float(j0.jz))
 
     def ceiling(l, y):
         return max(abs(y[0]), abs(y[1]), abs(y[2])) - opts.j_max
@@ -162,15 +289,15 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     transverse.terminal = True
 
     ls: list[float] = [0.0]
-    ys: list[np.ndarray] = [y.copy()]
+    ys: list[tuple[float, float, float]] = [y]
     l = 0.0
     terminal: Terminal | None = None
 
     def absorb(sol) -> None:
-        for k in range(sol.t.size):
-            if sol.t[k] > ls[-1]:
-                ls.append(float(sol.t[k]))
-                ys.append(sol.y[:, k].copy())
+        for t, v in zip(sol.t, sol.y):
+            if t > ls[-1]:
+                ls.append(t)
+                ys.append(v)
 
     if max(abs(y[0]), abs(y[1]), abs(y[2])) >= opts.j_max:
         terminal = StrongCoupling(l_star=1.0 / opts.j_max)
@@ -185,45 +312,44 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
             transverse.direction = 1.0 if dwelling else -1.0
             target = dwell_since + DWELL_INTERVAL if dwelling else opts.l_max
             sol = solve_ivp(
-                flow_rhs, (l, min(target, opts.l_max)), y, method="RK45",
+                flow_rhs, (l, min(target, opts.l_max)), y,
                 events=(ceiling, transverse), rtol=opts.rel_tol, atol=opts.abs_tol,
             )
             absorb(sol)
             if sol.status == -1:
-                # RK45 fails just short of the pole, below a ceiling too high
-                # to reach: the pole correction takes the largest |j| there
-                l = float(sol.t[-1])
-                terminal = StrongCoupling(l_star=l + 1.0 / float(np.abs(sol.y[:, -1]).max()))
-            elif sol.t_events[0].size:
-                l = float(sol.t_events[0][0])
+                # the step fails just short of the pole, below a ceiling too
+                # high to reach: the pole correction takes the largest |j| there
+                l = sol.t[-1]
+                terminal = StrongCoupling(l_star=l + 1.0 / max(map(abs, sol.y[-1])))
+            elif sol.t_events[0]:
+                l = sol.t_events[0][0]
                 terminal = StrongCoupling(l_star=l + 1.0 / opts.j_max)
             elif sol.status == 1:  # the transverse event ended the segment
-                l = float(sol.t_events[1][0])
-                y = sol.y_events[1][0].copy()
+                l = sol.t_events[1][0]
+                y = sol.y_events[1][0]
                 if dwelling and l == dwell_since:
                     # the pair rose back through j_min where it fell: it rests
                     # on j_min, never below it, and would stop every segment
                     transverse.terminal = False
                 dwell_since = None if dwelling else l
             else:
-                l = float(sol.t[-1])
-                y = sol.y[:, -1].copy()
+                l = sol.t[-1]
+                y = sol.y[-1]
                 if dwelling and target <= opts.l_max:
-                    terminal = Localized(j_star=CouplingVector(*map(float, y)))
+                    terminal = Localized(j_star=CouplingVector(*y))
                 # a dwell the cutoff interrupts falls through to CutoffReached
         else:
             raise ResourceLimitError("flow integration exceeded its segment budget")
     if terminal is None:
         terminal = CutoffReached(l_max=opts.l_max)
 
-    arr = np.array(ys)
-    c1 = arr[:, 0] ** 2 - arr[:, 1] ** 2
-    c2 = arr[:, 2] ** 2 - arr[:, 0] ** 2
-    drift = float(max(np.abs(c1 - c1[0]).max(), np.abs(c2 - c2[0]).max()))
+    x0, y0, z0 = ys[0]
+    c1, c2 = x0 * x0 - y0 * y0, z0 * z0 - x0 * x0
+    drift = max(max(abs(x * x - y * y - c1), abs(z * z - x * x - c2)) for x, y, z in ys)
 
     keep = list(range(0, len(ls), opts.sample_stride))
     if keep[-1] != len(ls) - 1:
         keep.append(len(ls) - 1)
-    samples = tuple((ls[k], CouplingVector(*map(float, ys[k]))) for k in keep)
+    samples = tuple((ls[k], CouplingVector(*ys[k])) for k in keep)
     return FlowTrace(samples=samples, terminal=terminal, invariant_drift=drift)
 

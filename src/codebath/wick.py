@@ -12,10 +12,28 @@ from fractions import Fraction
 
 from .bath import BathSpec
 from .errors import ResourceLimitError
-from .rg_flow import _exp, _saturating
 
 MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the pairing-sum ceiling
 _CRITICAL_TOL = 1e-12      # floats this close to the regime boundary count as critical
+_EXP_ARG_MAX = 709.0
+
+
+def _exp(x: float) -> float:
+    return math.inf if x > _EXP_ARG_MAX else math.exp(x)
+
+
+def _saturating(value, powers) -> float:
+    """``value()``, a float expression for prod(x ** p for x, p in ``powers()``),
+    all x >= 0; where it leaves float range (raises, or gives nan from inf * 0)
+    the product is summed in logs and saturates to 0 or inf (0 if x = 0, p > 0)."""
+    try:
+        result = value()
+    except (OverflowError, ZeroDivisionError):
+        result = math.nan
+    if result == result:  # not nan
+        return result
+    log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers())
+    return 0.0 if math.isnan(log) else _exp(log)
 
 
 class RegimeLabel(Enum):

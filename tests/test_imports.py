@@ -1,6 +1,7 @@
-"""Start-up cost: the CLI and its closed-form tasks run without numpy or scipy
-(about 0.8 s to import); only a flow integration loads them.  Each case runs in
-a fresh interpreter, since the rest of the suite has long loaded both."""
+"""Start-up cost: the CLI and every task, the flow integrations included, run
+without numpy or scipy (about 0.8 s to import), which only the tests use as
+oracles.  Each case runs in a fresh interpreter, since the rest of the suite
+has long loaded both."""
 import json
 import os
 import subprocess
@@ -54,13 +55,12 @@ def test_closed_form_tasks_load_no_numpy_or_scipy(tmp_path):
           for name in PRESET_NAMES),
         ["flow", config(tmp_path, "flow", {
             "task": "flow", "axes": {"j_perp": [0.1], "jz": [0.2]}, "params": {"l_max": 5.0}})],
+        ["phase_diagram", config(tmp_path, "phase_diagram", {
+            "task": "phase_diagram", "axes": {"j_perp": [0.1, 0.3], "jz": [-0.2, 0.2]}})],
     ]
-    *closed_forms, flow = run_steps(steps)
-    assert [step for step, _, _ in closed_forms] == [
-        "import", "import codebath.cli", *(step for step, _ in steps[:-1])
+    results = run_steps(steps)
+    assert [step for step, _, _ in results] == [
+        "import", "import codebath.cli", *(step for step, _ in steps)
     ]
-    for step, code, loaded in closed_forms:
+    for step, code, loaded in results:
         assert (code, loaded) == (0, []), step
-    step, code, loaded = flow
-    assert (step, code) == ("flow", 0)
-    assert "scipy.integrate" in loaded and "numpy" in loaded

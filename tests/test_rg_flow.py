@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codebath import rg_flow
 from codebath.rg_flow import (
     CouplingVector,
     CutoffReached,
@@ -236,3 +238,71 @@ _TERMINAL_STARTS = [
 def test_flow_terminal_by_start(start, terminal):
     trace = integrate_flow(CouplingVector(*start), FlowOptions(l_max=2000.0))
     assert isinstance(trace.terminal, terminal)
+
+
+def _scipy_rk45(fun, t_span, y0, events, rtol, atol):
+    """scipy's RK45 behind the in-house ``solve_ivp`` interface: the oracle."""
+    sol = scipy.integrate.solve_ivp(
+        fun, t_span, y0, method="RK45", events=events, rtol=rtol, atol=atol
+    )
+    return rg_flow.OdeResult(
+        t=list(sol.t),
+        y=[tuple(y) for y in sol.y.T],
+        status=sol.status,
+        t_events=[list(te) for te in sol.t_events],
+        y_events=[[tuple(y) for y in ye] for ye in sol.y_events],
+        nfev=sol.nfev,
+    )
+
+
+_RNG = np.random.default_rng(2024)
+_ORACLE_STARTS = [
+    *((tuple(_RNG.uniform(-0.6, 0.6, 3)), FlowOptions()) for _ in range(120)),
+    # the symmetric separatrices at the portrait ceiling
+    *(((jp, jp, sign * jp), FlowOptions(j_max=4.0))
+      for jp in (0.2, 0.7, 1.5, 3.0) for sign in (1, -1)),
+    # the transverse pair starts below j_min: it dwells there, or rises out
+    ((1e-9, 1e-9, 0.3), FlowOptions()),
+    ((5e-9, 5e-9, 0.9), FlowOptions()),
+    ((1e-9, -1e-9, -0.2), FlowOptions()),
+    # symmetric starts that localize after a flow, not from the start
+    ((0.1, 0.1, -0.3), FlowOptions()),
+    ((0.05, -0.05, 0.2), FlowOptions()),
+    # a ceiling past where the step size fails: the status -1 pole path
+    *((start, FlowOptions(j_max=1e50))
+      for start in ((0.5, 0.5, 0.5), (0.3, 0.2, 0.1), (0.05, 0.02, -0.4))),
+]
+
+
+@pytest.mark.parametrize("start,opts", _ORACLE_STARTS)
+def test_integrate_flow_matches_scipy_rk45(monkeypatch, start, opts):
+    trace = integrate_flow(CouplingVector(*start), opts)
+    monkeypatch.setattr(rg_flow, "solve_ivp", _scipy_rk45)
+    oracle = integrate_flow(CouplingVector(*start), opts)
+    assert type(trace.terminal) is type(oracle.terminal)
+    assert len(trace.samples) == len(oracle.samples)
+    if isinstance(trace.terminal, StrongCoupling):
+        assert abs(trace.terminal.l_star - oracle.terminal.l_star) <= 1e-9
+    if isinstance(trace.terminal, Localized):
+        assert abs(trace.terminal.j_star.jz - oracle.terminal.j_star.jz) <= 1e-9
+    # on the pole path |j| reaches 1e12-1e13, whose squares round in units far
+    # above 1e-8: there the bound is relative to the largest square on the trace
+    largest = max(max(abs(j.jx), abs(j.jy), abs(j.jz)) for _, j in trace.samples)
+    assert trace.invariant_drift < 1e-8 * max(1.0, largest**2)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 3.0), (1.0, 1.0)])
+def test_solve_ivp_steps_as_scipy_rk45(t_span):
+    # a non-terminal event of either direction is recorded and the span runs on
+    def crossing(l, y):
+        return y[2] - 0.35
+
+    y0 = (0.1, 0.2, 0.3)
+    ours = rg_flow.solve_ivp(flow_rhs, t_span, y0, events=(crossing,), rtol=1e-8, atol=1e-10)
+    oracle = _scipy_rk45(flow_rhs, t_span, y0, (crossing,), rtol=1e-8, atol=1e-10)
+    assert (ours.status, len(ours.t), ours.nfev) == (oracle.status, len(oracle.t), oracle.nfev)
+    # the error estimates round differently from numpy's BLAS sums, and the
+    # step factor (error ** -1/5) carries that into the step sizes
+    assert ours.t == pytest.approx(oracle.t, rel=1e-9)
+    assert len(ours.t_events[0]) == len(oracle.t_events[0])
+    assert ours.t_events[0] == pytest.approx(oracle.t_events[0], rel=1e-9)

@@ -45,22 +45,23 @@ def test_tracer_sees_every_layer(tmp_path):
     } <= spans
 
 
-# The tracer installed before scipy is bound, as in a fresh benchmark run of
+# The tracer installed before any flow has run, as in a fresh benchmark run of
 # a workload whose first configs never integrate.
 FRESH_SCRIPT = """
 import json, sys
 import tracing
 from codebath import rg_flow
 from codebath.cli import main
+solve_ivp = rg_flow.solve_ivp
 tracer = tracing.Tracer()
 tracer.pass_no = 0
 with tracer.installed():
     codes = [main(["sweep", "--config", path]) for path in sys.argv[1:]]
-import scipy.integrate
 print(json.dumps({
     "codes": codes,
     "solve_ivp_calls": tracer.counts[0]["rg_flow.solve_ivp_calls"],
-    "restored": rg_flow.solve_ivp is scipy.integrate.solve_ivp,
+    "nfev": tracer.counts[0]["rg_flow.nfev"],
+    "restored": rg_flow.solve_ivp is solve_ivp,
 }))
 """
 
@@ -80,4 +81,5 @@ def test_tracer_installed_in_a_fresh_interpreter(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0]
     assert result["solve_ivp_calls"] > 0
+    assert result["nfev"] > 0
     assert result["restored"]
