@@ -57,9 +57,6 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         written = sweeps.run(cfg, force=args.force)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

@@ -15,14 +15,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI
 from .errors import PhaseMismatchError
-from .rg_flow import Phase
 from .wick import RegimeLabel, _exp, _saturating, check_even_L, classify_regime, lambda_bar_sq
 
 SATURATION_J = 1e3
+
+
+class Phase(Enum):
+    FERROMAGNETIC = "FM"
+    ANTIFERROMAGNETIC = "AFM"
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,6 @@ class LifetimeReport:
 
 def j_of_L(spec: BathSpec, L: int) -> float:
     """Macroscopic dimensionless coupling (lam/hbar v) sqrt(2L/pi) (lbar^2)^(L/4)."""
-    check_even_L(L)
     lb = lambda_bar_sq(spec, L)
     return _saturating(
         lambda: spec.lam / (spec.hbar * spec.v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
@@ -271,8 +275,6 @@ def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetRep
         tau = 1.0e-6
         pitch = 1.0e-3
         grid = _SC_L_GRID if L_grid is None else tuple(L_grid)
-        for L in grid:
-            check_even_L(L)
         curve = []
         specs = {}
         for z in _SC_Z_VALUES:

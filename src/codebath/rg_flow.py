@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from operator import mul as _mul
 from typing import NamedTuple
 
@@ -26,11 +25,7 @@ from .errors import ResourceLimitError
 DWELL_INTERVAL = 1.0   # scale window the transverse pair must stay below j_min
 _MAX_SEGMENTS = 1000
 _J_LIMIT = math.sqrt(sys.float_info.max)  # couplings whose squares stay finite
-
-
-class Phase(Enum):
-    FERROMAGNETIC = "FM"
-    ANTIFERROMAGNETIC = "AFM"
+_RTOL_MIN = 100 * sys.float_info.epsilon  # scipy's RK45 floor, kept by solve_ivp
 
 
 @dataclass(frozen=True)
@@ -56,6 +51,10 @@ class FlowOptions:
             raise ValueError("l_max must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.rel_tol < _RTOL_MIN:
+            raise ValueError(f"rel_tol must be >= {_RTOL_MIN!r} (100 float epsilons)")
+        if not isinstance(self.sample_stride, int):
+            raise ValueError("sample_stride must be an integer")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 
@@ -176,7 +175,7 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6) -> OdeResult:
     located on the dense output; a ``terminal`` event ends the integration
     at its first root."""
     t, t_bound = t_span
-    rtol = max(rtol, 100 * _EPS)
+    rtol = max(rtol, _RTOL_MIN)
     y, f = tuple(y0), fun(t, y0)
     nfev = 1
     ts, ys = [t], [y]

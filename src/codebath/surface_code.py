@@ -229,6 +229,8 @@ def _classify(L: int, correction: frozenset[int], true_error: ErrorChain | None)
 
 def check_census(L: int, weight: int) -> None:
     """Raise ValueError unless weight-``weight`` chains fit a length-L contour."""
+    if not isinstance(L, int) or not isinstance(weight, int):
+        raise ValueError("contour length and weight must be integers")
     if L < 2:
         raise ValueError("contour length must be >= 2")
     if not 0 <= weight <= L:

@@ -58,7 +58,6 @@ class SweepConfig:
     params: dict
     output_path: str
     parallelism: int = 1
-    seed: int = 0
 
 
 def _is_number(v) -> bool:
@@ -95,7 +94,7 @@ def validate_config(obj) -> SweepConfig:
     ResourceLimitError for a matching size above the probe ceiling."""
     if not isinstance(obj, dict):
         raise ConfigError("$", "config must be a JSON object")
-    known = {"task", "axes", "params", "output_path", "parallelism", "seed"}
+    known = {"task", "axes", "params", "output_path", "parallelism"}
     for key in obj:
         if key not in known:
             raise ConfigError(key, "unknown key")
@@ -169,9 +168,6 @@ def validate_config(obj) -> SweepConfig:
     parallelism = obj.get("parallelism", 1)
     if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
         raise ConfigError("parallelism", "must be an integer >= 1")
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed", "must be an integer")
 
     for name in spec.required:
         if name not in params and name not in axes:
@@ -184,7 +180,7 @@ def validate_config(obj) -> SweepConfig:
             _checked(f"axes.L[{i}]", surface_code.check_census, L, 0)
             for j, weight in enumerate(axes["weight"]):
                 _checked(f"axes.weight[{j}]", surface_code.check_census, L, weight)
-    return SweepConfig(task, axes, params, output_path, parallelism, seed)
+    return SweepConfig(task, axes, params, output_path, parallelism)
 
 
 def read_config(path: str) -> dict:

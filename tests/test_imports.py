@@ -1,7 +1,8 @@
 """Start-up cost: the CLI and every task, the flow integrations included, run
 without numpy or scipy (about 0.8 s to import), which only the tests use as
-oracles.  Each case runs in a fresh interpreter, since the rest of the suite
-has long loaded both."""
+oracles, and importing one submodule loads only the submodules it uses.  Each
+case runs in a fresh interpreter, since the rest of the suite has long loaded
+both."""
 import json
 import os
 import subprocess
@@ -64,3 +65,25 @@ def test_closed_form_tasks_load_no_numpy_or_scipy(tmp_path):
     ]
     for step, code, loaded in results:
         assert (code, loaded) == (0, []), step
+
+
+# Prints the codebath submodules loaded after each import, in one interpreter.
+SUBMODULES_SCRIPT = """
+import importlib, json, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+    print(json.dumps([name, sorted(m for m in sys.modules if m.startswith("codebath."))]))
+"""
+
+
+def test_submodule_imports_load_only_their_dependencies():
+    names = ["codebath", "codebath.wick", "codebath.lifetimes"]
+    proc = subprocess.run(
+        [sys.executable, "-c", SUBMODULES_SCRIPT, *names],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(json.loads(line) for line in proc.stdout.splitlines())
+    assert loaded["codebath"] == []
+    assert loaded["codebath.wick"] == ["codebath.bath", "codebath.errors", "codebath.wick"]
+    assert not {"codebath.rg_flow", "codebath.sweeps"} & set(loaded["codebath.lifetimes"])

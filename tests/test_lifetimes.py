@@ -11,6 +11,7 @@ from codebath.bath import BathSpec, C_LIGHT_SI, HBAR_SI
 from codebath.errors import PhaseMismatchError
 from codebath.lifetimes import (
     CodePoint,
+    Phase,
     build_report,
     critical_coupling,
     j_of_L,
@@ -21,7 +22,7 @@ from codebath.lifetimes import (
     threshold_exists,
 )
 from codebath.cli import main
-from codebath.rg_flow import CouplingVector, Phase, StrongCoupling, integrate_flow
+from codebath.rg_flow import CouplingVector, StrongCoupling, integrate_flow
 from codebath.wick import RegimeLabel, classify_regime, lambda_bar_sq
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ def test_flow_options_validation():
     with pytest.raises(ValueError) as err:
         FlowOptions(j_max=_J_LIMIT)
     assert str(err.value) == "need 0 < j_min < j_max < 1.3407807929942596e+154"
+
+
+def test_flow_options_refuse_rel_tol_below_solver_floor():
+    floor = 100 * sys.float_info.epsilon
+    assert FlowOptions(rel_tol=floor).rel_tol == floor
+    with pytest.raises(ValueError, match=r"rel_tol must be >= 2\.220446049250313e-14"):
+        FlowOptions(rel_tol=math.nextafter(floor, 0.0))
+
+
+def test_flow_options_refuse_fractional_stride():
+    with pytest.raises(ValueError, match="sample_stride must be an integer"):
+        FlowOptions(sample_stride=2.5)
 
 
 _TERMINAL_STARTS = [

@@ -11,6 +11,7 @@ from codebath.surface_code import (
     Syndrome,
     TieBreak,
     build_code,
+    check_census,
     contour_syndrome,
     decode_contour,
     failure_census,
@@ -281,6 +282,14 @@ def test_census_guards():
         failure_census(4, 5, TieBreak.REPORT)
     with pytest.raises(ValueError):
         failure_census(1, 0, TieBreak.REPORT)
+
+
+@pytest.mark.parametrize("L, weight", [(4, 2.5), (4.0, 2)])
+def test_census_refuses_non_integer_sizes(L, weight):
+    with pytest.raises(ValueError, match="must be integers"):
+        check_census(L, weight)
+    with pytest.raises(ValueError, match="must be integers"):
+        failure_census(L, weight, TieBreak.REPORT)
 
 
 # --- static field profile ---------------------------------------------------

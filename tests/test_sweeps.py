@@ -129,6 +129,14 @@ MALFORMED = [
     ({"task": "phase_diagram", "axes": {"jz": [0.1]}, "output_path": "x.csv"}, "axes.j_perp"),
     ({"task": "census", "axes": {"L": [1], "weight": [0]}, "output_path": "x.csv"}, "axes.L[0]"),
     ({"task": "flow", "axes": {"jz": [1e160]}, "output_path": "x"}, "axes.jz[0]"),
+    (
+        {"task": "lifetime", "axes": {"L": [4]}, "output_path": "x.csv", "seed": 0},
+        "seed",
+    ),
+    (
+        {"task": "flow", "axes": {"jz": [0.1]}, "params": {"rel_tol": 1e-20}, "output_path": "x"},
+        "params.rel_tol",
+    ),
 ]
 
 
@@ -164,7 +172,7 @@ def test_distinct_paths_across_canonical_malformed_set():
 def test_validate_accepts_good_config(tmp_path):
     cfg = validate_config(lifetime_config(tmp_path / "o.csv"))
     assert isinstance(cfg, SweepConfig)
-    assert cfg.parallelism == 1 and cfg.seed == 0
+    assert cfg.parallelism == 1
 
 
 def test_unknown_top_level_key():
