@@ -47,13 +47,16 @@ class FlowOptions:
     def __post_init__(self):
         if not 0 < self.j_min < self.j_max < _J_LIMIT:
             raise ValueError(f"need 0 < j_min < j_max < {_J_LIMIT!r}")
+        # NaN passes every comparison below, and a NaN rel_tol never ends a flow
+        if not all(map(math.isfinite, (self.l_max, self.abs_tol, self.rel_tol))):
+            raise ValueError("l_max, abs_tol and rel_tol must be finite")
         if self.l_max <= 0:
             raise ValueError("l_max must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.rel_tol < _RTOL_MIN:
             raise ValueError(f"rel_tol must be >= {_RTOL_MIN!r} (100 float epsilons)")
-        if not isinstance(self.sample_stride, int):
+        if not isinstance(self.sample_stride, int) or isinstance(self.sample_stride, bool):
             raise ValueError("sample_stride must be an integer")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
@@ -95,20 +98,19 @@ def flow_rhs(l, y):
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 19 (1980)) as scipy's RK45
-# writes it: stage nodes and rows after the first stage, the last row being the
-# 5th-order solution whose derivative starts the next step (FSAL), the error
-# weights over all seven stages and the quartic dense output of Shampine
-# (Math. Comp. 46, 135 (1986)), stored by power of the step fraction.
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1)
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# writes it: stage nodes _Ci (_C6 = _C7 = 1) and rows _Aij, the last row being
+# the 5th-order solution whose derivative starts the next step (FSAL), the
+# error weights _Ej over all seven stages and the quartic dense output of
+# Shampine (Math. Comp. 46, 135 (1986)), stored by power of the step fraction.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A72, _A73, _A74, _A75, _A76 = 35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4 = -71 / 57600, 0, 71 / 16695, -71 / 1920
+_E5, _E6, _E7 = 17253 / 339200, -22 / 525, 1 / 40
 _P = tuple(zip(
     (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
     (0, 0, 0, 0),
@@ -135,15 +137,6 @@ class OdeResult(NamedTuple):  # not a dataclass, which costs 1.5 ms at import
 
 def _rms(v) -> float:
     return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
-
-
-def _lincomb(y, coeffs, columns, h):
-    """y + h * (coeffs . column), for each of the three components."""
-    return (
-        y[0] + sum(map(_mul, coeffs, columns[0])) * h,
-        y[1] + sum(map(_mul, coeffs, columns[1])) * h,
-        y[2] + sum(map(_mul, coeffs, columns[2])) * h,
-    )
 
 
 def _bisect(f, a: float, b: float) -> float:
@@ -206,30 +199,65 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6) -> OdeResult:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
+        u0, u1, u2 = y
+        a0, b0, c0 = f
         while True:
             if h_abs < min_step:
                 return OdeResult(ts, ys, -1, t_events, y_events, nfev)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            k0, k1, k2 = columns = ([f[0]], [f[1]], [f[2]])  # stage derivatives
-            for c, a in zip(_C, _A):  # the last stage is the step's y_new, f_new
-                y_new = _lincomb(y, a, columns, h)
-                f_new = fun(t + c * h, y_new)
-                k0.append(f_new[0])
-                k1.append(f_new[1])
-                k2.append(f_new[2])
+            # the stages written out on each component: each sum runs left to
+            # right from 0.0 and keeps the tableau's zeros, so every float is
+            # the one ``sum`` over the tableau's rows gives (the test oracle)
+            a1, b1, c1 = fun(t + _C2 * h, (
+                u0 + (0.0 + _A21 * a0) * h,
+                u1 + (0.0 + _A21 * b0) * h,
+                u2 + (0.0 + _A21 * c0) * h,
+            ))
+            a2, b2, c2 = fun(t + _C3 * h, (
+                u0 + (0.0 + _A31 * a0 + _A32 * a1) * h,
+                u1 + (0.0 + _A31 * b0 + _A32 * b1) * h,
+                u2 + (0.0 + _A31 * c0 + _A32 * c1) * h,
+            ))
+            a3, b3, c3 = fun(t + _C4 * h, (
+                u0 + (0.0 + _A41 * a0 + _A42 * a1 + _A43 * a2) * h,
+                u1 + (0.0 + _A41 * b0 + _A42 * b1 + _A43 * b2) * h,
+                u2 + (0.0 + _A41 * c0 + _A42 * c1 + _A43 * c2) * h,
+            ))
+            a4, b4, c4 = fun(t + _C5 * h, (
+                u0 + (0.0 + _A51 * a0 + _A52 * a1 + _A53 * a2 + _A54 * a3) * h,
+                u1 + (0.0 + _A51 * b0 + _A52 * b1 + _A53 * b2 + _A54 * b3) * h,
+                u2 + (0.0 + _A51 * c0 + _A52 * c1 + _A53 * c2 + _A54 * c3) * h,
+            ))
+            a5, b5, c5 = fun(t + h, (
+                u0 + (0.0 + _A61 * a0 + _A62 * a1 + _A63 * a2 + _A64 * a3 + _A65 * a4) * h,
+                u1 + (0.0 + _A61 * b0 + _A62 * b1 + _A63 * b2 + _A64 * b3 + _A65 * b4) * h,
+                u2 + (0.0 + _A61 * c0 + _A62 * c1 + _A63 * c2 + _A64 * c3 + _A65 * c4) * h,
+            ))
+            y_new = (
+                u0 + (0.0 + _A71 * a0 + _A72 * a1 + _A73 * a2 + _A74 * a3 + _A75 * a4
+                      + _A76 * a5) * h,
+                u1 + (0.0 + _A71 * b0 + _A72 * b1 + _A73 * b2 + _A74 * b3 + _A75 * b4
+                      + _A76 * b5) * h,
+                u2 + (0.0 + _A71 * c0 + _A72 * c1 + _A73 * c2 + _A74 * c3 + _A75 * c4
+                      + _A76 * c5) * h,
+            )
+            a6, b6, c6 = f_new = fun(t + h, y_new)
             nfev += 6
-            error = _lincomb((0.0, 0.0, 0.0), _E, columns, h)
-            error_norm = _rms([
-                e / (atol + max(abs(a), abs(b)) * rtol) for e, a, b in zip(error, y, y_new)
-            ])
+            e0 = (0.0 + _E1 * a0 + _E2 * a1 + _E3 * a2 + _E4 * a3 + _E5 * a4 + _E6 * a5
+                  + _E7 * a6) * h / (atol + max(abs(u0), abs(y_new[0])) * rtol)
+            e1 = (0.0 + _E1 * b0 + _E2 * b1 + _E3 * b2 + _E4 * b3 + _E5 * b4 + _E6 * b5
+                  + _E7 * b6) * h / (atol + max(abs(u1), abs(y_new[1])) * rtol)
+            e2 = (0.0 + _E1 * c0 + _E2 * c1 + _E3 * c2 + _E4 * c3 + _E5 * c4 + _E6 * c5
+                  + _E7 * c6) * h / (atol + max(abs(u2), abs(y_new[2])) * rtol)
+            error_norm = math.sqrt(0.0 + e0 * e0 + e1 * e1 + e2 * e2) / 3 ** 0.5
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
             rejected = True
-        t_old, y_old = t, y
+        t_old = t
         t, y, f = t_new, y_new, f_new
         if t == t_bound:
             status = 0
@@ -239,12 +267,16 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6) -> OdeResult:
             if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)
         ]
         if active:
-            q = [[sum(map(_mul, k, p)) for p in _P] for k in columns]
+            columns = ((a0, a1, a2, a3, a4, a5, a6), (b0, b1, b2, b3, b4, b5, b6),
+                       (c0, c1, c2, c3, c4, c5, c6))
+            q0, q1, q2 = ([sum(map(_mul, k, row)) for row in _P] for k in columns)
 
-            def dense(s):
+            def dense(s):  # at the step's start t_old the state is (u0, u1, u2)
                 x = (s - t_old) / h
                 x2 = x * x
-                return _lincomb(y_old, (x, x2, x2 * x, x2 * x * x), q, h)
+                p = (x, x2, x2 * x, x2 * x * x)
+                return (u0 + sum(map(_mul, p, q0)) * h, u1 + sum(map(_mul, p, q1)) * h,
+                        u2 + sum(map(_mul, p, q2)) * h)
 
             roots = [(_bisect(lambda s: events[i](s, dense(s)), t_old, t), i) for i in active]
             for root, i in sorted(roots):  # up to the first terminal root

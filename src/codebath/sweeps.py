@@ -214,6 +214,8 @@ def grid_points(axes: dict[str, tuple]) -> list[dict]:
 
 
 def format_cell(v) -> str:
+    if type(v) is float:  # most cells: one test, before the isinstance chain
+        return f"{v:.17g}"
     if v is None:
         return ""
     if isinstance(v, bool):

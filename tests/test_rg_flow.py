@@ -1,5 +1,6 @@
 import math
 import sys
+from operator import mul
 
 import numpy as np
 import pytest
@@ -227,6 +228,16 @@ def test_flow_options_refuse_rel_tol_below_solver_floor():
 def test_flow_options_refuse_fractional_stride():
     with pytest.raises(ValueError, match="sample_stride must be an integer"):
         FlowOptions(sample_stride=2.5)
+    with pytest.raises(ValueError, match="sample_stride must be an integer"):
+        FlowOptions(sample_stride=True)
+
+
+@pytest.mark.parametrize("field", ["l_max", "abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_flow_options_refuse_non_finite(field, value):
+    # a NaN rel_tol once reached integrate_flow, which then never finished
+    with pytest.raises(ValueError, match="l_max, abs_tol and rel_tol must be finite"):
+        FlowOptions(**{field: value})
 
 
 _TERMINAL_STARTS = [
@@ -285,6 +296,148 @@ _ORACLE_STARTS = [
     *((start, FlowOptions(j_max=1e50))
       for start in ((0.5, 0.5, 0.5), (0.3, 0.2, 0.1), (0.05, 0.02, -0.4))),
 ]
+
+
+# The Dormand-Prince tableau as rows, and the stage loop over it that
+# ``rg_flow.solve_ivp`` writes out on scalars: the oracle for that unrolling.
+# Each combination is ``sum`` over a row, which adds left to right from 0 up
+# to CPython 3.11 (3.12 compensates float sums, which would move last bits).
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+
+
+def _rms(v):
+    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+
+
+def _lincomb(y, coeffs, columns, h):
+    return tuple(v + sum(map(mul, coeffs, column)) * h for v, column in zip(y, columns))
+
+
+def _tableau_rk45(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6):
+    """``rg_flow.solve_ivp`` with its stages as a loop over the tableau."""
+    t, t_bound = t_span
+    rtol = max(rtol, rg_flow._RTOL_MIN)
+    y, f = tuple(y0), fun(t, y0)
+    nfev = 1
+    ts, ys = [t], [y]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    if t == t_bound:
+        return rg_flow.OdeResult([t, t], [y, y], 0, t_events, y_events, nfev)
+    directions = [getattr(event, "direction", 0) for event in events]
+    terminals = [getattr(event, "terminal", False) for event in events]
+    g = [event(t, y) for event in events]
+
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    f1 = fun(t + h0, tuple(v + h0 * d for v, d in zip(y, f)))
+    nfev += 1
+    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound - t)
+
+    status = None
+    while status is None:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return rg_flow.OdeResult(ts, ys, -1, t_events, y_events, nfev)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            columns = ([f[0]], [f[1]], [f[2]])
+            for c, a in zip(_C, _A):  # the last stage is the step's y_new, f_new
+                y_new = _lincomb(y, a, columns, h)
+                f_new = fun(t + c * h, y_new)
+                for column, v in zip(columns, f_new):
+                    column.append(v)
+            nfev += 6
+            error = _lincomb((0.0, 0.0, 0.0), _E, columns, h)
+            error_norm = _rms([
+                e / (atol + max(abs(a), abs(b)) * rtol) for e, a, b in zip(error, y, y_new)
+            ])
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if t == t_bound:
+            status = 0
+        g_new = [event(t, y) for event in events]
+        active = [
+            i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
+            if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)
+        ]
+        if active:
+            q = [[sum(map(mul, k, p)) for p in rg_flow._P] for k in columns]
+
+            def dense(s):
+                x = (s - t_old) / h
+                x2 = x * x
+                return _lincomb(y_old, (x, x2, x2 * x, x2 * x * x), q, h)
+
+            roots = [
+                (rg_flow._bisect(lambda s: events[i](s, dense(s)), t_old, t), i) for i in active
+            ]
+            for root, i in sorted(roots):
+                t_events[i].append(root)
+                y_events[i].append(dense(root))
+                if terminals[i]:
+                    status, t, y = 1, root, dense(root)
+                    break
+        g = g_new
+        ts.append(t)
+        ys.append(y)
+    return rg_flow.OdeResult(ts, ys, status, t_events, y_events, nfev)
+
+
+@pytest.mark.parametrize("start,opts", _ORACLE_STARTS)
+def test_integrate_flow_equals_tableau_loop(monkeypatch, start, opts):
+    trace = integrate_flow(CouplingVector(*start), opts)
+    monkeypatch.setattr(rg_flow, "solve_ivp", _tableau_rk45)
+    oracle = integrate_flow(CouplingVector(*start), opts)
+    assert trace.samples == oracle.samples
+    assert trace.terminal == oracle.terminal
+    assert trace.invariant_drift == oracle.invariant_drift
+
+
+@pytest.mark.parametrize("direction", [0, 1, -1])
+@pytest.mark.parametrize("terminal", [False, True])
+def test_solve_ivp_equals_tableau_loop_with_events(direction, terminal):
+    # jz rises through 0.35 (l = 1.43), then jy through 0.45: an up and a down
+    # crossing, each recorded when the direction admits it
+    def up(l, y):
+        return y[2] - 0.35
+
+    def down(l, y):
+        return 0.45 - y[1]
+
+    up.direction = down.direction = direction
+    up.terminal = terminal
+    args = (flow_rhs, (0.0, 3.0), (0.1, 0.2, 0.3), (down, up))
+    ours = rg_flow.solve_ivp(*args, rtol=1e-8, atol=1e-10)
+    assert ours == _tableau_rk45(*args, rtol=1e-8, atol=1e-10)
+    assert ours.status == (1 if terminal and direction >= 0 else 0)
+    assert len(ours.t_events[0]) == (direction <= 0 and not (terminal and direction == 0))
+    assert len(ours.t_events[1]) == (direction >= 0)
 
 
 @pytest.mark.parametrize("start,opts", _ORACLE_STARTS)

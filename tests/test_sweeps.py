@@ -9,6 +9,7 @@ import pytest
 from codebath import sweeps
 from codebath.cli import main
 from codebath.errors import ConfigError
+from codebath.lifetimes import Phase
 from codebath.sweeps import (
     LIFETIME_FIELDS,
     SweepConfig,
@@ -215,13 +216,26 @@ def test_grid_points_lexicographic():
     ]
 
 
+class _Float(float):
+    pass
+
+
 def test_format_cell():
     assert format_cell(None) == ""
     assert format_cell(True) == "true"
+    assert format_cell(False) == "false"
     assert format_cell(7) == "7"
+    assert format_cell(-12) == "-12"
+    assert format_cell(Phase.ANTIFERROMAGNETIC) == "AFM"
+    assert format_cell("x") == "x"
     assert format_cell(0.1) == "0.10000000000000001"
     assert format_cell(math.inf) == "inf"
+    assert format_cell(-math.inf) == "-inf"
+    assert format_cell(math.nan) == "nan"
+    assert format_cell(-0.0) == "-0"
+    assert format_cell(1e-300) == "1e-300"
     assert len(format_cell(1.0 / 3.0).replace("0.", "")) == 17
+    assert format_cell(_Float(0.1)) == format_cell(0.1) == "0.10000000000000001"
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
