@@ -121,6 +121,7 @@ _P = tuple(zip(
     (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 ))
 _EPS = sys.float_info.epsilon
+_POSITIVE = (0.0).__lt__  # x -> 0.0 < x, which is False for NaN
 
 
 class OdeResult(NamedTuple):  # not a dataclass, which costs 1.5 ms at import
@@ -262,7 +263,9 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6) -> OdeResult:
         if t == t_bound:
             status = 0
         g_new = [event(t, y) for event in events]
-        active = [
+        # an event fires only where g touched or crossed zero, where g * g_new
+        # is not positive; on most steps every product is, and none is tested
+        active = [] if all(map(_POSITIVE, map(_mul, g, g_new))) else [
             i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
             if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)
         ]
@@ -307,15 +310,16 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     opts = opts or FlowOptions()
     check_start(j0)
     y = (float(j0.jx), float(j0.jy), float(j0.jz))
+    j_max, j_min = opts.j_max, opts.j_min
 
     def ceiling(l, y):
-        return max(abs(y[0]), abs(y[1]), abs(y[2])) - opts.j_max
+        return max(abs(y[0]), abs(y[1]), abs(y[2])) - j_max
 
     ceiling.terminal = True
     ceiling.direction = 1.0
 
     def transverse(l, y):
-        return max(abs(y[0]), abs(y[1])) - opts.j_min
+        return max(abs(y[0]), abs(y[1])) - j_min
 
     transverse.terminal = True
 

@@ -10,7 +10,10 @@ little work for a process pool to pay for itself.  The config key
 it) are accepted for compatibility and change nothing, so outputs are
 byte-identical for any value.  Floats are written with 17 significant
 digits and each file is written under a unique temporary name and
-atomically renamed, so an interrupted run leaves no partial output.
+atomically renamed, so an interrupted run leaves no partial output.  Cells
+go through ``csv.writer`` and ``format_cell``, except in the files of
+numbers and labels alone (``phase_diagram`` rows and ``flow`` traces),
+whose rows go through one %-template per file with the same bytes.
 """
 from __future__ import annotations
 
@@ -249,11 +252,18 @@ def _atomic(path: str, newline: str | None = None):
         raise
 
 
-def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
+def _write_rows(path: str, header: list[str], rows: list, *, template: str | None = None) -> None:
+    """A CSV of ``header`` and ``rows``, each cell through ``format_cell``, or
+    each row a tuple through ``template``, a %-format of one line, for cells
+    of numbers and labels that need no quoting (the same bytes in about half
+    the time)."""
     with _atomic(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([format_cell(v) for v in row] for row in rows)
+        if template is None:
+            writer.writerows([format_cell(v) for v in row] for row in rows)
+        else:
+            fh.writelines(map(template.__mod__, rows))
 
 
 # --- per-point evaluation ----------------------------------------------------
@@ -326,7 +336,7 @@ def _eval_flow(params: dict, point: dict):
     (l, jx, jy, jz, c1, c2) rows."""
     start = _flow_start(point)
     trace = integrate_flow(start, _flow_options(params))
-    rows = [[l, j.jx, j.jy, j.jz, *constants_of_motion(j)] for l, j in trace.samples]
+    rows = [(l, j.jx, j.jy, j.jz, *constants_of_motion(j)) for l, j in trace.samples]
     return [start.jx, start.jy, start.jz, *_terminal_fields(trace)], rows
 
 
@@ -376,8 +386,9 @@ class Task:
     """One task: the axes and params a config may name (``required`` ones as
     either), ``check(values)`` building the object whose rules the params and
     each axis value must pass, and ``evaluate(params, point)`` returning a
-    grid point's rows under ``header`` (``flow`` writes its own files;
-    ``preset`` has no grid and no evaluator).
+    grid point's rows under ``header``, written through ``template`` if one
+    is given (``flow`` writes its own files; ``preset`` has no grid and no
+    evaluator).
     """
 
     axes: Collection[str]
@@ -386,8 +397,10 @@ class Task:
     header: tuple[str, ...] = ()
     required: Collection[str] = ()
     check: Callable[[dict], object] | None = None
+    template: str | None = None
 
 
+_TRACE_ROW = ",".join(["%.17g"] * 6) + "\n"  # (l, jx, jy, jz, c1, c2)
 _FLOW_PARAMS = {f.name for f in fields(FlowOptions)}
 TASKS = {
     "flow": Task(
@@ -399,6 +412,7 @@ TASKS = {
         {"j_perp", "jz"}, _FLOW_PARAMS, _eval_portrait,
         ("trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"),
         required={"j_perp", "jz"}, check=_portrait_options,
+        template="%d,%.17g,%.17g,%.17g,%s,%s\n",
     ),
     "matching": Task(
         {"n"}, {"z"}, _eval_matching, ("n", "matching_sum", "per_pair_weight"),
@@ -431,7 +445,7 @@ def _write_flow(out: str, results: list) -> list[str]:
     for tid, (start, rows) in enumerate(results):
         fname = f"trace_{tid:04d}.csv"
         written.append(os.path.join(out, fname))
-        _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows)
+        _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows, template=_TRACE_ROW)
         index_rows.append([tid, *start, fname])
     written.append(os.path.join(out, "index.csv"))
     _write_rows(written[-1], TASKS["flow"].header, index_rows)
@@ -474,6 +488,6 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     lead = _lifetime_axes(cfg.axes) if cfg.task == "lifetime" else []
     header = lead + list(task.header)
     numbered = header[0] == "trajectory_id"  # a grid point's rows carry its index
-    rows = [[tid, *row] if numbered else row for tid, rs in enumerate(results) for row in rs]
-    _write_rows(out, header, rows)
+    rows = [(tid, *row) if numbered else row for tid, rs in enumerate(results) for row in rs]
+    _write_rows(out, header, rows, template=task.template)
     return [out]

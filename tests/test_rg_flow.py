@@ -300,8 +300,10 @@ _ORACLE_STARTS = [
 
 # The Dormand-Prince tableau as rows, and the stage loop over it that
 # ``rg_flow.solve_ivp`` writes out on scalars: the oracle for that unrolling.
-# Each combination is ``sum`` over a row, which adds left to right from 0 up
-# to CPython 3.11 (3.12 compensates float sums, which would move last bits).
+# Each stage combination and the error norm is a loop adding left to right
+# from 0.0, as the unrolled step does, and not ``sum``, which compensates
+# float sums from CPython 3.12 on.  The dense output keeps ``sum``, as
+# ``solve_ivp``'s does.
 _C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1)
 _A = (
     (1 / 5,),
@@ -315,11 +317,20 @@ _E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 
 
 def _rms(v):
-    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total) / len(v) ** 0.5
 
 
 def _lincomb(y, coeffs, columns, h):
-    return tuple(v + sum(map(mul, coeffs, column)) * h for v, column in zip(y, columns))
+    combined = []
+    for v, column in zip(y, columns):
+        total = 0.0
+        for c, k in zip(coeffs, column):
+            total += c * k
+        combined.append(v + total * h)
+    return tuple(combined)
 
 
 def _tableau_rk45(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6):
@@ -337,13 +348,14 @@ def _tableau_rk45(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6):
     terminals = [getattr(event, "terminal", False) for event in events]
     g = [event(t, y) for event in events]
 
+    # the initial step is not unrolled: it shares solve_ivp's own norm
     scale = [atol + abs(v) * rtol for v in y]
-    d0 = _rms([v / s for v, s in zip(y, scale)])
-    d1 = _rms([v / s for v, s in zip(f, scale)])
+    d0 = rg_flow._rms([v / s for v, s in zip(y, scale)])
+    d1 = rg_flow._rms([v / s for v, s in zip(f, scale)])
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
     f1 = fun(t + h0, tuple(v + h0 * d for v, d in zip(y, f)))
     nfev += 1
-    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    d2 = rg_flow._rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -392,7 +404,8 @@ def _tableau_rk45(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6):
             def dense(s):
                 x = (s - t_old) / h
                 x2 = x * x
-                return _lincomb(y_old, (x, x2, x2 * x, x2 * x * x), q, h)
+                p = (x, x2, x2 * x, x2 * x * x)
+                return tuple(v + sum(map(mul, p, row)) * h for v, row in zip(y_old, q))
 
             roots = [
                 (rg_flow._bisect(lambda s: events[i](s, dense(s)), t_old, t), i) for i in active
@@ -438,6 +451,32 @@ def test_solve_ivp_equals_tableau_loop_with_events(direction, terminal):
     assert ours.status == (1 if terminal and direction >= 0 else 0)
     assert len(ours.t_events[0]) == (direction <= 0 and not (terminal and direction == 0))
     assert len(ours.t_events[1]) == (direction >= 0)
+
+
+def test_solve_ivp_events_at_zero_and_nan():
+    """Steps where no event can fire are skipped by testing g * g_new > 0:
+    an event zero at the span's end or along it still fires, one whose
+    product underflows to 0 or is NaN still does not."""
+    def at_end(l, y):
+        return l - 2.0
+
+    def zero(l, y):
+        return 0.0
+
+    def tiny(l, y):
+        return 1e-200
+
+    def nan(l, y):
+        return math.nan
+
+    events = (at_end, zero, tiny, nan)
+    for chosen in [*((event,) for event in events), events]:  # alone, each may be skipped
+        args = (flow_rhs, (0.0, 2.0), (0.1, 0.2, 0.3), chosen)
+        ours = rg_flow.solve_ivp(*args, rtol=1e-8, atol=1e-10)
+        assert ours == _tableau_rk45(*args, rtol=1e-8, atol=1e-10)
+        assert ours.status == 0
+        fired = {at_end: 1, zero: len(ours.t) - 1, tiny: 0, nan: 0}
+        assert [len(roots) for roots in ours.t_events] == [fired[e] for e in chosen]
 
 
 @pytest.mark.parametrize("start,opts", _ORACLE_STARTS)

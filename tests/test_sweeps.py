@@ -1,12 +1,17 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from codebath import sweeps
+from codebath import cli, sweeps
 from codebath.cli import main
 from codebath.errors import ConfigError
 from codebath.lifetimes import Phase
@@ -252,6 +257,72 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         sweeps._write_rows(str(out), ["a", "b"], [[1, 2]] * 10)
     assert list(tmp_path.iterdir()) == []
+
+
+# --- templated rows: csv.writer with format_cell is their oracle -------------
+
+TRACE_HEADER = ["l", "jx", "jy", "jz", "c1", "c2"]
+PORTRAIT = sweeps.TASKS["phase_diagram"]
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e17,
+    -1e17, 1.7976931348623157e308, 0.1, -1 / 3, 4.0,
+]
+
+
+def assert_template_matches_oracle(path: Path, header, rows):
+    """Rows written through ``template`` at ``path`` hold the bytes that
+    ``csv.writer`` and ``format_cell`` give for the same rows."""
+    oracle = path.with_name(path.name + ".oracle")
+    sweeps._write_rows(str(oracle), header, rows)
+    assert path.read_bytes() == oracle.read_bytes()
+    oracle.unlink()
+
+
+@given(st.floats())
+def test_float_template_equals_format_cell(v):
+    assert "%.17g" % v == format_cell(v)
+
+
+def test_templated_rows_on_edge_values(tmp_path):
+    n = len(EDGE_FLOATS)
+    trace = [tuple(EDGE_FLOATS[(i + k) % n] for k in range(6)) for i in range(n)]
+    labels = itertools.product(
+        ("StrongCoupling", "Localized", "CutoffReached"), ("", "jz=-jperp", "jz=+jperp")
+    )
+    portrait = [
+        (tid, v, -v, EDGE_FLOATS[tid % n], kind, tag)
+        for tid, (v, (kind, tag)) in enumerate(itertools.product(EDGE_FLOATS, labels))
+    ]
+    for name, header, rows, template in (
+        ("trace.csv", TRACE_HEADER, trace, sweeps._TRACE_ROW),
+        ("portrait.csv", list(PORTRAIT.header), portrait, PORTRAIT.template),
+    ):
+        path = tmp_path / name
+        sweeps._write_rows(str(path), header, rows, template=template)
+        assert_template_matches_oracle(path, header, rows)
+    assert ",StrongCoupling,\n" in (tmp_path / "portrait.csv").read_text()  # empty tag
+
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123])
+def test_templated_rows_on_portrait_workload(tmp_path, monkeypatch, seed):
+    """Every templated file of the benchmark's flow_portrait configs."""
+    write_rows, templates = sweeps._write_rows, []
+
+    def checked(path, header, rows, template=None):
+        write_rows(path, header, rows, template=template)
+        if template is not None:
+            templates.append(template)
+            assert_template_matches_oracle(Path(path), header, rows)
+
+    monkeypatch.setattr(sweeps, "_write_rows", checked)
+    for call in workloads.build("flow_portrait", seed):
+        run(validate_config({**call.config, "output_path": str(tmp_path / call.out)}))
+    assert sorted(set(templates)) == sorted({sweeps._TRACE_ROW, PORTRAIT.template})
+    assert templates.count(sweeps._TRACE_ROW) == 16  # one trace per flow start
 
 
 def test_written_files_keep_the_default_mode(tmp_path):
@@ -525,6 +596,26 @@ def test_cli_refuses_workers_flag(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_main_repeated_in_one_process(tmp_path, capsys):
+    """One parser serves every call; a parse error or --help between calls
+    leaves the next call's exit code, output and file bytes as they were."""
+    out = tmp_path / "x.csv"
+    argv = ["lifetime", "--config", write_config(tmp_path, lifetime_config(out)), "--force"]
+    assert main(argv) == 0
+    first = out.read_bytes(), capsys.readouterr()
+    for bad, code in (
+        (argv + ["--workers", "2"], 2), (["--help"], 0), (["lifetime", "--help"], 0),
+        (["teleport"], 2), ([], 2),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == code
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert (out.read_bytes(), capsys.readouterr()) == first
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_cli_unsquarable_flow_start_exit_code(tmp_path, capsys):
