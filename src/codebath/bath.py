@@ -1,4 +1,4 @@
-"""Closed-form environment functions: spectral density and two-point correlators.
+"""Closed-form environment functions: the bath parameters and two-point correlators.
 
 Everything here is a pure function of a :class:`BathSpec`.  The default spec
 is in natural units (hbar = kB = 1, lengths and times of order one); the
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 # SI adapter constants (CODATA values; the rounded light speed reproduces
 # back-of-envelope hardware figures exactly).
@@ -64,11 +63,6 @@ class BathSpec:
             raise ValueError("D_dim must be a positive integer")
 
 
-def ohmic_constraint_holds(spec: BathSpec) -> bool:
-    """True iff D + 2*alpha == 2*z, compared exactly as rationals."""
-    return Fraction(spec.D_dim) + 2 * Fraction(spec.alpha) == 2 * Fraction(spec.z)
-
-
 def temporal_correlator(spec: BathSpec, t1: float, t2: float) -> float:
     """Same-site correlator lam**2 / (v * (t1 - t2))**2."""
     if t1 == t2:
@@ -99,24 +93,3 @@ def thermal_correlator(spec: BathSpec, t: float) -> float:
     # w / sinh(u) = 2 w e^{-u} / (1 - e^{-2u})
     amp = 2.0 * w * math.exp(-u) / (-math.expm1(-2.0 * u))
     return amp * amp
-
-
-def spectral_density(spec: BathSpec, omega: float) -> float:
-    """Spectral density w**s with unit prefactor; s = 1 is the linear case."""
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
-    return omega**spec.s
-
-
-def rkky_envelope(d: float, dim: int) -> float:
-    """Spatial envelope of the induced qubit-qubit exchange: 1/d**dim.
-
-    ``dim`` = 3 gives 1/d**3, ``dim`` = 2 gives 1/d**2; the latter coincides
-    with :func:`spatial_correlator` at z = 1, lam = a0 = 1.  The oscillatory
-    factor at twice the Fermi momentum is out of scope.
-    """
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    if d <= 0:
-        raise ValueError("d must be positive")
-    return d ** (-float(dim))

@@ -5,10 +5,6 @@ class ResourceLimitError(RuntimeError):
     """A computation was asked to exceed its size guard."""
 
 
-class PhaseMismatchError(ValueError):
-    """A formula valid in one coupling phase was applied to the other."""
-
-
 class ConfigError(ValueError):
     """A sweep configuration failed validation.
 

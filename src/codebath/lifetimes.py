@@ -19,7 +19,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI
-from .errors import PhaseMismatchError
 from .wick import RegimeLabel, _exp, _saturating, check_even_L, classify_regime, lambda_bar_sq
 
 SATURATION_J = 1e3
@@ -45,12 +44,6 @@ class CodePoint:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
         if self.jz_star is not None and not math.isfinite(self.jz_star):
             raise ValueError("jz_star must be finite")
-
-
-@dataclass(frozen=True)
-class FmMemory:
-    exact: float
-    approx: float
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,6 @@ def t_comp(point: CodePoint, j_L: float | None = None) -> float:
     """Computational window in the runaway channel, its form set by the bath's s:
     eps * tau * exp(1/j(L)) for an Ohmic bath (s = 1), the power law
     eps * tau * (1/j(L))**(1/(1-s)) for a sub-Ohmic one."""
-    if point.jz_star is not None:
-        raise PhaseMismatchError("localized-channel point; use t_mem_fm")
     j = j_of_L(point.spec, point.L) if j_L is None else j_L
     s = point.spec.s
     if s == 1.0 and j >= SATURATION_J:
@@ -110,22 +101,13 @@ def t_comp(point: CodePoint, j_L: float | None = None) -> float:
     )
 
 
-def t_mem_fm(point: CodePoint) -> FmMemory:
-    """Localized-channel memory time, exact and small-budget approximation.
-
-    exact  = tau (1-eps)**(-1/(2 jz*^2))
-    approx = tau exp(eps / (2 jz*^2))
-    The relative gap is eps**2/(4 jz*^2) to leading order, so it stays below
-    eps whenever eps <= 2 jz*^2 (second-order Taylor bound).
-    """
+def t_mem_fm(point: CodePoint) -> float:
+    """Localized-channel memory time tau (1-eps)**(-1/(2 jz*^2))."""
     if point.jz_star is None:
         raise ValueError("jz_star required for the localized channel")
     jz = point.jz_star
-    tau = point.spec.tau_qec
     expo = _saturating(lambda: 1.0 / (2.0 * jz * jz), lambda: ((2.0, -1), (abs(jz), -2)))
-    exact = tau * _exp(-expo * math.log1p(-point.epsilon))
-    approx = tau * _exp(expo * point.epsilon)
-    return FmMemory(exact=exact, approx=approx)
+    return point.spec.tau_qec * _exp(-expo * math.log1p(-point.epsilon))
 
 
 def thermal_rates(point: CodePoint, j_L: float | None = None) -> ThermalRates:
@@ -186,7 +168,7 @@ def build_report(point: CodePoint) -> LifetimeReport:
     localized = point.jz_star is not None
     t_K = t_comp_over_tau = t_mem = None
     if localized:
-        t_mem = t_mem_fm(point).exact / spec.tau_qec
+        t_mem = t_mem_fm(point) / spec.tau_qec
     else:
         window = t_comp(point, j_L=j_L)
         t_K = window / point.epsilon / spec.tau_qec

@@ -94,7 +94,7 @@ def _check_values(check, params: dict, axes: dict) -> None:
 def validate_config(obj) -> SweepConfig:
     """Check a decoded JSON object against the schema, and each value against
     the rules of the object it becomes (``Task.check``); raise ConfigError, or
-    ResourceLimitError for a matching size above the probe ceiling."""
+    ResourceLimitError for a matching or census size above its ceiling."""
     if not isinstance(obj, dict):
         raise ConfigError("$", "config must be a JSON object")
     known = {"task", "axes", "params", "output_path", "parallelism"}
@@ -160,6 +160,8 @@ def validate_config(obj) -> SweepConfig:
             if not isinstance(value, list) or not value:
                 raise ConfigError("params.L_grid", "must be a non-empty list")
             for i, v in enumerate(value):
+                if not _is_number(v):
+                    raise ConfigError(f"params.L_grid[{i}]", "must be a finite number")
                 _checked(f"params.L_grid[{i}]", wick.check_even_L, v)
         elif name in ("D_dim", "sample_stride"):
             if not isinstance(value, int) or isinstance(value, bool):

@@ -69,7 +69,7 @@ def classify_regime(z, s=1.0) -> RegimeLabel:
 
 @dataclass(frozen=True)
 class MatchingProblem:
-    """An even number of distinct integer sites plus the decay exponent z."""
+    """An even number of distinct integer sites plus the decay exponent z >= 0."""
 
     positions: tuple[int, ...]
     z: float
@@ -83,6 +83,8 @@ class MatchingProblem:
             raise ValueError("positions must be integers")
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError("positions must be strictly increasing")
+        if not self.z >= 0:  # also refuses NaN; a negative z overflows the weights
+            raise ValueError("z must be >= 0")
 
 
 def matching_sum(problem: MatchingProblem) -> float:

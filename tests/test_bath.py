@@ -1,6 +1,4 @@
 import math
-import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +6,7 @@ from hypothesis import strategies as st
 
 from codebath.bath import (
     BathSpec,
-    ohmic_constraint_holds,
-    rkky_envelope,
     spatial_correlator,
-    spectral_density,
     temporal_correlator,
     thermal_correlator,
 )
@@ -36,27 +31,6 @@ def test_spec_validation():
         BathSpec(lam=math.nan)
     with pytest.raises(ValueError, match="a must be a finite number"):
         BathSpec(a=math.inf)
-
-
-def test_ohmic_constraint_examples():
-    assert ohmic_constraint_holds(BathSpec(D_dim=1, alpha=0.0, z=0.5))
-    assert ohmic_constraint_holds(BathSpec(D_dim=2, alpha=0.0, z=1.0))
-    assert not ohmic_constraint_holds(BathSpec(D_dim=3, alpha=0.0, z=1.0))
-
-
-def test_ohmic_constraint_random_rationals():
-    # dyadic rationals are exact in binary, so the float-valued spec must
-    # agree with Fraction arithmetic on the drawn triple
-    rng = random.Random(20240817)
-    for _ in range(100):
-        d = rng.randint(1, 3)
-        z = Fraction(rng.randint(1, 64), 2 ** rng.randint(0, 5))
-        alpha = z - Fraction(d, 2)
-        expected = Fraction(d) + 2 * alpha == 2 * z  # always True by construction
-        spec = BathSpec(z=float(z), alpha=float(alpha), D_dim=d)
-        assert ohmic_constraint_holds(spec) == expected
-        broken = BathSpec(z=float(z), alpha=float(alpha + Fraction(1, 8)), D_dim=d)
-        assert not ohmic_constraint_holds(broken)
 
 
 def test_temporal_examples():
@@ -164,26 +138,3 @@ def test_thermal_invalid_time():
     with pytest.raises(ValueError):
         thermal_correlator(NAT, -1.0)
 
-
-def test_spectral_density():
-    assert spectral_density(BathSpec(s=1.0), 3.0) == pytest.approx(3.0)
-    assert spectral_density(BathSpec(s=0.5), 4.0) == pytest.approx(2.0)
-    assert spectral_density(BathSpec(s=0.7), 0.0) == 0.0
-    with pytest.raises(ValueError):
-        spectral_density(NAT, -1.0)
-
-
-def test_rkky_envelope():
-    assert rkky_envelope(2.0, 3) == pytest.approx(0.125)
-    assert rkky_envelope(3.0, 2) == pytest.approx(1.0 / 9.0)
-    with pytest.raises(ValueError):
-        rkky_envelope(1.0, 4)
-    with pytest.raises(ValueError):
-        rkky_envelope(0.0, 2)
-
-
-def test_rkky_2d_equals_marginal_spatial_correlator():
-    d = 5.0
-    spec = BathSpec(z=1.0, lam=1.0, a0=1.0)
-    assert rkky_envelope(d, 2) == pytest.approx(0.04)
-    assert rkky_envelope(d, 2) == pytest.approx(spatial_correlator(spec, 0.0, d))

@@ -5,7 +5,8 @@ Configs are drawn for all six tasks, mostly valid so that evaluation runs,
 with out-of-domain values mixed in and lifetime magnitudes out to the ends of
 float range.  Sizes are bounded only for time: flow ``l_max`` <= 50,
 matching n <= 20 (or 26, which the probe ceiling refuses at once), census
-L <= 30, at most two values per axis.
+L <= 30 (or 20000, which the census ceiling refuses at once), at most two
+values per axis.
 """
 import contextlib
 import io
@@ -16,7 +17,7 @@ import re
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from codebath.cli import main
@@ -84,17 +85,19 @@ phase_diagram = config("phase_diagram", {"j_perp": axis(st.floats(-4, 4)),
 matching = config(
     "matching",
     {"n": axis(st.one_of(st.integers(-2, 20), st.just(26)))},
-    {"z": st.one_of(st.floats(-1.0, 3.0), st.sampled_from(EXTREMES))},
+    {"z": st.one_of(st.floats(-1.0, 3.0), st.sampled_from(EXTREMES),
+                    st.sampled_from([-v for v in EXTREMES]))},
 )
 census = config(
     "census",
-    {"L": axis(st.integers(-1, 30)), "weight": axis(st.integers(-1, 32))},
+    {"L": axis(st.one_of(st.integers(-1, 30), st.just(20000))),
+     "weight": axis(st.one_of(st.integers(-1, 32), st.just(10000)))},
     {"rule": st.sampled_from(["report", "benign", "adversarial", "hope"])},
 )
 preset = config(
     "preset", st.just({}),
     {"name": st.sampled_from(["neutral_atom", "superconducting", "mainframe"]),
-     "L_grid": st.lists(st.sampled_from([2, 4, 5, 100, 0]), min_size=1, max_size=3)},
+     "L_grid": st.lists(st.sampled_from([2, 4, 5, 100, 0, 10**400]), min_size=1, max_size=3)},
 )
 
 
@@ -103,6 +106,10 @@ preset = config(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 @given(st.one_of(lifetime, flow, phase_diagram, matching, census, preset))
+# values that once ended in a traceback or a late, pathless refusal
+@example({"task": "matching", "axes": {"n": [2, 4, 6]}, "params": {"z": -1e300}})
+@example({"task": "preset", "axes": {}, "params": {"name": "superconducting", "L_grid": [10**400]}})
+@example({"task": "census", "axes": {"L": [20000], "weight": [10000]}, "params": {}})
 def test_any_config_exits_with_a_documented_code_and_no_nan(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")

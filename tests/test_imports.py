@@ -76,14 +76,21 @@ for name in sys.argv[1:]:
 """
 
 
-def test_submodule_imports_load_only_their_dependencies():
-    names = ["codebath", "codebath.wick", "codebath.lifetimes"]
+def loaded_after(*names):
+    """{name: codebath submodules loaded once ``name`` is imported}, in one
+    fresh interpreter that imports ``names`` in order."""
     proc = subprocess.run(
         [sys.executable, "-c", SUBMODULES_SCRIPT, *names],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = dict(json.loads(line) for line in proc.stdout.splitlines())
+    return dict(json.loads(line) for line in proc.stdout.splitlines())
+
+
+def test_submodule_imports_load_only_their_dependencies():
+    loaded = loaded_after("codebath", "codebath.wick", "codebath.lifetimes")
     assert loaded["codebath"] == []
     assert loaded["codebath.wick"] == ["codebath.bath", "codebath.errors", "codebath.wick"]
     assert not {"codebath.rg_flow", "codebath.sweeps"} & set(loaded["codebath.lifetimes"])
+    census = loaded_after("codebath.surface_code")["codebath.surface_code"]
+    assert census == ["codebath.errors", "codebath.surface_code"]

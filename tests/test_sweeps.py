@@ -640,6 +640,33 @@ def test_cli_resource_limit_exit_code(tmp_path):
     assert not (tmp_path / "big.csv").exists()
 
 
+@pytest.mark.parametrize("n, z", [([2, 4, 6], -1e300), ([24], -200.0)])
+def test_cli_matching_refuses_negative_z(tmp_path, capsys, n, z):
+    # the weights |x_i - x_j|**(-2z) overflow for z < 0
+    out = tmp_path / "m.csv"
+    cfg = {"task": "matching", "axes": {"n": n}, "params": {"z": z}, "output_path": str(out)}
+    assert main(["matching", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "params.z: z must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_census_above_ceiling(tmp_path, capsys):
+    out = tmp_path / "big.csv"
+    cfg = {"task": "census", "axes": {"L": [20000], "weight": [10000]}, "output_path": str(out)}
+    assert main(["census", "--config", write_config(tmp_path, cfg)]) == 3
+    assert "L = 20000 above census ceiling 10000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_preset_refuses_huge_L_grid_entry(tmp_path, capsys):
+    out = tmp_path / "p.txt"
+    cfg = {"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 10**400]},
+           "output_path": str(out)}
+    assert main(["preset", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "params.L_grid[1]: must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_flow_resting_on_j_min(tmp_path):
     out = tmp_path / "rest"
     cfg = {"task": "flow", "axes": {"jx": [0.0625]}, "params": {"j_min": 0.0625},

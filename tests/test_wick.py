@@ -138,6 +138,9 @@ def test_matching_problem_validation():
         MatchingProblem((3, 1), 1.0)  # not increasing
     with pytest.raises(ValueError):
         MatchingProblem((), 1.0)
+    for z in (-1e-300, -1.0, math.nan):
+        with pytest.raises(ValueError, match="z must be >= 0"):
+            MatchingProblem((0, 1), z)
     with pytest.raises(ResourceLimitError):
         matching_sum(MatchingProblem(tuple(range(26)), 1.0))
 
