@@ -17,9 +17,11 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI
 from .wick import RegimeLabel, _exp, _saturating, check_even_L, classify_regime, lambda_bar_sq
+from .wick import _lambda_bar_sq
 
 SATURATION_J = 1e3
 
@@ -46,14 +48,12 @@ class CodePoint:
             raise ValueError("jz_star must be finite")
 
 
-@dataclass(frozen=True)
-class ThermalRates:
+class ThermalRates(NamedTuple):
     t2_thermal: float | None
     gamma_korringa: float | None
 
 
-@dataclass(frozen=True)
-class LifetimeReport:
+class LifetimeReport(NamedTuple):  # all fields but the last are the lifetime CSV columns
     regime: RegimeLabel
     phase: Phase
     L: int
@@ -63,13 +63,17 @@ class LifetimeReport:
     t_mem_over_tau: float | None
     gamma_korringa: float | None
     t2_thermal: float | None
-    threshold_exists: bool
     lambda_critical: float
+    threshold_exists: bool
 
 
 def j_of_L(spec: BathSpec, L: int) -> float:
     """Macroscopic dimensionless coupling (lam/hbar v) sqrt(2L/pi) (lbar^2)^(L/4)."""
-    lb = lambda_bar_sq(spec, L)
+    return _j_of_L(spec, L, lambda_bar_sq(spec, L))
+
+
+def _j_of_L(spec: BathSpec, L: int, lb: float) -> float:
+    """``j_of_L`` from ``lb``, its ``lambda_bar_sq(spec, L)``."""
     return _saturating(
         lambda: spec.lam / (spec.hbar * spec.v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
         lambda: ((spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5),
@@ -144,27 +148,31 @@ def critical_coupling(spec: BathSpec, L: int) -> float:
     L-independent.
     """
     check_even_L(L)
+    return _critical_coupling(spec, L, classify_regime(spec.z, 1.0))
+
+
+def _critical_coupling(spec: BathSpec, L: int, branch: RegimeLabel) -> float:
+    """``critical_coupling`` on the ``branch`` given, for an L already checked."""
     base = _saturating(
         lambda: spec.hbar * spec.a0 ** (1.0 - spec.z) * spec.a**spec.z / (4.0 * spec.tau_qec),
         lambda: ((spec.hbar, 1), (spec.a0, 1.0 - spec.z), (spec.a, spec.z),
                  (4.0 * spec.tau_qec, -1)),
     )
-    regime = classify_regime(spec.z, 1.0)
-    if regime is RegimeLabel.SHORT_RANGE:
+    if branch is RegimeLabel.SHORT_RANGE:
         return base
-    if regime is RegimeLabel.CRITICAL:
+    if branch is RegimeLabel.CRITICAL:
         return base / math.sqrt(math.log(L))
     return base / L ** ((1.0 - 2.0 * spec.z) / 2.0)
 
 
 def build_report(point: CodePoint) -> LifetimeReport:
-    """Evaluate every applicable formula for one point and bundle the results."""
-    spec = point.spec
+    """Evaluate every applicable formula for one point and bundle the results,
+    deciding its regime once (j_L and lambda_critical take the s = 1 branch)."""
+    spec, L = point.spec, point.L
     regime = classify_regime(spec.z, spec.s)
-    j_L = j_of_L(spec, point.L)
-    lam_c = critical_coupling(spec, point.L)
+    branch = regime if spec.s == 1.0 else classify_regime(spec.z, 1.0)
+    j_L = _j_of_L(spec, L, _lambda_bar_sq(spec, L, branch))
     rates = thermal_rates(point, j_L=j_L)
-
     localized = point.jz_star is not None
     t_K = t_comp_over_tau = t_mem = None
     if localized:
@@ -173,24 +181,11 @@ def build_report(point: CodePoint) -> LifetimeReport:
         window = t_comp(point, j_L=j_L)
         t_K = window / point.epsilon / spec.tau_qec
         t_comp_over_tau = window / spec.tau_qec
-    report = LifetimeReport(
-        regime=regime,
-        phase=Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC,
-        L=point.L,
-        j_L=j_L,
-        t_K_over_tau=t_K,
-        t_comp_over_tau=t_comp_over_tau,
-        t_mem_over_tau=t_mem,
-        gamma_korringa=rates.gamma_korringa,
-        t2_thermal=rates.t2_thermal,
-        threshold_exists=regime is RegimeLabel.SHORT_RANGE,
-        lambda_critical=lam_c,
+    return LifetimeReport(
+        regime, Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC, L, j_L, t_K,
+        t_comp_over_tau, t_mem, rates.gamma_korringa, rates.t2_thermal,
+        _critical_coupling(spec, L, branch), regime is RegimeLabel.SHORT_RANGE,
     )
-    for name in ("t_K_over_tau", "t_comp_over_tau", "t_mem_over_tau"):
-        value = getattr(report, name)
-        if value is not None and value <= 0:
-            raise ValueError(f"{name} must be positive")
-    return report
 
 
 # --- hardware presets ------------------------------------------------------

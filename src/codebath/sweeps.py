@@ -5,7 +5,9 @@ and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
 pure function of the config.  Evaluation is a serial map over grid points:
 each point is a closed form of microseconds or one RK45 trajectory, too
-little work for a process pool to pay for itself.  The config key
+little work for a process pool to pay for itself.  A lifetime point takes
+its bath from an LRU keyed on the point's bath values and emptied as a run
+starts, so a run builds and checks each distinct bath once.  The config key
 ``parallelism`` and ``run``'s ``workers`` keyword (the CLI has no flag for
 it) are accepted for compatibility and change nothing, so outputs are
 byte-identical for any value.  Floats are written with 17 significant
@@ -48,10 +50,7 @@ from .rg_flow import (
 PORTRAIT_RANGE = 3.5
 _INT_AXES = {"L", "weight", "n"}
 
-LIFETIME_FIELDS = (
-    "regime", "phase", "L", "j_L", "t_K_over_tau", "t_comp_over_tau",
-    "t_mem_over_tau", "gamma_korringa", "t2_thermal", "lambda_critical",
-)
+LIFETIME_FIELDS = lifetimes.LifetimeReport._fields[:-1]  # all but threshold_exists
 
 
 @dataclass(frozen=True)
@@ -289,18 +288,24 @@ _flow_options = functools.partial(_from_fields, FlowOptions)
 _portrait_options = functools.partial(_from_fields, FlowOptions, j_max=4.0)
 
 
+_BATH_NAMES = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(BathSpec)}
+
+
+@functools.lru_cache(maxsize=1024)  # emptied by each run
+def _bath(key: tuple) -> BathSpec:
+    """The bath of ``key``: config values in ``_BATH_NAMES`` order, None if absent."""
+    given = zip(_BATH_NAMES.values(), key)
+    return _from_fields(BathSpec, {name: v for name, v in given if v is not None})
+
+
 def _code_point(values: dict) -> lifetimes.CodePoint:
     """A lifetime point from config names (``lambda`` for ``lam``; L = 2 if absent)."""
-    values = {**values}
-    if "lambda" in values:
-        values["lam"] = values.pop("lambda")
+    key = (*map(values.get, _BATH_NAMES),)  # tuple(map()) resizes; its dead keys hoard memory
+    if 0 in key:  # -0.0 == 0.0, but a lambda of -0.0 writes j_L as -0
+        key += tuple([repr(v) for v in key if v == 0])
     jz_star = values.get("jz_star")
-    return lifetimes.CodePoint(
-        L=values.get("L", 2),
-        epsilon=float(values.get("epsilon", 0.01)),
-        spec=_from_fields(BathSpec, values),
-        jz_star=None if jz_star is None else float(jz_star),
-    )
+    return lifetimes.CodePoint(values.get("L", 2), float(values.get("epsilon", 0.01)), _bath(key),
+                               None if jz_star is None else float(jz_star))
 
 
 def _matching_problem(values: dict) -> wick.MatchingProblem:
@@ -379,8 +384,7 @@ def _lifetime_axes(names) -> list[str]:
 
 def _eval_lifetime(params: dict, point: dict):
     rep = lifetimes.build_report(_code_point({**params, **point}))
-    return [[point[name] for name in _lifetime_axes(point)]
-            + [getattr(rep, f) for f in LIFETIME_FIELDS]]
+    return [[*map(point.get, _lifetime_axes(point)), *rep[:-1]]]
 
 
 @dataclass(frozen=True)
@@ -465,21 +469,18 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     ``workers`` is accepted for compatibility and changes nothing.
     """
     out, task = cfg.output_path, TASKS[cfg.task]
+    _bath.cache_clear()  # a run builds its baths afresh, as a new process would
     if task.evaluate is None:
         _refuse_overwrite(out, force)
-        report = lifetimes.preset_report(
+        rep = lifetimes.preset_report(
             cfg.params["name"],
             L_grid=tuple(cfg.params["L_grid"]) if "L_grid" in cfg.params else None,
         )
-        lines = [f"preset = {report.name}"]
-        for key, value in report.check_values.items():
-            lines.append(f"{key} = {value!r}")
-        if report.report is not None:
-            for field in LIFETIME_FIELDS + ("threshold_exists",):
-                lines.append(f"report.{field} = {format_cell(getattr(report.report, field))}")
-        if report.lambda_critical_curve is not None:
-            for z, L, lam_c in report.lambda_critical_curve:
-                lines.append(f"lambda_c[z={z:g},L={L}] = {lam_c!r}")
+        lines = [f"preset = {rep.name}", *(f"{k} = {v!r}" for k, v in rep.check_values.items())]
+        if rep.report is not None:
+            lines += (f"report.{k} = {format_cell(v)}" for k, v in rep.report._asdict().items())
+        if rep.lambda_critical_curve is not None:
+            lines += (f"lambda_c[z={z:g},L={L}] = {c!r}" for z, L, c in rep.lambda_critical_curve)
         with _atomic(out) as fh:
             fh.write("\n".join(lines) + "\n")
         return [out]

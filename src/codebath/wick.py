@@ -204,16 +204,20 @@ def lambda_bar_sq(spec: BathSpec, L: int) -> float:
     underflowing denominator, to 0 for an overflowing denominator.
     """
     check_even_L(L)
+    return _lambda_bar_sq(spec, L, classify_regime(spec.z, 1.0))
+
+
+def _lambda_bar_sq(spec: BathSpec, L: int, branch: RegimeLabel) -> float:
+    """``lambda_bar_sq`` on the ``branch`` given, for an L already checked."""
     base = _saturating(
         lambda: 16.0 * (spec.lam * spec.tau_qec) ** 2
         / (spec.hbar**2 * spec.a0 ** (2.0 * (1.0 - spec.z)) * spec.a ** (2.0 * spec.z)),
         lambda: ((16.0, 1), (spec.lam, 2), (spec.tau_qec, 2), (spec.hbar, -2),
                  (spec.a0, -2.0 * (1.0 - spec.z)), (spec.a, -2.0 * spec.z)),
     )
-    regime = classify_regime(spec.z, 1.0)
-    if regime is RegimeLabel.SHORT_RANGE:
+    if branch is RegimeLabel.SHORT_RANGE:
         return base
-    if regime is RegimeLabel.CRITICAL:
+    if branch is RegimeLabel.CRITICAL:
         return base * math.log(L)
     return base * L ** (1.0 - 2.0 * spec.z)
 

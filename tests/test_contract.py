@@ -1,5 +1,5 @@
 """The CLI contract: any config ends in exit 0, 2, 3 or 4, never in a
-traceback, and no output holds ``nan``.
+traceback, and no output holds ``nan``; an exit 2 names the offending field.
 
 Configs are drawn for all six tasks, mostly valid so that evaluation runs,
 with out-of-domain values mixed in and lifetime magnitudes out to the ends of
@@ -24,6 +24,8 @@ from codebath.cli import main
 
 EXTREMES = [1e-300, 1e-200, 1e-10, 1e10, 1e200, 1e300, 1.7e308]
 INVALID = [0.0, -1.0, math.nan, math.inf, 10**400]
+# ``$`` (the whole config), a key, or a key's entry: task, params.z, axes.L[1]
+FIELD_PATH = re.compile(r"config error: (\$|\w+(\.\w+(\[\d+\])?)?): \S")
 
 
 def positive():
@@ -110,17 +112,21 @@ preset = config(
 @example({"task": "matching", "axes": {"n": [2, 4, 6]}, "params": {"z": -1e300}})
 @example({"task": "preset", "axes": {}, "params": {"name": "superconducting", "L_grid": [10**400]}})
 @example({"task": "census", "axes": {"L": [20000], "weight": [10000]}, "params": {}})
+@example({"task": "lifetime", "axes": {"L": [200, 2000]}, "params": {"s": 0.5, "lambda": 0.5}})
 def test_any_config_exits_with_a_documented_code_and_no_nan(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump({**cfg, "output_path": out}, fh)
+        stderr = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(stderr):
             warnings.simplefilter("ignore")
             code = main(["sweep", "--config", path])
         assert code in (0, 2, 3, 4)
+        if code == 2:
+            assert FIELD_PATH.match(stderr.getvalue()), stderr.getvalue()
         files = [os.path.join(out, f) for f in os.listdir(out)] if os.path.isdir(out) else [out]
         for file in files:
             if os.path.exists(file):

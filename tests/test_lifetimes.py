@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from codebath.bath import BathSpec, C_LIGHT_SI, HBAR_SI
 from codebath.lifetimes import (
     CodePoint,
+    LifetimeReport,
     Phase,
     build_report,
     critical_coupling,
@@ -357,6 +359,57 @@ def test_build_report_subohmic():
     assert rep.threshold_exists  # z = 1 > 1/(s+1) = 2/3
     sub_long = CodePoint(L=8, epsilon=0.01, spec=BathSpec(z=0.5, s=0.5, lam=0.01))
     assert not build_report(sub_long).threshold_exists
+
+
+# z on, or within 1e-11 of, the s = 1 boundary 1/2 or the point's own 1/(s+1)
+_BOUNDARY_OFFSETS = [0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 1e-11]
+
+
+@st.composite
+def _report_points(draw):
+    s = draw(st.one_of(st.just(1.0), st.floats(0.05, 0.999)))
+    boundary = draw(st.sampled_from([0.5, 1.0 / (s + 1.0)]))
+    z = draw(st.one_of(
+        st.sampled_from(_BOUNDARY_OFFSETS).map(lambda dz: boundary + dz), st.floats(0.05, 2.0)
+    ))
+    spec = BathSpec(
+        z=z, s=s, lam=draw(st.one_of(st.floats(0.0, 2.0), st.sampled_from([-0.0, 1e-200, 1e200]))),
+        temperature=draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0))),
+        tau_qec=draw(st.floats(0.1, 10.0)),
+    )
+    return CodePoint(
+        L=2 * draw(st.integers(1, 5000)), epsilon=draw(st.floats(1e-4, 0.5)), spec=spec,
+        jz_star=draw(st.one_of(st.none(), st.floats(-1.0, -0.01), st.floats(0.01, 1.0))),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_report_points())
+def test_build_report_is_the_public_formulas(point):
+    """build_report decides the regime once and calls private cores; every
+    field must be the very float the public functions give, signed zeros,
+    infinities and the s = 1 branch rule for s < 1 included."""
+    spec, L, tau = point.spec, point.L, point.spec.tau_qec
+    localized = point.jz_star is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # j(L) >= 1e3
+        rep = build_report(point)
+        window = None if localized else t_comp(point)
+    rates = thermal_rates(point)
+    expected = LifetimeReport(
+        classify_regime(spec.z, spec.s),
+        Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC,
+        L,
+        j_of_L(spec, L),
+        None if localized else window / point.epsilon / tau,
+        None if localized else window / tau,
+        t_mem_fm(point) / tau if localized else None,
+        rates.gamma_korringa,
+        rates.t2_thermal,
+        critical_coupling(spec, L),
+        threshold_exists(spec.z, spec.s),
+    )
+    assert list(map(repr, rep)) == list(map(repr, expected))
 
 
 def test_preset_neutral_atom_exact_numbers():

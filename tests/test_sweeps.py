@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codebath import cli, sweeps
+from codebath.bath import BathSpec
 from codebath.cli import main
 from codebath.errors import ConfigError
 from codebath.lifetimes import Phase
@@ -376,6 +378,57 @@ def test_lifetime_task_fm_row(tmp_path):
     assert float(get("t2_thermal")) > 0.0
 
 
+# --- the per-run bath cache -------------------------------------------------
+
+
+def uncached_bytes(monkeypatch, cfg, out):
+    """The bytes ``cfg`` writes with every bath built afresh, as without the cache."""
+    with monkeypatch.context() as m:
+        m.setattr(sweeps, "_bath", functools.lru_cache(maxsize=0)(sweeps._bath.__wrapped__))
+        run(validate_config(cfg), force=True)
+    return out.read_bytes()
+
+
+def test_bath_cache_keeps_signed_zeros_apart(tmp_path, monkeypatch):
+    # -0.0 == 0.0, yet a lambda of -0.0 writes j_L as -0
+    out = tmp_path / "zeros.csv"
+    axes = {"L": [4], "lambda": [0.0, -0.0], "temperature": [0.0, -0.0, 0.5]}
+    cfg = lifetime_config(out, axes=axes, params={"epsilon": 0.01})
+    run(validate_config(cfg))
+    cached = out.read_bytes()
+    assert sweeps._bath.cache_info().currsize == 6
+    header, *rows = read_rows(out)
+    assert [row[header.index("j_L")] for row in rows] == ["0"] * 3 + ["-0"] * 3
+    assert cached == uncached_bytes(monkeypatch, cfg, out)
+
+
+def test_bath_cache_holds_only_the_runs_baths(tmp_path, monkeypatch):
+    checked = []
+    post_init = BathSpec.__post_init__
+    monkeypatch.setattr(BathSpec, "__post_init__", lambda spec: checked.append(post_init(spec)))
+    run(validate_config(lifetime_config(tmp_path / "a.csv", axes={"L": [4], "z": [0.3, 0.5, 2]})))
+    axes = {"L": [2, 4, 8], "lambda": [0.1, 0.2]}
+    cfg = validate_config(lifetime_config(tmp_path / "b.csv", axes=axes, params={"epsilon": 0.1}))
+    checked.clear()
+    run(cfg)
+    info = sweeps._bath.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 4)
+    assert len(checked) == 2  # each distinct bath passed BathSpec's checks once
+
+
+def test_bath_cache_past_its_bound_writes_the_same_bytes(tmp_path, monkeypatch):
+    bound = sweeps._bath.cache_info().maxsize
+    lambdas = [i / 1000 for i in range(bound + 100)]
+    out = tmp_path / "many.csv"
+    cfg = lifetime_config(out, axes={"L": [2, 4], "lambda": lambdas}, params={"epsilon": 0.1})
+    run(validate_config(cfg))
+    cached = out.read_bytes()
+    info = sweeps._bath.cache_info()
+    # L varies slowest, so each bath comes back after the bound has evicted it
+    assert (info.currsize, info.misses, info.hits) == (bound, 2 * len(lambdas), 0)
+    assert cached == uncached_bytes(monkeypatch, cfg, out)
+
+
 def test_census_task_matches_direct_call(tmp_path):
     out = tmp_path / "census.csv"
     cfg = validate_config(
@@ -685,9 +738,19 @@ def test_cli_overflowing_coupling_saturates(tmp_path, s, jz_star):
     out = tmp_path / "overflow.csv"
     axes = {"L": [4, 64], "z": [1.0, 0.5, 0.25], "temperature": [0.0, 0.5]}
     cfg_path = write_config(tmp_path, lifetime_config(out, axes=axes, params=params))
-    code = main(["lifetime", "--config", cfg_path])
-    assert code in (0, 2)
-    assert code == 2 or "nan" not in out.read_text()
+    assert main(["lifetime", "--config", cfg_path]) == 0
+    assert "nan" not in out.read_text()
+
+
+def test_cli_lifetime_window_below_float_range_writes_zero(tmp_path):
+    # t_comp = eps tau (1/j)**2 underflows at L = 2000: a saturated 0, not a refusal
+    out = tmp_path / "underflow.csv"
+    cfg = lifetime_config(out, axes={"L": [200, 2000]}, params={"s": 0.5, "lambda": 0.5})
+    assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 0
+    header, small, large = read_rows(out)
+    windows = [header.index("t_K_over_tau"), header.index("t_comp_over_tau")]
+    assert all(float(small[i]) > 0 for i in windows)
+    assert [large[i] for i in windows] == ["0", "0"]
 
 
 @pytest.mark.parametrize(
