@@ -26,9 +26,10 @@ class BathSpec:
     ``z`` is the dynamical exponent of the dispersion w ~ |k|**z, ``s`` the
     spectral exponent of J(w) ~ w**s, ``lam`` the microscopic coupling
     (energy times length), ``v`` the mode velocity, ``a`` the qubit pitch,
-    ``a0`` the bath short-distance cutoff, ``alpha`` the momentum exponent of
-    the coupling and ``D_dim`` the bath spatial dimension.  ``tau_qec`` is
-    the correction-cycle time that serves as the ultraviolet time cutoff.
+    ``a0`` the bath short-distance cutoff and ``tau_qec`` the correction-cycle
+    time that serves as the ultraviolet time cutoff.  The bath's exponents
+    enter the formulas only as z and s, so its dimension and the coupling's
+    momentum exponent are not fields.
     """
 
     z: float = 1.0
@@ -37,8 +38,6 @@ class BathSpec:
     v: float = 1.0
     a: float = 1.0
     a0: float = 1.0
-    D_dim: int = 2
-    alpha: float = 0.0
     temperature: float = 0.0
     tau_qec: float = 1.0
     hbar: float = 1.0
@@ -46,7 +45,7 @@ class BathSpec:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if name != "D_dim" and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number")
         if self.z <= 0:
             raise ValueError("z must be positive")
@@ -59,8 +58,6 @@ class BathSpec:
                 raise ValueError(f"{name} must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        if not isinstance(self.D_dim, int) or self.D_dim < 1:
-            raise ValueError("D_dim must be a positive integer")
 
 
 def temporal_correlator(spec: BathSpec, t1: float, t2: float) -> float:

@@ -8,11 +8,11 @@ each point is a closed form of microseconds or one RK45 trajectory, too
 little work for a process pool to pay for itself.  A lifetime point takes
 its bath from an LRU keyed on the point's bath values and emptied as a run
 starts, so a run builds and checks each distinct bath once.  The config key
-``parallelism`` and ``run``'s ``workers`` keyword (the CLI has no flag for
-it) are accepted for compatibility and change nothing, so outputs are
-byte-identical for any value.  Floats are written with 17 significant
-digits and each file is written under a unique temporary name and
-atomically renamed, so an interrupted run leaves no partial output.  Cells
+``parallelism`` is validated and not stored, and ``run``'s ``workers``
+keyword (the CLI has no flag for it) is accepted and unused, so outputs are
+byte-identical for any value of either.  Floats are written with 17
+significant digits and each file is written under a unique temporary name
+and atomically renamed, so an interrupted run leaves no partial output.  Cells
 go through ``csv.writer`` and ``format_cell``, except in the files of
 numbers and labels alone (``phase_diagram`` rows and ``flow`` traces),
 whose rows go through one %-template per file with the same bytes.
@@ -59,7 +59,6 @@ class SweepConfig:
     axes: dict[str, tuple]
     params: dict
     output_path: str
-    parallelism: int = 1
 
 
 def _is_number(v) -> bool:
@@ -162,9 +161,6 @@ def validate_config(obj) -> SweepConfig:
                 if not _is_number(v):
                     raise ConfigError(f"params.L_grid[{i}]", "must be a finite number")
                 _checked(f"params.L_grid[{i}]", wick.check_even_L, v)
-        elif name in ("D_dim", "sample_stride"):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"params.{name}", "must be an integer")
         elif not _is_number(value):
             raise ConfigError(f"params.{name}", "must be a finite number")
         params[name] = value
@@ -184,7 +180,7 @@ def validate_config(obj) -> SweepConfig:
             _checked(f"axes.L[{i}]", surface_code.check_census, L, 0)
             for j, weight in enumerate(axes["weight"]):
                 _checked(f"axes.weight[{j}]", surface_code.check_census, L, weight)
-    return SweepConfig(task, axes, params, output_path, parallelism)
+    return SweepConfig(task, axes, params, output_path)
 
 
 def read_config(path: str) -> dict:
@@ -199,10 +195,6 @@ def read_config(path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("$", "config must be a JSON object")
     return obj
-
-
-def load_config(path: str) -> SweepConfig:
-    return validate_config(read_config(path))
 
 
 def grid_points(axes: dict[str, tuple]) -> list[dict]:
@@ -271,15 +263,16 @@ def _write_rows(path: str, header: list[str], rows: list, *, template: str | Non
 
 
 @functools.cache  # fields() per grid point shows up in lifetime sweep times
-def _field_types(cls) -> dict[str, type]:
-    return {f.name: type(f.default) for f in fields(cls)}
+def _float_fields(cls) -> dict[str, bool]:
+    return {f.name: type(f.default) is float for f in fields(cls)}
 
 
 def _from_fields(cls, values: dict, **defaults):
     """Build the dataclass ``cls`` from the entries of ``values`` that name its
-    fields, each coerced to the type of the field's default, over ``defaults``."""
-    types = _field_types(cls)
-    given = {name: types[name](v) for name, v in values.items() if name in types}
+    fields, over ``defaults``: a float field's value through ``float``, any
+    other as given, for ``cls`` to check (an integer field refuses 2.5)."""
+    floats = _float_fields(cls)
+    given = {name: float(v) if floats[name] else v for name, v in values.items() if name in floats}
     return cls(**{**defaults, **given})
 
 
@@ -430,8 +423,7 @@ TASKS = {
     ),
     "lifetime": Task(
         {"L", "z", "lambda", "temperature", "epsilon", "s", "jz_star"},
-        {"lambda" if f.name == "lam" else f.name for f in fields(BathSpec)}
-        | {"L", "epsilon", "jz_star"},
+        {*_BATH_NAMES, "L", "epsilon", "jz_star"},
         _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point,
     ),
     "preset": Task(set(), {"name", "L_grid"}, required={"name"}),

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .bath import BathSpec
 from .errors import ResourceLimitError
@@ -45,26 +44,16 @@ class RegimeLabel(Enum):
 
 
 def classify_regime(z, s=1.0) -> RegimeLabel:
-    """Compare z against 1/(s+1): above is short range, equal is critical.
-
-    Fraction (or int) inputs are compared exactly; floats within
-    ``_CRITICAL_TOL`` of the boundary count as critical.
-    """
+    """Compare z against 1/(s+1) as floats: above is short range, within
+    ``_CRITICAL_TOL`` of it is critical, below is long range."""
     if z <= 0:
         raise ValueError("z must be positive")
     if not 0 < s <= 1:
         raise ValueError("s must lie in (0, 1]")
-    if isinstance(z, (Fraction, int)) and isinstance(s, (Fraction, int)):
-        boundary = Fraction(1, 1) / (Fraction(s) + 1)
-        if z > boundary:
-            return RegimeLabel.SHORT_RANGE
-        if z == boundary:
-            return RegimeLabel.CRITICAL
-        return RegimeLabel.LONG_RANGE
-    boundary = 1.0 / (float(s) + 1.0)
-    if abs(float(z) - boundary) <= _CRITICAL_TOL:
+    gap = z - 1.0 / (s + 1.0)  # a float for float, int or Fraction z and s
+    if abs(gap) <= _CRITICAL_TOL:
         return RegimeLabel.CRITICAL
-    return RegimeLabel.SHORT_RANGE if float(z) > boundary else RegimeLabel.LONG_RANGE
+    return RegimeLabel.SHORT_RANGE if gap > 0 else RegimeLabel.LONG_RANGE
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ def test_spec_validation():
         BathSpec(v=-1.0)
     with pytest.raises(ValueError):
         BathSpec(temperature=-0.1)
-    with pytest.raises(ValueError):
-        BathSpec(D_dim=0)
     with pytest.raises(ValueError, match="lam must be a finite number"):
         BathSpec(lam=math.nan)
     with pytest.raises(ValueError, match="a must be a finite number"):

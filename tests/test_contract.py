@@ -66,9 +66,7 @@ lifetime = st.builds(
     lambda L, rest, params: {"task": "lifetime", "axes": {"L": L, **rest}, "params": params},
     axis(_L),
     st.fixed_dictionaries({}, optional={k: axis(v) for k, v in _lifetime_values.items()}),
-    st.fixed_dictionaries(
-        {}, optional={**_spec_params, "alpha": st.floats(-5, 5), "D_dim": st.integers(0, 3)}
-    ),
+    st.fixed_dictionaries({}, optional=_spec_params),
 ).map(lambda c: {**c, "params": {k: v for k, v in c["params"].items() if k not in c["axes"]}})
 
 _couplings = st.one_of(st.floats(-3.5, 3.5), st.sampled_from([1e150, -1e160, 1e300]))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -318,6 +319,18 @@ def test_build_report_afm():
     assert rep.t_comp_over_tau <= rep.t_K_over_tau * point.epsilon * (1 + 1e-12)
     assert rep.gamma_korringa == 0.0 and rep.t2_thermal == math.inf  # T = 0 sentinel
     assert rep.threshold_exists
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(BathSpec)])
+def test_every_bath_field_reaches_the_report(name):
+    # a runaway point at finite T in the short-range sub-Ohmic regime; a pitch
+    # apart from the cutoff (a != a0) lets z enter the contraction weight
+    base = BathSpec(z=0.7, s=0.5, temperature=0.5, a=2.0)
+    value = getattr(base, name)
+    moved = dataclasses.replace(base, **{name: 1.5 * value if value else 0.5})
+    before = build_report(CodePoint(L=8, epsilon=0.01, spec=base))
+    after = build_report(CodePoint(L=8, epsilon=0.01, spec=moved))
+    assert before != after, f"BathSpec.{name} changes no field of the report"
 
 
 def _flow_index(tmp_path, j_perp, jz):

@@ -22,7 +22,7 @@ from codebath.sweeps import (
     SweepConfig,
     format_cell,
     grid_points,
-    load_config,
+    read_config,
     run,
     validate_config,
 )
@@ -119,7 +119,8 @@ MALFORMED = [
      "params.epsilon"),
     ({"task": "matching", "axes": {"n": [0]}, "output_path": "x.csv"}, "axes.n[0]"),
     ({"task": "lifetime", "axes": {"L": [4], "s": [1.5]}, "output_path": "x.csv"}, "axes.s[0]"),
-    ({"task": "lifetime", "axes": {"L": [4]}, "params": {"D_dim": 0}, "output_path": "x.csv"},
+    # the bath's dimension and momentum exponent enter no formula, so no config names them
+    ({"task": "lifetime", "axes": {"L": [4]}, "params": {"D_dim": 2}, "output_path": "x.csv"},
      "params.D_dim"),
     ({"task": "census", "axes": {"L": [4], "weight": [9]}, "output_path": "x.csv"},
      "axes.weight[0]"),
@@ -145,6 +146,10 @@ MALFORMED = [
         {"task": "flow", "axes": {"jz": [0.1]}, "params": {"rel_tol": 1e-20}, "output_path": "x"},
         "params.rel_tol",
     ),
+    ({"task": "lifetime", "axes": {"L": [4]}, "params": {"alpha": 0.5}, "output_path": "x.csv"},
+     "params.alpha"),
+    ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"sample_stride": 2.5}, "output_path": "x"},
+     "params.sample_stride"),
 ]
 
 
@@ -180,7 +185,6 @@ def test_distinct_paths_across_canonical_malformed_set():
 def test_validate_accepts_good_config(tmp_path):
     cfg = validate_config(lifetime_config(tmp_path / "o.csv"))
     assert isinstance(cfg, SweepConfig)
-    assert cfg.parallelism == 1
 
 
 def test_unknown_top_level_key():
@@ -351,13 +355,13 @@ def test_lifetime_task_two_rows(tmp_path):
 
 def test_load_config(tmp_path):
     cfg_path = write_config(tmp_path, lifetime_config(tmp_path / "o.csv"))
-    assert isinstance(load_config(cfg_path), SweepConfig)
+    assert isinstance(validate_config(read_config(cfg_path)), SweepConfig)
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     with pytest.raises(ConfigError):
-        load_config(str(bad))
+        read_config(str(bad))
     with pytest.raises(ConfigError):
-        load_config(str(tmp_path / "absent.json"))
+        read_config(str(tmp_path / "absent.json"))
 
 
 def test_lifetime_task_fm_row(tmp_path):

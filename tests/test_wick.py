@@ -292,10 +292,12 @@ def test_classify_regime_examples():
     assert classify_regime(0.3, 1.0) is RegimeLabel.LONG_RANGE
 
 
-def test_classify_regime_exact_fractions():
+def test_classify_regime_compares_rationals_as_floats():
     assert classify_regime(Fraction(1, 3), Fraction(1, 1)) is RegimeLabel.LONG_RANGE
     assert classify_regime(Fraction(2, 3), Fraction(1, 2)) is RegimeLabel.CRITICAL
     assert classify_regime(Fraction(3, 4), Fraction(1, 2)) is RegimeLabel.SHORT_RANGE
+    # within _CRITICAL_TOL of 1/(s+1) is critical, for a Fraction as for a float
+    assert classify_regime(Fraction(1, 2) + Fraction(1, 10**15), 1) is RegimeLabel.CRITICAL
 
 
 def test_classify_regime_float_tolerance():
