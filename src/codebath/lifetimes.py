@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI
-from .wick import RegimeLabel, _exp, _saturating, check_even_L, classify_regime, lambda_bar_sq
-from .wick import _lambda_bar_sq
+from .wick import RegimeLabel, _exp, _saturated, check_even_L, classify_regime, lambda_bar_sq
+from .wick import _RANGE_ERRORS, _lambda_bar_sq
 
 SATURATION_J = 1e3
 
@@ -74,11 +74,12 @@ def j_of_L(spec: BathSpec, L: int) -> float:
 
 def _j_of_L(spec: BathSpec, L: int, lb: float) -> float:
     """``j_of_L`` from ``lb``, its ``lambda_bar_sq(spec, L)``."""
-    return _saturating(
-        lambda: spec.lam / (spec.hbar * spec.v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
-        lambda: ((spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5),
-                 (lb, L / 4.0)),
-    )
+    try:
+        j = spec.lam / (spec.hbar * spec.v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0)
+    except _RANGE_ERRORS:
+        j = math.nan
+    return j if j == j else _saturated(((spec.lam, 1), (spec.hbar, -1), (spec.v, -1),
+                                        (2.0 * L / math.pi, 0.5), (lb, L / 4.0)))
 
 
 def t_comp(point: CodePoint, j_L: float | None = None) -> float:
@@ -95,14 +96,12 @@ def t_comp(point: CodePoint, j_L: float | None = None) -> float:
     if j <= 0:
         return math.inf
     eps, tau = point.epsilon, point.spec.tau_qec
-    if s == 1.0:
-        return _saturating(
-            lambda: eps * tau * _exp(1.0 / j), lambda: ((eps, 1), (tau, 1), (math.e, 1.0 / j))
-        )
-    p = 1.0 / (1.0 - s)
-    return _saturating(
-        lambda: eps * tau * (1.0 / j) ** p, lambda: ((eps, 1), (tau, 1), (1.0 / j, p))
-    )
+    x, p = (math.e, 1.0 / j) if s == 1.0 else (1.0 / j, 1.0 / (1.0 - s))  # eps * tau * x**p
+    try:
+        window = eps * tau * (_exp(p) if s == 1.0 else x**p)
+    except _RANGE_ERRORS:
+        window = math.nan
+    return window if window == window else _saturated(((eps, 1), (tau, 1), (x, p)))
 
 
 def t_mem_fm(point: CodePoint) -> float:
@@ -110,7 +109,7 @@ def t_mem_fm(point: CodePoint) -> float:
     if point.jz_star is None:
         raise ValueError("jz_star required for the localized channel")
     jz = point.jz_star
-    expo = _saturating(lambda: 1.0 / (2.0 * jz * jz), lambda: ((2.0, -1), (abs(jz), -2)))
+    expo = 1.0 / d if (d := 2.0 * jz * jz) else math.inf  # inf where 2 jz*^2 underflows
     return point.spec.tau_qec * _exp(-expo * math.log1p(-point.epsilon))
 
 
@@ -125,13 +124,17 @@ def thermal_rates(point: CodePoint, j_L: float | None = None) -> ThermalRates:
         return ThermalRates(t2_thermal=math.inf, gamma_korringa=0.0)
     j = j_of_L(spec, point.L) if j_L is None else j_L
     kB, T, hbar, jz = spec.kB, spec.temperature, spec.hbar, point.jz_star
-    gamma = _saturating(
-        lambda: j * j * (kB * T / hbar), lambda: ((abs(j), 2), (kB, 1), (T, 1), (hbar, -1))
-    )
-    t2 = None if jz is None else _saturating(
-        lambda: hbar / (2.0 * math.pi * kB * T * jz**2),
-        lambda: ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz), -2)),
-    )
+    gamma = j * j * (kB * T / hbar)  # cannot raise, as hbar > 0
+    if gamma != gamma:
+        gamma = _saturated(((abs(j), 2), (kB, 1), (T, 1), (hbar, -1)))
+    t2 = None
+    if jz is not None:
+        try:
+            t2 = hbar / (2.0 * math.pi * kB * T * jz**2)
+        except _RANGE_ERRORS:
+            t2 = math.nan
+        if t2 != t2:
+            t2 = _saturated(((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz), -2)))
     return ThermalRates(t2_thermal=t2, gamma_korringa=gamma)
 
 
@@ -153,11 +156,13 @@ def critical_coupling(spec: BathSpec, L: int) -> float:
 
 def _critical_coupling(spec: BathSpec, L: int, branch: RegimeLabel) -> float:
     """``critical_coupling`` on the ``branch`` given, for an L already checked."""
-    base = _saturating(
-        lambda: spec.hbar * spec.a0 ** (1.0 - spec.z) * spec.a**spec.z / (4.0 * spec.tau_qec),
-        lambda: ((spec.hbar, 1), (spec.a0, 1.0 - spec.z), (spec.a, spec.z),
-                 (4.0 * spec.tau_qec, -1)),
-    )
+    try:
+        base = spec.hbar * spec.a0 ** (1.0 - spec.z) * spec.a**spec.z / (4.0 * spec.tau_qec)
+    except _RANGE_ERRORS:
+        base = math.nan
+    if base != base:
+        base = _saturated(((spec.hbar, 1), (spec.a0, 1.0 - spec.z), (spec.a, spec.z),
+                           (4.0 * spec.tau_qec, -1)))
     if branch is RegimeLabel.SHORT_RANGE:
         return base
     if branch is RegimeLabel.CRITICAL:

@@ -10,17 +10,17 @@ its bath from an LRU keyed on the point's bath values and emptied as a run
 starts, so a run builds and checks each distinct bath once.  The config key
 ``parallelism`` is validated and not stored, and ``run``'s ``workers``
 keyword (the CLI has no flag for it) is accepted and unused, so outputs are
-byte-identical for any value of either.  Floats are written with 17
-significant digits and each file is written under a unique temporary name
-and atomically renamed, so an interrupted run leaves no partial output.  Cells
-go through ``csv.writer`` and ``format_cell``, except in the files of
-numbers and labels alone (``phase_diagram`` rows and ``flow`` traces),
-whose rows go through one %-template per file with the same bytes.
+byte-identical for any value of either.  Each file is written under a unique
+temporary name and atomically renamed, so an interrupted run leaves no
+partial output.  Rows go through one %-template per file (floats as
+``%.17g``, enums by value, an absent Optional float empty); no cell needs
+quoting, as none can hold a comma, quote or newline.  A lifetime file's
+leading axis cells are config values, each formatted once per run by
+``format_cell``, so an integer prints as itself.
 """
 from __future__ import annotations
 
 import contextlib
-import csv
 import fnmatch
 import functools
 import itertools
@@ -37,7 +37,6 @@ from .bath import BathSpec
 from .errors import ConfigError
 from .rg_flow import (
     CouplingVector,
-    CutoffReached,
     FlowOptions,
     FlowTrace,
     Localized,
@@ -210,8 +209,6 @@ def grid_points(axes: dict[str, tuple]) -> list[dict]:
 
 
 def format_cell(v) -> str:
-    if type(v) is float:  # most cells: one test, before the isinstance chain
-        return f"{v:.17g}"
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -245,18 +242,12 @@ def _atomic(path: str, newline: str | None = None):
         raise
 
 
-def _write_rows(path: str, header: list[str], rows: list, *, template: str | None = None) -> None:
-    """A CSV of ``header`` and ``rows``, each cell through ``format_cell``, or
-    each row a tuple through ``template``, a %-format of one line, for cells
-    of numbers and labels that need no quoting (the same bytes in about half
-    the time)."""
+def _write_rows(path: str, header: list[str], rows: list, *, template: str) -> None:
+    """A CSV of ``header`` and ``rows``, each row a tuple through ``template``,
+    a %-format of one line (no cell needs quoting: see the module docstring)."""
     with _atomic(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if template is None:
-            writer.writerows([format_cell(v) for v in row] for row in rows)
-        else:
-            fh.writelines(map(template.__mod__, rows))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(template.__mod__, rows))
 
 
 # --- per-point evaluation ----------------------------------------------------
@@ -308,13 +299,14 @@ def _matching_problem(values: dict) -> wick.MatchingProblem:
     return wick.MatchingProblem(tuple(range(n)), float(values.get("z", 1.0)))
 
 
-def _terminal_fields(trace: FlowTrace) -> tuple[str, float | None, float | None]:
+def _terminal_fields(trace: FlowTrace) -> tuple[str, str, str]:
+    """The terminal's label and its l_star and jz_star cells (empty if it has none)."""
     terminal = trace.terminal
     if isinstance(terminal, StrongCoupling):
-        return "StrongCoupling", terminal.l_star, None
+        return "StrongCoupling", "%.17g" % terminal.l_star, ""
     if isinstance(terminal, Localized):
-        return "Localized", None, terminal.j_star.jz
-    return "CutoffReached", None, None
+        return "Localized", "", "%.17g" % terminal.j_star.jz
+    return "CutoffReached", "", ""
 
 
 def _flow_start(values: dict) -> CouplingVector:
@@ -337,7 +329,7 @@ def _eval_flow(params: dict, point: dict):
     start = _flow_start(point)
     trace = integrate_flow(start, _flow_options(params))
     rows = [(l, j.jx, j.jy, j.jz, *constants_of_motion(j)) for l, j in trace.samples]
-    return [start.jx, start.jy, start.jz, *_terminal_fields(trace)], rows
+    return (start.jx, start.jy, start.jz, *_terminal_fields(trace)), rows
 
 
 def _separatrix_tag(j_perp: float, jz: float) -> str:
@@ -361,23 +353,20 @@ def _eval_matching(params: dict, point: dict):
     problem = _matching_problem({**params, **point})
     n = len(problem.positions)
     total = wick.matching_sum(problem)
-    return [[n, total, total ** (2.0 / n)]]
+    return [(n, total, total ** (2.0 / n))]
 
 
 def _eval_census(params: dict, point: dict):
     rule = surface_code.TieBreak(params.get("rule", "report"))
     rec = surface_code.failure_census(point["L"], point["weight"], rule)
-    return [[rec.L, rec.weight, rec.rule, rec.n_success, rec.n_logical, rec.n_tie]]
-
-
-def _lifetime_axes(names) -> list[str]:
-    """Swept lifetime axes written ahead of the record: all but L, which it holds."""
-    return [name for name in sorted(names) if name != "L"]
+    return [(rec.L, rec.weight, rec.rule.value, rec.n_success, rec.n_logical, rec.n_tie)]
 
 
 def _eval_lifetime(params: dict, point: dict):
+    """A point's record cells (an absent Optional float empty), written after its axis cells."""
     rep = lifetimes.build_report(_code_point({**params, **point}))
-    return [[*map(point.get, _lifetime_axes(point)), *rep[:-1]]]
+    return [(rep.regime.value, rep.phase.value, rep.L, rep.j_L,
+             *["" if v is None else "%.17g" % v for v in rep[4:9]], rep.lambda_critical)]
 
 
 @dataclass(frozen=True)
@@ -385,9 +374,9 @@ class Task:
     """One task: the axes and params a config may name (``required`` ones as
     either), ``check(values)`` building the object whose rules the params and
     each axis value must pass, and ``evaluate(params, point)`` returning a
-    grid point's rows under ``header``, written through ``template`` if one
-    is given (``flow`` writes its own files; ``preset`` has no grid and no
-    evaluator).
+    grid point's rows under ``header``, each a tuple for ``template`` (``flow``'s
+    header and template are its index's, as it writes its own traces; ``preset``
+    has no grid and no evaluator).
     """
 
     axes: Collection[str]
@@ -405,7 +394,7 @@ TASKS = {
     "flow": Task(
         {"jx", "jy", "jz", "j_perp"}, _FLOW_PARAMS, _eval_flow,
         ("trajectory_id", "jx0", "jy0", "jz0", "terminal", "l_star", "jz_star", "file"),
-        check=_check_flow,
+        check=_check_flow, template="%d,%.17g,%.17g,%.17g,%s,%s,%s,%s\n",
     ),
     "phase_diagram": Task(
         {"j_perp", "jz"}, _FLOW_PARAMS, _eval_portrait,
@@ -415,16 +404,18 @@ TASKS = {
     ),
     "matching": Task(
         {"n"}, {"z"}, _eval_matching, ("n", "matching_sum", "per_pair_weight"),
-        check=_matching_problem,
+        check=_matching_problem, template="%d,%.17g,%.17g\n",
     ),
     "census": Task(
         {"L", "weight"}, {"rule"}, _eval_census,
         ("L", "weight", "rule", "n_success", "n_logical", "n_tie"), required={"L", "weight"},
+        template="%d,%d,%s,%d,%d,%d\n",
     ),
     "lifetime": Task(
         {"L", "z", "lambda", "temperature", "epsilon", "s", "jz_star"},
         {*_BATH_NAMES, "L", "epsilon", "jz_star"},
         _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point,
+        template="%s%s,%s,%d,%.17g,%s,%s,%s,%s,%s,%.17g\n",  # after the axis cells
     ),
     "preset": Task(set(), {"name", "L_grid"}, required={"name"}),
 }
@@ -444,9 +435,9 @@ def _write_flow(out: str, results: list) -> list[str]:
         fname = f"trace_{tid:04d}.csv"
         written.append(os.path.join(out, fname))
         _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows, template=_TRACE_ROW)
-        index_rows.append([tid, *start, fname])
+        index_rows.append((tid, *start, fname))
     written.append(os.path.join(out, "index.csv"))
-    _write_rows(written[-1], TASKS["flow"].header, index_rows)
+    _write_rows(written[-1], TASKS["flow"].header, index_rows, template=TASKS["flow"].template)
     # a forced rerun with fewer starts leaves no trace the index omits
     listed = {row[-1] for row in index_rows}
     for name in os.listdir(out):
@@ -480,9 +471,15 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     _refuse_overwrite(out, force)
     if cfg.task == "flow":
         return _write_flow(out, results)
-    lead = _lifetime_axes(cfg.axes) if cfg.task == "lifetime" else []
-    header = lead + list(task.header)
-    numbered = header[0] == "trajectory_id"  # a grid point's rows carry its index
-    rows = [(tid, *row) if numbered else row for tid, rs in enumerate(results) for row in rs]
+    header, leads = list(task.header), None
+    if cfg.task == "lifetime":  # swept axes but L, which the record holds, lead each row
+        header[:0] = [n for n in sorted(cfg.axes) if n != "L"]
+        cells = [[""] * len(vs) if n == "L" else [format_cell(v) + "," for v in vs]
+                 for n, vs in sorted(cfg.axes.items())]  # each value formatted once
+        leads = map("".join, itertools.product(*cells))  # L's slot repeats, not printed
+    elif header[0] == "trajectory_id":  # a grid point's rows carry its index
+        leads = itertools.count()
+    rows = [row for rs in results for row in rs] if leads is None else [
+        (lead, *row) for lead, rs in zip(leads, results) for row in rs]
     _write_rows(out, header, rows, template=task.template)
     return [out]

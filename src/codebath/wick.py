@@ -15,23 +15,18 @@ from .errors import ResourceLimitError
 MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the pairing-sum ceiling
 _CRITICAL_TOL = 1e-12      # floats this close to the regime boundary count as critical
 _EXP_ARG_MAX = 709.0
+_RANGE_ERRORS = (OverflowError, ZeroDivisionError)  # a float expression leaving float range
 
 
 def _exp(x: float) -> float:
     return math.inf if x > _EXP_ARG_MAX else math.exp(x)
 
 
-def _saturating(value, powers) -> float:
-    """``value()``, a float expression for prod(x ** p for x, p in ``powers()``),
-    all x >= 0; where it leaves float range (raises, or gives nan from inf * 0)
-    the product is summed in logs and saturates to 0 or inf (0 if x = 0, p > 0)."""
-    try:
-        result = value()
-    except (OverflowError, ZeroDivisionError):
-        result = math.nan
-    if result == result:  # not nan
-        return result
-    log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers())
+def _saturated(powers) -> float:
+    """prod(x ** p for x, p in ``powers``), all x >= 0, summed in logs: the value
+    of a closed form whose float expression left float range (raised, or gave
+    nan from inf * 0), saturated to 0 or inf (0 if x = 0, p > 0)."""
+    log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers)
     return 0.0 if math.isnan(log) else _exp(log)
 
 
@@ -147,7 +142,7 @@ def matching_scaling_probe(n_values, z) -> ProbeResult:
 
     The label comes from comparing z against 1/2 (the s = 1 criterion); the
     raw weights let callers verify the trend class directly.  Sizes above
-    ``MATCHING_HARD_LIMIT`` are refused before any sum is computed.
+    ``MATCHING_HARD_LIMIT`` and a z <= 0 are refused before any sum is computed.
     """
     ns = tuple(int(n) for n in n_values)
     if len(ns) < 3:
@@ -155,6 +150,7 @@ def matching_scaling_probe(n_values, z) -> ProbeResult:
     if any(n < 2 or n % 2 for n in ns):
         raise ValueError("sample sizes must be even and >= 2")
     check_probe_ceiling(max(ns))
+    regime = classify_regime(float(z), 1.0)
     ns = tuple(sorted(ns))
     sums = tuple(matching_sum(MatchingProblem(tuple(range(n)), z)) for n in ns)
     weights = tuple(s ** (2.0 / n) for s, n in zip(sums, ns))
@@ -168,7 +164,7 @@ def matching_scaling_probe(n_values, z) -> ProbeResult:
     )
     return ProbeResult(
         z=float(z),
-        regime=classify_regime(float(z), 1.0),
+        regime=regime,
         n_values=ns,
         sums=sums,
         weights=weights,
@@ -198,12 +194,14 @@ def lambda_bar_sq(spec: BathSpec, L: int) -> float:
 
 def _lambda_bar_sq(spec: BathSpec, L: int, branch: RegimeLabel) -> float:
     """``lambda_bar_sq`` on the ``branch`` given, for an L already checked."""
-    base = _saturating(
-        lambda: 16.0 * (spec.lam * spec.tau_qec) ** 2
-        / (spec.hbar**2 * spec.a0 ** (2.0 * (1.0 - spec.z)) * spec.a ** (2.0 * spec.z)),
-        lambda: ((16.0, 1), (spec.lam, 2), (spec.tau_qec, 2), (spec.hbar, -2),
-                 (spec.a0, -2.0 * (1.0 - spec.z)), (spec.a, -2.0 * spec.z)),
-    )
+    try:
+        base = 16.0 * (spec.lam * spec.tau_qec) ** 2 / (
+            spec.hbar**2 * spec.a0 ** (2.0 * (1.0 - spec.z)) * spec.a ** (2.0 * spec.z))
+    except _RANGE_ERRORS:
+        base = math.nan
+    if base != base:
+        base = _saturated(((16.0, 1), (spec.lam, 2), (spec.tau_qec, 2), (spec.hbar, -2),
+                           (spec.a0, -2.0 * (1.0 - spec.z)), (spec.a, -2.0 * spec.z)))
     if branch is RegimeLabel.SHORT_RANGE:
         return base
     if branch is RegimeLabel.CRITICAL:

@@ -1,6 +1,8 @@
 """Start-up cost: the CLI and every task, the flow integrations included, run
 without numpy or scipy (about 0.8 s to import), which only the tests use as
-oracles, and importing one submodule loads only the submodules it uses.  Each
+oracles, and without the ``csv`` module, which only the tests use as the byte
+oracle of the row templates; importing one submodule loads only the
+submodules it uses.  Each
 case runs in a fresh interpreter, since the rest of the suite has long loaded
 both."""
 import json
@@ -14,17 +16,17 @@ from codebath.lifetimes import PRESET_NAMES
 
 SRC = str(Path(codebath.__file__).resolve().parent.parent)
 
-# Prints, after each step, the numpy/scipy modules loaded so far.
+# Prints, after each step, the numpy, scipy and csv modules loaded so far.
 SCRIPT = """
 import json, sys
-def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-print(json.dumps(["import", 0, heavy()]))
+def oracle_only():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "csv", "_csv"))
+print(json.dumps(["import", 0, oracle_only()]))
 from codebath.cli import main
-print(json.dumps(["import codebath.cli", 0, heavy()]))
+print(json.dumps(["import codebath.cli", 0, oracle_only()]))
 for step, argv in json.loads(sys.argv[1]):
     code = main(argv)
-    print(json.dumps([step, code, heavy()]))
+    print(json.dumps([step, code, oracle_only()]))
 """
 
 

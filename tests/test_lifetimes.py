@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codebath import wick
 from codebath.bath import BathSpec, C_LIGHT_SI, HBAR_SI
 from codebath.lifetimes import (
     CodePoint,
@@ -200,6 +201,70 @@ def test_closed_forms_saturate_out_of_float_range():
     assert critical_coupling(BathSpec(a=1e200, z=2.0), 4) == math.inf
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, s=0.5), 4) == math.inf
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, lam=0.0), 4) == 0.0
+
+
+def closure_form(value, powers):
+    """A closed form as it was written with two closures: ``value()``, or
+    where that raises or gives nan, prod(x ** p for x, p in ``powers()``)
+    summed in logs.  The oracle of the inline fast paths."""
+    try:
+        result = value()
+    except (OverflowError, ZeroDivisionError):
+        result = math.nan
+    if result == result:
+        return result
+    log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers())
+    return 0.0 if math.isnan(log) else wick._exp(log)
+
+
+MAGNITUDE = st.one_of(st.just(0.0), st.floats(-320, 300).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=MAGNITUDE, tau=MAGNITUDE, hbar=MAGNITUDE, v=MAGNITUDE, a=MAGNITUDE, a0=MAGNITUDE,
+       kB=MAGNITUDE, T=MAGNITUDE, eps=MAGNITUDE, j=MAGNITUDE, jz=MAGNITUDE,
+       z=st.floats(0.6, 3.0), s=st.sampled_from([1.0, 0.5, 0.3]), L=st.sampled_from([2, 64]))
+def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, eps, j, jz,
+                                               z, s, L):
+    """Bit for bit, in and out of float range (z > 1/2: the bases alone)."""
+    positive = [max(x, 5e-324) for x in (tau, hbar, v, a, a0, kB)]
+    tau, hbar, v, a, a0, kB = positive
+    spec = BathSpec(z=z, s=s, lam=lam, v=v, a=a, a0=a0, temperature=T, tau_qec=tau,
+                    hbar=hbar, kB=kB)
+    point = CodePoint(L=L, epsilon=min(max(eps, 5e-324), 0.5), spec=spec, jz_star=jz)
+    lb = closure_form(
+        lambda: 16.0 * (lam * tau) ** 2 / (hbar**2 * a0 ** (2.0 * (1.0 - z)) * a ** (2.0 * z)),
+        lambda: ((16.0, 1), (lam, 2), (tau, 2), (hbar, -2), (a0, -2.0 * (1.0 - z)), (a, -2.0 * z)),
+    )
+    lam_c = closure_form(
+        lambda: hbar * a0 ** (1.0 - z) * a**z / (4.0 * tau),
+        lambda: ((hbar, 1), (a0, 1.0 - z), (a, z), (4.0 * tau, -1)),
+    )
+    j_L = closure_form(
+        lambda: lam / (hbar * v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
+        lambda: ((lam, 1), (hbar, -1), (v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)),
+    )
+    e = point.epsilon
+    p = 1.0 / (1.0 - s) if s < 1.0 else None
+    window = math.inf if j <= 0 else closure_form(
+        lambda: e * tau * wick._exp(1.0 / j), lambda: ((e, 1), (tau, 1), (math.e, 1.0 / j))
+    ) if s == 1.0 else closure_form(
+        lambda: e * tau * (1.0 / j) ** p, lambda: ((e, 1), (tau, 1), (1.0 / j, p))
+    )
+    expo = closure_form(lambda: 1.0 / (2.0 * jz * jz), lambda: ((2.0, -1), (abs(jz), -2)))
+    gamma = 0.0 if T == 0.0 else closure_form(
+        lambda: j * j * (kB * T / hbar), lambda: ((abs(j), 2), (kB, 1), (T, 1), (hbar, -1))
+    )
+    t2 = math.inf if T == 0.0 else closure_form(
+        lambda: hbar / (2.0 * math.pi * kB * T * jz**2),
+        lambda: ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz), -2)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = (lambda_bar_sq(spec, L), critical_coupling(spec, L), j_of_L(spec, L),
+               t_comp(point, j_L=j), t_mem_fm(point), *thermal_rates(point, j_L=j))
+    want = (lb, lam_c, j_L, window, tau * wick._exp(-expo * math.log1p(-e)), t2, gamma)
+    assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
 def test_t_comp_subohmic_values():

@@ -1,11 +1,13 @@
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,9 @@ from codebath import cli, sweeps
 from codebath.bath import BathSpec
 from codebath.cli import main
 from codebath.errors import ConfigError
-from codebath.lifetimes import Phase
+from codebath.lifetimes import LifetimeReport, Phase, build_report
+from codebath.rg_flow import Localized, StrongCoupling
+from codebath.surface_code import TieBreak
 from codebath.sweeps import (
     LIFETIME_FIELDS,
     SweepConfig,
@@ -26,6 +30,7 @@ from codebath.sweeps import (
     run,
     validate_config,
 )
+from codebath.wick import RegimeLabel
 
 
 def lifetime_config(out, axes=None, params=None, **extra):
@@ -249,39 +254,58 @@ def test_format_cell():
     assert format_cell(_Float(0.1)) == format_cell(0.1) == "0.10000000000000001"
 
 
-def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+def test_failed_write_leaves_no_file(tmp_path):
+    """A row whose formatting raises halfway through the file, after the rows
+    before it reached the temporary file, leaves neither it nor the output."""
     out = tmp_path / "rows.csv"
-    calls = []
 
-    def failing_cell(v):
-        calls.append(v)
-        if len(calls) > 5:
+    class FailingCell:
+        def __str__(self):
+            assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
             raise RuntimeError("disk full")
-        return str(v)
 
-    monkeypatch.setattr(sweeps, "format_cell", failing_cell)
-    with pytest.raises(RuntimeError):
-        sweeps._write_rows(str(out), ["a", "b"], [[1, 2]] * 10)
+    rows = [("ok", 2)] * 5000 + [(FailingCell(), 2)] + [("ok", 2)] * 5000
+    with pytest.raises(RuntimeError, match="disk full"):
+        sweeps._write_rows(str(out), ["a", "b"], rows, template="%s,%d\n")
     assert list(tmp_path.iterdir()) == []
 
 
 # --- templated rows: csv.writer with format_cell is their oracle -------------
 
 TRACE_HEADER = ["l", "jx", "jy", "jz", "c1", "c2"]
-PORTRAIT = sweeps.TASKS["phase_diagram"]
+PORTRAIT, FLOW = sweeps.TASKS["phase_diagram"], sweeps.TASKS["flow"]
+MATCHING, CENSUS, LIFETIME = (sweeps.TASKS[t] for t in ("matching", "census", "lifetime"))
 EDGE_FLOATS = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e17,
-    -1e17, 1.7976931348623157e308, 0.1, -1 / 3, 4.0,
+    -1e17, 1.7976931348623157e308, 0.1, -1 / 3, 4.0, _Float(0.1),
 ]
+EDGE_INTS = [0, 2, -12, 10**20]
+
+
+def oracle_csv(header, rows) -> bytes:
+    """The bytes ``csv.writer`` writes for ``header`` and ``rows``, each cell
+    through ``format_cell``: the writer every template is held to."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(v) for v in row] for row in rows)
+    return buf.getvalue().encode()
 
 
 def assert_template_matches_oracle(path: Path, header, rows):
-    """Rows written through ``template`` at ``path`` hold the bytes that
-    ``csv.writer`` and ``format_cell`` give for the same rows."""
-    oracle = path.with_name(path.name + ".oracle")
-    sweeps._write_rows(str(oracle), header, rows)
-    assert path.read_bytes() == oracle.read_bytes()
-    oracle.unlink()
+    """The file at ``path`` holds the bytes the oracle gives for ``header``
+    and ``rows``, the cells as evaluated (config values, enums and None)."""
+    assert path.read_bytes() == oracle_csv(header, rows)
+
+
+def lifetime_oracle(cfg: SweepConfig, reports):
+    """The header and rows of a lifetime config whose grid points, in order,
+    gave ``reports``: the swept axes but L as configured, then the record."""
+    names = [name for name in sorted(cfg.axes) if name != "L"]
+    points = grid_points(cfg.axes)
+    rows = [[*(p[name] for name in names), *rep[:-1]] for p, rep in zip(points, reports)]
+    assert len(rows) == len(points)
+    return [*names, *LIFETIME_FIELDS], rows
 
 
 @given(st.floats())
@@ -299,36 +323,129 @@ def test_templated_rows_on_edge_values(tmp_path):
         (tid, v, -v, EDGE_FLOATS[tid % n], kind, tag)
         for tid, (v, (kind, tag)) in enumerate(itertools.product(EDGE_FLOATS, labels))
     ]
-    for name, header, rows, template in (
-        ("trace.csv", TRACE_HEADER, trace, sweeps._TRACE_ROW),
-        ("portrait.csv", list(PORTRAIT.header), portrait, PORTRAIT.template),
-    ):
+    matching = [(k, v, -v) for k, v in zip(itertools.cycle(EDGE_INTS), EDGE_FLOATS)]
+    census = [
+        (L, w, rule, L, w, -w)
+        for (L, w), rule in zip(itertools.product(EDGE_INTS, repeat=2), itertools.cycle(TieBreak))
+    ]
+    index = []
+    for tid, v in enumerate(EDGE_FLOATS):
+        kind = ("StrongCoupling", "Localized", "CutoffReached")[tid % 3]
+        l_star, jz_star = (v, None) if tid % 3 == 0 else (None, v) if tid % 3 == 1 else (None, None)
+        index.append((tid, v, -v, v, kind, l_star, jz_star, f"trace_{tid:04d}.csv"))
+    cases = (  # file, header, template, rows as written, rows as evaluated
+        ("trace.csv", TRACE_HEADER, sweeps._TRACE_ROW, trace, trace),
+        ("portrait.csv", PORTRAIT.header, PORTRAIT.template, portrait, portrait),
+        ("matching.csv", MATCHING.header, MATCHING.template, matching, matching),
+        ("census.csv", CENSUS.header, CENSUS.template,
+         [(*row[:2], row[2].value, *row[3:]) for row in census], census),
+        ("index.csv", FLOW.header, FLOW.template,
+         [(*row[:5], *("" if v is None else "%.17g" % v for v in row[5:7]), row[7])
+          for row in index], index),
+    )
+    for name, header, template, rows, evaluated in cases:
         path = tmp_path / name
-        sweeps._write_rows(str(path), header, rows, template=template)
-        assert_template_matches_oracle(path, header, rows)
+        sweeps._write_rows(str(path), list(header), rows, template=template)
+        assert_template_matches_oracle(path, header, evaluated)
     assert ",StrongCoupling,\n" in (tmp_path / "portrait.csv").read_text()  # empty tag
+    assert ",CutoffReached,,,trace_" in (tmp_path / "index.csv").read_text()  # no l*, jz*
+    assert "\n0,-12,adversarial,0,-12,12\n" in (tmp_path / "census.csv").read_text()
+
+
+def test_lifetime_rows_on_edge_values(tmp_path, monkeypatch):
+    """Axis cells formatted once per run (an int as itself, -0.0 as -0) ahead
+    of records of every enum, None and edge float, through a full run."""
+    floats, optional = itertools.cycle(EDGE_FLOATS), itertools.cycle([None, *EDGE_FLOATS])
+    labels, reports = itertools.cycle(itertools.product(RegimeLabel, Phase)), []
+
+    def edge_report(point):
+        rep = LifetimeReport(*next(labels), point.L, next(floats),
+                             *(next(optional) for _ in range(5)), next(floats), False)
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(sweeps.lifetimes, "build_report", edge_report)
+    axes = {"L": [2, 10**20], "lambda": [0, -0.0, 5e-324, 10**20, _Float(0.1)],
+            "jz_star": [-12, 1e17], "temperature": [0.0, 1.7976931348623157e308]}
+    cfg = validate_config(lifetime_config(tmp_path / "life.csv", axes=axes, params={"z": 1}))
+    run(cfg)
+    assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, reports))
+    text = (tmp_path / "life.csv").read_text()
+    assert text.count("\n-12,-0,0,") == 2  # one row per L
+    assert text.count("\n1e+17,100000000000000000000,1.7976931348623157e+308,") == 2
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("seed", [1, 7, 123])
-def test_templated_rows_on_portrait_workload(tmp_path, monkeypatch, seed):
-    """Every templated file of the benchmark's flow_portrait configs."""
-    write_rows, templates = sweeps._write_rows, []
+def flow_index_oracle(traces):
+    """The index rows of flows that gave ``traces`` (start, trace), in order,
+    with each terminal's l_star and jz_star as evaluated (None if it has none)."""
+    rows = []
+    for tid, (start, trace) in enumerate(traces):
+        terminal = trace.terminal
+        l_star = terminal.l_star if isinstance(terminal, StrongCoupling) else None
+        jz_star = terminal.j_star.jz if isinstance(terminal, Localized) else None
+        rows.append((tid, start.jx, start.jy, start.jz, type(terminal).__name__, l_star,
+                     jz_star, f"trace_{tid:04d}.csv"))
+    return rows
 
-    def checked(path, header, rows, template=None):
+
+def run_workload_checked(tmp_path, monkeypatch, workload: str, seed: int) -> Counter:
+    """Run the benchmark's ``workload`` configs for ``seed``, holding every
+    file written byte-equal to the oracle; returns the files per template."""
+    write_rows, integrate = sweeps._write_rows, sweeps.integrate_flow
+    templates, traces = Counter(), []
+
+    def checked(path, header, rows, *, template):
         write_rows(path, header, rows, template=template)
-        if template is not None:
-            templates.append(template)
+        templates[template] += 1
+        if template not in (LIFETIME.template, FLOW.template):  # cells as evaluated
             assert_template_matches_oracle(Path(path), header, rows)
 
+    def traced(start, options):
+        traces.append((start, integrate(start, options)))
+        return traces[-1][1]
+
     monkeypatch.setattr(sweeps, "_write_rows", checked)
-    for call in workloads.build("flow_portrait", seed):
-        run(validate_config({**call.config, "output_path": str(tmp_path / call.out)}))
-    assert sorted(set(templates)) == sorted({sweeps._TRACE_ROW, PORTRAIT.template})
-    assert templates.count(sweeps._TRACE_ROW) == 16  # one trace per flow start
+    monkeypatch.setattr(sweeps, "integrate_flow", traced)
+    for call in workloads.build(workload, seed):
+        cfg = validate_config({**call.config, "output_path": str(tmp_path / call.out)})
+        traces.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the j(L) >= 1e3 caution
+            run(cfg)
+            if cfg.task == "lifetime":
+                reports = (build_report(sweeps._code_point({**cfg.params, **p}))
+                           for p in grid_points(cfg.axes))
+                assert_template_matches_oracle(
+                    Path(cfg.output_path), *lifetime_oracle(cfg, reports)
+                )
+        if cfg.task == "flow":
+            assert_template_matches_oracle(
+                Path(cfg.output_path) / "index.csv", FLOW.header, flow_index_oracle(traces)
+            )
+    return templates
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123])
+def test_templated_rows_on_portrait_workload(tmp_path, monkeypatch, seed):
+    """Every file of the benchmark's flow_portrait configs."""
+    templates = run_workload_checked(tmp_path, monkeypatch, "flow_portrait", seed)
+    # one trace per flow start
+    assert templates == {sweeps._TRACE_ROW: 16, PORTRAIT.template: 1, FLOW.template: 1}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123])
+@pytest.mark.parametrize(
+    "workload, files",
+    [("lifetime_grid", {LIFETIME.template: 2}),
+     ("combinatorics", {MATCHING.template: 3, CENSUS.template: 10})],
+)
+def test_templated_rows_on_workload(tmp_path, monkeypatch, workload, files, seed):
+    """Every file of the benchmark's lifetime_grid and combinatorics configs."""
+    assert run_workload_checked(tmp_path, monkeypatch, workload, seed) == files
 
 
 def test_written_files_keep_the_default_mode(tmp_path):

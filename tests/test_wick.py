@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codebath import wick
 from codebath.bath import BathSpec
 from codebath.errors import ResourceLimitError
 from codebath.wick import (
@@ -198,6 +199,16 @@ def test_probe_guards():
         matching_scaling_probe([4, 6, 26], 1.0)
     check_probe_ceiling(20)
     check_probe_ceiling(24)
+
+
+def test_probe_refuses_z_zero_before_any_sum(monkeypatch):
+    calls = []
+    monkeypatch.setattr(wick, "matching_sum", lambda problem: calls.append(problem) or 1.0)
+    with pytest.raises(ValueError, match="z must be positive"):
+        matching_scaling_probe([2, 4, 6], 0.0)
+    assert calls == []
+    matching_scaling_probe([2, 4, 6], 1.0)  # the counter sees a probe's sums
+    assert len(calls) == 3
 
 
 def test_lambda_bar_sq_branches():
