@@ -2,15 +2,15 @@
 
 dj_x/dl = j_y j_z,  dj_y/dl = j_x j_z,  dj_z/dl = j_x j_y.
 
-Integration is adaptive (the embedded Dormand-Prince 5(4) pair of
-``solve_ivp``, scipy's RK45 on float tuples) and stops at one of three
-terminals: a coupling reaching the strong-coupling ceiling, the transverse
-pair dying below the localization floor and staying there for a dwell
-interval, or the scale cutoff.  Because the one-loop equations blow up in
-finite scale, the strong-coupling scale is reported with the isotropic pole
-correction l_star = l_stop + 1/j_max (1/max|j| where the step size falls
-below its floor short of a very high ceiling), which makes it insensitive to
-the choice of ceiling.
+A symmetric start (jx = jy) flows in closed form (``symmetric_flow``), any
+other by RK45 (``integrate_flow``: scipy's Dormand-Prince 5(4) pair, as
+``solve_ivp`` on float tuples), the closed form's test oracle.  A flow stops at
+a coupling reaching the strong-coupling ceiling, at the transverse pair dying
+below the localization floor for a dwell interval, or at the scale cutoff.
+Because the one-loop equations blow up in finite scale, the strong-coupling
+scale is reported with the isotropic pole correction l_star = l_stop + 1/j_max
+(1/max|j| where RK45's step size falls below its floor short of a very high
+ceiling), which makes it insensitive to the choice of ceiling.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .errors import ResourceLimitError
 
 DWELL_INTERVAL = 1.0   # scale window the transverse pair must stay below j_min
+PORTRAIT_SAMPLES = 65  # samples of a symmetric trajectory, evenly spaced in l
 _MAX_SEGMENTS = 1000
 _J_LIMIT = math.sqrt(sys.float_info.max)  # couplings whose squares stay finite
 _RTOL_MIN = 100 * sys.float_info.epsilon  # scipy's RK45 floor, kept by solve_ivp
@@ -388,3 +389,61 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     samples = tuple((ls[k], CouplingVector(*ys[k])) for k in keep)
     return FlowTrace(samples=samples, terminal=terminal, invariant_drift=drift)
 
+
+def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions, ls=None):
+    """The flow from (j_perp, j_perp, jz) in closed form, ended as
+    ``integrate_flow`` ends it: (l, j_perp, jz) samples at the scales ``ls``
+    (if none, PORTRAIT_SAMPLES evenly spaced from 0 to the terminal's scale,
+    or the start alone if it is at the ceiling) and the terminal.
+
+    c = jz**2 - j_perp**2 is conserved and djz/dl = jz**2 - c (Anderson, Yuval
+    & Hamann, PRB 1, 4464 (1970)): with r = sqrt|c|, j_perp = j_perp0/w and
+    jz = -w'/w for w = cos(rl) - jz0 sin(rl)/r if c < 0, 1 - jz0 l if c = 0 and
+    cosh(rl) - jz0 sinh(rl)/r if c > 0, taken over cosh(rl) with jz0 - r from
+    j_perp0**2, exact for a tiny pair.  Crossings invert by atanh, arctan, asinh.
+    """
+    p0, z0, j_max, j_min, l_max = float(j_perp), float(jz), opts.j_max, opts.j_min, opts.l_max
+    check_start(CouplingVector(p0, p0, z0))
+    if max(abs(p0), abs(z0)) >= j_max:
+        return ((0.0, p0, z0),), StrongCoupling(l_star=1.0 / j_max)
+    c, a, inf = (z0 - p0) * (z0 + p0), abs(p0), math.inf
+    r = math.sqrt(abs(c))
+    am = a * a / (z0 + r) if z0 > 0 else z0 - r  # jz0 - r, which c > 0 keeps off 0
+
+    def at(l: float) -> tuple[float, float]:
+        if l == 0 or not p0 or (c > 0 and not am):  # a pair too small to square stays put
+            return p0, z0
+        if l >= l_c:  # where the flow stops, short of its pole
+            return math.copysign(top[0], p0), top[1]
+        if c > 0:  # from e^-u, which underflows where cosh u would overflow
+            e = math.exp(-r * l)
+            sech = 2 * e / (1 + e * e)
+            w = e * sech - am * math.tanh(r * l) / r
+            return p0 * sech / w, (r * e * sech + am) / w
+        s = math.sin(r * l) / r if r else l
+        w = math.cos(r * l) - z0 * s
+        return p0 / w, (z0 * math.cos(r * l) - c * s) / w
+
+    fall = rise = l_c = inf  # |j_perp| falling and rising through j_min; the ceiling
+    if p0 and c >= 0:
+        ell = abs((math.asinh(r / j_min) - math.asinh(r / a)) / r if r else 1 / j_min - 1 / a)
+        fall, rise = (ell, inf) if z0 < 0 else (inf, ell)
+    elif p0 and r < j_min:  # c < 0: |j_perp| dips to r where jz = 0
+        floor = math.sqrt((j_min - r) * (j_min + r))  # |jz| where |j_perp| = j_min
+        fall, rise = (math.atan2(r * (x - z0), x * z0 - c) / r for x in (-floor, floor))
+    b = math.sqrt((j_max - r) * (j_max + r))  # the other coupling where one is j_max
+    top = (b, j_max) if c > 0 else (j_max, b)  # |j_perp| and jz at the ceiling
+    if c > 0 and am > 0:  # runs away: atanh(r (j_max - z0) / (j_max z0 - c)) / r
+        l_c = math.log1p(2 * r * (j_max - z0) / ((j_max + r) * am)) / (2 * r)
+    elif p0 and (c < 0 or c == 0 < z0):  # runs away, reaching jz = b
+        l_c = math.atan2(r * (b - z0), b * z0 - c) / r if r else 1 / z0 - 1 / b
+    end = (0.0 if a < j_min else fall if z0 < 0 else inf) + DWELL_INTERVAL
+    if end <= l_max and min(rise, l_c) > end:
+        p, z = at(end)
+        l_end, terminal = end, Localized(j_star=CouplingVector(p, p, z))
+    elif l_c <= l_max:
+        l_end, terminal = l_c, StrongCoupling(l_star=l_c + 1.0 / j_max)
+    else:
+        l_end, terminal = l_max, CutoffReached(l_max=l_max)
+    ls = ls or [l_end * (k / (PORTRAIT_SAMPLES - 1)) for k in range(PORTRAIT_SAMPLES)]
+    return tuple((l, *at(l)) for l in ls), terminal

@@ -4,7 +4,7 @@ A config (schema in README) names a task of ``TASKS``, its axes and params
 and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
 pure function of the config.  Evaluation is a serial map over grid points:
-each point is a closed form of microseconds or one RK45 trajectory, too
+each point is a closed form of microseconds or, for ``flow``, one RK45 trajectory, too
 little work for a process pool to pay for itself.  A lifetime point takes
 its bath from an LRU keyed on the point's bath values and emptied as a run
 starts, so a run builds and checks each distinct bath once.  The config key
@@ -38,12 +38,13 @@ from .errors import ConfigError
 from .rg_flow import (
     CouplingVector,
     FlowOptions,
-    FlowTrace,
     Localized,
     StrongCoupling,
+    Terminal,
     check_start,
     constants_of_motion,
     integrate_flow,
+    symmetric_flow,
 )
 
 PORTRAIT_RANGE = 3.5
@@ -299,9 +300,8 @@ def _matching_problem(values: dict) -> wick.MatchingProblem:
     return wick.MatchingProblem(tuple(range(n)), float(values.get("z", 1.0)))
 
 
-def _terminal_fields(trace: FlowTrace) -> tuple[str, str, str]:
+def _terminal_fields(terminal: Terminal) -> tuple[str, str, str]:
     """The terminal's label and its l_star and jz_star cells (empty if it has none)."""
-    terminal = trace.terminal
     if isinstance(terminal, StrongCoupling):
         return "StrongCoupling", "%.17g" % terminal.l_star, ""
     if isinstance(terminal, Localized):
@@ -329,10 +329,11 @@ def _eval_flow(params: dict, point: dict):
     start = _flow_start(point)
     trace = integrate_flow(start, _flow_options(params))
     rows = [(l, j.jx, j.jy, j.jz, *constants_of_motion(j)) for l, j in trace.samples]
-    return (start.jx, start.jy, start.jz, *_terminal_fields(trace)), rows
+    return (start.jx, start.jy, start.jz, *_terminal_fields(trace.terminal)), rows
 
 
 def _separatrix_tag(j_perp: float, jz: float) -> str:
+    j_perp = abs(j_perp)  # the flow depends on j_perp**2 alone
     if j_perp > 0 and math.isclose(jz, -j_perp, rel_tol=1e-12, abs_tol=1e-15):
         return "jz=-jperp"
     if j_perp > 0 and math.isclose(jz, j_perp, rel_tol=1e-12, abs_tol=1e-15):
@@ -343,10 +344,9 @@ def _separatrix_tag(j_perp: float, jz: float) -> str:
 def _eval_portrait(params: dict, point: dict):
     """(l, j_perp, j_z, terminal_label, separatrix) samples of one symmetric start."""
     j_perp, jz = float(point["j_perp"]), float(point["jz"])
-    trace = integrate_flow(CouplingVector(j_perp, j_perp, jz), _portrait_options(params))
-    kind, _, _ = _terminal_fields(trace)
-    tag = _separatrix_tag(j_perp, jz)
-    return [[l, j.jx, j.jz, kind, tag] for l, j in trace.samples]
+    samples, terminal = symmetric_flow(j_perp, jz, _portrait_options(params))
+    cells = (_terminal_fields(terminal)[0], _separatrix_tag(j_perp, jz))
+    return [(*sample, *cells) for sample in samples]
 
 
 def _eval_matching(params: dict, point: dict):
@@ -397,7 +397,7 @@ TASKS = {
         check=_check_flow, template="%d,%.17g,%.17g,%.17g,%s,%s,%s,%s\n",
     ),
     "phase_diagram": Task(
-        {"j_perp", "jz"}, _FLOW_PARAMS, _eval_portrait,
+        {"j_perp", "jz"}, {"j_max", "j_min", "l_max"}, _eval_portrait,
         ("trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"),
         required={"j_perp", "jz"}, check=_portrait_options,
         template="%d,%.17g,%.17g,%.17g,%s,%s\n",

@@ -81,7 +81,8 @@ _flow_params = {
 flow = config("flow", {name: axis(_couplings) for name in ("jx", "jy", "jz", "j_perp")},
               _flow_params)
 phase_diagram = config("phase_diagram", {"j_perp": axis(st.floats(-4, 4)),
-                                         "jz": axis(st.floats(-4, 4))}, _flow_params)
+                                         "jz": axis(st.floats(-4, 4))},
+                       {name: _flow_params[name] for name in ("l_max", "j_max", "j_min")})
 matching = config(
     "matching",
     {"n": axis(st.one_of(st.integers(-2, 20), st.just(26)))},
@@ -111,6 +112,12 @@ preset = config(
 @example({"task": "preset", "axes": {}, "params": {"name": "superconducting", "L_grid": [10**400]}})
 @example({"task": "census", "axes": {"L": [20000], "weight": [10000]}, "params": {}})
 @example({"task": "lifetime", "axes": {"L": [200, 2000]}, "params": {"s": 0.5, "lambda": 0.5}})
+# a pair whose square underflows, and a ceiling the closed form meets at its pole
+@example({"task": "phase_diagram", "axes": {"j_perp": [5e-324], "jz": [1.0]}, "params": {}})
+@example({"task": "phase_diagram", "axes": {"j_perp": [5e-324], "jz": [5e-324]},
+          "params": {"j_max": 0.5}})
+@example({"task": "phase_diagram", "axes": {"j_perp": [-3.5], "jz": [3.5]},
+          "params": {"j_max": 1e200}})
 def test_any_config_exits_with_a_documented_code_and_no_nan(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from operator import mul
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from codebath import rg_flow
 from codebath.rg_flow import (
+    DWELL_INTERVAL,
+    PORTRAIT_SAMPLES,
     CouplingVector,
     CutoffReached,
     FlowOptions,
@@ -20,6 +23,7 @@ from codebath.rg_flow import (
     constants_of_motion,
     flow_rhs,
     integrate_flow,
+    symmetric_flow,
 )
 
 
@@ -511,3 +515,113 @@ def test_solve_ivp_steps_as_scipy_rk45(t_span):
     assert ours.t == pytest.approx(oracle.t, rel=1e-9)
     assert len(ours.t_events[0]) == len(oracle.t_events[0])
     assert ours.t_events[0] == pytest.approx(oracle.t_events[0], rel=1e-9)
+
+
+# --- the closed form on the symmetric plane, against RK45 as its oracle -------
+
+_PORTRAIT = FlowOptions(j_max=4.0)
+_WIDE_FLOOR = FlowOptions(j_max=4.0, j_min=0.01, l_max=400.0)
+_SYMMETRIC_STARTS = [  # (j_perp, jz), options
+    # both separatrices, on which c = jz**2 - j_perp**2 is exactly 0, either sign of j_perp
+    *(((jp, sign * abs(jp)), _PORTRAIT) for jp in (0.5, -0.5, 2.0) for sign in (1, -1)),
+    # |c| about 1e-12 j**2 on either side of each separatrix
+    *(((jp, sign * jp * (1 + eps)), _PORTRAIT)
+      for jp in (0.5, 3.0) for sign in (1, -1) for eps in (1e-12, -1e-12)),
+    # the origin and the invariant line j_perp = 0
+    ((0.0, 0.0), _PORTRAIT), ((0.0, 0.3), _PORTRAIT), ((0.0, -0.3), _PORTRAIT),
+    # negative j_perp off the separatrices
+    ((-0.3, 0.1), _PORTRAIT), ((-0.1, -0.3), _PORTRAIT),
+    # the pair starts below j_min: it dwells (at c > 0 or c < 0), or rises out
+    # of the dwell at c > 0 and runs away, or starts just above j_min
+    ((1e-9, 0.5), _PORTRAIT), ((5e-9, -0.2), _PORTRAIT), ((1e-9, 5e-10), _PORTRAIT),
+    ((8e-9, -0.2), _PORTRAIT), ((8e-9, 0.1), _PORTRAIT),
+    ((5e-9, 3.0), _PORTRAIT), ((-2e-8, 3.0), _PORTRAIT),
+    # at or above the ceiling: the start alone
+    ((4.0, 1.0), _PORTRAIT), ((0.5, -4.2), _PORTRAIT),
+    # a localizing flow, and the same flow with l_max cutting its dwell short
+    ((0.1, -0.3), _PORTRAIT), ((0.1, -0.3), FlowOptions(j_max=4.0, l_max=57.5)),
+    # c < 0 with r < j_min: |j_perp| falls through j_min, and either stays
+    # below it for the dwell or rises back out within 0.9 of scale and runs away
+    ((0.5, -math.sqrt(0.25 - 2.5e-5)), _WIDE_FLOOR),
+    ((0.5, -math.sqrt(0.25 - 0.0099999**2)), _WIDE_FLOOR),
+    *(((jp, jz), _PORTRAIT) for jp, jz in np.random.default_rng(16).uniform(-3.5, 3.5, (24, 2))),
+]
+
+
+_SYMMETRIC_IDS = [f"{jp:.17g},{jz:.17g}-j_min={o.j_min:g}-l_max={o.l_max:g}"
+                  for (jp, jz), o in _SYMMETRIC_STARTS]
+
+
+def _tight(opts: FlowOptions) -> FlowOptions:
+    return FlowOptions(j_max=opts.j_max, j_min=opts.j_min, l_max=opts.l_max,
+                       abs_tol=1e-22, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("start,opts", _SYMMETRIC_STARTS, ids=_SYMMETRIC_IDS)
+def test_symmetric_flow_matches_rk45(start, opts):
+    """The closed form ends every start as RK45 does and, at a tight-tolerance
+    integration's own sample points, agrees with it to 1e-8 (seen: 1.6e-9)
+    and on the terminal's scale to 1e-11 (seen: 8e-13, mostly 3e-14).
+
+    At the default tolerances only the labels are compared: abs_tol = 1e-10 is
+    1% of j_min, so RK45's j_min crossing, and with it the Localized scale, is
+    off by up to 1.5e-4 relative, and a pair starting near j_min carries that
+    error along the whole trajectory (3.4e-4 from (5e-9, 3.0)).
+    """
+    j0 = CouplingVector(start[0], start[0], start[1])
+    default, tight = integrate_flow(j0, opts), integrate_flow(j0, _tight(opts))
+    samples, terminal = symmetric_flow(*start, opts, [l for l, _ in tight.samples])
+    assert type(terminal) is type(default.terminal) is type(tight.terminal)
+    for (l, j_perp, jz), (l_rk, j) in zip(samples, tight.samples, strict=True):
+        assert l == l_rk
+        assert j_perp == pytest.approx(j.jx, rel=1e-8, abs=1e-300)
+        assert jz == pytest.approx(j.jz, rel=1e-8, abs=1e-300)
+    l_end = symmetric_flow(*start, opts)[0][-1][0]
+    assert l_end == pytest.approx(tight.samples[-1][0], rel=1e-11)
+    if isinstance(terminal, StrongCoupling):
+        assert terminal.l_star == pytest.approx(tight.terminal.l_star, rel=1e-11)
+    if isinstance(terminal, Localized):
+        assert terminal.j_star.jz == pytest.approx(tight.terminal.j_star.jz, rel=1e-8)
+
+
+@pytest.mark.parametrize("start,opts", _SYMMETRIC_STARTS, ids=_SYMMETRIC_IDS)
+def test_symmetric_flow_samples_evenly_to_its_terminal(start, opts):
+    samples, terminal = symmetric_flow(*start, opts)
+    assert samples[0] == (0.0, *start)  # the start's exact values
+    l_end = samples[-1][0]
+    if max(map(abs, start)) >= opts.j_max:
+        assert samples == ((0.0, *start),) and terminal == StrongCoupling(1 / opts.j_max)
+        return
+    assert len(samples) == PORTRAIT_SAMPLES
+    assert [l for l, _, _ in samples] == [l_end * k / (PORTRAIT_SAMPLES - 1)
+                                          for k in range(PORTRAIT_SAMPLES)]
+    if isinstance(terminal, Localized):
+        assert l_end >= DWELL_INTERVAL and samples[-1][1:] == (terminal.j_star.jx,
+                                                               terminal.j_star.jz)
+    elif isinstance(terminal, StrongCoupling):
+        assert terminal.l_star == l_end + 1 / opts.j_max
+        assert max(map(abs, samples[-1][1:])) == pytest.approx(opts.j_max, rel=1e-12)
+    else:
+        assert terminal == CutoffReached(opts.l_max) and l_end == opts.l_max
+    assert all(map(math.isfinite, itertools.chain.from_iterable(samples)))
+
+
+@pytest.mark.parametrize("start", [(0.5, 0.5), (0.3, 0.1), (-0.3, -0.2), (1.0, 3.0)])
+def test_symmetric_flow_on_a_ceiling_at_the_pole(start):
+    """A ceiling too high for RK45's steps to reach (its pole path) or for the
+    closed form to resolve from the pole: the last sample is the ceiling."""
+    opts = FlowOptions(j_max=1e50)
+    samples, terminal = symmetric_flow(*start, opts)
+    oracle = integrate_flow(CouplingVector(start[0], start[0], start[1]), opts).terminal
+    assert terminal.l_star == pytest.approx(oracle.l_star, rel=1e-9)
+    assert samples[-1] == (terminal.l_star - 1e-50, math.copysign(1e50, start[0]), 1e50)
+    assert all(map(math.isfinite, itertools.chain.from_iterable(samples)))
+
+
+def test_symmetric_flow_is_even_in_j_perp():
+    """The flow depends on j_perp**2 only: a mirrored start mirrors j_perp."""
+    for jz in (-0.5, 0.5, -0.3, 0.1, -0.6):
+        samples, terminal = symmetric_flow(0.5, jz, _PORTRAIT)
+        mirror, mirrored = symmetric_flow(-0.5, jz, _PORTRAIT)
+        assert [(l, -p, z) for l, p, z in samples] == list(mirror)
+        assert type(terminal) is type(mirrored)

@@ -19,7 +19,7 @@ from codebath.bath import BathSpec
 from codebath.cli import main
 from codebath.errors import ConfigError
 from codebath.lifetimes import LifetimeReport, Phase, build_report
-from codebath.rg_flow import Localized, StrongCoupling
+from codebath.rg_flow import PORTRAIT_SAMPLES, Localized, StrongCoupling
 from codebath.surface_code import TieBreak
 from codebath.sweeps import (
     LIFETIME_FIELDS,
@@ -155,6 +155,10 @@ MALFORMED = [
      "params.alpha"),
     ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"sample_stride": 2.5}, "output_path": "x"},
      "params.sample_stride"),
+    # the portrait samples closed forms at fixed points: no integrator knob applies
+    *(({"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [0.1]}, "params": {name: value},
+        "output_path": "x.csv"}, f"params.{name}")
+      for name, value in (("rel_tol", 1e-8), ("abs_tol", 1e-12), ("sample_stride", 1))),
 ]
 
 
@@ -692,6 +696,36 @@ def test_phase_diagram_cli_labels_separatrix(tmp_path):
     assert main(["phase-diagram", "--config", write_config(tmp_path, cfg)]) == 0
     tags = {row[0]: row[5] for row in read_rows(out)[1:]}
     assert tags == {"0": "jz=-jperp", "1": "jz=+jperp", "2": ""}
+
+
+def test_phase_diagram_tags_mirrored_separatrices(tmp_path):
+    """(-0.5, -0.5) flows as (0.5, -0.5) does, the flow depending on j_perp**2
+    alone: both are tagged and end CutoffReached at l = 100."""
+    out = tmp_path / "portrait.csv"
+    run(validate_config({"task": "phase_diagram", "axes": {"j_perp": [-0.5, 0.5],
+                         "jz": [-0.5, 0.5]}, "output_path": str(out)}))
+    by_tid = {}
+    for row in read_rows(out)[1:]:
+        by_tid.setdefault(row[0], []).append(row)
+    ends = {tid: (rows[-1][1], rows[-1][4], rows[-1][5]) for tid, rows in by_tid.items()}
+    assert ends == {"0": ("100", "CutoffReached", "jz=-jperp"),
+                    "1": ("1.75", "StrongCoupling", "jz=+jperp"),
+                    "2": ("100", "CutoffReached", "jz=-jperp"),
+                    "3": ("1.75", "StrongCoupling", "jz=+jperp")}
+    for tid, mirror in (("0", "2"), ("1", "3")):
+        assert [row[1:] for row in by_tid[tid]] == [
+            [l, "-" + j_perp, *rest] for l, j_perp, *rest in (row[1:] for row in by_tid[mirror])]
+
+
+def test_phase_diagram_integrates_nothing(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the portrait integrated a flow")
+
+    monkeypatch.setattr(sweeps, "integrate_flow", refuse)
+    out = tmp_path / "portrait.csv"
+    run(validate_config({"task": "phase_diagram", "axes": {"j_perp": [0.1, 2.0],
+                         "jz": [-0.3, 0.0, 0.1]}, "output_path": str(out)}))
+    assert len(read_rows(out)) == 1 + 6 * PORTRAIT_SAMPLES
 
 
 def test_phase_diagram_cli_range_guard(tmp_path, capsys):
