@@ -4,12 +4,13 @@ Everything here is a pure function of a :class:`BathSpec`.  The default spec
 is in natural units (hbar = kB = 1, lengths and times of order one); the
 hardware presets in :mod:`codebath.lifetimes` build SI-valued specs instead.
 Proportionality constants that the underlying asymptotic forms leave free are
-fixed to 1.
+fixed to 1.  This leaf module also holds the regime rule and float-range helpers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 # SI adapter constants (CODATA values; the rounded light speed reproduces
 # back-of-envelope hardware figures exactly).
@@ -17,6 +18,43 @@ HBAR_SI = 1.054571817e-34  # J s
 KB_SI = 1.380649e-23       # J / K
 C_LIGHT_SI = 2.9979e8      # m / s
 C_LIGHT_ROUND = 3.0e8      # m / s
+
+_CRITICAL_TOL = 1e-12      # floats this close to the regime boundary count as critical
+_EXP_ARG_MAX = 709.0
+_RANGE_ERRORS = (OverflowError, ZeroDivisionError)  # a float expression leaving float range
+
+
+def _exp(x: float) -> float:
+    return math.inf if x > _EXP_ARG_MAX else math.exp(x)
+
+
+def _saturated(powers) -> float:
+    """prod(x ** p for x, p in ``powers``), all x >= 0, summed in logs: the value
+    of a closed form whose float expression left float range (raised, or gave
+    nan from inf * 0), saturated to 0 or inf (0 if x = 0, p > 0)."""
+    log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers)
+    return 0.0 if math.isnan(log) else _exp(log)
+
+
+class RegimeLabel(Enum):
+    """Spatial-correlation regime of the environment."""
+
+    SHORT_RANGE = "ShortRange"
+    CRITICAL = "Critical"
+    LONG_RANGE = "LongRange"
+
+
+def classify_regime(z, s=1.0) -> RegimeLabel:
+    """Compare z against 1/(s+1) as floats: above is short range, within
+    ``_CRITICAL_TOL`` of it is critical, below is long range."""
+    if z <= 0:
+        raise ValueError("z must be positive")
+    if not 0 < s <= 1:
+        raise ValueError("s must lie in (0, 1]")
+    gap = z - 1.0 / (s + 1.0)  # a float for float, int or Fraction z and s
+    if abs(gap) <= _CRITICAL_TOL:
+        return RegimeLabel.CRITICAL
+    return RegimeLabel.SHORT_RANGE if gap > 0 else RegimeLabel.LONG_RANGE
 
 
 @dataclass(frozen=True)
@@ -30,6 +68,12 @@ class BathSpec:
     time that serves as the ultraviolet time cutoff.  The bath's exponents
     enter the formulas only as z and s, so its dimension and the coupling's
     momentum exponent are not fields.
+
+    A bath also sets, when built, four attributes that are not fields (no
+    config names them; ``dataclasses.replace`` rebuilds them): its ``regime``,
+    the ``branch`` of the lifetime formulas' L-dependent factors (the s = 1
+    rule, z against 1/2) and their saturated L-independent parts,
+    ``lambda_bar_sq_base`` and ``critical_coupling_base``.
     """
 
     z: float = 1.0
@@ -58,6 +102,24 @@ class BathSpec:
                 raise ValueError(f"{name} must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
+        z, lam, a, a0, tau, hbar = self.z, self.lam, self.a, self.a0, self.tau_qec, self.hbar
+        regime = classify_regime(z, self.s)
+        try:
+            lb = 16.0 * (lam * tau) ** 2 / (hbar**2 * a0 ** (2.0 * (1.0 - z)) * a ** (2.0 * z))
+        except _RANGE_ERRORS:
+            lb = math.nan
+        if lb != lb:
+            lb = _saturated(((16.0, 1), (lam, 2), (tau, 2), (hbar, -2),
+                             (a0, -2.0 * (1.0 - z)), (a, -2.0 * z)))
+        try:
+            lam_c = hbar * a0 ** (1.0 - z) * a**z / (4.0 * tau)
+        except _RANGE_ERRORS:
+            lam_c = math.nan
+        if lam_c != lam_c:
+            lam_c = _saturated(((hbar, 1), (a0, 1.0 - z), (a, z), (4.0 * tau, -1)))
+        branch = regime if self.s == 1.0 else classify_regime(z, 1.0)
+        vars(self).update(regime=regime, branch=branch, lambda_bar_sq_base=lb,
+                          critical_coupling_base=lam_c)  # frozen guards only setattr
 
 
 def temporal_correlator(spec: BathSpec, t1: float, t2: float) -> float:

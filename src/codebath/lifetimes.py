@@ -2,8 +2,8 @@
 
 All times come out in units of the correction cycle tau_qec unless the field
 name says otherwise.  Approximate relations are implemented as equalities
-with unit prefactors, and every report records which regime branch produced
-its numbers so the three scaling regimes are never mixed.
+with unit prefactors, and every report records its bath's regime, which
+the bath decides, with its formulas' branch and bases, when it is built.
 
 A point models the antiferromagnetic (runaway) channel through the isotropic
 macroscopic coupling j(L); supplying the renormalized coupling ``jz_star``
@@ -19,9 +19,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI
-from .wick import RegimeLabel, _exp, _saturated, check_even_L, classify_regime, lambda_bar_sq
-from .wick import _RANGE_ERRORS, _lambda_bar_sq
+from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI, RegimeLabel
+from .bath import _RANGE_ERRORS, _exp, _saturated, classify_regime
+from .wick import check_even_L, lambda_bar_sq
 
 SATURATION_J = 1e3
 
@@ -69,11 +69,7 @@ class LifetimeReport(NamedTuple):  # all fields but the last are the lifetime CS
 
 def j_of_L(spec: BathSpec, L: int) -> float:
     """Macroscopic dimensionless coupling (lam/hbar v) sqrt(2L/pi) (lbar^2)^(L/4)."""
-    return _j_of_L(spec, L, lambda_bar_sq(spec, L))
-
-
-def _j_of_L(spec: BathSpec, L: int, lb: float) -> float:
-    """``j_of_L`` from ``lb``, its ``lambda_bar_sq(spec, L)``."""
+    lb = lambda_bar_sq(spec, L)
     try:
         j = spec.lam / (spec.hbar * spec.v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0)
     except _RANGE_ERRORS:
@@ -82,21 +78,20 @@ def _j_of_L(spec: BathSpec, L: int, lb: float) -> float:
                                         (2.0 * L / math.pi, 0.5), (lb, L / 4.0)))
 
 
-def t_comp(point: CodePoint, j_L: float | None = None) -> float:
-    """Computational window in the runaway channel, its form set by the bath's s:
-    eps * tau * exp(1/j(L)) for an Ohmic bath (s = 1), the power law
-    eps * tau * (1/j(L))**(1/(1-s)) for a sub-Ohmic one."""
-    j = j_of_L(point.spec, point.L) if j_L is None else j_L
+def t_comp(point: CodePoint, j_L: float) -> float:
+    """Runaway-channel computational window at j_L = j(L), its form set by the
+    bath's s: eps * tau * exp(1/j_L) for an Ohmic bath (s = 1), the power law
+    eps * tau * (1/j_L)**(1/(1-s)) for a sub-Ohmic one."""
     s = point.spec.s
-    if s == 1.0 and j >= SATURATION_J:
+    if s == 1.0 and j_L >= SATURATION_J:
         warnings.warn(
             "j(L) >= 1e3: perturbative early-decay inversion is untrusted here",
             stacklevel=2,
         )
-    if j <= 0:
+    if j_L <= 0:
         return math.inf
     eps, tau = point.epsilon, point.spec.tau_qec
-    x, p = (math.e, 1.0 / j) if s == 1.0 else (1.0 / j, 1.0 / (1.0 - s))  # eps * tau * x**p
+    x, p = (math.e, 1.0 / j_L) if s == 1.0 else (1.0 / j_L, 1.0 / (1.0 - s))  # eps * tau * x**p
     try:
         window = eps * tau * (_exp(p) if s == 1.0 else x**p)
     except _RANGE_ERRORS:
@@ -113,8 +108,8 @@ def t_mem_fm(point: CodePoint) -> float:
     return point.spec.tau_qec * _exp(-expo * math.log1p(-point.epsilon))
 
 
-def thermal_rates(point: CodePoint, j_L: float | None = None) -> ThermalRates:
-    """T2 = hbar/(2 pi kB T jz*^2) and Korringa rate j(L)^2 kB T / hbar.
+def thermal_rates(point: CodePoint, j_L: float) -> ThermalRates:
+    """T2 = hbar/(2 pi kB T jz*^2) and Korringa rate j_L^2 kB T / hbar, j_L = j(L).
 
     T = 0 returns the algebraic-regime sentinel (infinite T2, zero rate).
     The T2 channel needs jz_star and is None without it.
@@ -122,11 +117,10 @@ def thermal_rates(point: CodePoint, j_L: float | None = None) -> ThermalRates:
     spec = point.spec
     if spec.temperature == 0.0:
         return ThermalRates(t2_thermal=math.inf, gamma_korringa=0.0)
-    j = j_of_L(spec, point.L) if j_L is None else j_L
     kB, T, hbar, jz = spec.kB, spec.temperature, spec.hbar, point.jz_star
-    gamma = j * j * (kB * T / hbar)  # cannot raise, as hbar > 0
+    gamma = j_L * j_L * (kB * T / hbar)  # cannot raise, as hbar > 0
     if gamma != gamma:
-        gamma = _saturated(((abs(j), 2), (kB, 1), (T, 1), (hbar, -1)))
+        gamma = _saturated(((abs(j_L), 2), (kB, 1), (T, 1), (hbar, -1)))
     t2 = None
     if jz is not None:
         try:
@@ -146,23 +140,12 @@ def threshold_exists(z: float, s: float) -> bool:
 def critical_coupling(spec: BathSpec, L: int) -> float:
     """Coupling lam_c where the contraction weight reaches 1.
 
-    lam_c = hbar a0**(1-z) a**z / (4 tau), deflated by sqrt(ln L) at z = 1/2
-    and by L**((1-2z)/2) below it; only the short-range branch is
-    L-independent.
+    The bath's base hbar a0**(1-z) a**z / (4 tau), deflated by sqrt(ln L) on
+    its critical ``branch`` and by L**((1-2z)/2) on its long-range one; only
+    the short-range branch is L-independent.
     """
     check_even_L(L)
-    return _critical_coupling(spec, L, classify_regime(spec.z, 1.0))
-
-
-def _critical_coupling(spec: BathSpec, L: int, branch: RegimeLabel) -> float:
-    """``critical_coupling`` on the ``branch`` given, for an L already checked."""
-    try:
-        base = spec.hbar * spec.a0 ** (1.0 - spec.z) * spec.a**spec.z / (4.0 * spec.tau_qec)
-    except _RANGE_ERRORS:
-        base = math.nan
-    if base != base:
-        base = _saturated(((spec.hbar, 1), (spec.a0, 1.0 - spec.z), (spec.a, spec.z),
-                           (4.0 * spec.tau_qec, -1)))
+    base, branch = spec.critical_coupling_base, spec.branch
     if branch is RegimeLabel.SHORT_RANGE:
         return base
     if branch is RegimeLabel.CRITICAL:
@@ -172,24 +155,22 @@ def _critical_coupling(spec: BathSpec, L: int, branch: RegimeLabel) -> float:
 
 def build_report(point: CodePoint) -> LifetimeReport:
     """Evaluate every applicable formula for one point and bundle the results,
-    deciding its regime once (j_L and lambda_critical take the s = 1 branch)."""
+    under the regime and branch its bath decided when it was built."""
     spec, L = point.spec, point.L
-    regime = classify_regime(spec.z, spec.s)
-    branch = regime if spec.s == 1.0 else classify_regime(spec.z, 1.0)
-    j_L = _j_of_L(spec, L, _lambda_bar_sq(spec, L, branch))
-    rates = thermal_rates(point, j_L=j_L)
+    j_L = j_of_L(spec, L)
+    rates = thermal_rates(point, j_L)
     localized = point.jz_star is not None
     t_K = t_comp_over_tau = t_mem = None
     if localized:
         t_mem = t_mem_fm(point) / spec.tau_qec
     else:
-        window = t_comp(point, j_L=j_L)
+        window = t_comp(point, j_L)
         t_K = window / point.epsilon / spec.tau_qec
         t_comp_over_tau = window / spec.tau_qec
     return LifetimeReport(
-        regime, Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC, L, j_L, t_K,
+        spec.regime, Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC, L, j_L, t_K,
         t_comp_over_tau, t_mem, rates.gamma_korringa, rates.t2_thermal,
-        _critical_coupling(spec, L, branch), regime is RegimeLabel.SHORT_RANGE,
+        critical_coupling(spec, L), spec.regime is RegimeLabel.SHORT_RANGE,
     )
 
 

@@ -7,7 +7,8 @@ pure function of the config.  Evaluation is a serial map over grid points:
 each point is a closed form of microseconds or, for ``flow``, one RK45 trajectory, too
 little work for a process pool to pay for itself.  A lifetime point takes
 its bath from an LRU keyed on the point's bath values and emptied as a run
-starts, so a run builds and checks each distinct bath once.  The config key
+starts, so a run builds and checks each distinct bath once, and with it
+decides once the bath's regime, formula branch and bases.  The config key
 ``parallelism`` is validated and not stored, and ``run``'s ``workers``
 keyword (the CLI has no flag for it) is accepted and unused, so outputs are
 byte-identical for any value of either.  Each file is written under a unique

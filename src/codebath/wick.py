@@ -7,48 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .bath import BathSpec
+from .bath import BathSpec, RegimeLabel, _exp, classify_regime
 from .errors import ResourceLimitError
 
 MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the pairing-sum ceiling
-_CRITICAL_TOL = 1e-12      # floats this close to the regime boundary count as critical
-_EXP_ARG_MAX = 709.0
-_RANGE_ERRORS = (OverflowError, ZeroDivisionError)  # a float expression leaving float range
-
-
-def _exp(x: float) -> float:
-    return math.inf if x > _EXP_ARG_MAX else math.exp(x)
-
-
-def _saturated(powers) -> float:
-    """prod(x ** p for x, p in ``powers``), all x >= 0, summed in logs: the value
-    of a closed form whose float expression left float range (raised, or gave
-    nan from inf * 0), saturated to 0 or inf (0 if x = 0, p > 0)."""
-    log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers)
-    return 0.0 if math.isnan(log) else _exp(log)
-
-
-class RegimeLabel(Enum):
-    """Spatial-correlation regime of the environment."""
-
-    SHORT_RANGE = "ShortRange"
-    CRITICAL = "Critical"
-    LONG_RANGE = "LongRange"
-
-
-def classify_regime(z, s=1.0) -> RegimeLabel:
-    """Compare z against 1/(s+1) as floats: above is short range, within
-    ``_CRITICAL_TOL`` of it is critical, below is long range."""
-    if z <= 0:
-        raise ValueError("z must be positive")
-    if not 0 < s <= 1:
-        raise ValueError("s must lie in (0, 1]")
-    gap = z - 1.0 / (s + 1.0)  # a float for float, int or Fraction z and s
-    if abs(gap) <= _CRITICAL_TOL:
-        return RegimeLabel.CRITICAL
-    return RegimeLabel.SHORT_RANGE if gap > 0 else RegimeLabel.LONG_RANGE
 
 
 @dataclass(frozen=True)
@@ -182,26 +145,13 @@ def check_even_L(L) -> None:
 def lambda_bar_sq(spec: BathSpec, L: int) -> float:
     """Effective per-segment contraction weight entering the macroscopic coupling.
 
-    Base value 16 (lam tau / hbar)**2 / (a0**(2(1-z)) a**(2z)); multiplied by
-    ln L at z = 1/2 and by L**(1-2z) below it.  Branches on z against 1/2
-    (the s = 1 spatial criterion); ln L > 0 is guaranteed by L >= 2.  Out of
-    float range the base saturates: to inf for an overflowing coupling or an
-    underflowing denominator, to 0 for an overflowing denominator.
+    The bath's base 16 (lam tau / hbar)**2 / (a0**(2(1-z)) a**(2z)) (inf for
+    an overflowing coupling or an underflowing denominator, 0 for an
+    overflowing denominator), times ln L on the bath's critical ``branch``
+    and L**(1-2z) on its long-range one; ln L > 0 as L >= 2.
     """
     check_even_L(L)
-    return _lambda_bar_sq(spec, L, classify_regime(spec.z, 1.0))
-
-
-def _lambda_bar_sq(spec: BathSpec, L: int, branch: RegimeLabel) -> float:
-    """``lambda_bar_sq`` on the ``branch`` given, for an L already checked."""
-    try:
-        base = 16.0 * (spec.lam * spec.tau_qec) ** 2 / (
-            spec.hbar**2 * spec.a0 ** (2.0 * (1.0 - spec.z)) * spec.a ** (2.0 * spec.z))
-    except _RANGE_ERRORS:
-        base = math.nan
-    if base != base:
-        base = _saturated(((16.0, 1), (spec.lam, 2), (spec.tau_qec, 2), (spec.hbar, -2),
-                           (spec.a0, -2.0 * (1.0 - spec.z)), (spec.a, -2.0 * spec.z)))
+    base, branch = spec.lambda_bar_sq_base, spec.branch
     if branch is RegimeLabel.SHORT_RANGE:
         return base
     if branch is RegimeLabel.CRITICAL:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from codebath.bath import (
     BathSpec,
+    RegimeLabel,
     spatial_correlator,
     temporal_correlator,
     thermal_correlator,
@@ -29,6 +31,26 @@ def test_spec_validation():
         BathSpec(lam=math.nan)
     with pytest.raises(ValueError, match="a must be a finite number"):
         BathSpec(a=math.inf)
+
+
+def test_bath_fields_are_its_ten_parameters():
+    # the derived values are attributes, not fields: the sweep's bath params
+    # are read off fields(BathSpec), so a derived field would become a param
+    assert [f.name for f in dataclasses.fields(BathSpec)] == [
+        "z", "s", "lam", "v", "a", "a0", "temperature", "tau_qec", "hbar", "kB"
+    ]
+
+
+def test_replace_rederives_regime_branch_and_bases():
+    short, critical, long = RegimeLabel.SHORT_RANGE, RegimeLabel.CRITICAL, RegimeLabel.LONG_RANGE
+    spec = BathSpec(z=1.0, s=0.5, a=2.0)
+    for z, regime, branch in ((0.3, long, long), (0.5, long, critical), (0.6, long, short),
+                              (2 / 3, critical, short), (1.0, short, short)):
+        moved = dataclasses.replace(spec, z=z)
+        assert (moved.regime, moved.branch) == (regime, branch)
+        assert moved.lambda_bar_sq_base == 16.0 / 2.0 ** (2.0 * z)
+        assert moved.critical_coupling_base == 2.0**z / 4.0
+        assert vars(moved) == vars(BathSpec(z=z, s=0.5, a=2.0))
 
 
 def test_temporal_examples():

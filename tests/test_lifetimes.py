@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebath import wick
+from codebath import bath, lifetimes, wick
 from codebath.bath import BathSpec, C_LIGHT_SI, HBAR_SI
 from codebath.lifetimes import (
     CodePoint,
@@ -106,7 +106,7 @@ def test_t_comp_double_exponential_growth():
     spec = unit_weight_spec(0.25)  # below threshold: j(L) shrinks with L
     p8 = CodePoint(L=8, epsilon=0.01, spec=spec)
     p12 = CodePoint(L=12, epsilon=0.01, spec=spec)
-    assert t_comp(p12) > t_comp(p8)
+    assert t_comp(p12, j_of_L(spec, 12)) > t_comp(p8, j_of_L(spec, 8))
 
 
 def test_t_comp_saturation_warning():
@@ -172,13 +172,15 @@ def test_korringa_linear_in_temperature_bit_exact():
 @given(T=st.floats(1e-6, 1e6), jz=st.floats(0.01, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_t2_inverse_in_temperature(T, jz):
-    r1 = thermal_rates(CodePoint(L=8, epsilon=0.01, spec=BathSpec(temperature=T), jz_star=jz))
-    r2 = thermal_rates(CodePoint(L=8, epsilon=0.01, spec=BathSpec(temperature=2 * T), jz_star=jz))
+    p1 = CodePoint(L=8, epsilon=0.01, spec=BathSpec(temperature=T), jz_star=jz)
+    p2 = CodePoint(L=8, epsilon=0.01, spec=BathSpec(temperature=2 * T), jz_star=jz)
+    r1 = thermal_rates(p1, j_of_L(p1.spec, 8))
+    r2 = thermal_rates(p2, j_of_L(p2.spec, 8))
     assert r2.t2_thermal == pytest.approx(r1.t2_thermal / 2.0, rel=1e-9)
 
 
 def test_thermal_rates_zero_temperature_sentinel():
-    rates = thermal_rates(CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=0.1))
+    rates = thermal_rates(CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=0.1), j_of_L(NAT, 8))
     assert rates.t2_thermal == math.inf
     assert rates.gamma_korringa == 0.0
 
@@ -187,7 +189,7 @@ def test_closed_forms_saturate_out_of_float_range():
     fm = CodePoint(
         L=4, epsilon=0.01, spec=BathSpec(temperature=1e-300, kB=1e-10), jz_star=1e-200
     )
-    assert thermal_rates(fm).t2_thermal == math.inf  # denominator underflows
+    assert thermal_rates(fm, j_of_L(fm.spec, 4)).t2_thermal == math.inf  # denominator underflows
     assert t_mem_fm(fm) == math.inf
     # 0 * inf in j^2 kB T / hbar: (1e-200)^2 * 1e300 * 1e300 is 1e200
     hot = CodePoint(L=4, epsilon=0.01, spec=BathSpec(temperature=1e300, kB=1e300))
@@ -223,10 +225,13 @@ MAGNITUDE = st.one_of(st.just(0.0), st.floats(-320, 300).map(lambda e: 10.0**e))
 @settings(max_examples=200, deadline=None)
 @given(lam=MAGNITUDE, tau=MAGNITUDE, hbar=MAGNITUDE, v=MAGNITUDE, a=MAGNITUDE, a0=MAGNITUDE,
        kB=MAGNITUDE, T=MAGNITUDE, eps=MAGNITUDE, j=MAGNITUDE, jz=MAGNITUDE,
-       z=st.floats(0.6, 3.0), s=st.sampled_from([1.0, 0.5, 0.3]), L=st.sampled_from([2, 64]))
+       z=st.one_of(st.floats(0.05, 3.0),
+                   st.sampled_from([0.5 + dz for dz in (0.0, 1e-13, -1e-13, 2e-12, -2e-12)])),
+       s=st.sampled_from([1.0, 0.5, 0.3]), L=st.sampled_from([2, 64]))
 def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, eps, j, jz,
                                                z, s, L):
-    """Bit for bit, in and out of float range (z > 1/2: the bases alone)."""
+    """Bit for bit, in and out of float range, on all three branches of z
+    against 1/2 (the s = 1 rule, within 1e-12 of 1/2 critical)."""
     positive = [max(x, 5e-324) for x in (tau, hbar, v, a, a0, kB)]
     tau, hbar, v, a, a0, kB = positive
     spec = BathSpec(z=z, s=s, lam=lam, v=v, a=a, a0=a0, temperature=T, tau_qec=tau,
@@ -240,6 +245,10 @@ def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, 
         lambda: hbar * a0 ** (1.0 - z) * a**z / (4.0 * tau),
         lambda: ((hbar, 1), (a0, 1.0 - z), (a, z), (4.0 * tau, -1)),
     )
+    if abs(z - 0.5) <= 1e-12:
+        lb, lam_c = lb * math.log(L), lam_c / math.sqrt(math.log(L))
+    elif z < 0.5:
+        lb, lam_c = lb * L ** (1.0 - 2.0 * z), lam_c / L ** ((1.0 - 2.0 * z) / 2.0)
     j_L = closure_form(
         lambda: lam / (hbar * v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
         lambda: ((lam, 1), (hbar, -1), (v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)),
@@ -351,15 +360,15 @@ def test_t_comp_matches_regime_closed_forms():
     kw = dict(lam=0.3, v=1.3, a=1.7, a0=0.4, tau_qec=0.9)
     for z, L in ((0.8, 8), (1.0, 12)):
         spec = BathSpec(z=z, **kw)
-        got = t_comp(CodePoint(L=L, epsilon=0.01, spec=spec))
+        got = t_comp(CodePoint(L=L, epsilon=0.01, spec=spec), j_of_L(spec, L))
         assert got == pytest.approx(closed_form(spec, L, 0.01, 1.0), rel=1e-12)
     spec = BathSpec(z=0.5, **kw)
-    got = t_comp(CodePoint(L=8, epsilon=0.01, spec=spec))
+    got = t_comp(CodePoint(L=8, epsilon=0.01, spec=spec), j_of_L(spec, 8))
     assert got == pytest.approx(closed_form(spec, 8, 0.01, math.sqrt(math.log(8))), rel=1e-12)
     # long range: the deflation consistent with the L**(1-2z) contraction
     # weight is L**((1-2z)/2) inside the (.)**(L/2) bracket
     spec = BathSpec(z=0.3, **kw)
-    got = t_comp(CodePoint(L=8, epsilon=0.01, spec=spec))
+    got = t_comp(CodePoint(L=8, epsilon=0.01, spec=spec), j_of_L(spec, 8))
     assert got == pytest.approx(closed_form(spec, 8, 0.01, 8 ** ((1 - 2 * 0.3) / 2)), rel=1e-12)
 
 
@@ -464,16 +473,16 @@ def _report_points(draw):
 @settings(max_examples=400, deadline=None)
 @given(_report_points())
 def test_build_report_is_the_public_formulas(point):
-    """build_report decides the regime once and calls private cores; every
-    field must be the very float the public functions give, signed zeros,
-    infinities and the s = 1 branch rule for s < 1 included."""
+    """build_report reads the regime its bath decided when built and calls the
+    public formulas; every field must be the very float they give, signed
+    zeros, infinities and the s = 1 branch rule for s < 1 included."""
     spec, L, tau = point.spec, point.L, point.spec.tau_qec
     localized = point.jz_star is not None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # j(L) >= 1e3
         rep = build_report(point)
-        window = None if localized else t_comp(point)
-    rates = thermal_rates(point)
+        window = None if localized else t_comp(point, j_of_L(spec, L))
+    rates = thermal_rates(point, j_of_L(spec, L))
     expected = LifetimeReport(
         classify_regime(spec.z, spec.s),
         Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC,
@@ -488,6 +497,22 @@ def test_build_report_is_the_public_formulas(point):
         threshold_exists(spec.z, spec.s),
     )
     assert list(map(repr, rep)) == list(map(repr, expected))
+
+
+def test_build_report_reads_the_regime_its_bath_decided(monkeypatch):
+    # a bath decides its regime, branch and bases when built; no report re-decides
+    baths = [BathSpec(z=z, s=s, lam=0.05, temperature=0.5, a=2.0)
+             for z in (0.3, 0.5, 0.6, 1.0) for s in (1.0, 0.5)]
+    points = [CodePoint(L=8, epsilon=0.01, spec=spec, jz_star=jz)
+              for spec in baths for jz in (None, -0.2)]
+    before = [list(map(repr, build_report(point))) for point in points]
+
+    def refuse(*_):
+        raise AssertionError("classify_regime called after the bath was built")
+
+    for module in (bath, wick, lifetimes):
+        monkeypatch.setattr(module, "classify_regime", refuse)
+    assert [list(map(repr, build_report(point))) for point in points] == before
 
 
 def test_preset_neutral_atom_exact_numbers():

@@ -791,6 +791,16 @@ def test_cli_out_override(tmp_path):
     assert other.exists() and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name", ["regime", "branch", "lambda_bar_sq_base", "critical_coupling_base"]
+)
+def test_derived_bath_values_are_not_params(tmp_path, capsys, name):
+    # a bath derives these when built; they are not fields, so no config sets them
+    cfg = lifetime_config(tmp_path / "x.csv", params={"lambda": 0.05, name: 1.0})
+    assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"params.{name}" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, {"task": "lifetime", "output_path": "x.csv"})
     assert main(["lifetime", "--config", cfg_path]) == 2
