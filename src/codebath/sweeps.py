@@ -5,10 +5,10 @@ and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
 pure function of the config.  Evaluation is a serial map over grid points:
 each point is a closed form of microseconds or, for ``flow``, one RK45 trajectory, too
-little work for a process pool to pay for itself.  A lifetime point takes
-its bath from an LRU keyed on the point's bath values and emptied as a run
-starts, so a run builds and checks each distinct bath once, and with it
-decides once the bath's regime, formula branch and bases.  The config key
+little work for a process pool to pay for itself.  A lifetime run builds
+each bath of its bath axes' product once and sweeps them as one axis: they
+sort after every other axis, so the k-th point of each run of ``len(baths)``
+points takes the k-th bath.  The config key
 ``parallelism`` is validated and not stored, and ``run``'s ``workers``
 keyword (the CLI has no flag for it) is accepted and unused, so outputs are
 byte-identical for any value of either.  Each file is written under a unique
@@ -255,7 +255,7 @@ def _write_rows(path: str, header: list[str], rows: list, *, template: str) -> N
 # --- per-point evaluation ----------------------------------------------------
 
 
-@functools.cache  # fields() per grid point shows up in lifetime sweep times
+@functools.cache  # fields() would add half to each FlowOptions built, a fifth to each bath
 def _float_fields(cls) -> dict[str, bool]:
     return {f.name: type(f.default) is float for f in fields(cls)}
 
@@ -275,23 +275,19 @@ _portrait_options = functools.partial(_from_fields, FlowOptions, j_max=4.0)
 
 
 _BATH_NAMES = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(BathSpec)}
+_BATH_AXIS = "~bath"  # a lifetime run's prebuilt baths; "~" sorts after every config name
 
 
-@functools.lru_cache(maxsize=1024)  # emptied by each run
-def _bath(key: tuple) -> BathSpec:
-    """The bath of ``key``: config values in ``_BATH_NAMES`` order, None if absent."""
-    given = zip(_BATH_NAMES.values(), key)
-    return _from_fields(BathSpec, {name: v for name, v in given if v is not None})
+def _bath(values: dict) -> BathSpec:
+    """A bath from config names (``lambda`` for ``lam``)."""
+    return _from_fields(BathSpec, {_BATH_NAMES[n]: v for n, v in values.items() if n in _BATH_NAMES})
 
 
-def _code_point(values: dict) -> lifetimes.CodePoint:
-    """A lifetime point from config names (``lambda`` for ``lam``; L = 2 if absent)."""
-    key = (*map(values.get, _BATH_NAMES),)  # tuple(map()) resizes; its dead keys hoard memory
-    if 0 in key:  # -0.0 == 0.0, but a lambda of -0.0 writes j_L as -0
-        key += tuple([repr(v) for v in key if v == 0])
+def _code_point(values: dict, spec: BathSpec | None = None) -> lifetimes.CodePoint:
+    """A lifetime point from config names (L = 2 if absent) on ``spec``, else on their bath."""
     jz_star = values.get("jz_star")
-    return lifetimes.CodePoint(values.get("L", 2), float(values.get("epsilon", 0.01)), _bath(key),
-                               None if jz_star is None else float(jz_star))
+    return lifetimes.CodePoint(values.get("L", 2), float(values.get("epsilon", 0.01)),
+                               spec or _bath(values), None if jz_star is None else float(jz_star))
 
 
 def _matching_problem(values: dict) -> wick.MatchingProblem:
@@ -365,7 +361,7 @@ def _eval_census(params: dict, point: dict):
 
 def _eval_lifetime(params: dict, point: dict):
     """A point's record cells (an absent Optional float empty), written after its axis cells."""
-    rep = lifetimes.build_report(_code_point({**params, **point}))
+    rep = lifetimes.build_report(_code_point({**params, **point}, point[_BATH_AXIS]))
     return [(rep.regime.value, rep.phase.value, rep.L, rep.j_L,
              *["" if v is None else "%.17g" % v for v in rep[4:9]], rep.lambda_critical)]
 
@@ -453,9 +449,8 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     ``workers`` is accepted for compatibility and changes nothing.
     """
     out, task = cfg.output_path, TASKS[cfg.task]
-    _bath.cache_clear()  # a run builds its baths afresh, as a new process would
+    _refuse_overwrite(out, force)  # before any point is evaluated
     if task.evaluate is None:
-        _refuse_overwrite(out, force)
         rep = lifetimes.preset_report(
             cfg.params["name"],
             L_grid=tuple(cfg.params["L_grid"]) if "L_grid" in cfg.params else None,
@@ -468,8 +463,13 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
         with _atomic(out) as fh:
             fh.write("\n".join(lines) + "\n")
         return [out]
-    results = _map_points(task.evaluate, cfg.params, grid_points(cfg.axes), 1)
-    _refuse_overwrite(out, force)
+    axes = dict(cfg.axes)
+    if cfg.task == "lifetime":  # the bath axes sort last: one axis of their baths replaces them
+        named = {n: axes.pop(n) for n in sorted(cfg.axes) if n in _BATH_NAMES}
+        axes[_BATH_AXIS] = [_bath({**cfg.params, **dict(zip(named, combo))})
+                            for combo in itertools.product(*named.values())]
+    results = _map_points(task.evaluate, cfg.params, grid_points(axes), 1)
+    _refuse_overwrite(out, force)  # a file that appeared meanwhile is refused too
     if cfg.task == "flow":
         return _write_flow(out, results)
     header, leads = list(task.header), None

@@ -1,24 +1,26 @@
 import csv
-import functools
+import dataclasses
 import hashlib
 import io
 import itertools
 import json
 import math
+import os
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codebath import cli, sweeps
 from codebath.bath import BathSpec
 from codebath.cli import main
-from codebath.errors import ConfigError
-from codebath.lifetimes import LifetimeReport, Phase, build_report
+from codebath.errors import ConfigError, ResourceLimitError
+from codebath.lifetimes import CodePoint, LifetimeReport, Phase, build_report
 from codebath.rg_flow import PORTRAIT_SAMPLES, Localized, StrongCoupling
 from codebath.surface_code import TieBreak
 from codebath.sweeps import (
@@ -312,6 +314,13 @@ def lifetime_oracle(cfg: SweepConfig, reports):
     return [*names, *LIFETIME_FIELDS], rows
 
 
+def assert_lifetime_rows_per_point(cfg: SweepConfig):
+    """The lifetime file of ``cfg`` holds, per grid point, the report of a
+    point that ``_code_point`` builds, its bath with it, from that point alone."""
+    reports = (build_report(sweeps._code_point({**cfg.params, **p})) for p in grid_points(cfg.axes))
+    assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, reports))
+
+
 @given(st.floats())
 def test_float_template_equals_format_cell(v):
     assert "%.17g" % v == format_cell(v)
@@ -421,11 +430,7 @@ def run_workload_checked(tmp_path, monkeypatch, workload: str, seed: int) -> Cou
             warnings.simplefilter("ignore")  # the j(L) >= 1e3 caution
             run(cfg)
             if cfg.task == "lifetime":
-                reports = (build_report(sweeps._code_point({**cfg.params, **p}))
-                           for p in grid_points(cfg.axes))
-                assert_template_matches_oracle(
-                    Path(cfg.output_path), *lifetime_oracle(cfg, reports)
-                )
+                assert_lifetime_rows_per_point(cfg)
         if cfg.task == "flow":
             assert_template_matches_oracle(
                 Path(cfg.output_path) / "index.csv", FLOW.header, flow_index_oracle(traces)
@@ -503,55 +508,108 @@ def test_lifetime_task_fm_row(tmp_path):
     assert float(get("t2_thermal")) > 0.0
 
 
-# --- the per-run bath cache -------------------------------------------------
+# --- the run's baths ----------------------------------------------------------
 
 
-def uncached_bytes(monkeypatch, cfg, out):
-    """The bytes ``cfg`` writes with every bath built afresh, as without the cache."""
-    with monkeypatch.context() as m:
-        m.setattr(sweeps, "_bath", functools.lru_cache(maxsize=0)(sweeps._bath.__wrapped__))
-        run(validate_config(cfg), force=True)
-    return out.read_bytes()
-
-
-def test_bath_cache_keeps_signed_zeros_apart(tmp_path, monkeypatch):
-    # -0.0 == 0.0, yet a lambda of -0.0 writes j_L as -0
-    out = tmp_path / "zeros.csv"
-    axes = {"L": [4], "lambda": [0.0, -0.0], "temperature": [0.0, -0.0, 0.5]}
-    cfg = lifetime_config(out, axes=axes, params={"epsilon": 0.01})
-    run(validate_config(cfg))
-    cached = out.read_bytes()
-    assert sweeps._bath.cache_info().currsize == 6
-    header, *rows = read_rows(out)
-    assert [row[header.index("j_L")] for row in rows] == ["0"] * 3 + ["-0"] * 3
-    assert cached == uncached_bytes(monkeypatch, cfg, out)
-
-
-def test_bath_cache_holds_only_the_runs_baths(tmp_path, monkeypatch):
-    checked = []
-    post_init = BathSpec.__post_init__
+def count_bath_checks(monkeypatch) -> list:
+    """A list that grows by one each time a bath passes ``BathSpec``'s checks."""
+    checked, post_init = [], BathSpec.__post_init__
     monkeypatch.setattr(BathSpec, "__post_init__", lambda spec: checked.append(post_init(spec)))
-    run(validate_config(lifetime_config(tmp_path / "a.csv", axes={"L": [4], "z": [0.3, 0.5, 2]})))
-    axes = {"L": [2, 4, 8], "lambda": [0.1, 0.2]}
-    cfg = validate_config(lifetime_config(tmp_path / "b.csv", axes=axes, params={"epsilon": 0.1}))
-    checked.clear()
+    return checked
+
+
+def test_bath_axes_sort_after_every_other_lifetime_axis():
+    # a run gives the k-th point of every len(baths) points the k-th bath,
+    # which holds only while the bath axes vary fastest
+    baths = sorted(n for n in LIFETIME.axes if n in sweeps._BATH_NAMES)
+    others = sorted(n for n in LIFETIME.axes if n not in sweeps._BATH_NAMES)
+    assert baths and others
+    assert max(others) < min(baths)
+    assert max(LIFETIME.axes) < sweeps._BATH_AXIS  # their one axis of baths sorts last too
+
+
+def test_run_keeps_signed_zeros_apart(tmp_path):
+    # -0.0 == 0.0, yet a lambda of -0.0 writes j_L as -0
+    axes = {"L": [4], "lambda": [0.0, -0.0], "temperature": [0.0, -0.0, 0.5]}
+    cfg = validate_config(
+        lifetime_config(tmp_path / "zeros.csv", axes=axes, params={"epsilon": 0.01})
+    )
     run(cfg)
-    info = sweeps._bath.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 4)
-    assert len(checked) == 2  # each distinct bath passed BathSpec's checks once
+    header, *rows = read_rows(cfg.output_path)
+    assert [row[header.index("j_L")] for row in rows] == ["0"] * 3 + ["-0"] * 3
+    assert_lifetime_rows_per_point(cfg)
 
 
-def test_bath_cache_past_its_bound_writes_the_same_bytes(tmp_path, monkeypatch):
-    bound = sweeps._bath.cache_info().maxsize
-    lambdas = [i / 1000 for i in range(bound + 100)]
-    out = tmp_path / "many.csv"
-    cfg = lifetime_config(out, axes={"L": [2, 4], "lambda": lambdas}, params={"epsilon": 0.1})
-    run(validate_config(cfg))
-    cached = out.read_bytes()
-    info = sweeps._bath.cache_info()
-    # L varies slowest, so each bath comes back after the bound has evicted it
-    assert (info.currsize, info.misses, info.hits) == (bound, 2 * len(lambdas), 0)
-    assert cached == uncached_bytes(monkeypatch, cfg, out)
+def test_run_checks_each_bath_once(tmp_path, monkeypatch):
+    axes = {"L": [2, 4, 8], "lambda": [0.1, 0.2], "z": [1, 1.0]}  # twins are two baths
+    cfg = validate_config(lifetime_config(tmp_path / "b.csv", axes=axes, params={"epsilon": 0.1}))
+    checked = count_bath_checks(monkeypatch)
+    run(cfg)
+    assert len(checked) == 4  # each bath passed BathSpec's checks once, not once per L
+    assert_lifetime_rows_per_point(cfg)
+
+
+def test_run_builds_each_of_many_baths_once(tmp_path, monkeypatch):
+    # more baths than the 1024 a bounded cache held: L varies slowest, so
+    # each bath comes back only after every other one
+    lambdas = [i / 1000 for i in range(1124)]
+    axes = {"L": [2, 4], "lambda": lambdas}
+    cfg = validate_config(lifetime_config(tmp_path / "many.csv", axes=axes, params={"epsilon": 0.1}))
+    checked = count_bath_checks(monkeypatch)
+    run(cfg)
+    assert len(checked) == len(lambdas)
+    assert_lifetime_rows_per_point(cfg)
+
+
+# each list holds duplicates and, where valid, 0, -0.0 and int/float twins
+LIFETIME_VALUES = {
+    "L": [2, 4, 2, 6],
+    "epsilon": [0.01, 0.1, 0.01],
+    "jz_star": [0, -0.0, 0.0, -0.19],
+    "lambda": [0, -0.0, 0.0, 0.05, 1, 1.0],
+    "s": [1, 1.0, 0.5, 0.5],
+    "temperature": [0, -0.0, 0.5, 1, 1.0],
+    "z": [0.3, 0.5, 1, 1.0, 2],
+}
+
+
+@st.composite
+def lifetime_grids(draw):
+    """(axes, params) naming their keys in shuffled order; L is always swept."""
+    axes, params = {}, {}
+    for name in draw(st.permutations(sorted(LIFETIME_VALUES))):
+        values = st.sampled_from(LIFETIME_VALUES[name])
+        where = "axes" if name == "L" else draw(st.sampled_from(["axes", "axes", "params", None]))
+        if where == "axes":
+            axes[name] = draw(st.lists(values, min_size=1, max_size=3))
+        elif where == "params":
+            params[name] = draw(values)
+    return axes, params
+
+
+def fresh_report(values: dict):
+    """``build_report`` on a point and a ``BathSpec`` built for it alone."""
+    spec = BathSpec(**{"lam" if n == "lambda" else n: float(values[n])
+                       for n in ("lambda", "s", "temperature", "z") if n in values})
+    jz_star = values.get("jz_star")
+    return build_report(CodePoint(values["L"], float(values.get("epsilon", 0.01)), spec,
+                                  None if jz_star is None else float(jz_star)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifetime_grids())
+# bath axes named out of sorted order, each with values that write different rows
+@example(({"z": [2, 0.3], "L": [2, 4], "temperature": [0.5, -0.0], "lambda": [0, 0.05]},
+          {"s": 0.5, "jz_star": -0.0}))
+def test_lifetime_rows_are_reports_on_fresh_baths(grid):
+    axes, params = grid
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the j(L) >= 1e3 caution
+        cfg = validate_config({"task": "lifetime", "axes": axes, "params": params,
+                               "output_path": os.path.join(tmp, "life.csv")})
+        run(cfg)
+        reports = (fresh_report({**params, **p}) for p in grid_points(axes))
+        assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, reports))
 
 
 def test_census_task_matches_direct_call(tmp_path):
@@ -764,6 +822,35 @@ def test_overwrite_refused_without_force(tmp_path):
     with pytest.raises(FileExistsError):
         run(cfg)
     run(cfg, force=True)  # allowed
+
+
+def unaffordable(params, point):
+    raise ResourceLimitError("a point was evaluated")
+
+
+def test_overwrite_refused_before_any_point_is_evaluated(tmp_path, monkeypatch):
+    out = tmp_path / "once.csv"
+    out.write_text("kept\n")
+    monkeypatch.setitem(sweeps.TASKS, "lifetime", dataclasses.replace(LIFETIME, evaluate=unaffordable))
+    cfg_path = write_config(tmp_path, lifetime_config(out))
+    assert main(["lifetime", "--config", cfg_path]) == 4  # before the point's own exit 3
+    assert main(["lifetime", "--config", cfg_path, "--force"]) == 3
+    assert out.read_text() == "kept\n"
+
+
+def test_output_that_appears_during_evaluation_is_refused(tmp_path, monkeypatch):
+    out = tmp_path / "late.csv"
+
+    def racing(params, point):
+        if not out.exists():
+            out.write_text("theirs\n")
+        return LIFETIME.evaluate(params, point)
+
+    monkeypatch.setitem(sweeps.TASKS, "lifetime", dataclasses.replace(LIFETIME, evaluate=racing))
+    with pytest.raises(FileExistsError):
+        run(validate_config(lifetime_config(out)))
+    assert out.read_text() == "theirs\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["late.csv"]
 
 
 # --- CLI --------------------------------------------------------------------
