@@ -91,10 +91,7 @@ class BathSpec:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number")
-        if self.z <= 0:
-            raise ValueError("z must be positive")
-        if not 0.0 < self.s <= 1.0:
-            raise ValueError("s must lie in (0, 1]")
+        regime = classify_regime(self.z, self.s)  # refuses z <= 0 and s outside (0, 1]
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         for name in ("v", "a", "a0", "tau_qec", "hbar", "kB"):
@@ -103,7 +100,6 @@ class BathSpec:
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
         z, lam, a, a0, tau, hbar = self.z, self.lam, self.a, self.a0, self.tau_qec, self.hbar
-        regime = classify_regime(z, self.s)
         try:
             lb = 16.0 * (lam * tau) ** 2 / (hbar**2 * a0 ** (2.0 * (1.0 - z)) * a ** (2.0 * z))
         except _RANGE_ERRORS:

@@ -16,7 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI, RegimeLabel
@@ -190,7 +189,7 @@ class PresetReport:
     lambda_critical_curve: tuple[tuple[float, int, float], ...] | None = None
 
 
-def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetReport:
+def preset_report(name: str) -> PresetReport:
     """Evaluate one of the two hardware parameter sets.
 
     ``neutral_atom``: 1 ms cycle, 3 um pitch, z = 1 vacuum, velocity c.  The
@@ -200,21 +199,22 @@ def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetRep
     code at the threshold coupling, L = 100, eps = 0.01.
 
     ``superconducting``: 1 us cycle, 1 mm pitch; critical-coupling curves
-    lam_c(L) for z in (1, 0.5, 0.3) over ``L_grid``.  The bath cutoff a0 is
-    unconstrained by the platform and defaults to the pitch, so only ratios
-    of curve values are meaningful.
+    lam_c(L) for z in (1, 0.5, 0.3) over L in (10, 30, 100, 300, 1000); a
+    ``lifetime`` sweep's ``lambda_critical`` gives them over any L.  The bath
+    cutoff a0 is unconstrained by the platform and defaults to the pitch, so
+    only ratios of curve values are meaningful.
     """
     if name == "neutral_atom":
         tau = 1.0e-3
         pitch = 3.0e-6
-        sites_round = Fraction(3 * 10**8) * Fraction(1, 10**3) / Fraction(3, 10**6)
-        g_round = Fraction(1, 4) / sites_round
+        sites_round = 3 * 10**8 * 10**6 // (10**3 * 3)  # c tau / a, exactly 10**11
+        g_round = 1 / (4 * sites_round)  # int / int rounds once
         sites_precise = C_LIGHT_SI * tau / pitch
         g_precise = 1.0 / (4.0 * sites_precise)
         spec = BathSpec(
             z=1.0,
             s=1.0,
-            lam=float(g_round) * HBAR_SI * C_LIGHT_ROUND,
+            lam=g_round * HBAR_SI * C_LIGHT_ROUND,
             v=C_LIGHT_ROUND,
             a=pitch,
             a0=pitch,
@@ -225,7 +225,7 @@ def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetRep
         )
         checks = {
             "light_cone_sites": float(sites_round),
-            "g_critical": float(g_round),
+            "g_critical": g_round,
             "light_cone_sites_precise_c": sites_precise,
             "g_critical_precise_c": g_precise,
             "lambda_critical_si": critical_coupling(spec, 100),
@@ -237,7 +237,6 @@ def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetRep
     if name == "superconducting":
         tau = 1.0e-6
         pitch = 1.0e-3
-        grid = _SC_L_GRID if L_grid is None else tuple(L_grid)
         curve = []
         specs = {}
         for z in _SC_Z_VALUES:
@@ -245,14 +244,14 @@ def preset_report(name: str, L_grid: tuple[int, ...] | None = None) -> PresetRep
                 z=z, s=1.0, lam=1.0, v=1.0, a=pitch, a0=pitch,
                 temperature=0.0, tau_qec=tau, hbar=HBAR_SI, kB=KB_SI,
             )
-            for L in grid:
+            for L in _SC_L_GRID:
                 curve.append((z, L, critical_coupling(specs[z], L)))
         checks = {
             "lambda_c_ratio_L100_L10_z0.5": (
                 critical_coupling(specs[0.5], 100) / critical_coupling(specs[0.5], 10)
             ),
             "lambda_c_z1_L_independent": (
-                critical_coupling(specs[1.0], grid[-1]) / critical_coupling(specs[1.0], grid[0])
+                critical_coupling(specs[1.0], 1000) / critical_coupling(specs[1.0], 10)
             ),
         }
         return PresetReport(name=name, check_values=checks, lambda_critical_curve=tuple(curve))

@@ -43,7 +43,6 @@ class FlowOptions:
     l_max: float = 100.0
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    sample_stride: int = 1
 
     def __post_init__(self):
         if not 0 < self.j_min < self.j_max < _J_LIMIT:
@@ -57,10 +56,6 @@ class FlowOptions:
             raise ValueError("tolerances must be positive")
         if self.rel_tol < _RTOL_MIN:
             raise ValueError(f"rel_tol must be >= {_RTOL_MIN!r} (100 float epsilons)")
-        if not isinstance(self.sample_stride, int) or isinstance(self.sample_stride, bool):
-            raise ValueError("sample_stride must be an integer")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -304,9 +299,9 @@ def check_start(j0: CouplingVector) -> None:
 def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowTrace:
     """Integrate from j0 until a terminal condition (see module docstring).
 
-    The invariant drift recorded on the trace is the worst excursion of the
-    two constants of motion over every accepted step; with the default
-    tolerances it stays below 100 * abs_tol.
+    The trace samples the start and every accepted step.  Its invariant drift
+    is the worst excursion of the two constants of motion over those samples;
+    with the default tolerances it stays below 100 * abs_tol.
     """
     opts = opts or FlowOptions()
     check_start(j0)
@@ -383,10 +378,7 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     c1, c2 = x0 * x0 - y0 * y0, z0 * z0 - x0 * x0
     drift = max(max(abs(x * x - y * y - c1), abs(z * z - x * x - c2)) for x, y, z in ys)
 
-    keep = list(range(0, len(ls), opts.sample_stride))
-    if keep[-1] != len(ls) - 1:
-        keep.append(len(ls) - 1)
-    samples = tuple((ls[k], CouplingVector(*ys[k])) for k in keep)
+    samples = tuple((l, CouplingVector(*y)) for l, y in zip(ls, ys))
     return FlowTrace(samples=samples, terminal=terminal, invariant_drift=drift)
 
 

@@ -8,7 +8,8 @@ each point is a closed form of microseconds or, for ``flow``, one RK45 trajector
 little work for a process pool to pay for itself.  A lifetime run builds
 each bath of its bath axes' product once and sweeps them as one axis: they
 sort after every other axis, so the k-th point of each run of ``len(baths)``
-points takes the k-th bath.  The config key
+points takes the k-th bath.  A value naming a field of ``FlowOptions`` or
+``BathSpec``, all floats, enters it through ``float``.  The config key
 ``parallelism`` is validated and not stored, and ``run``'s ``workers``
 keyword (the CLI has no flag for it) is accepted and unused, so outputs are
 byte-identical for any value of either.  Each file is written under a unique
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import fnmatch
-import functools
 import itertools
 import json
 import math
@@ -113,6 +113,9 @@ def validate_config(obj) -> SweepConfig:
         raise ConfigError("output_path", "required")
     if not isinstance(output_path, str) or not output_path:
         raise ConfigError("output_path", "must be a non-empty string")
+    if "\0" in output_path:  # os.path.exists is False for it: only the write would fail
+        raise ConfigError("output_path", "must not contain a NUL character")
+    _checked("output_path", os.fsencode, output_path)  # nor can a lone surrogate be written
 
     axes_obj = obj.get("axes", {})
     if not isinstance(axes_obj, dict):
@@ -155,13 +158,6 @@ def validate_config(obj) -> SweepConfig:
                 raise ConfigError(
                     "params.name", f"must be one of {'|'.join(lifetimes.PRESET_NAMES)}"
                 )
-        elif name == "L_grid":
-            if not isinstance(value, list) or not value:
-                raise ConfigError("params.L_grid", "must be a non-empty list")
-            for i, v in enumerate(value):
-                if not _is_number(v):
-                    raise ConfigError(f"params.L_grid[{i}]", "must be a finite number")
-                _checked(f"params.L_grid[{i}]", wick.check_even_L, v)
         elif not _is_number(value):
             raise ConfigError(f"params.{name}", "must be a finite number")
         params[name] = value
@@ -185,14 +181,15 @@ def validate_config(obj) -> SweepConfig:
 
 
 def read_config(path: str) -> dict:
-    """Open and decode a config file, which must hold one JSON object."""
+    """Open and decode a config file, which must hold one JSON object in UTF-8."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError("$", f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("$", f"invalid JSON: {exc}") from exc
+    # also bytes that are not UTF-8, an integer of 4300+ digits and nesting past the stack
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError("$", f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("$", "config must be a JSON object")
     return obj
@@ -255,23 +252,17 @@ def _write_rows(path: str, header: list[str], rows: list, *, template: str) -> N
 # --- per-point evaluation ----------------------------------------------------
 
 
-@functools.cache  # fields() would add half to each FlowOptions built, a fifth to each bath
-def _float_fields(cls) -> dict[str, bool]:
-    return {f.name: type(f.default) is float for f in fields(cls)}
+_FLOW_PARAMS = {f.name for f in fields(FlowOptions)}
 
 
-def _from_fields(cls, values: dict, **defaults):
-    """Build the dataclass ``cls`` from the entries of ``values`` that name its
-    fields, over ``defaults``: a float field's value through ``float``, any
-    other as given, for ``cls`` to check (an integer field refuses 2.5)."""
-    floats = _float_fields(cls)
-    given = {name: float(v) if floats[name] else v for name, v in values.items() if name in floats}
-    return cls(**{**defaults, **given})
+def _flow_options(values: dict) -> FlowOptions:
+    """Flow options from the entries of ``values`` that name a field."""
+    return FlowOptions(**{n: float(v) for n, v in values.items() if n in _FLOW_PARAMS})
 
 
-_flow_options = functools.partial(_from_fields, FlowOptions)
-# a portrait's ceiling sits just outside the plotted window
-_portrait_options = functools.partial(_from_fields, FlowOptions, j_max=4.0)
+def _portrait_options(values: dict) -> FlowOptions:
+    """A portrait's flow options: its ceiling sits just outside the plotted window."""
+    return _flow_options({"j_max": 4.0, **values})
 
 
 _BATH_NAMES = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(BathSpec)}
@@ -280,7 +271,7 @@ _BATH_AXIS = "~bath"  # a lifetime run's prebuilt baths; "~" sorts after every c
 
 def _bath(values: dict) -> BathSpec:
     """A bath from config names (``lambda`` for ``lam``)."""
-    return _from_fields(BathSpec, {_BATH_NAMES[n]: v for n, v in values.items() if n in _BATH_NAMES})
+    return BathSpec(**{_BATH_NAMES[n]: float(v) for n, v in values.items() if n in _BATH_NAMES})
 
 
 def _code_point(values: dict, spec: BathSpec | None = None) -> lifetimes.CodePoint:
@@ -386,7 +377,6 @@ class Task:
 
 
 _TRACE_ROW = ",".join(["%.17g"] * 6) + "\n"  # (l, jx, jy, jz, c1, c2)
-_FLOW_PARAMS = {f.name for f in fields(FlowOptions)}
 TASKS = {
     "flow": Task(
         {"jx", "jy", "jz", "j_perp"}, _FLOW_PARAMS, _eval_flow,
@@ -414,7 +404,7 @@ TASKS = {
         _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point,
         template="%s%s,%s,%d,%.17g,%s,%s,%s,%s,%s,%.17g\n",  # after the axis cells
     ),
-    "preset": Task(set(), {"name", "L_grid"}, required={"name"}),
+    "preset": Task(set(), {"name"}, required={"name"}),
 }
 
 
@@ -451,10 +441,7 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     out, task = cfg.output_path, TASKS[cfg.task]
     _refuse_overwrite(out, force)  # before any point is evaluated
     if task.evaluate is None:
-        rep = lifetimes.preset_report(
-            cfg.params["name"],
-            L_grid=tuple(cfg.params["L_grid"]) if "L_grid" in cfg.params else None,
-        )
+        rep = lifetimes.preset_report(cfg.params["name"])
         lines = [f"preset = {rep.name}", *(f"{k} = {v!r}" for k, v in rep.check_values.items())]
         if rep.report is not None:
             lines += (f"report.{k} = {format_cell(v)}" for k, v in rep.report._asdict().items())

@@ -74,7 +74,6 @@ _flow_params = {
     "l_max": sometimes_invalid(st.floats(0.1, 50.0)),
     "j_max": st.one_of(st.floats(0.5, 10.0), st.sampled_from([0.0, 1e10, 1e200])),
     "j_min": st.one_of(st.floats(1e-10, 0.1), st.just(2.0)),
-    "sample_stride": st.integers(0, 5),
     "abs_tol": st.floats(1e-12, 1e-6),
     "rel_tol": st.floats(1e-12, 1e-6),
 }
@@ -97,8 +96,7 @@ census = config(
 )
 preset = config(
     "preset", st.just({}),
-    {"name": st.sampled_from(["neutral_atom", "superconducting", "mainframe"]),
-     "L_grid": st.lists(st.sampled_from([2, 4, 5, 100, 0, 10**400]), min_size=1, max_size=3)},
+    {"name": st.sampled_from(["neutral_atom", "superconducting", "mainframe"])},
 )
 
 
@@ -110,6 +108,7 @@ preset = config(
 # values that once ended in a traceback or a late, pathless refusal
 @example({"task": "matching", "axes": {"n": [2, 4, 6]}, "params": {"z": -1e300}})
 @example({"task": "preset", "axes": {}, "params": {"name": "superconducting", "L_grid": [10**400]}})
+@example({"task": "lifetime", "axes": {"L": [4]}, "params": {}, "output_path": "out\0.csv"})
 @example({"task": "census", "axes": {"L": [20000], "weight": [10000]}, "params": {}})
 @example({"task": "lifetime", "axes": {"L": [200, 2000]}, "params": {"s": 0.5, "lambda": 0.5}})
 # a pair whose square underflows, and a ceiling the closed form meets at its pole
@@ -120,7 +119,7 @@ preset = config(
           "params": {"j_max": 1e200}})
 def test_any_config_exits_with_a_documented_code_and_no_nan(cfg):
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
+        out = os.path.join(tmp, cfg.get("output_path", "out"))
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump({**cfg, "output_path": out}, fh)

@@ -97,3 +97,13 @@ def test_submodule_imports_load_only_their_dependencies():
     assert not {"codebath.rg_flow", "codebath.sweeps"} & set(loaded["codebath.lifetimes"])
     census = loaded_after("codebath.surface_code")["codebath.surface_code"]
     assert census == ["codebath.errors", "codebath.surface_code"]
+
+
+def test_cli_start_loads_no_fractions_or_decimal():
+    # exact rationals would cost every start the decimal and numbers modules
+    script = (f"import sys; sys.path.insert(0, {SRC!r}); import codebath.cli; "
+              "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -134,15 +134,10 @@ def test_phase_boundary_by_bisection():
     assert abs(0.5 * (lo + hi) - (-0.1)) < 1e-3
 
 
-def test_samples_strictly_increasing_and_strided():
+def test_samples_strictly_increasing():
     trace = integrate_flow(CouplingVector(0.2, 0.2, 0.2))
     ls = [l for l, _ in trace.samples]
     assert all(b > a for a, b in zip(ls, ls[1:]))
-    strided = integrate_flow(
-        CouplingVector(0.2, 0.2, 0.2), FlowOptions(sample_stride=10)
-    )
-    assert len(strided.samples) < len(trace.samples)
-    assert strided.samples[-1][0] == pytest.approx(trace.samples[-1][0])
 
 
 def test_immediate_ceiling_start():
@@ -215,8 +210,6 @@ def test_flow_options_validation():
         FlowOptions(j_min=1.0, j_max=0.5)
     with pytest.raises(ValueError):
         FlowOptions(l_max=0.0)
-    with pytest.raises(ValueError):
-        FlowOptions(sample_stride=0)
     with pytest.raises(ValueError) as err:
         FlowOptions(j_max=_J_LIMIT)
     assert str(err.value) == "need 0 < j_min < j_max < 1.3407807929942596e+154"
@@ -227,13 +220,6 @@ def test_flow_options_refuse_rel_tol_below_solver_floor():
     assert FlowOptions(rel_tol=floor).rel_tol == floor
     with pytest.raises(ValueError, match=r"rel_tol must be >= 2\.220446049250313e-14"):
         FlowOptions(rel_tol=math.nextafter(floor, 0.0))
-
-
-def test_flow_options_refuse_fractional_stride():
-    with pytest.raises(ValueError, match="sample_stride must be an integer"):
-        FlowOptions(sample_stride=2.5)
-    with pytest.raises(ValueError, match="sample_stride must be an integer"):
-        FlowOptions(sample_stride=True)
 
 
 @pytest.mark.parametrize("field", ["l_max", "abs_tol", "rel_tol"])

@@ -117,7 +117,7 @@ MALFORMED = [
     (
         {"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 5]},
          "output_path": "x.txt"},
-        "params.L_grid[1]",
+        "params.L_grid",
     ),
     # domain rules of the object each value becomes
     ({"task": "lifetime", "axes": {"L": [4]}, "params": {"z": -1}, "output_path": "x.csv"},
@@ -161,6 +161,11 @@ MALFORMED = [
     *(({"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [0.1]}, "params": {name: value},
         "output_path": "x.csv"}, f"params.{name}")
       for name, value in (("rel_tol", 1e-8), ("abs_tol", 1e-12), ("sample_stride", 1))),
+    # a trace keeps every accepted step, and a lifetime sweep gives lambda_c over any L grid
+    ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"sample_stride": 3}, "output_path": "x"},
+     "params.sample_stride"),
+    ({"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 8, 64]},
+      "output_path": "x.txt"}, "params.L_grid"),
 ]
 
 
@@ -716,13 +721,25 @@ def test_preset_superconducting_curve(tmp_path):
     assert float(checks["lambda_c_ratio_L100_L10_z0.5"]) == pytest.approx(math.sqrt(0.5))
     assert float(checks["lambda_c_z1_L_independent"]) == 1.0
 
-    grid_out = tmp_path / "grid.txt"
-    cfg = {"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 8, 64]},
-           "output_path": str(grid_out)}
-    assert main(["preset", "--config", write_config(tmp_path, cfg)]) == 0
-    assert [key for key, _ in read_preset(grid_out) if key.startswith("lambda_c[")] == [
-        f"lambda_c[z={z},L={L}]" for z in (1, 0.5, 0.3) for L in (4, 8, 64)
-    ]
+
+def test_preset_superconducting_curve_is_a_lifetime_sweep(tmp_path):
+    # the preset's curve is one fixed grid of the lifetime task's lambda_critical column
+    out = tmp_path / "sc.txt"
+    assert main(["preset", "--name", "superconducting", "--out", str(out)]) == 0
+    curve = {key: float(value) for key, value in read_preset(out) if key.startswith("lambda_c[")}
+    sweep = tmp_path / "sweep.csv"
+    si = {"lambda": 1, "a": 1e-3, "a0": 1e-3, "tau_qec": 1e-6, "hbar": 1.054571817e-34,
+          "kB": 1.380649e-23}
+    cfg = lifetime_config(sweep, axes={"L": [10, 30, 100, 300, 1000], "z": [1, 0.5, 0.3]},
+                          params=si)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # j(L) saturates at these params
+        run(validate_config(cfg))
+    header, *rows = read_rows(sweep)
+    L = header.index("L")
+    swept = {f"lambda_c[z={float(row[0]):g},L={row[L]}]": float(row[-1]) for row in rows}
+    assert len(curve) == 15
+    assert swept == curve
 
 
 def test_phase_diagram_task(tmp_path):
@@ -836,6 +853,23 @@ def test_overwrite_refused_before_any_point_is_evaluated(tmp_path, monkeypatch):
     assert main(["lifetime", "--config", cfg_path]) == 4  # before the point's own exit 3
     assert main(["lifetime", "--config", cfg_path, "--force"]) == 3
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("task", ["lifetime", "flow"])
+@pytest.mark.parametrize("name, message", [
+    ("a\0b", "output_path: must not contain a NUL character"),
+    ("a\ud800b", "output_path: 'utf-8' codec can't encode character '\\ud800'"),
+], ids=["nul", "lone-surrogate"])
+def test_unwritable_output_path_refused_before_any_point_is_evaluated(
+        tmp_path, monkeypatch, capsys, task, name, message):
+    # os.path.exists reads False for such a name, so only the write would refuse it
+    monkeypatch.setitem(sweeps.TASKS, task,
+                        dataclasses.replace(sweeps.TASKS[task], evaluate=unaffordable))
+    cfg = {"task": task, "axes": {"L": [4]} if task == "lifetime" else {"jz": [0.1]},
+           "output_path": str(tmp_path / name)}
+    assert main([task, "--config", write_config(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_output_that_appears_during_evaluation_is_refused(tmp_path, monkeypatch):
@@ -968,7 +1002,7 @@ def test_cli_preset_refuses_huge_L_grid_entry(tmp_path, capsys):
     cfg = {"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 10**400]},
            "output_path": str(out)}
     assert main(["preset", "--config", write_config(tmp_path, cfg)]) == 2
-    assert "params.L_grid[1]: must be a finite number" in capsys.readouterr().err
+    assert "params.L_grid: unknown parameter for task 'preset'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1066,3 +1100,16 @@ def test_cli_invalid_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["lifetime", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"task": "lifetime", "output_path": "x\xff.csv"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100000, "maximum recursion depth exceeded"),
+    (b'{"task": "lifetime", "axes": {"L": [1' + b"0" * 5000 + b']}}', "Exceeds the limit"),
+], ids=["not-utf8", "nested-100000-deep", "5001-digit-integer"])
+def test_cli_undecodable_config_refused_at_root(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["lifetime", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $: invalid JSON: ") and message in err, err
