@@ -1,4 +1,4 @@
-"""Closed-form lifetime and threshold formulas plus hardware presets.
+"""Closed-form lifetime and threshold formulas plus the neutral-atom preset.
 
 All times come out in units of the correction cycle tau_qec unless the field
 name says otherwise.  Approximate relations are implemented as equalities
@@ -173,87 +173,55 @@ def build_report(point: CodePoint) -> LifetimeReport:
     )
 
 
-# --- hardware presets ------------------------------------------------------
+# --- hardware preset ---------------------------------------------------------
 
-PRESET_NAMES = ("superconducting", "neutral_atom")
-
-_SC_L_GRID = (10, 30, 100, 300, 1000)
-_SC_Z_VALUES = (1.0, 0.5, 0.3)
+PRESET_NAMES = ("neutral_atom",)
 
 
 @dataclass(frozen=True)
 class PresetReport:
     name: str
     check_values: dict[str, float]
-    report: LifetimeReport | None = None
-    lambda_critical_curve: tuple[tuple[float, int, float], ...] | None = None
+    report: LifetimeReport
 
 
 def preset_report(name: str) -> PresetReport:
-    """Evaluate one of the two hardware parameter sets.
+    """Evaluate the ``neutral_atom`` hardware parameter set.
 
-    ``neutral_atom``: 1 ms cycle, 3 um pitch, z = 1 vacuum, velocity c.  The
-    light-cone site count c*tau/a and the threshold coupling g_c = 1/(4 c
-    tau/a) are computed exactly with the rounded c = 3e8 m/s (both also
-    reported with c = 2.9979e8).  The bundled lifetime report evaluates the
-    code at the threshold coupling, L = 100, eps = 0.01.
-
-    ``superconducting``: 1 us cycle, 1 mm pitch; critical-coupling curves
-    lam_c(L) for z in (1, 0.5, 0.3) over L in (10, 30, 100, 300, 1000); a
-    ``lifetime`` sweep's ``lambda_critical`` gives them over any L.  The bath
-    cutoff a0 is unconstrained by the platform and defaults to the pitch, so
-    only ratios of curve values are meaningful.
+    A 1 ms cycle, 3 um pitch, z = 1 vacuum and velocity c.  The light-cone
+    site count c*tau/a and the threshold coupling g_c = 1/(4 c tau/a) are
+    computed exactly with the rounded c = 3e8 m/s (both also reported with
+    c = 2.9979e8).  The bundled lifetime report evaluates the code at the
+    threshold coupling, L = 100, eps = 0.01.  Other platforms' critical
+    couplings, over any grid of even L, are a ``lifetime`` sweep's column.
     """
-    if name == "neutral_atom":
-        tau = 1.0e-3
-        pitch = 3.0e-6
-        sites_round = 3 * 10**8 * 10**6 // (10**3 * 3)  # c tau / a, exactly 10**11
-        g_round = 1 / (4 * sites_round)  # int / int rounds once
-        sites_precise = C_LIGHT_SI * tau / pitch
-        g_precise = 1.0 / (4.0 * sites_precise)
-        spec = BathSpec(
-            z=1.0,
-            s=1.0,
-            lam=g_round * HBAR_SI * C_LIGHT_ROUND,
-            v=C_LIGHT_ROUND,
-            a=pitch,
-            a0=pitch,
-            temperature=0.0,
-            tau_qec=tau,
-            hbar=HBAR_SI,
-            kB=KB_SI,
-        )
-        checks = {
-            "light_cone_sites": float(sites_round),
-            "g_critical": g_round,
-            "light_cone_sites_precise_c": sites_precise,
-            "g_critical_precise_c": g_precise,
-            "lambda_critical_si": critical_coupling(spec, 100),
-            "lambda_bar_sq_at_critical": lambda_bar_sq(spec, 100),
-        }
-        report = build_report(CodePoint(L=100, epsilon=0.01, spec=spec))
-        return PresetReport(name=name, check_values=checks, report=report)
-
-    if name == "superconducting":
-        tau = 1.0e-6
-        pitch = 1.0e-3
-        curve = []
-        specs = {}
-        for z in _SC_Z_VALUES:
-            specs[z] = BathSpec(
-                z=z, s=1.0, lam=1.0, v=1.0, a=pitch, a0=pitch,
-                temperature=0.0, tau_qec=tau, hbar=HBAR_SI, kB=KB_SI,
-            )
-            for L in _SC_L_GRID:
-                curve.append((z, L, critical_coupling(specs[z], L)))
-        checks = {
-            "lambda_c_ratio_L100_L10_z0.5": (
-                critical_coupling(specs[0.5], 100) / critical_coupling(specs[0.5], 10)
-            ),
-            "lambda_c_z1_L_independent": (
-                critical_coupling(specs[1.0], 1000) / critical_coupling(specs[1.0], 10)
-            ),
-        }
-        return PresetReport(name=name, check_values=checks, lambda_critical_curve=tuple(curve))
-
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    tau = 1.0e-3
+    pitch = 3.0e-6
+    sites_round = 3 * 10**8 * 10**6 // (10**3 * 3)  # c tau / a, exactly 10**11
+    g_round = 1 / (4 * sites_round)  # int / int rounds once
+    sites_precise = C_LIGHT_SI * tau / pitch
+    g_precise = 1.0 / (4.0 * sites_precise)
+    spec = BathSpec(
+        z=1.0,
+        s=1.0,
+        lam=g_round * HBAR_SI * C_LIGHT_ROUND,
+        v=C_LIGHT_ROUND,
+        a=pitch,
+        a0=pitch,
+        temperature=0.0,
+        tau_qec=tau,
+        hbar=HBAR_SI,
+        kB=KB_SI,
+    )
+    checks = {
+        "light_cone_sites": float(sites_round),
+        "g_critical": g_round,
+        "light_cone_sites_precise_c": sites_precise,
+        "g_critical_precise_c": g_precise,
+        "lambda_critical_si": critical_coupling(spec, 100),
+        "lambda_bar_sq_at_critical": lambda_bar_sq(spec, 100),
+    }
+    report = build_report(CodePoint(L=100, epsilon=0.01, spec=spec))
+    return PresetReport(name=name, check_values=checks, report=report)

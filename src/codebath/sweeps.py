@@ -50,6 +50,7 @@ from .rg_flow import (
 
 PORTRAIT_RANGE = 3.5
 _INT_AXES = {"L", "weight", "n"}
+_RULES = tuple(rule.value for rule in surface_code.TieBreak)
 
 LIFETIME_FIELDS = lifetimes.LifetimeReport._fields[:-1]  # all but threshold_exists
 
@@ -151,8 +152,8 @@ def validate_config(obj) -> SweepConfig:
         if name in axes:
             raise ConfigError(f"params.{name}", "also swept in axes")
         if name == "rule":
-            if value not in ("report", "benign", "adversarial"):
-                raise ConfigError("params.rule", "must be one of report|benign|adversarial")
+            if value not in _RULES:
+                raise ConfigError("params.rule", f"must be one of {'|'.join(_RULES)}")
         elif name == "name":
             if value not in lifetimes.PRESET_NAMES:
                 raise ConfigError(
@@ -221,9 +222,19 @@ def format_cell(v) -> str:
     return str(v)
 
 
-def _refuse_overwrite(path: str, force: bool) -> None:
+def _refuse_overwrite(path: str, force: bool, tree: bool) -> None:
+    """Raise an OSError naming ``path`` where no output can go: an existing one
+    (unless ``force``), a file onto a directory or into no directory, a ``tree``
+    under a file (its nearest existing ancestor, ``path`` included, decides)."""
     if os.path.exists(path) and not force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
+    if not tree and os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory, not a file")
+    head = path if tree else os.path.dirname(path)
+    while tree and head and not os.path.lexists(head):  # a dangling link is no directory
+        head = os.path.dirname(head)
+    if not os.path.isdir(head or "."):
+        raise NotADirectoryError(f"cannot write {path}: {head} is not a directory")
 
 
 @contextlib.contextmanager
@@ -438,15 +449,12 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
 
     ``workers`` is accepted for compatibility and changes nothing.
     """
-    out, task = cfg.output_path, TASKS[cfg.task]
-    _refuse_overwrite(out, force)  # before any point is evaluated
+    out, task, tree = cfg.output_path, TASKS[cfg.task], cfg.task == "flow"
+    _refuse_overwrite(out, force, tree)  # before any point is evaluated
     if task.evaluate is None:
         rep = lifetimes.preset_report(cfg.params["name"])
-        lines = [f"preset = {rep.name}", *(f"{k} = {v!r}" for k, v in rep.check_values.items())]
-        if rep.report is not None:
-            lines += (f"report.{k} = {format_cell(v)}" for k, v in rep.report._asdict().items())
-        if rep.lambda_critical_curve is not None:
-            lines += (f"lambda_c[z={z:g},L={L}] = {c!r}" for z, L, c in rep.lambda_critical_curve)
+        lines = [f"preset = {rep.name}", *(f"{k} = {v!r}" for k, v in rep.check_values.items()),
+                 *(f"report.{k} = {format_cell(v)}" for k, v in rep.report._asdict().items())]
         with _atomic(out) as fh:
             fh.write("\n".join(lines) + "\n")
         return [out]
@@ -456,8 +464,8 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
         axes[_BATH_AXIS] = [_bath({**cfg.params, **dict(zip(named, combo))})
                             for combo in itertools.product(*named.values())]
     results = _map_points(task.evaluate, cfg.params, grid_points(axes), 1)
-    _refuse_overwrite(out, force)  # a file that appeared meanwhile is refused too
-    if cfg.task == "flow":
+    _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
+    if tree:
         return _write_flow(out, results)
     header, leads = list(task.header), None
     if cfg.task == "lifetime":  # swept axes but L, which the record holds, lead each row

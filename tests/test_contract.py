@@ -107,7 +107,7 @@ preset = config(
 @given(st.one_of(lifetime, flow, phase_diagram, matching, census, preset))
 # values that once ended in a traceback or a late, pathless refusal
 @example({"task": "matching", "axes": {"n": [2, 4, 6]}, "params": {"z": -1e300}})
-@example({"task": "preset", "axes": {}, "params": {"name": "superconducting", "L_grid": [10**400]}})
+@example({"task": "preset", "axes": {}, "params": {"name": "neutral_atom", "L_grid": [10**400]}})
 @example({"task": "lifetime", "axes": {"L": [4]}, "params": {}, "output_path": "out\0.csv"})
 @example({"task": "census", "axes": {"L": [20000], "weight": [10000]}, "params": {}})
 @example({"task": "lifetime", "axes": {"L": [200, 2000]}, "params": {"s": 0.5, "lambda": 0.5}})

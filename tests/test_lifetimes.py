@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import pathlib
 import random
 import warnings
 
@@ -532,16 +533,22 @@ def test_preset_neutral_atom_exact_numbers():
     assert rep.report.t_K_over_tau == math.inf  # threshold coupling, astronomically slow
 
 
-def test_preset_superconducting_curves():
-    rep = preset_report("superconducting")
-    assert rep.check_values["lambda_c_ratio_L100_L10_z0.5"] == pytest.approx(
+def test_preset_superconducting_curves(tmp_path):
+    # the superconducting lambda_c curves are the example config's lifetime sweep
+    config = pathlib.Path(__file__).resolve().parent.parent / "examples" / "superconducting_lambda_c.json"
+    out = tmp_path / "sc.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    curve = [(float(row["z"]), int(row["L"]), float(row["lambda_critical"])) for row in rows]
+    lam_c = {(z, L): lam for z, L, lam in curve}
+    assert lam_c[0.5, 100] / lam_c[0.5, 10] == pytest.approx(
         math.sqrt(math.log(10) / math.log(100)), rel=1e-12
     )
-    assert rep.check_values["lambda_c_z1_L_independent"] == 1.0
-    zs = {z for z, _, _ in rep.lambda_critical_curve}
-    assert zs == {1.0, 0.5, 0.3}
+    assert len({lam for z, _, lam in curve if z == 1.0}) == 1
+    assert {z for z, _, _ in curve} == {1.0, 0.5, 0.3}
     # long-range curve decays with L
-    lr = [(L, lam) for z, L, lam in rep.lambda_critical_curve if z == 0.3]
+    lr = [(L, lam) for z, L, lam in curve if z == 0.3]
     assert all(b[1] < a[1] for a, b in zip(lr, lr[1:]))
 
 

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codebath import cli, sweeps
-from codebath.bath import BathSpec
+from codebath import cli, rg_flow, sweeps
+from codebath.bath import HBAR_SI, KB_SI, BathSpec
 from codebath.cli import main
 from codebath.errors import ConfigError, ResourceLimitError
-from codebath.lifetimes import CodePoint, LifetimeReport, Phase, build_report
+from codebath.lifetimes import CodePoint, LifetimeReport, Phase, build_report, critical_coupling
 from codebath.rg_flow import PORTRAIT_SAMPLES, Localized, StrongCoupling
 from codebath.surface_code import TieBreak
 from codebath.sweeps import (
@@ -115,7 +115,7 @@ MALFORMED = [
         "params.L",
     ),
     (
-        {"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 5]},
+        {"task": "preset", "params": {"name": "neutral_atom", "L_grid": [4, 5]},
          "output_path": "x.txt"},
         "params.L_grid",
     ),
@@ -164,8 +164,11 @@ MALFORMED = [
     # a trace keeps every accepted step, and a lifetime sweep gives lambda_c over any L grid
     ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"sample_stride": 3}, "output_path": "x"},
      "params.sample_stride"),
-    ({"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 8, 64]},
+    ({"task": "preset", "params": {"name": "neutral_atom", "L_grid": [4, 8, 64]},
       "output_path": "x.txt"}, "params.L_grid"),
+    ({"task": "lifetime", "axes": {"L": [4]}, "output_path": ""}, "output_path"),
+    ({"task": "lifetime", "axes": {"L": [4]}, "params": [], "output_path": "x.csv"}, "params"),
+    ([], "$"),
 ]
 
 
@@ -700,46 +703,64 @@ def test_preset_task_contains_headline_numbers(tmp_path):
     assert float(values["g_critical"]) == 2.5e-12
 
 
-def read_preset(path):
-    return [tuple(line.split(" = ")) for line in path.read_text().splitlines()]
+SC_L_GRID = (10, 30, 100, 300, 1000)
+SC_EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "superconducting_lambda_c.json"
+
+
+def superconducting_lambda_c(tmp_path):
+    """Run the superconducting example through ``codebath sweep``: {(z, L): lambda_c}."""
+    # lambda = 0 keeps every j(L) at 0, so no column saturates and nothing warns
+    out = tmp_path / "sc.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(SC_EXAMPLE), "--out", str(out)]) == 0
+    header, *rows = read_rows(out)
+    z, L = header.index("z"), header.index("L")
+    return {(float(row[z]), int(row[L])): float(row[-1]) for row in rows}
 
 
 def test_preset_superconducting_curve(tmp_path):
-    out = tmp_path / "sc.txt"
-    assert main(["preset", "--name", "superconducting", "--out", str(out)]) == 0
-    lines = read_preset(out)
-    curve = [(key, float(value)) for key, value in lines if key.startswith("lambda_c[")]
-    assert [key for key, _ in curve] == [
-        f"lambda_c[z={z},L={L}]" for z in (1, 0.5, 0.3) for L in (10, 30, 100, 300, 1000)
-    ]
-    lam_c = dict(curve)
-    assert lam_c["lambda_c[z=1,L=10]"] == lam_c["lambda_c[z=1,L=1000]"]
-    assert lam_c["lambda_c[z=0.5,L=100]"] / lam_c["lambda_c[z=0.5,L=10]"] == pytest.approx(
-        math.sqrt(0.5), rel=1e-12
+    # the superconducting curves come from the example config, the preset is gone
+    lam_c = superconducting_lambda_c(tmp_path)
+    assert sorted(lam_c) == sorted(itertools.product((1.0, 0.5, 0.3), SC_L_GRID))
+    assert len({lam_c[1, Lv] for Lv in SC_L_GRID}) == 1
+    assert lam_c[0.5, 100] / lam_c[0.5, 10] == pytest.approx(
+        math.sqrt(math.log(10) / math.log(100)), rel=1e-12
     )
-    checks = dict(lines)
-    assert float(checks["lambda_c_ratio_L100_L10_z0.5"]) == pytest.approx(math.sqrt(0.5))
-    assert float(checks["lambda_c_z1_L_independent"]) == 1.0
 
 
 def test_preset_superconducting_curve_is_a_lifetime_sweep(tmp_path):
-    # the preset's curve is one fixed grid of the lifetime task's lambda_critical column
-    out = tmp_path / "sc.txt"
-    assert main(["preset", "--name", "superconducting", "--out", str(out)]) == 0
-    curve = {key: float(value) for key, value in read_preset(out) if key.startswith("lambda_c[")}
+    # the example's curve is the lambda_critical column at the platform's SI
+    # params, whatever lambda is: at lambda = 1 j(L) saturates, the column does not move
+    lam_c = superconducting_lambda_c(tmp_path)
+    for (zv, Lv), value in lam_c.items():
+        spec = BathSpec(z=zv, a=1e-3, a0=1e-3, tau_qec=1e-6, hbar=HBAR_SI, kB=KB_SI)
+        assert value == critical_coupling(spec, Lv)
     sweep = tmp_path / "sweep.csv"
-    si = {"lambda": 1, "a": 1e-3, "a0": 1e-3, "tau_qec": 1e-6, "hbar": 1.054571817e-34,
-          "kB": 1.380649e-23}
-    cfg = lifetime_config(sweep, axes={"L": [10, 30, 100, 300, 1000], "z": [1, 0.5, 0.3]},
-                          params=si)
+    cfg = json.loads(SC_EXAMPLE.read_text())
+    cfg["params"]["lambda"] = 1
+    cfg["output_path"] = str(sweep)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # j(L) saturates at these params
         run(validate_config(cfg))
     header, *rows = read_rows(sweep)
-    L = header.index("L")
-    swept = {f"lambda_c[z={float(row[0]):g},L={row[L]}]": float(row[-1]) for row in rows}
-    assert len(curve) == 15
-    assert swept == curve
+    z, L = header.index("z"), header.index("L")
+    swept = {(float(row[z]), int(row[L])): float(row[-1]) for row in rows}
+    assert len(lam_c) == 15
+    assert swept == lam_c
+
+
+def test_superconducting_preset_is_gone(tmp_path, capsys):
+    # its critical-coupling curves are the example's lifetime sweep
+    with pytest.raises(SystemExit) as exc:
+        main(["preset", "--name", "superconducting", "--out", str(tmp_path / "sc.txt")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'superconducting'" in capsys.readouterr().err
+    cfg = {"task": "preset", "params": {"name": "superconducting"},
+           "output_path": str(tmp_path / "sc.txt")}
+    assert main(["preset", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "params.name: must be one of neutral_atom" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_phase_diagram_task(tmp_path):
@@ -872,6 +893,39 @@ def test_unwritable_output_path_refused_before_any_point_is_evaluated(
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("task, name, force", [
+    ("lifetime", "nodir/x.csv", False),
+    ("lifetime", "adir", True),
+    ("flow", "afile", True),
+    ("flow", "afile/sub", False),
+    ("flow", "alink", False),
+], ids=["file-in-missing-dir", "file-onto-dir", "traces-onto-file", "traces-under-file",
+        "traces-onto-dangling-link"])
+def test_unusable_output_path_refused_before_any_point_is_evaluated(
+        tmp_path, monkeypatch, capsys, task, name, force):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "alink").symlink_to("nowhere")
+    monkeypatch.setitem(sweeps.TASKS, task,
+                        dataclasses.replace(sweeps.TASKS[task], evaluate=unaffordable))
+    out = str(tmp_path / name)
+    cfg = {"task": task, "axes": {"L": [4]} if task == "lifetime" else {"jz": [0.1]},
+           "output_path": out}
+    argv = [task, "--config", write_config(tmp_path, cfg), *["--force"] * force]
+    assert main(argv) == 4  # before the point's own exit 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and out in err and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == ["adir", "afile", "alink", "cfg.json"]
+    assert os.listdir(tmp_path / "adir") == [] and (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_flow_traces_go_into_missing_directories(tmp_path):
+    out = tmp_path / "new" / "deep" / "traces"
+    cfg = {"task": "flow", "axes": {"jz": [0.1]}, "output_path": str(out)}
+    assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 0
+    assert sorted(os.listdir(out)) == ["index.csv", "trace_0000.csv"]
+
+
 def test_output_that_appears_during_evaluation_is_refused(tmp_path, monkeypatch):
     out = tmp_path / "late.csv"
 
@@ -964,6 +1018,38 @@ def test_cli_unsquarable_flow_start_exit_code(tmp_path, capsys):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("cfg, message", [
+    (lifetime_config("x.csv", params={"lambda": -1}), "params.lambda: lam must be non-negative"),
+    ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"rel_tol": 0}, "output_path": "x"},
+     "params.rel_tol: tolerances must be positive"),
+    ([], "$: config must be a JSON object"),
+    (None, "$: --config is required"),
+], ids=["negative-lambda", "zero-rel-tol", "json-list", "no-config"])
+def test_cli_config_refusals(tmp_path, capsys, cfg, message):
+    argv = ["lifetime"] if cfg is None else ["sweep", "--config", write_config(tmp_path, cfg)]
+    assert main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_cli_config_without_task_runs_as_its_subcommand(tmp_path):
+    out = tmp_path / "x.csv"
+    cfg = lifetime_config(out)
+    del cfg["task"]
+    assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 0
+    assert read_rows(out)[0] == ["z", *LIFETIME_FIELDS]
+
+
+def test_cli_flow_segment_budget_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(rg_flow, "_MAX_SEGMENTS", 1)
+    out = tmp_path / "f"
+    cfg = {"task": "flow", "axes": {"jx": [0.05], "jy": [0.05], "jz": [-0.2]},
+           "output_path": str(out)}
+    assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 3
+    assert "resource limit: flow integration exceeded its segment budget" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_task_mismatch(tmp_path):
     cfg_path = write_config(tmp_path, lifetime_config(tmp_path / "x.csv"))
     assert main(["census", "--config", cfg_path]) == 2
@@ -999,7 +1085,7 @@ def test_cli_census_above_ceiling(tmp_path, capsys):
 
 def test_cli_preset_refuses_huge_L_grid_entry(tmp_path, capsys):
     out = tmp_path / "p.txt"
-    cfg = {"task": "preset", "params": {"name": "superconducting", "L_grid": [4, 10**400]},
+    cfg = {"task": "preset", "params": {"name": "neutral_atom", "L_grid": [4, 10**400]},
            "output_path": str(out)}
     assert main(["preset", "--config", write_config(tmp_path, cfg)]) == 2
     assert "params.L_grid: unknown parameter for task 'preset'" in capsys.readouterr().err

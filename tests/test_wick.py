@@ -139,6 +139,8 @@ def test_matching_problem_validation():
         MatchingProblem((3, 1), 1.0)  # not increasing
     with pytest.raises(ValueError):
         MatchingProblem((), 1.0)
+    with pytest.raises(ValueError, match="positions must be integers"):
+        MatchingProblem((0, 1.5), 1.0)
     for z in (-1e-300, -1.0, math.nan):
         with pytest.raises(ValueError, match="z must be >= 0"):
             MatchingProblem((0, 1), z)
@@ -195,6 +197,8 @@ def test_probe_trends_hold_to_n20():
 def test_probe_guards():
     with pytest.raises(ValueError):
         matching_scaling_probe([4, 6], 1.0)
+    with pytest.raises(ValueError, match="sample sizes must be even"):
+        matching_scaling_probe([2, 3, 4], 1.0)
     with pytest.raises(ResourceLimitError, match="above probe ceiling 24"):
         matching_scaling_probe([4, 6, 26], 1.0)
     check_probe_ceiling(20)
