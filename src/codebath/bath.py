@@ -69,11 +69,10 @@ class BathSpec:
     enter the formulas only as z and s, so its dimension and the coupling's
     momentum exponent are not fields.
 
-    A bath also sets, when built, four attributes that are not fields (no
-    config names them; ``dataclasses.replace`` rebuilds them): its ``regime``,
-    the ``branch`` of the lifetime formulas' L-dependent factors (the s = 1
-    rule, z against 1/2) and their saturated L-independent parts,
-    ``lambda_bar_sq_base`` and ``critical_coupling_base``.
+    A bath also sets, when built, four attributes that no config names
+    (``dataclasses.replace`` rebuilds them): its ``regime``; ``zeta`` =
+    (s+1) z / 2, the spatial exponent of the coupling, |x|**(-2 zeta); and the
+    saturated L-independent parts ``lambda_bar_sq_base`` and ``critical_coupling_base``.
     """
 
     z: float = 1.0
@@ -99,22 +98,23 @@ class BathSpec:
                 raise ValueError(f"{name} must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        z, lam, a, a0, tau, hbar = self.z, self.lam, self.a, self.a0, self.tau_qec, self.hbar
+        zeta = (self.s + 1.0) / 2.0 * self.z  # exactly z at s = 1
+        lam, a, a0, tau, hbar = self.lam, self.a, self.a0, self.tau_qec, self.hbar
         try:
-            lb = 16.0 * (lam * tau) ** 2 / (hbar**2 * a0 ** (2.0 * (1.0 - z)) * a ** (2.0 * z))
+            lb = 16.0 * (lam * tau) ** 2 / (hbar**2 * a0 ** (2.0 * (1.0 - zeta))
+                                             * a ** (2.0 * zeta))
         except _RANGE_ERRORS:
             lb = math.nan
         if lb != lb:
             lb = _saturated(((16.0, 1), (lam, 2), (tau, 2), (hbar, -2),
-                             (a0, -2.0 * (1.0 - z)), (a, -2.0 * z)))
+                             (a0, -2.0 * (1.0 - zeta)), (a, -2.0 * zeta)))
         try:
-            lam_c = hbar * a0 ** (1.0 - z) * a**z / (4.0 * tau)
+            lam_c = hbar * a0 ** (1.0 - zeta) * a**zeta / (4.0 * tau)
         except _RANGE_ERRORS:
             lam_c = math.nan
         if lam_c != lam_c:
-            lam_c = _saturated(((hbar, 1), (a0, 1.0 - z), (a, z), (4.0 * tau, -1)))
-        branch = regime if self.s == 1.0 else classify_regime(z, 1.0)
-        vars(self).update(regime=regime, branch=branch, lambda_bar_sq_base=lb,
+            lam_c = _saturated(((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0 * tau, -1)))
+        vars(self).update(regime=regime, zeta=zeta, lambda_bar_sq_base=lb,
                           critical_coupling_base=lam_c)  # frozen guards only setattr
 
 
@@ -126,11 +126,11 @@ def temporal_correlator(spec: BathSpec, t1: float, t2: float) -> float:
 
 
 def spatial_correlator(spec: BathSpec, x1: float, x2: float) -> float:
-    """Equal-time correlator lam**2 / (a0**(2(1-z)) * |x1 - x2|**(2 z))."""
+    """Equal-time correlator lam**2 / (a0**(2(1-zeta)) * |x1 - x2|**(2 zeta))."""
     if x1 == x2:
         raise ValueError("coincident points: correlator is singular at x1 == x2")
     dx = abs(x1 - x2)
-    return spec.lam**2 / (spec.a0 ** (2.0 * (1.0 - spec.z)) * dx ** (2.0 * spec.z))
+    return spec.lam**2 / (spec.a0 ** (2.0 * (1.0 - spec.zeta)) * dx ** (2.0 * spec.zeta))
 
 
 def thermal_correlator(spec: BathSpec, t: float) -> float:

@@ -2,8 +2,7 @@
 
 All times come out in units of the correction cycle tau_qec unless the field
 name says otherwise.  Approximate relations are implemented as equalities
-with unit prefactors, and every report records its bath's regime, which
-the bath decides, with its formulas' branch and bases, when it is built.
+with unit prefactors; every report records the regime its bath decided.
 
 A point models the antiferromagnetic (runaway) channel through the isotropic
 macroscopic coupling j(L); supplying the renormalized coupling ``jz_star``
@@ -139,22 +138,22 @@ def threshold_exists(z: float, s: float) -> bool:
 def critical_coupling(spec: BathSpec, L: int) -> float:
     """Coupling lam_c where the contraction weight reaches 1.
 
-    The bath's base hbar a0**(1-z) a**z / (4 tau), deflated by sqrt(ln L) on
-    its critical ``branch`` and by L**((1-2z)/2) on its long-range one; only
-    the short-range branch is L-independent.
+    The bath's base hbar a0**(1-zeta) a**zeta / (4 tau), deflated by
+    sqrt(ln L) in the critical regime and by L**((1-2 zeta)/2) in the
+    long-range one; only the short-range regime is L-independent.
     """
     check_even_L(L)
-    base, branch = spec.critical_coupling_base, spec.branch
-    if branch is RegimeLabel.SHORT_RANGE:
+    base, regime = spec.critical_coupling_base, spec.regime
+    if regime is RegimeLabel.SHORT_RANGE:
         return base
-    if branch is RegimeLabel.CRITICAL:
+    if regime is RegimeLabel.CRITICAL:
         return base / math.sqrt(math.log(L))
-    return base / L ** ((1.0 - 2.0 * spec.z) / 2.0)
+    return base / L ** ((1.0 - 2.0 * spec.zeta) / 2.0)
 
 
 def build_report(point: CodePoint) -> LifetimeReport:
     """Evaluate every applicable formula for one point and bundle the results,
-    under the regime and branch its bath decided when it was built."""
+    under the regime its bath decided when it was built."""
     spec, L = point.spec, point.L
     j_L = j_of_L(spec, L)
     rates = thermal_rates(point, j_L)

@@ -103,9 +103,9 @@ class ProbeResult:
 def matching_scaling_probe(n_values, z) -> ProbeResult:
     """Evaluate the pairing sum on unit-spaced strings and report its trend.
 
-    The label comes from comparing z against 1/2 (the s = 1 criterion); the
-    raw weights let callers verify the trend class directly.  Sizes above
-    ``MATCHING_HARD_LIMIT`` and a z <= 0 are refused before any sum is computed.
+    ``z`` is a bath's per-coupling exponent zeta (its z at s = 1), so the label
+    compares it with 1/2; the raw weights let callers verify the trend.  Sizes
+    above ``MATCHING_HARD_LIMIT`` and a z <= 0 are refused before any sum.
     """
     ns = tuple(int(n) for n in n_values)
     if len(ns) < 3:
@@ -145,18 +145,18 @@ def check_even_L(L) -> None:
 def lambda_bar_sq(spec: BathSpec, L: int) -> float:
     """Effective per-segment contraction weight entering the macroscopic coupling.
 
-    The bath's base 16 (lam tau / hbar)**2 / (a0**(2(1-z)) a**(2z)) (inf for
-    an overflowing coupling or an underflowing denominator, 0 for an
-    overflowing denominator), times ln L on the bath's critical ``branch``
-    and L**(1-2z) on its long-range one; ln L > 0 as L >= 2.
+    The bath's base 16 (lam tau / hbar)**2 / (a0**(2(1-zeta)) a**(2 zeta))
+    (inf for an overflowing coupling or an underflowing denominator, 0 for an
+    overflowing denominator), times ln L in the critical regime and
+    L**(1-2 zeta) in the long-range one; ln L > 0 as L >= 2.
     """
     check_even_L(L)
-    base, branch = spec.lambda_bar_sq_base, spec.branch
-    if branch is RegimeLabel.SHORT_RANGE:
+    base, regime = spec.lambda_bar_sq_base, spec.regime
+    if regime is RegimeLabel.SHORT_RANGE:
         return base
-    if branch is RegimeLabel.CRITICAL:
+    if regime is RegimeLabel.CRITICAL:
         return base * math.log(L)
-    return base * L ** (1.0 - 2.0 * spec.z)
+    return base * L ** (1.0 - 2.0 * spec.zeta)
 
 
 def n_paths(L: int) -> int:

@@ -41,15 +41,16 @@ def test_bath_fields_are_its_ten_parameters():
     ]
 
 
-def test_replace_rederives_regime_branch_and_bases():
+def test_replace_rederives_regime_zeta_and_bases():
     short, critical, long = RegimeLabel.SHORT_RANGE, RegimeLabel.CRITICAL, RegimeLabel.LONG_RANGE
     spec = BathSpec(z=1.0, s=0.5, a=2.0)
-    for z, regime, branch in ((0.3, long, long), (0.5, long, critical), (0.6, long, short),
-                              (2 / 3, critical, short), (1.0, short, short)):
+    for z, regime in ((0.3, long), (0.5, long), (0.6, long), (2 / 3, critical), (1.0, short)):
         moved = dataclasses.replace(spec, z=z)
-        assert (moved.regime, moved.branch) == (regime, branch)
-        assert moved.lambda_bar_sq_base == 16.0 / 2.0 ** (2.0 * z)
-        assert moved.critical_coupling_base == 2.0**z / 4.0
+        zeta = 0.75 * z  # (s + 1) / 2 * z at s = 0.5
+        assert (moved.regime, moved.zeta) == (regime, zeta)
+        assert not hasattr(moved, "branch") and BathSpec(z=z).zeta == z  # exact at s = 1
+        assert moved.lambda_bar_sq_base == 16.0 / 2.0 ** (2.0 * zeta)
+        assert moved.critical_coupling_base == 2.0**zeta / 4.0
         assert vars(moved) == vars(BathSpec(z=z, s=0.5, a=2.0))
 
 

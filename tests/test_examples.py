@@ -37,3 +37,23 @@ def test_kt_portrait_example(tmp_path):
     assert len(labels) == len(axes["j_perp"]) * len(axes["jz"]) == 40
     assert sorted(set(labels.values())) == ["CutoffReached", "Localized", "StrongCoupling"]
     assert {row["separatrix"] for row in rows} == {"", "jz=-jperp", "jz=+jperp"}
+
+
+def test_subohmic_threshold_example(tmp_path):
+    # at s = 0.5 the threshold sits at z = 1/(s+1) = 2/3: lambda_critical is
+    # the same at every L exactly on the ShortRange rows, the band between
+    # 1/2 and 2/3 included on the other side
+    out = tmp_path / "subohmic.csv"
+    assert main(["sweep", "--config", str(ROOT / "examples" / "subohmic_threshold.json"),
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    curves = {}
+    for row in rows:
+        curves.setdefault((row["z"], row["regime"]), []).append(row["lambda_critical"])
+    assert sorted(regime for _, regime in curves) == [
+        "Critical", "LongRange", "LongRange", "LongRange", "ShortRange"
+    ]
+    for (z, regime), column in curves.items():
+        assert len(column) == 3
+        assert (len(set(column)) == 1) == (regime == "ShortRange"), z

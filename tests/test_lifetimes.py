@@ -223,33 +223,48 @@ def closure_form(value, powers):
 MAGNITUDE = st.one_of(st.just(0.0), st.floats(-320, 300).map(lambda e: 10.0**e))
 
 
+EDGE = (0.0, 1e-13, -1e-13, 2e-12, -2e-12)
+
+
+def _z_and_s(s):
+    """(z, s) with z anywhere, in the band [1/2, 1/(s+1)] or at its upper edge."""
+    edge = 1.0 / (s + 1.0)
+    z = st.one_of(st.floats(0.05, 3.0), st.floats(0.5, edge),
+                  st.sampled_from([edge + dz for dz in EDGE]))
+    return st.tuples(z, st.just(s))
+
+
 @settings(max_examples=200, deadline=None)
 @given(lam=MAGNITUDE, tau=MAGNITUDE, hbar=MAGNITUDE, v=MAGNITUDE, a=MAGNITUDE, a0=MAGNITUDE,
        kB=MAGNITUDE, T=MAGNITUDE, eps=MAGNITUDE, j=MAGNITUDE, jz=MAGNITUDE,
-       z=st.one_of(st.floats(0.05, 3.0),
-                   st.sampled_from([0.5 + dz for dz in (0.0, 1e-13, -1e-13, 2e-12, -2e-12)])),
-       s=st.sampled_from([1.0, 0.5, 0.3]), L=st.sampled_from([2, 64]))
+       z_s=st.sampled_from([1.0, 0.5, 0.3]).flatmap(_z_and_s), L=st.sampled_from([2, 64]))
 def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, eps, j, jz,
-                                               z, s, L):
-    """Bit for bit, in and out of float range, on all three branches of z
-    against 1/2 (the s = 1 rule, within 1e-12 of 1/2 critical)."""
+                                               z_s, L):
+    """Bit for bit, in and out of float range, in all three regimes of z
+    against 1/(s+1) (within 1e-12 of it critical), with the spatial exponent
+    zeta = (s+1) z / 2."""
+    z, s = z_s
+    zeta = (s + 1.0) / 2.0 * z
     positive = [max(x, 5e-324) for x in (tau, hbar, v, a, a0, kB)]
     tau, hbar, v, a, a0, kB = positive
     spec = BathSpec(z=z, s=s, lam=lam, v=v, a=a, a0=a0, temperature=T, tau_qec=tau,
                     hbar=hbar, kB=kB)
     point = CodePoint(L=L, epsilon=min(max(eps, 5e-324), 0.5), spec=spec, jz_star=jz)
     lb = closure_form(
-        lambda: 16.0 * (lam * tau) ** 2 / (hbar**2 * a0 ** (2.0 * (1.0 - z)) * a ** (2.0 * z)),
-        lambda: ((16.0, 1), (lam, 2), (tau, 2), (hbar, -2), (a0, -2.0 * (1.0 - z)), (a, -2.0 * z)),
+        lambda: 16.0 * (lam * tau) ** 2 / (hbar**2 * a0 ** (2.0 * (1.0 - zeta))
+                                           * a ** (2.0 * zeta)),
+        lambda: ((16.0, 1), (lam, 2), (tau, 2), (hbar, -2), (a0, -2.0 * (1.0 - zeta)),
+                 (a, -2.0 * zeta)),
     )
     lam_c = closure_form(
-        lambda: hbar * a0 ** (1.0 - z) * a**z / (4.0 * tau),
-        lambda: ((hbar, 1), (a0, 1.0 - z), (a, z), (4.0 * tau, -1)),
+        lambda: hbar * a0 ** (1.0 - zeta) * a**zeta / (4.0 * tau),
+        lambda: ((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0 * tau, -1)),
     )
-    if abs(z - 0.5) <= 1e-12:
+    gap = z - 1.0 / (s + 1.0)
+    if abs(gap) <= 1e-12:
         lb, lam_c = lb * math.log(L), lam_c / math.sqrt(math.log(L))
-    elif z < 0.5:
-        lb, lam_c = lb * L ** (1.0 - 2.0 * z), lam_c / L ** ((1.0 - 2.0 * z) / 2.0)
+    elif gap < 0:
+        lb, lam_c = lb * L ** (1.0 - 2.0 * zeta), lam_c / L ** ((1.0 - 2.0 * zeta) / 2.0)
     j_L = closure_form(
         lambda: lam / (hbar * v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
         lambda: ((lam, 1), (hbar, -1), (v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)),
@@ -275,6 +290,17 @@ def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, 
                t_comp(point, j_L=j), t_mem_fm(point), *thermal_rates(point, j_L=j))
     want = (lb, lam_c, j_L, window, tau * wick._exp(-expo * math.log1p(-e)), t2, gamma)
     assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)).flatmap(_z_and_s))
+def test_lambda_c_is_L_independent_exactly_when_a_threshold_exists(z_s):
+    # C10's rule over every (z, s), the band 1/2 < z <= 1/(s+1) included
+    z, s = z_s
+    spec = BathSpec(z=z, s=s, a=2.0)
+    assert spec.regime is classify_regime(z, s)
+    same = critical_coupling(spec, 8) == critical_coupling(spec, 64)
+    assert same == threshold_exists(z, s)
 
 
 def test_t_comp_subohmic_values():
@@ -476,7 +502,7 @@ def _report_points(draw):
 def test_build_report_is_the_public_formulas(point):
     """build_report reads the regime its bath decided when built and calls the
     public formulas; every field must be the very float they give, signed
-    zeros, infinities and the s = 1 branch rule for s < 1 included."""
+    zeros, infinities and s < 1 included."""
     spec, L, tau = point.spec, point.L, point.spec.tau_qec
     localized = point.jz_star is not None
     with warnings.catch_warnings():

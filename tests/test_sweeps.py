@@ -967,7 +967,7 @@ def test_cli_out_override(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["regime", "branch", "lambda_bar_sq_base", "critical_coupling_base"]
+    "name", ["regime", "zeta", "lambda_bar_sq_base", "critical_coupling_base"]
 )
 def test_derived_bath_values_are_not_params(tmp_path, capsys, name):
     # a bath derives these when built; they are not fields, so no config sets them

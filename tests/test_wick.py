@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codebath import wick
-from codebath.bath import BathSpec
+from codebath.bath import BathSpec, spatial_correlator
 from codebath.errors import ResourceLimitError
 from codebath.wick import (
     MatchingProblem,
@@ -267,6 +267,30 @@ def test_lambda_bar_sq_L_independence_iff_short_range():
         spec = BathSpec(z=z)
         same = lambda_bar_sq(spec, 8) == lambda_bar_sq(spec, 32)
         assert same == (classify_regime(z, 1.0) is RegimeLabel.SHORT_RANGE)
+
+
+SHORT, CRITICAL, LONG = RegimeLabel.SHORT_RANGE, RegimeLabel.CRITICAL, RegimeLabel.LONG_RANGE
+
+
+@pytest.mark.parametrize("z, s, regime", [
+    (1.0, 1.0, SHORT), (0.5, 1.0, CRITICAL), (0.3, 1.0, LONG),
+    (1.0, 0.5, SHORT), (2 / 3, 0.5, CRITICAL), (0.3, 0.5, LONG),
+    (0.51, 0.5, LONG),  # between 1/2 and 1/(s+1)
+])
+def test_lambda_bar_sq_follows_the_summed_correlator(z, s, regime):
+    # sum the equal-time correlator over the separations 1..L directly: it is
+    # bounded, grows like ln L or like L**(1-2 zeta), and its ratio to the
+    # contraction weight must level off in L
+    spec = BathSpec(z=z, s=s, a=2.0)
+    assert spec.regime is regime
+    total, ratios = 0.0, []
+    for x in range(1, 2**14 + 1):
+        total += spatial_correlator(spec, 0, x)
+        if x >= 2 and not x & (x - 1):
+            ratios.append(total / lambda_bar_sq(spec, x))
+    steps = [abs(b / a - 1.0) for a, b in zip(ratios, ratios[1:])]
+    assert steps[-5:] == sorted(steps[-5:], reverse=True)
+    assert steps[-1] < 0.025
 
 
 def pascal_binomial(n, k):
