@@ -2,9 +2,10 @@
 
 dj_x/dl = j_y j_z,  dj_y/dl = j_x j_z,  dj_z/dl = j_x j_y.
 
-A symmetric start (jx = jy) flows in closed form (``symmetric_flow``), any
-other by RK45 (``integrate_flow``: scipy's Dormand-Prince 5(4) pair, as
-``solve_ivp`` on float tuples), the closed form's test oracle.  A flow stops at
+A symmetric start (jx = jy) flows in closed form (``symmetric_flow``, which
+traces it in ``phase_diagram`` and ``flow``), any other by RK45
+(``integrate_flow``: scipy's Dormand-Prince 5(4) pair, as ``solve_ivp`` on
+float tuples), the closed form's test oracle.  A flow stops at
 a coupling reaching the strong-coupling ceiling, at the transverse pair dying
 below the localization floor for a dwell interval, or at the scale cutoff.
 Because the one-loop equations blow up in finite scale, the strong-coupling
@@ -23,7 +24,7 @@ from typing import NamedTuple
 from .errors import ResourceLimitError
 
 DWELL_INTERVAL = 1.0   # scale window the transverse pair must stay below j_min
-PORTRAIT_SAMPLES = 65  # samples of a symmetric trajectory, evenly spaced in l
+PORTRAIT_SAMPLES = 65  # samples of a symmetric portrait or flow trace, evenly spaced in l
 _MAX_SEGMENTS = 1000
 _J_LIMIT = math.sqrt(sys.float_info.max)  # couplings whose squares stay finite
 _RTOL_MIN = 100 * sys.float_info.epsilon  # scipy's RK45 floor, kept by solve_ivp

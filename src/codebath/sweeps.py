@@ -4,8 +4,8 @@ A config (schema in README) names a task of ``TASKS``, its axes and params
 and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
 pure function of the config.  Evaluation is a serial map over grid points:
-each point is a closed form of microseconds or, for ``flow``, one RK45 trajectory, too
-little work for a process pool to pay for itself.  A lifetime run builds
+each point is a closed form of microseconds or, for a jx != jy ``flow`` start, one RK45
+trajectory, too little work for a process pool to pay for itself.  A lifetime run builds
 each bath of its bath axes' product once and sweeps them as one axis: they
 sort after every other axis, so the k-th point of each run of ``len(baths)``
 points takes the k-th bath.  A value naming a field of ``FlowOptions`` or
@@ -324,9 +324,13 @@ def _check_flow(values: dict) -> None:
 
 def _eval_flow(params: dict, point: dict):
     """One start's index row (without id and file name) and its trace's
-    (l, jx, jy, jz, c1, c2) rows."""
-    start = _flow_start(point)
-    trace = integrate_flow(start, _flow_options(params))
+    (l, jx, jy, jz, c1, c2) rows: closed form if jx and jy are one float, else RK45."""
+    start, opts = _flow_start(point), _flow_options(params)
+    if start.jx == start.jy and math.copysign(1, start.jx) == math.copysign(1, start.jy):
+        samples, terminal = symmetric_flow(start.jx, start.jz, opts)
+        rows = [(l, p, p, z, 0.0, z * z - p * p) for l, p, z in samples]
+        return (start.jx, start.jy, start.jz, *_terminal_fields(terminal)), rows
+    trace = integrate_flow(start, opts)
     rows = [(l, j.jx, j.jy, j.jz, *constants_of_motion(j)) for l, j in trace.samples]
     return (start.jx, start.jy, start.jz, *_terminal_fields(trace.terminal)), rows
 

@@ -326,11 +326,11 @@ def test_critical_coupling_short_range():
     assert critical_coupling(spec, 8) == pytest.approx(2.0 / 16.0, rel=1e-12)
     other_a0 = BathSpec(z=1.0, a=2.0, a0=0.5, tau_qec=4.0)
     assert critical_coupling(other_a0, 8) == critical_coupling(spec, 8)
-    # L-independent in this branch
+    # L-independent in this regime
     assert critical_coupling(spec, 8) == critical_coupling(spec, 64)
 
 
-def test_critical_coupling_critical_branch_ratio():
+def test_critical_coupling_critical_regime_ratio():
     spec = BathSpec(z=0.5)
     ratio = critical_coupling(spec, 100) / critical_coupling(spec, 10)
     assert ratio == pytest.approx(math.sqrt(math.log(10) / math.log(100)), rel=1e-12)
@@ -527,7 +527,7 @@ def test_build_report_is_the_public_formulas(point):
 
 
 def test_build_report_reads_the_regime_its_bath_decided(monkeypatch):
-    # a bath decides its regime, branch and bases when built; no report re-decides
+    # a bath decides its regime, zeta and bases when built; no report re-decides
     baths = [BathSpec(z=z, s=s, lam=0.05, temperature=0.5, a=2.0)
              for z in (0.3, 0.5, 0.6, 1.0) for s in (1.0, 0.5)]
     points = [CodePoint(L=8, epsilon=0.01, spec=spec, jz_star=jz)

@@ -21,7 +21,7 @@ from codebath.bath import HBAR_SI, KB_SI, BathSpec
 from codebath.cli import main
 from codebath.errors import ConfigError, ResourceLimitError
 from codebath.lifetimes import CodePoint, LifetimeReport, Phase, build_report, critical_coupling
-from codebath.rg_flow import PORTRAIT_SAMPLES, Localized, StrongCoupling
+from codebath.rg_flow import PORTRAIT_SAMPLES, CouplingVector, Localized, StrongCoupling
 from codebath.surface_code import TieBreak
 from codebath.sweeps import (
     LIFETIME_FIELDS,
@@ -400,12 +400,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 
-def flow_index_oracle(traces):
-    """The index rows of flows that gave ``traces`` (start, trace), in order,
-    with each terminal's l_star and jz_star as evaluated (None if it has none)."""
+def flow_index_oracle(terminals):
+    """The index rows of flows that gave ``terminals`` (start, terminal), in
+    order, with each l_star and jz_star as evaluated (None if it has none)."""
     rows = []
-    for tid, (start, trace) in enumerate(traces):
-        terminal = trace.terminal
+    for tid, (start, terminal) in enumerate(terminals):
         l_star = terminal.l_star if isinstance(terminal, StrongCoupling) else None
         jz_star = terminal.j_star.jz if isinstance(terminal, Localized) else None
         rows.append((tid, start.jx, start.jy, start.jz, type(terminal).__name__, l_star,
@@ -416,8 +415,8 @@ def flow_index_oracle(traces):
 def run_workload_checked(tmp_path, monkeypatch, workload: str, seed: int) -> Counter:
     """Run the benchmark's ``workload`` configs for ``seed``, holding every
     file written byte-equal to the oracle; returns the files per template."""
-    write_rows, integrate = sweeps._write_rows, sweeps.integrate_flow
-    templates, traces = Counter(), []
+    write_rows, integrate, closed = sweeps._write_rows, sweeps.integrate_flow, sweeps.symmetric_flow
+    templates, terminals = Counter(), []
 
     def checked(path, header, rows, *, template):
         write_rows(path, header, rows, template=template)
@@ -426,14 +425,21 @@ def run_workload_checked(tmp_path, monkeypatch, workload: str, seed: int) -> Cou
             assert_template_matches_oracle(Path(path), header, rows)
 
     def traced(start, options):
-        traces.append((start, integrate(start, options)))
-        return traces[-1][1]
+        trace = integrate(start, options)
+        terminals.append((start, trace.terminal))
+        return trace
+
+    def traced_closed(j_perp, jz, options):  # a jx = jy start, or a portrait's
+        samples, terminal = closed(j_perp, jz, options)
+        terminals.append((CouplingVector(j_perp, j_perp, jz), terminal))
+        return samples, terminal
 
     monkeypatch.setattr(sweeps, "_write_rows", checked)
     monkeypatch.setattr(sweeps, "integrate_flow", traced)
+    monkeypatch.setattr(sweeps, "symmetric_flow", traced_closed)
     for call in workloads.build(workload, seed):
         cfg = validate_config({**call.config, "output_path": str(tmp_path / call.out)})
-        traces.clear()
+        terminals.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the j(L) >= 1e3 caution
             run(cfg)
@@ -441,7 +447,7 @@ def run_workload_checked(tmp_path, monkeypatch, workload: str, seed: int) -> Cou
                 assert_lifetime_rows_per_point(cfg)
         if cfg.task == "flow":
             assert_template_matches_oracle(
-                Path(cfg.output_path) / "index.csv", FLOW.header, flow_index_oracle(traces)
+                Path(cfg.output_path) / "index.csv", FLOW.header, flow_index_oracle(terminals)
             )
     return templates
 
@@ -687,6 +693,65 @@ def test_flow_task_writes_traces_and_index(tmp_path):
     trace = read_rows(out / "trace_0000.csv")
     assert trace[0] == ["l", "jx", "jy", "jz", "c1", "c2"]
     assert float(trace[1][0]) == 0.0
+
+
+_CLOSED_FORM_CONFIGS = {
+    # jx = jy on both separatrices (jz = -0.1 cut by l_max, +0.1 running away), a
+    # localizing start (-0.3), at the ceiling (1.0), zero pairs, and jx != jy starts
+    "grid": {"axes": {"jx": [0.0, 0.1], "jy": [0.0, 0.1], "jz": [-0.3, -0.1, 0.1, 1.0]},
+             "params": {"j_min": 0.02, "l_max": 20.0, "abs_tol": 1e-10, "rel_tol": 1e-10}},
+    "zero_pair": {"axes": {"jz": [-0.5, 0.0, 0.3, 1.5]}, "params": {}},
+}
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORM_CONFIGS)
+def test_flow_closed_form_starts_match_rk45(tmp_path, monkeypatch, name):
+    """A jx = jy start's index row and trace come from the closed form, held to a
+    tight RK45 as its oracle; a jx != jy start still goes through solve_ivp."""
+    solve_ivp, integrate = rg_flow.solve_ivp, sweeps.integrate_flow
+    rk45_starts, solves = [], []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    def counted_flow(start, options):
+        rk45_starts.append(start)
+        return integrate(start, options)
+
+    monkeypatch.setattr(rg_flow, "solve_ivp", counted_solve)
+    monkeypatch.setattr(sweeps, "integrate_flow", counted_flow)
+    out, cfg = tmp_path / "flows", _CLOSED_FORM_CONFIGS[name]
+    assert main(["flow", "--config", write_config(
+        tmp_path, {"task": "flow", **cfg, "output_path": str(out)})]) == 0
+    solved = bool(solves)  # before the oracle below integrates
+    opts = sweeps._flow_options(cfg["params"])
+    tight = dataclasses.replace(opts, abs_tol=1e-22, rel_tol=1e-13)
+    symmetric, labels = 0, set()
+    for _, *start, label, l_star, jz_star, fname in read_rows(out / "index.csv")[1:]:
+        j0 = CouplingVector(*map(float, start))
+        if j0.jx != j0.jy:
+            continue
+        symmetric += 1
+        labels.add(label)
+        oracle = rg_flow.integrate_flow(j0, tight).terminal
+        assert label == type(oracle).__name__
+        if label == "StrongCoupling":
+            assert float(l_star) == pytest.approx(oracle.l_star, rel=1e-11)
+        if label == "Localized":
+            assert float(jz_star) == pytest.approx(oracle.j_star.jz, rel=1e-8)
+        trace = [tuple(map(float, row)) for row in read_rows(out / fname)[1:]]
+        assert trace[0][:4] == (0.0, j0.jx, j0.jy, j0.jz)
+        c2 = trace[0][5]
+        for l, jx, jy, jz, c1, c2_l in trace:
+            assert jx == jy and c1 == 0.0
+            assert c2_l == pytest.approx(c2, rel=0, abs=8 * sys.float_info.epsilon * max(
+                jz * jz, jx * jx, abs(c2)))
+    assert all(s.jx != s.jy for s in rk45_starts)
+    assert len(rk45_starts) == len(read_rows(out / "index.csv")) - 1 - symmetric
+    assert solved == bool(rk45_starts)  # some jx != jy starts lie below the ceiling
+    assert labels >= ({"StrongCoupling", "Localized"} if name == "zero_pair" else
+                      {"StrongCoupling", "Localized", "CutoffReached"})
 
 
 def test_preset_task_contains_headline_numbers(tmp_path):
@@ -1042,8 +1107,9 @@ def test_cli_config_without_task_runs_as_its_subcommand(tmp_path):
 def test_cli_flow_segment_budget_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(rg_flow, "_MAX_SEGMENTS", 1)
     out = tmp_path / "f"
-    cfg = {"task": "flow", "axes": {"jx": [0.05], "jy": [0.05], "jz": [-0.2]},
-           "output_path": str(out)}
+    # an RK45 start (jx != jy) whose pair falls below j_min: a dwell is its second segment
+    cfg = {"task": "flow", "axes": {"jx": [0.05], "jy": [0.049], "jz": [-0.2]},
+           "params": {"j_min": 0.02}, "output_path": str(out)}
     assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 3
     assert "resource limit: flow integration exceeded its segment budget" in (
         capsys.readouterr().err)

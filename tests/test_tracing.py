@@ -17,7 +17,8 @@ import tracing  # noqa: E402
 CONFIGS = {
     "lifetime": {"task": "lifetime", "axes": {"L": [4, 8], "z": [1.0, 0.5]},
                  "params": {"lambda": 0.05}},
-    "flow": {"task": "flow", "axes": {"j_perp": [0.1], "jz": [-0.2, 0.2]},
+    # jx != jy: RK45 starts, which reach rg_flow.solve_ivp
+    "flow": {"task": "flow", "axes": {"jx": [0.1], "jy": [0.09], "jz": [-0.2, 0.2]},
              "params": {"l_max": 20.0}},
     "matching": {"task": "matching", "axes": {"n": [4, 6]}},
     "census": {"task": "census", "axes": {"L": [4], "weight": [1, 2]}},

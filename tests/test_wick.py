@@ -194,6 +194,21 @@ def test_probe_trends_hold_to_n20():
     assert all(b < a for a, b in zip(local, local[1:]))
 
 
+def test_probe_trend_flips_at_zeta_one_half_for_a_subohmic_bath():
+    """At s = 0.5 the threshold z = 1/(s+1) = 2/3 is zeta = 1/2: the pairing
+    sum run at a sub-Ohmic bath's zeta reads the trend its regime names, and
+    grows more slowly (a smaller log-log slope) the larger zeta is."""
+    slopes = []
+    for z, trend in ((0.4, "power_law"), (2 / 3, "logarithmic"), (1.0, "bounded")):
+        spec = BathSpec(z=z, s=0.5)
+        probe = matching_scaling_probe(range(4, 17, 2), spec.zeta)
+        assert probe.trend_label == trend
+        assert probe.regime is spec.regime
+        assert all(i > 0 for i in probe.increments)
+        slopes.append(probe.loglog_slope)
+    assert slopes == sorted(slopes, reverse=True) and len(set(slopes)) == 3
+
+
 def test_probe_guards():
     with pytest.raises(ValueError):
         matching_scaling_probe([4, 6], 1.0)
@@ -215,7 +230,7 @@ def test_probe_refuses_z_zero_before_any_sum(monkeypatch):
     assert len(calls) == 3
 
 
-def test_lambda_bar_sq_branches():
+def test_lambda_bar_sq_in_each_regime():
     # natural units with lam*tau/hbar = 1, a = a0 = 1
     assert lambda_bar_sq(BathSpec(z=1.0), 8) == pytest.approx(16.0)
     assert lambda_bar_sq(BathSpec(z=0.5), 8) == pytest.approx(16.0 * math.log(8), rel=1e-12)
