@@ -28,11 +28,13 @@ def _exp(x: float) -> float:
     return math.inf if x > _EXP_ARG_MAX else math.exp(x)
 
 
-def _saturated(powers) -> float:
-    """prod(x ** p for x, p in ``powers``), all x >= 0, summed in logs: the value
-    of a closed form whose float expression left float range (raised, or gave
-    nan from inf * 0), saturated to 0 or inf (0 if x = 0, p > 0)."""
+def _saturated(value: float, powers) -> float:
+    """prod(x ** p for x, p in ``powers``), all x >= 0, summed in logs and saturated to
+    0 or inf: a closed form whose float ``value`` is not positive and finite (it raised
+    as nan, or an intermediate left float range).  A zero base keeps a zero ``value``."""
     log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers)
+    if log == -math.inf and value == 0.0:
+        return value
     return 0.0 if math.isnan(log) else _exp(log)
 
 
@@ -70,9 +72,10 @@ class BathSpec:
     momentum exponent are not fields.
 
     A bath also sets, when built, four attributes that no config names
-    (``dataclasses.replace`` rebuilds them): its ``regime``; ``zeta`` =
-    (s+1) z / 2, the spatial exponent of the coupling, |x|**(-2 zeta); and the
-    saturated L-independent parts ``lambda_bar_sq_base`` and ``critical_coupling_base``.
+    (``dataclasses.replace`` rebuilds them): its ``regime``; ``zeta`` = (s+1) z / 2,
+    the coupling's spatial exponent, |x|**(-2 zeta); and the saturated L-independent
+    bases ``lambda_bar_sq_base`` = 16 (lam tau / hbar)**2 / (a0**(2(1-zeta)) a**(2 zeta))
+    and ``critical_coupling_base`` = hbar a0**(1-zeta) a**zeta / (4 tau).
     """
 
     z: float = 1.0
@@ -105,15 +108,15 @@ class BathSpec:
                                              * a ** (2.0 * zeta))
         except _RANGE_ERRORS:
             lb = math.nan
-        if lb != lb:
-            lb = _saturated(((16.0, 1), (lam, 2), (tau, 2), (hbar, -2),
-                             (a0, -2.0 * (1.0 - zeta)), (a, -2.0 * zeta)))
+        if not 0.0 < lb < math.inf:
+            lb = _saturated(lb, ((16.0, 1), (lam, 2), (tau, 2), (hbar, -2),
+                                 (a0, -2.0 * (1.0 - zeta)), (a, -2.0 * zeta)))
         try:
             lam_c = hbar * a0 ** (1.0 - zeta) * a**zeta / (4.0 * tau)
         except _RANGE_ERRORS:
             lam_c = math.nan
-        if lam_c != lam_c:
-            lam_c = _saturated(((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0 * tau, -1)))
+        if not 0.0 < lam_c < math.inf:
+            lam_c = _saturated(lam_c, ((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0 * tau, -1)))
         vars(self).update(regime=regime, zeta=zeta, lambda_bar_sq_base=lb,
                           critical_coupling_base=lam_c)  # frozen guards only setattr
 

@@ -1,8 +1,8 @@
 """Closed-form lifetime and threshold formulas plus the neutral-atom preset.
 
-All times come out in units of the correction cycle tau_qec unless the field
-name says otherwise.  Approximate relations are implemented as equalities
-with unit prefactors; every report records the regime its bath decided.
+Times are in units of the correction cycle tau_qec unless the field name says
+otherwise; approximate relations are equalities with unit prefactors.  The regime
+a bath decided sets the one L-growth g(L) of both lambda_bar_sq and lambda_c.
 
 A point models the antiferromagnetic (runaway) channel through the isotropic
 macroscopic coupling j(L); supplying the renormalized coupling ``jz_star``
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI, RegimeLabel
 from .bath import _RANGE_ERRORS, _exp, _saturated, classify_regime
-from .wick import check_even_L, lambda_bar_sq
+from .wick import check_even_L
 
 SATURATION_J = 1e3
 
@@ -65,6 +65,26 @@ class LifetimeReport(NamedTuple):  # all fields but the last are the lifetime CS
     threshold_exists: bool
 
 
+def _growth(spec: BathSpec, L: int) -> float:
+    """g(L) in the bath's regime: 1 short range, ln L (> 0) critical, L**(1-2 zeta) long range."""
+    check_even_L(L)
+    if spec.regime is RegimeLabel.SHORT_RANGE:
+        return 1.0
+    if spec.regime is RegimeLabel.CRITICAL:
+        return math.log(L)
+    return L ** (1.0 - 2.0 * spec.zeta)
+
+
+def lambda_bar_sq(spec: BathSpec, L: int) -> float:
+    """Per-segment contraction weight of the macroscopic coupling: the bath's base * g(L)."""
+    return spec.lambda_bar_sq_base * _growth(spec, L)
+
+
+def critical_coupling(spec: BathSpec, L: int) -> float:
+    """Coupling lam_c where the contraction weight reaches 1: the bath's base / sqrt(g(L))."""
+    return spec.critical_coupling_base / math.sqrt(_growth(spec, L))
+
+
 def j_of_L(spec: BathSpec, L: int) -> float:
     """Macroscopic dimensionless coupling (lam/hbar v) sqrt(2L/pi) (lbar^2)^(L/4)."""
     lb = lambda_bar_sq(spec, L)
@@ -72,8 +92,8 @@ def j_of_L(spec: BathSpec, L: int) -> float:
         j = spec.lam / (spec.hbar * spec.v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0)
     except _RANGE_ERRORS:
         j = math.nan
-    return j if j == j else _saturated(((spec.lam, 1), (spec.hbar, -1), (spec.v, -1),
-                                        (2.0 * L / math.pi, 0.5), (lb, L / 4.0)))
+    return j if 0.0 < j < math.inf else _saturated(j, (
+        (spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)))
 
 
 def t_comp(point: CodePoint, j_L: float) -> float:
@@ -94,7 +114,7 @@ def t_comp(point: CodePoint, j_L: float) -> float:
         window = eps * tau * (_exp(p) if s == 1.0 else x**p)
     except _RANGE_ERRORS:
         window = math.nan
-    return window if window == window else _saturated(((eps, 1), (tau, 1), (x, p)))
+    return window if 0.0 < window < math.inf else _saturated(window, ((eps, 1), (tau, 1), (x, p)))
 
 
 def t_mem_fm(point: CodePoint) -> float:
@@ -117,38 +137,22 @@ def thermal_rates(point: CodePoint, j_L: float) -> ThermalRates:
         return ThermalRates(t2_thermal=math.inf, gamma_korringa=0.0)
     kB, T, hbar, jz = spec.kB, spec.temperature, spec.hbar, point.jz_star
     gamma = j_L * j_L * (kB * T / hbar)  # cannot raise, as hbar > 0
-    if gamma != gamma:
-        gamma = _saturated(((abs(j_L), 2), (kB, 1), (T, 1), (hbar, -1)))
+    if not 0.0 < gamma < math.inf:
+        gamma = _saturated(gamma, ((abs(j_L), 2), (kB, 1), (T, 1), (hbar, -1)))
     t2 = None
     if jz is not None:
         try:
             t2 = hbar / (2.0 * math.pi * kB * T * jz**2)
         except _RANGE_ERRORS:
             t2 = math.nan
-        if t2 != t2:
-            t2 = _saturated(((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz), -2)))
+        if not 0.0 < t2 < math.inf:
+            t2 = _saturated(t2, ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz), -2)))
     return ThermalRates(t2_thermal=t2, gamma_korringa=gamma)
 
 
 def threshold_exists(z: float, s: float) -> bool:
     """True iff z > 1/(s+1), the short-range criterion."""
     return classify_regime(z, s) is RegimeLabel.SHORT_RANGE
-
-
-def critical_coupling(spec: BathSpec, L: int) -> float:
-    """Coupling lam_c where the contraction weight reaches 1.
-
-    The bath's base hbar a0**(1-zeta) a**zeta / (4 tau), deflated by
-    sqrt(ln L) in the critical regime and by L**((1-2 zeta)/2) in the
-    long-range one; only the short-range regime is L-independent.
-    """
-    check_even_L(L)
-    base, regime = spec.critical_coupling_base, spec.regime
-    if regime is RegimeLabel.SHORT_RANGE:
-        return base
-    if regime is RegimeLabel.CRITICAL:
-        return base / math.sqrt(math.log(L))
-    return base / L ** ((1.0 - 2.0 * spec.zeta) / 2.0)
 
 
 def build_report(point: CodePoint) -> LifetimeReport:

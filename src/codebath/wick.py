@@ -1,14 +1,15 @@
-"""Exact pairing sums along an error string and the scaling laws they feed.
+"""Exact combinatorics of an error string: pairing sums, path counts, the distance check.
 
 The pairing sum is computed by an exact DP, independent of the asymptotic
-formulas: it is the desk-scale oracle they are checked against.
+formulas of :mod:`codebath.lifetimes`: it is the desk-scale oracle they are
+checked against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .bath import BathSpec, RegimeLabel, _exp, classify_regime
+from .bath import RegimeLabel, _exp, classify_regime
 from .errors import ResourceLimitError
 
 MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the pairing-sum ceiling
@@ -140,23 +141,6 @@ def check_even_L(L) -> None:
     """Raise ValueError unless L is an even integer >= 2 (a code distance)."""
     if not isinstance(L, int) or isinstance(L, bool) or L < 2 or L % 2:
         raise ValueError("L must be an even integer >= 2")
-
-
-def lambda_bar_sq(spec: BathSpec, L: int) -> float:
-    """Effective per-segment contraction weight entering the macroscopic coupling.
-
-    The bath's base 16 (lam tau / hbar)**2 / (a0**(2(1-zeta)) a**(2 zeta))
-    (inf for an overflowing coupling or an underflowing denominator, 0 for an
-    overflowing denominator), times ln L in the critical regime and
-    L**(1-2 zeta) in the long-range one; ln L > 0 as L >= 2.
-    """
-    check_even_L(L)
-    base, regime = spec.lambda_bar_sq_base, spec.regime
-    if regime is RegimeLabel.SHORT_RANGE:
-        return base
-    if regime is RegimeLabel.CRITICAL:
-        return base * math.log(L)
-    return base * L ** (1.0 - 2.0 * spec.zeta)
 
 
 def n_paths(L: int) -> int:

@@ -19,6 +19,7 @@ from codebath.lifetimes import (
     build_report,
     critical_coupling,
     j_of_L,
+    lambda_bar_sq,
     preset_report,
     t_comp,
     t_mem_fm,
@@ -27,7 +28,7 @@ from codebath.lifetimes import (
 )
 from codebath.cli import main
 from codebath.rg_flow import CouplingVector, StrongCoupling, integrate_flow
-from codebath.wick import RegimeLabel, classify_regime, lambda_bar_sq
+from codebath.wick import RegimeLabel, classify_regime
 
 
 def unit_weight_spec(lbar_sq=1.0, z=1.0):
@@ -206,15 +207,46 @@ def test_closed_forms_saturate_out_of_float_range():
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, lam=0.0), 4) == 0.0
 
 
+@pytest.mark.parametrize("params, want", [
+    # hbar * v overflows before lam is divided by it: j_L read 0, t_comp inf
+    ({"lambda": 1e300, "hbar": 1e200, "v": 1e200},
+     {"j_L": 1e-100 * math.sqrt(8.0 / math.pi) * 1.6e201, "t_comp_over_tau": 0.01}),
+    # kB * T overflows before the division by hbar: gamma read inf
+    ({"lambda": 1e290, "hbar": 1e300, "kB": 1e300, "temperature": 1e300},
+     {"gamma_korringa": (1e-10 * math.sqrt(8.0 / math.pi) * 1.6e-19) ** 2 * 1e300}),
+])
+def test_intermediate_overflow_leaves_no_wrong_zero_or_inf(tmp_path, params, want):
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    config.write_text(json.dumps({"task": "lifetime", "axes": {"L": [4]}, "params": params,
+                                  "output_path": str(out)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # j(L) >= 1e3
+        assert main(["sweep", "--config", str(config)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    for column, value in want.items():
+        assert float(row[column]) == pytest.approx(value, rel=1e-12)
+
+
+def test_bases_survive_an_overflowing_intermediate():
+    # hbar * a overflows before the division by 4 tau
+    spec = BathSpec(hbar=1e300, a=1e10, tau_qec=1e300)
+    assert spec.critical_coupling_base == pytest.approx(2.5e9, rel=1e-12)
+    assert critical_coupling(spec, 4) == spec.critical_coupling_base
+    # a raise with a zero base is a zero, not a saturated nan
+    assert lambda_bar_sq(BathSpec(hbar=1e-300, lam=0.0), 4) == 0.0
+
+
 def closure_form(value, powers):
     """A closed form as it was written with two closures: ``value()``, or
-    where that raises or gives nan, prod(x ** p for x, p in ``powers()``)
-    summed in logs.  The oracle of the inline fast paths."""
+    where that raises or is not positive and finite, prod(x ** p for x, p in
+    ``powers()``) summed in logs.  The oracle of the inline fast paths."""
     try:
         result = value()
     except (OverflowError, ZeroDivisionError):
         result = math.nan
-    if result == result:
+    if 0.0 < result < math.inf:
         return result
     log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers())
     return 0.0 if math.isnan(log) else wick._exp(log)
@@ -264,7 +296,7 @@ def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, 
     if abs(gap) <= 1e-12:
         lb, lam_c = lb * math.log(L), lam_c / math.sqrt(math.log(L))
     elif gap < 0:
-        lb, lam_c = lb * L ** (1.0 - 2.0 * zeta), lam_c / L ** ((1.0 - 2.0 * zeta) / 2.0)
+        lb, lam_c = lb * L ** (1.0 - 2.0 * zeta), lam_c / math.sqrt(L ** (1.0 - 2.0 * zeta))
     j_L = closure_form(
         lambda: lam / (hbar * v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
         lambda: ((lam, 1), (hbar, -1), (v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)),
@@ -344,21 +376,27 @@ def test_critical_coupling_long_range_power():
 
 
 def test_critical_coupling_inverts_lambda_bar():
+    # Ohmic and sub-Ohmic baths in every regime, the band 1/2 < z <= 1/(s+1) included
     rng = random.Random(3)
-    for _ in range(100):
-        z = rng.choice([rng.uniform(0.51, 1.0), 0.5, rng.uniform(0.05, 0.49)])
+    seen = set()
+    for _ in range(400):
+        s = rng.choice([1.0, rng.uniform(0.05, 0.99)])
+        edge = 1.0 / (s + 1.0)
+        z = rng.choice([rng.uniform(edge + 0.01, 1.0), edge, rng.uniform(0.5, edge),
+                        rng.uniform(0.05, 0.49)])
         spec = BathSpec(
             z=z,
+            s=s,
             a=rng.uniform(0.5, 2.0),
             a0=rng.uniform(0.1, 1.0),
             tau_qec=rng.uniform(0.5, 2.0),
         )
         L = rng.choice([4, 8, 16, 32])
         lam_c = critical_coupling(spec, L)
-        at_critical = BathSpec(
-            z=spec.z, lam=lam_c, a=spec.a, a0=spec.a0, tau_qec=spec.tau_qec
-        )
-        assert lambda_bar_sq(at_critical, L) == pytest.approx(1.0, rel=1e-10)
+        at_critical = dataclasses.replace(spec, lam=lam_c)
+        assert lambda_bar_sq(at_critical, L) == pytest.approx(1.0, rel=1e-14)
+        seen.add((spec.regime, s == 1.0, 0.5 < z < edge))
+    assert len(seen) == 7  # three regimes at s = 1 and at s < 1, and the sub-Ohmic band
 
 
 def test_short_range_a0_scaling_is_the_stated_power():

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from codebath import wick
 from codebath.bath import BathSpec, spatial_correlator
 from codebath.errors import ResourceLimitError
+from codebath.lifetimes import lambda_bar_sq
 from codebath.wick import (
     MatchingProblem,
     RegimeLabel,
     check_probe_ceiling,
     classify_regime,
-    lambda_bar_sq,
     matching_scaling_probe,
     matching_sum,
     n_paths,
