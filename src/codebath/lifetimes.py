@@ -46,11 +46,6 @@ class CodePoint:
             raise ValueError("jz_star must be finite")
 
 
-class ThermalRates(NamedTuple):
-    t2_thermal: float | None
-    gamma_korringa: float | None
-
-
 class LifetimeReport(NamedTuple):  # all fields but the last are the lifetime CSV columns
     regime: RegimeLabel
     phase: Phase
@@ -96,6 +91,11 @@ def j_of_L(spec: BathSpec, L: int) -> float:
         (spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)))
 
 
+def _window_power(s: float, j_L: float) -> tuple[float, float]:
+    """(x, p) with the computational window eps * tau * x**p, for j_L > 0."""
+    return (math.e, 1.0 / j_L) if s == 1.0 else (1.0 / j_L, 1.0 / (1.0 - s))
+
+
 def t_comp(point: CodePoint, j_L: float) -> float:
     """Runaway-channel computational window at j_L = j(L), its form set by the
     bath's s: eps * tau * exp(1/j_L) for an Ohmic bath (s = 1), the power law
@@ -109,7 +109,7 @@ def t_comp(point: CodePoint, j_L: float) -> float:
     if j_L <= 0:
         return math.inf
     eps, tau = point.epsilon, point.spec.tau_qec
-    x, p = (math.e, 1.0 / j_L) if s == 1.0 else (1.0 / j_L, 1.0 / (1.0 - s))  # eps * tau * x**p
+    x, p = _window_power(s, j_L)
     try:
         window = eps * tau * (_exp(p) if s == 1.0 else x**p)
     except _RANGE_ERRORS:
@@ -126,28 +126,35 @@ def t_mem_fm(point: CodePoint) -> float:
     return point.spec.tau_qec * _exp(-expo * math.log1p(-point.epsilon))
 
 
-def thermal_rates(point: CodePoint, j_L: float) -> ThermalRates:
-    """T2 = hbar/(2 pi kB T jz*^2) and Korringa rate j_L^2 kB T / hbar, j_L = j(L).
-
-    T = 0 returns the algebraic-regime sentinel (infinite T2, zero rate).
-    The T2 channel needs jz_star and is None without it.
-    """
-    spec = point.spec
-    if spec.temperature == 0.0:
-        return ThermalRates(t2_thermal=math.inf, gamma_korringa=0.0)
-    kB, T, hbar, jz = spec.kB, spec.temperature, spec.hbar, point.jz_star
+def gamma_korringa(spec: BathSpec, j_L: float) -> float:
+    """Korringa rate j_L^2 kB T / hbar at j_L = j(L); 0 at T = 0 (the algebraic regime)."""
+    kB, T, hbar = spec.kB, spec.temperature, spec.hbar
+    if T == 0.0:
+        return 0.0
     gamma = j_L * j_L * (kB * T / hbar)  # cannot raise, as hbar > 0
-    if not 0.0 < gamma < math.inf:
-        gamma = _saturated(gamma, ((abs(j_L), 2), (kB, 1), (T, 1), (hbar, -1)))
-    t2 = None
-    if jz is not None:
-        try:
-            t2 = hbar / (2.0 * math.pi * kB * T * jz**2)
-        except _RANGE_ERRORS:
-            t2 = math.nan
-        if not 0.0 < t2 < math.inf:
-            t2 = _saturated(t2, ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz), -2)))
-    return ThermalRates(t2_thermal=t2, gamma_korringa=gamma)
+    return gamma if 0.0 < gamma < math.inf else _saturated(
+        gamma, ((abs(j_L), 2), (kB, 1), (T, 1), (hbar, -1)))
+
+
+def t2_thermal(spec: BathSpec, jz_star: float | None) -> float | None:
+    """T2 = hbar/(2 pi kB T jz*^2); inf at T = 0 (the algebraic regime), else None without jz*."""
+    kB, T, hbar = spec.kB, spec.temperature, spec.hbar
+    if T == 0.0:
+        return math.inf
+    if jz_star is None:
+        return None
+    try:
+        t2 = hbar / (2.0 * math.pi * kB * T * jz_star**2)
+    except _RANGE_ERRORS:
+        t2 = math.nan
+    return t2 if 0.0 < t2 < math.inf else _saturated(
+        t2, ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz_star), -2)))
+
+
+def shared_values(spec: BathSpec, L: int) -> tuple[float, float, float]:
+    """(j(L), its Korringa rate, lambda_c) on one bath: the same for every epsilon and jz*."""
+    j_L = j_of_L(spec, L)
+    return j_L, gamma_korringa(spec, j_L), critical_coupling(spec, L)
 
 
 def threshold_exists(z: float, s: float) -> bool:
@@ -155,24 +162,27 @@ def threshold_exists(z: float, s: float) -> bool:
     return classify_regime(z, s) is RegimeLabel.SHORT_RANGE
 
 
-def build_report(point: CodePoint) -> LifetimeReport:
+def build_report(point: CodePoint, shared: tuple | None = None) -> LifetimeReport:
     """Evaluate every applicable formula for one point and bundle the results,
-    under the regime its bath decided when it was built."""
+    under the regime its bath decided when it was built.  ``shared`` is
+    ``shared_values(point.spec, point.L)``, computed here when not given."""
     spec, L = point.spec, point.L
-    j_L = j_of_L(spec, L)
-    rates = thermal_rates(point, j_L)
+    j_L, gamma, lam_c = shared or shared_values(spec, L)
     localized = point.jz_star is not None
     t_K = t_comp_over_tau = t_mem = None
     if localized:
         t_mem = t_mem_fm(point) / spec.tau_qec
     else:
         window = t_comp(point, j_L)
-        t_K = window / point.epsilon / spec.tau_qec
-        t_comp_over_tau = window / spec.tau_qec
+        t_K, t_comp_over_tau = window / point.epsilon / spec.tau_qec, window / spec.tau_qec
+        if j_L > 0 and not (0.0 < t_K < math.inf and 0.0 < t_comp_over_tau < math.inf):
+            x, p = _window_power(spec.s, j_L)  # out of float range: x**p and eps * x**p
+            t_K = _saturated(t_K, ((x, p),))
+            t_comp_over_tau = _saturated(t_comp_over_tau, ((point.epsilon, 1), (x, p)))
     return LifetimeReport(
         spec.regime, Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC, L, j_L, t_K,
-        t_comp_over_tau, t_mem, rates.gamma_korringa, rates.t2_thermal,
-        critical_coupling(spec, L), spec.regime is RegimeLabel.SHORT_RANGE,
+        t_comp_over_tau, t_mem, gamma, t2_thermal(spec, point.jz_star), lam_c,
+        spec.regime is RegimeLabel.SHORT_RANGE,
     )
 
 

@@ -5,10 +5,10 @@ and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
 pure function of the config.  Evaluation is a serial map over grid points:
 each point is a closed form of microseconds or, for a jx != jy ``flow`` start, one RK45
-trajectory, too little work for a process pool to pay for itself.  A lifetime run builds
-each bath of its bath axes' product once and sweeps them as one axis: they
-sort after every other axis, so the k-th point of each run of ``len(baths)``
-points takes the k-th bath.  A value naming a field of ``FlowOptions`` or
+trajectory, too little work for a process pool to pay for itself.  A lifetime run's grid
+points are its code distances L, each one block of every (epsilon, jz_star) pair by every
+bath (built once per run), bath fastest, with j(L), the Korringa rate and lambda_c once per
+bath: L sorts first and the bath axes last.  A value naming a field of ``FlowOptions`` or
 ``BathSpec``, all floats, enters it through ``float``.  The config key
 ``parallelism`` is validated and not stored, and ``run``'s ``workers``
 keyword (the CLI has no flag for it) is accepted and unused, so outputs are
@@ -277,7 +277,12 @@ def _portrait_options(values: dict) -> FlowOptions:
 
 
 _BATH_NAMES = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(BathSpec)}
-_BATH_AXIS = "~bath"  # a lifetime run's prebuilt baths; "~" sorts after every config name
+_BATH_AXIS = "~bath"  # a lifetime run's block of (epsilon, jz_star) pairs and baths; sorts last
+
+
+def _product(build, params: dict, axes: dict) -> list:
+    """``build`` of the params updated by each combination of ``axes``, the last fastest."""
+    return [build({**params, **dict(zip(axes, vs))}) for vs in itertools.product(*axes.values())]
 
 
 def _bath(values: dict) -> BathSpec:
@@ -285,11 +290,16 @@ def _bath(values: dict) -> BathSpec:
     return BathSpec(**{_BATH_NAMES[n]: float(v) for n, v in values.items() if n in _BATH_NAMES})
 
 
-def _code_point(values: dict, spec: BathSpec | None = None) -> lifetimes.CodePoint:
-    """A lifetime point from config names (L = 2 if absent) on ``spec``, else on their bath."""
+def _code_values(values: dict) -> tuple[float, float | None]:
+    """A lifetime point's epsilon (0.01 if absent) and jz_star (None if absent)."""
     jz_star = values.get("jz_star")
-    return lifetimes.CodePoint(values.get("L", 2), float(values.get("epsilon", 0.01)),
-                               spec or _bath(values), None if jz_star is None else float(jz_star))
+    return float(values.get("epsilon", 0.01)), None if jz_star is None else float(jz_star)
+
+
+def _code_point(values: dict) -> lifetimes.CodePoint:
+    """A lifetime point from config names (L = 2 if absent) on their bath."""
+    epsilon, jz_star = _code_values(values)
+    return lifetimes.CodePoint(values.get("L", 2), epsilon, _bath(values), jz_star)
 
 
 def _matching_problem(values: dict) -> wick.MatchingProblem:
@@ -366,10 +376,15 @@ def _eval_census(params: dict, point: dict):
 
 
 def _eval_lifetime(params: dict, point: dict):
-    """A point's record cells (an absent Optional float empty), written after its axis cells."""
-    rep = lifetimes.build_report(_code_point({**params, **point}, point[_BATH_AXIS]))
+    """One code distance's record cells (an absent Optional float empty), per (epsilon, jz_star)
+    pair, per bath: j(L), the Korringa rate and lambda_c computed once per bath."""
+    L, (pairs, baths) = {**params, **point}["L"], point[_BATH_AXIS]
+    shared = [lifetimes.shared_values(spec, L) for spec in baths]
+    reports = (lifetimes.build_report(lifetimes.CodePoint(L, epsilon, spec, jz_star), values)
+               for epsilon, jz_star in pairs for spec, values in zip(baths, shared))
     return [(rep.regime.value, rep.phase.value, rep.L, rep.j_L,
-             *["" if v is None else "%.17g" % v for v in rep[4:9]], rep.lambda_critical)]
+             *["" if v is None else "%.17g" % v for v in rep[4:9]], rep.lambda_critical)
+            for rep in reports]
 
 
 @dataclass(frozen=True)
@@ -463,23 +478,23 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
             fh.write("\n".join(lines) + "\n")
         return [out]
     axes = dict(cfg.axes)
-    if cfg.task == "lifetime":  # the bath axes sort last: one axis of their baths replaces them
-        named = {n: axes.pop(n) for n in sorted(cfg.axes) if n in _BATH_NAMES}
-        axes[_BATH_AXIS] = [_bath({**cfg.params, **dict(zip(named, combo))})
-                            for combo in itertools.product(*named.values())]
+    if cfg.task == "lifetime":  # L alone is the grid: one block holds every other axis
+        codes = {n: axes.pop(n) for n in sorted(cfg.axes) if n != "L" and n not in _BATH_NAMES}
+        baths = {n: axes.pop(n) for n in sorted(cfg.axes) if n in _BATH_NAMES}  # vary fastest
+        axes[_BATH_AXIS] = [(_product(_code_values, cfg.params, codes),
+                             _product(_bath, cfg.params, baths))]
     results = _map_points(task.evaluate, cfg.params, grid_points(axes), 1)
     _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
     if tree:
         return _write_flow(out, results)
-    header, leads = list(task.header), None
+    header, rows = list(task.header), [row for rs in results for row in rs]
     if cfg.task == "lifetime":  # swept axes but L, which the record holds, lead each row
         header[:0] = [n for n in sorted(cfg.axes) if n != "L"]
         cells = [[""] * len(vs) if n == "L" else [format_cell(v) + "," for v in vs]
                  for n, vs in sorted(cfg.axes.items())]  # each value formatted once
         leads = map("".join, itertools.product(*cells))  # L's slot repeats, not printed
+        rows = [(lead, *row) for lead, row in zip(leads, rows, strict=True)]
     elif header[0] == "trajectory_id":  # a grid point's rows carry its index
-        leads = itertools.count()
-    rows = [row for rs in results for row in rs] if leads is None else [
-        (lead, *row) for lead, rs in zip(leads, results) for row in rs]
+        rows = [(tid, *row) for tid, rs in enumerate(results) for row in rs]
     _write_rows(out, header, rows, template=task.template)
     return [out]

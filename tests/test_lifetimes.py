@@ -18,12 +18,13 @@ from codebath.lifetimes import (
     Phase,
     build_report,
     critical_coupling,
+    gamma_korringa,
     j_of_L,
     lambda_bar_sq,
     preset_report,
+    t2_thermal,
     t_comp,
     t_mem_fm,
-    thermal_rates,
     threshold_exists,
 )
 from codebath.cli import main
@@ -156,18 +157,18 @@ def test_thermal_rates_values():
     # kB T / hbar = 1e6 in natural units
     spec = BathSpec(temperature=1e6)
     point = CodePoint(L=8, epsilon=0.01, spec=spec, jz_star=0.1)
-    rates = thermal_rates(point, j_L=0.01)
-    assert rates.t2_thermal == pytest.approx(1.0 / (2 * math.pi * 1e6 * 0.01), rel=1e-12)
-    assert rates.t2_thermal == pytest.approx(1.5915e-5, abs=1e-9)
-    assert rates.gamma_korringa == pytest.approx(100.0, rel=1e-12)
+    t2, gamma = t2_thermal(spec, point.jz_star), gamma_korringa(spec, j_L=0.01)
+    assert t2 == pytest.approx(1.0 / (2 * math.pi * 1e6 * 0.01), rel=1e-12)
+    assert t2 == pytest.approx(1.5915e-5, abs=1e-9)
+    assert gamma == pytest.approx(100.0, rel=1e-12)
 
 
 def test_korringa_linear_in_temperature_bit_exact():
     for T in (0.5, 1.0, 3.0):
         p1 = CodePoint(L=8, epsilon=0.01, spec=BathSpec(temperature=T))
         p2 = CodePoint(L=8, epsilon=0.01, spec=BathSpec(temperature=2 * T))
-        g1 = thermal_rates(p1, j_L=0.37).gamma_korringa
-        g2 = thermal_rates(p2, j_L=0.37).gamma_korringa
+        g1 = gamma_korringa(p1.spec, j_L=0.37)
+        g2 = gamma_korringa(p2.spec, j_L=0.37)
         assert g2 == 2.0 * g1
 
 
@@ -176,26 +177,25 @@ def test_korringa_linear_in_temperature_bit_exact():
 def test_t2_inverse_in_temperature(T, jz):
     p1 = CodePoint(L=8, epsilon=0.01, spec=BathSpec(temperature=T), jz_star=jz)
     p2 = CodePoint(L=8, epsilon=0.01, spec=BathSpec(temperature=2 * T), jz_star=jz)
-    r1 = thermal_rates(p1, j_of_L(p1.spec, 8))
-    r2 = thermal_rates(p2, j_of_L(p2.spec, 8))
-    assert r2.t2_thermal == pytest.approx(r1.t2_thermal / 2.0, rel=1e-9)
+    r1 = t2_thermal(p1.spec, p1.jz_star)
+    r2 = t2_thermal(p2.spec, p2.jz_star)
+    assert r2 == pytest.approx(r1 / 2.0, rel=1e-9)
 
 
 def test_thermal_rates_zero_temperature_sentinel():
-    rates = thermal_rates(CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=0.1), j_of_L(NAT, 8))
-    assert rates.t2_thermal == math.inf
-    assert rates.gamma_korringa == 0.0
+    assert t2_thermal(NAT, 0.1) == math.inf
+    assert gamma_korringa(NAT, j_of_L(NAT, 8)) == 0.0
 
 
 def test_closed_forms_saturate_out_of_float_range():
     fm = CodePoint(
         L=4, epsilon=0.01, spec=BathSpec(temperature=1e-300, kB=1e-10), jz_star=1e-200
     )
-    assert thermal_rates(fm, j_of_L(fm.spec, 4)).t2_thermal == math.inf  # denominator underflows
+    assert t2_thermal(fm.spec, fm.jz_star) == math.inf  # denominator underflows
     assert t_mem_fm(fm) == math.inf
     # 0 * inf in j^2 kB T / hbar: (1e-200)^2 * 1e300 * 1e300 is 1e200
     hot = CodePoint(L=4, epsilon=0.01, spec=BathSpec(temperature=1e300, kB=1e300))
-    assert thermal_rates(hot, j_L=1e-200).gamma_korringa == pytest.approx(1e200, rel=1e-9)
+    assert gamma_korringa(hot.spec, j_L=1e-200) == pytest.approx(1e200, rel=1e-9)
     # eps * tau underflows to 0 while exp(1/j) overflows
     tiny = CodePoint(L=4, epsilon=1e-200, spec=BathSpec(tau_qec=1e-200))
     assert t_comp(tiny, j_L=1e-5) == math.inf
@@ -214,6 +214,14 @@ def test_closed_forms_saturate_out_of_float_range():
     # kB * T overflows before the division by hbar: gamma read inf
     ({"lambda": 1e290, "hbar": 1e300, "kB": 1e300, "temperature": 1e300},
      {"gamma_korringa": (1e-10 * math.sqrt(8.0 / math.pi) * 1.6e-19) ** 2 * 1e300}),
+    # eps * tau * (1/j)**2 underflows, j = 16 sqrt(8/pi): t_K and t_comp read 0
+    ({"tau_qec": 1e-200, "lambda": 1e200, "v": 1e200, "epsilon": 1e-200, "s": 0.5},
+     {"j_L": 16.0 * math.sqrt(8.0 / math.pi), "t_K_over_tau": math.pi / 2048.0,
+      "t_comp_over_tau": 1e-200 * math.pi / 2048.0}),
+    # the window 1.5e198 is in range but window / eps overflows: t_K read inf
+    ({"tau_qec": 1e300, "hbar": 1e300, "lambda": 1e83, "epsilon": 1e-200, "s": 0.5},
+     {"t_K_over_tau": (1e50 / (1.6 * math.sqrt(8.0 / math.pi))) ** 2,
+      "t_comp_over_tau": 1e-200 * (1e50 / (1.6 * math.sqrt(8.0 / math.pi))) ** 2}),
 ])
 def test_intermediate_overflow_leaves_no_wrong_zero_or_inf(tmp_path, params, want):
     config = tmp_path / "cfg.json"
@@ -319,7 +327,8 @@ def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = (lambda_bar_sq(spec, L), critical_coupling(spec, L), j_of_L(spec, L),
-               t_comp(point, j_L=j), t_mem_fm(point), *thermal_rates(point, j_L=j))
+               t_comp(point, j_L=j), t_mem_fm(point), t2_thermal(spec, point.jz_star),
+               gamma_korringa(spec, j_L=j))
     want = (lb, lam_c, j_L, window, tau * wick._exp(-expo * math.log1p(-e)), t2, gamma)
     assert [repr(x) for x in got] == [repr(x) for x in want]
 
@@ -547,7 +556,6 @@ def test_build_report_is_the_public_formulas(point):
         warnings.simplefilter("ignore")  # j(L) >= 1e3
         rep = build_report(point)
         window = None if localized else t_comp(point, j_of_L(spec, L))
-    rates = thermal_rates(point, j_of_L(spec, L))
     expected = LifetimeReport(
         classify_regime(spec.z, spec.s),
         Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC,
@@ -556,8 +564,8 @@ def test_build_report_is_the_public_formulas(point):
         None if localized else window / point.epsilon / tau,
         None if localized else window / tau,
         t_mem_fm(point) / tau if localized else None,
-        rates.gamma_korringa,
-        rates.t2_thermal,
+        gamma_korringa(spec, j_of_L(spec, L)),
+        t2_thermal(spec, point.jz_star),
         critical_coupling(spec, L),
         threshold_exists(spec.z, spec.s),
     )

@@ -379,7 +379,7 @@ def test_lifetime_rows_on_edge_values(tmp_path, monkeypatch):
     floats, optional = itertools.cycle(EDGE_FLOATS), itertools.cycle([None, *EDGE_FLOATS])
     labels, reports = itertools.cycle(itertools.product(RegimeLabel, Phase)), []
 
-    def edge_report(point):
+    def edge_report(point, shared):
         rep = LifetimeReport(*next(labels), point.L, next(floats),
                              *(next(optional) for _ in range(5)), next(floats), False)
         reports.append(rep)
@@ -540,6 +540,8 @@ def test_bath_axes_sort_after_every_other_lifetime_axis():
     assert baths and others
     assert max(others) < min(baths)
     assert max(LIFETIME.axes) < sweeps._BATH_AXIS  # their one axis of baths sorts last too
+    # a run joins its per-L row blocks, which gives grid order only while L varies slowest
+    assert min(LIFETIME.axes) == "L"
 
 
 def test_run_keeps_signed_zeros_apart(tmp_path):
@@ -572,6 +574,33 @@ def test_run_builds_each_of_many_baths_once(tmp_path, monkeypatch):
     checked = count_bath_checks(monkeypatch)
     run(cfg)
     assert len(checked) == len(lambdas)
+    assert_lifetime_rows_per_point(cfg)
+
+
+def test_run_computes_each_L_and_bath_value_once(tmp_path, monkeypatch):
+    # j(L) and lambda_c depend on L and the bath alone, not on epsilon or jz_star
+    axes = {"L": [2, 4, 8], "lambda": [0.1, 0.2], "epsilon": [0.01, 0.1], "jz_star": [-0.2, 0.3]}
+    n_L, n_baths, n_pairs = 3, 2, 4
+    cfg = validate_config(lifetime_config(tmp_path / "d.csv", axes=axes,
+                                          params={"temperature": 0.5}))
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(sweeps.lifetimes, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(sweeps.lifetimes, name, wrapper)
+
+    for name in ("j_of_L", "critical_coupling", "check_even_L"):
+        counted(name)
+    run(cfg)
+    assert calls["j_of_L"] == calls["critical_coupling"] == n_L * n_baths
+    # once in each point's CodePoint, at most twice more per (L, bath)
+    assert calls["check_even_L"] <= n_L * n_baths * n_pairs + 2 * n_L * n_baths
+    monkeypatch.undo()
     assert_lifetime_rows_per_point(cfg)
 
 
