@@ -3,12 +3,12 @@
 A config (schema in README) names a task of ``TASKS``, its axes and params
 and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
-pure function of the config.  Evaluation is a serial map over grid points:
-each point is a closed form of microseconds or, for a jx != jy ``flow`` start, one RK45
-trajectory, too little work for a process pool to pay for itself.  A lifetime run's grid
-points are its code distances L, each one block of every (epsilon, jz_star) pair by every
-bath (built once per run), bath fastest, with j(L), the Korringa rate and lambda_c once per
-bath: L sorts first and the bath axes last.  A value naming a field of ``FlowOptions`` or
+pure function of the config.  Evaluation is a serial map over grid points, each a
+closed form of at most about a millisecond, too little work for a process pool to
+pay for itself.  A lifetime run's grid points are its code distances L, each one
+block of every (epsilon, jz_star) pair by every bath (built once per run), bath
+fastest, with j(L), the Korringa rate and lambda_c once per bath: L sorts first and
+the bath axes last.  A value naming a field of ``FlowOptions`` or
 ``BathSpec``, all floats, enters it through ``float``.  The config key
 ``parallelism`` is validated and not stored, and ``run``'s ``workers``
 keyword (the CLI has no flag for it) is accepted and unused, so outputs are
@@ -333,8 +333,8 @@ def _check_flow(values: dict) -> None:
 
 
 def _eval_flow(params: dict, point: dict):
-    """One start's index row (without id and file name) and its trace's
-    (l, jx, jy, jz, c1, c2) rows: closed form if jx and jy are one float, else RK45."""
+    """One start's index row (without id and file name) and its trace's (l, jx,
+    jy, jz, c1, c2) rows: ``symmetric_flow``'s if jx and jy are one float."""
     start, opts = _flow_start(point), _flow_options(params)
     if start.jx == start.jy and math.copysign(1, start.jx) == math.copysign(1, start.jy):
         samples, terminal = symmetric_flow(start.jx, start.jz, opts)

@@ -117,6 +117,14 @@ preset = config(
           "params": {"j_max": 0.5}})
 @example({"task": "phase_diagram", "axes": {"j_perp": [-3.5], "jz": [3.5]},
           "params": {"j_max": 1e200}})
+# a ceiling near float max whose scale overflowed, a cutoff within rounding of
+# the pole, and an RK45 first step that underflowed to 0
+@example({"task": "flow", "axes": {"j_perp": [1e-8], "jz": [1.3e154]},
+          "params": {"j_max": 1.34e154}})
+@example({"task": "phase_diagram", "axes": {"j_perp": [-1.0], "jz": [0.9999999999999999]},
+          "params": {"j_max": 1e100, "l_max": 1.0}})
+@example({"task": "flow", "axes": {"jx": [0.5], "jy": [-0.1], "jz": [1e150]},
+          "params": {"j_max": 1.34e154}})
 def test_any_config_exits_with_a_documented_code_and_no_nan(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, cfg.get("output_path", "out"))

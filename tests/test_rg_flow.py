@@ -1,15 +1,17 @@
+import functools
 import itertools
 import math
 import sys
-from operator import mul
+import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebath import rg_flow
 from codebath.rg_flow import (
     DWELL_INTERVAL,
     PORTRAIT_SAMPLES,
@@ -18,13 +20,90 @@ from codebath.rg_flow import (
     FlowOptions,
     Localized,
     StrongCoupling,
+    Terminal,
     _J_LIMIT,
+    carlson_rf,
     check_start,
     constants_of_motion,
-    flow_rhs,
     integrate_flow,
     symmetric_flow,
 )
+
+
+def flow_rhs(l, y):
+    """(dj_x/dl, dj_y/dl, dj_z/dl) at couplings y = (jx, jy, jz)."""
+    return (y[1] * y[2], y[0] * y[2], y[0] * y[1])
+
+
+class Rk45Flow(NamedTuple):
+    samples: list[tuple[float, tuple[float, float, float]]]  # the accepted steps
+    terminal: Terminal
+    dense: Callable[[float], tuple[float, float, float]]  # the couplings at any l reached
+
+
+@functools.cache
+def rk45_flow(start: tuple[float, float, float], opts: FlowOptions,
+              rtol: float = 1e-13, atol: float = 1e-22) -> Rk45Flow:
+    """The flow from ``start`` by scipy's RK45, ended as ``integrate_flow``
+    ends it: the closed forms' oracle.  Segments run to ``l_max``, or to the
+    end of a dwell while the transverse pair is below ``j_min``; two terminal
+    events end a segment, the largest |j| rising through ``j_max`` and the
+    pair crossing ``j_min`` (falling outside a dwell, rising within one).  A
+    step that fails short of a ceiling too high to reach reports the pole
+    with the largest |j| there in place of ``j_max``."""
+    y = tuple(map(float, start))
+    j_max, j_min = opts.j_max, opts.j_min
+    if max(map(abs, y)) >= j_max:
+        return Rk45Flow([(0.0, y)], StrongCoupling(1.0 / j_max), lambda l: y)
+
+    def ceiling(l, y):
+        return max(abs(y[0]), abs(y[1]), abs(y[2])) - j_max
+
+    def transverse(l, y):
+        return max(abs(y[0]), abs(y[1])) - j_min
+
+    ceiling.terminal, ceiling.direction, transverse.terminal = True, 1.0, True
+    samples, segments, l, terminal = [(0.0, y)], [], 0.0, None
+    dwell_since = 0.0 if max(abs(y[0]), abs(y[1])) < j_min else None
+    for _ in range(1000):
+        if terminal is not None or l >= opts.l_max:
+            break
+        dwelling = dwell_since is not None
+        transverse.direction = 1.0 if dwelling else -1.0
+        target = dwell_since + DWELL_INTERVAL if dwelling else opts.l_max
+        sol = scipy.integrate.solve_ivp(
+            flow_rhs, (l, min(target, opts.l_max)), y, method="RK45", dense_output=True,
+            events=(ceiling, transverse), rtol=rtol, atol=atol,
+        )
+        segments.append((sol.t[0], sol.t[-1], sol.sol))
+        samples += [(t, tuple(v)) for t, v in zip(sol.t, sol.y.T) if t > samples[-1][0]]
+        if sol.status == -1:
+            l = sol.t[-1]
+            terminal = StrongCoupling(l + 1.0 / max(map(abs, sol.y[:, -1])))
+        elif len(sol.t_events[0]):
+            l = sol.t_events[0][0]
+            terminal = StrongCoupling(l + 1.0 / j_max)
+        elif sol.status == 1:  # the pair crossed j_min
+            l, y = sol.t_events[1][0], tuple(sol.y_events[1][0])
+            if dwelling and l == dwell_since:  # resting on j_min: it never dwells again
+                transverse.terminal = False
+            dwell_since = None if dwelling else l
+        else:
+            l, y = sol.t[-1], tuple(sol.y[:, -1])
+            if dwelling and target <= opts.l_max:
+                terminal = Localized(CouplingVector(*y))
+    else:
+        raise AssertionError("the oracle ran out of segments")
+
+    def dense(l):  # an l within 1e-9 past the last step (the closed form's terminal) is its end
+        if segments[-1][1] < l <= segments[-1][1] + 1e-9 * max(1.0, l):
+            l = segments[-1][1]
+        for lo, hi, f in segments:
+            if lo <= l <= hi:
+                return tuple(f(l))
+        raise ValueError(f"l = {l} lies past the oracle's last step")
+
+    return Rk45Flow(samples, terminal or CutoffReached(opts.l_max), dense)
 
 
 def test_flow_rhs_examples():
@@ -80,17 +159,6 @@ def test_marginal_separatrix_flows_to_origin():
     assert isinstance(trace.terminal, CutoffReached)
     _, j_final = trace.samples[-1]
     assert max(abs(j_final.jx), abs(j_final.jy), abs(j_final.jz)) < 1e-2
-
-
-def test_invariant_drift_tightens_with_tolerance():
-    rng = np.random.default_rng(7)
-    starts = [CouplingVector(*rng.uniform(-0.5, 0.5, 3)) for _ in range(10)]
-    drifts = {}
-    for tol in (1e-8, 1e-10):
-        opts = FlowOptions(abs_tol=tol, rel_tol=tol)
-        drifts[tol] = max(integrate_flow(j0, opts).invariant_drift for j0 in starts)
-        assert drifts[tol] < 100 * tol
-    assert drifts[1e-10] < drifts[1e-8]
 
 
 def test_drift_on_random_traces_default_tolerances():
@@ -168,7 +236,7 @@ def test_pair_resting_on_j_min_reaches_the_cutoff(start, j_min):
 
 @pytest.mark.parametrize("j_max", [1e50, 1e100, 1e153])
 def test_ceiling_past_where_rk45_fails_still_reports_the_pole(j_max):
-    # RK45 gives up near |j| ~ 1e13, short of these ceilings
+    # RK45 gives up near |j| ~ 1e13, short of these ceilings; R_F does not
     start = CouplingVector(0.5, 0.5, 0.5)
     reference = integrate_flow(start, FlowOptions(j_max=1e10)).terminal.l_star
     terminal = integrate_flow(start, FlowOptions(j_max=j_max)).terminal
@@ -254,21 +322,6 @@ def test_flow_terminal_by_start(start, terminal):
     assert isinstance(trace.terminal, terminal)
 
 
-def _scipy_rk45(fun, t_span, y0, events, rtol, atol):
-    """scipy's RK45 behind the in-house ``solve_ivp`` interface: the oracle."""
-    sol = scipy.integrate.solve_ivp(
-        fun, t_span, y0, method="RK45", events=events, rtol=rtol, atol=atol
-    )
-    return rg_flow.OdeResult(
-        t=list(sol.t),
-        y=[tuple(y) for y in sol.y.T],
-        status=sol.status,
-        t_events=[list(te) for te in sol.t_events],
-        y_events=[[tuple(y) for y in ye] for ye in sol.y_events],
-        nfev=sol.nfev,
-    )
-
-
 _RNG = np.random.default_rng(2024)
 _ORACLE_STARTS = [
     *((tuple(_RNG.uniform(-0.6, 0.6, 3)), FlowOptions()) for _ in range(120)),
@@ -286,221 +339,150 @@ _ORACLE_STARTS = [
     *((start, FlowOptions(j_max=1e50))
       for start in ((0.5, 0.5, 0.5), (0.3, 0.2, 0.1), (0.05, 0.02, -0.4))),
 ]
-
-
-# The Dormand-Prince tableau as rows, and the stage loop over it that
-# ``rg_flow.solve_ivp`` writes out on scalars: the oracle for that unrolling.
-# Each stage combination and the error norm is a loop adding left to right
-# from 0.0, as the unrolled step does, and not ``sum``, which compensates
-# float sums from CPython 3.12 on.  The dense output keeps ``sum``, as
-# ``solve_ivp``'s does.
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1)
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-
-
-def _rms(v):
-    total = 0.0
-    for x in v:
-        total += x * x
-    return math.sqrt(total) / len(v) ** 0.5
-
-
-def _lincomb(y, coeffs, columns, h):
-    combined = []
-    for v, column in zip(y, columns):
-        total = 0.0
-        for c, k in zip(coeffs, column):
-            total += c * k
-        combined.append(v + total * h)
-    return tuple(combined)
-
-
-def _tableau_rk45(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6):
-    """``rg_flow.solve_ivp`` with its stages as a loop over the tableau."""
-    t, t_bound = t_span
-    rtol = max(rtol, rg_flow._RTOL_MIN)
-    y, f = tuple(y0), fun(t, y0)
-    nfev = 1
-    ts, ys = [t], [y]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    if t == t_bound:
-        return rg_flow.OdeResult([t, t], [y, y], 0, t_events, y_events, nfev)
-    directions = [getattr(event, "direction", 0) for event in events]
-    terminals = [getattr(event, "terminal", False) for event in events]
-    g = [event(t, y) for event in events]
-
-    # the initial step is not unrolled: it shares solve_ivp's own norm
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = rg_flow._rms([v / s for v, s in zip(y, scale)])
-    d1 = rg_flow._rms([v / s for v, s in zip(f, scale)])
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    f1 = fun(t + h0, tuple(v + h0 * d for v, d in zip(y, f)))
-    nfev += 1
-    d2 = rg_flow._rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, t_bound - t)
-
-    status = None
-    while status is None:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return rg_flow.OdeResult(ts, ys, -1, t_events, y_events, nfev)
-            t_new = min(t + h_abs, t_bound)
-            h = h_abs = t_new - t
-            columns = ([f[0]], [f[1]], [f[2]])
-            for c, a in zip(_C, _A):  # the last stage is the step's y_new, f_new
-                y_new = _lincomb(y, a, columns, h)
-                f_new = fun(t + c * h, y_new)
-                for column, v in zip(columns, f_new):
-                    column.append(v)
-            nfev += 6
-            error = _lincomb((0.0, 0.0, 0.0), _E, columns, h)
-            error_norm = _rms([
-                e / (atol + max(abs(a), abs(b)) * rtol) for e, a, b in zip(error, y, y_new)
-            ])
-            if error_norm < 1:
-                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
-            rejected = True
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        if t == t_bound:
-            status = 0
-        g_new = [event(t, y) for event in events]
-        active = [
-            i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
-            if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)
-        ]
-        if active:
-            q = [[sum(map(mul, k, p)) for p in rg_flow._P] for k in columns]
-
-            def dense(s):
-                x = (s - t_old) / h
-                x2 = x * x
-                p = (x, x2, x2 * x, x2 * x * x)
-                return tuple(v + sum(map(mul, p, row)) * h for v, row in zip(y_old, q))
-
-            roots = [
-                (rg_flow._bisect(lambda s: events[i](s, dense(s)), t_old, t), i) for i in active
-            ]
-            for root, i in sorted(roots):
-                t_events[i].append(root)
-                y_events[i].append(dense(root))
-                if terminals[i]:
-                    status, t, y = 1, root, dense(root)
-                    break
-        g = g_new
-        ts.append(t)
-        ys.append(y)
-    return rg_flow.OdeResult(ts, ys, status, t_events, y_events, nfev)
+_GRID_STARTS = [  # what the seeded starts above may miss
+    # both separatrices off the symmetric plane: jz = -|jx| = -|jy| flows to the
+    # origin, jz = |jx| = |jy| runs away; and jx = jy exactly (c1 = 0)
+    *((start, FlowOptions(j_max=4.0)) for start in
+      ((0.4, -0.4, 0.4), (0.4, -0.4, -0.4), (0.3, 0.3, -0.2), (-0.3, -0.3, 0.5))),
+    # |c1| or |c2| near 0: the two largest or the two smallest magnitudes 1e-6 apart
+    ((0.3, 0.3 * (1 + 1e-6), -0.2), FlowOptions()),
+    ((0.5, -0.3, 0.3 * (1 + 1e-6)), FlowOptions(j_max=4.0)),
+    ((0.2, 0.6, -0.2 * (1 - 1e-6)), FlowOptions(j_max=4.0)),
+    # P = jx jy jz < 0: the smallest coupling changes sign, then the flow runs away
+    ((0.4, 0.3, -0.2), FlowOptions()), ((0.3, -0.2, 0.1), FlowOptions()),
+    ((-0.1, 0.4, 0.3), FlowOptions(j_max=4.0)),
+    # P > 0, and P = 0 with one zero coupling (it leaves 0 and runs away) or two (fixed)
+    ((0.3, 0.2, 0.1), FlowOptions()), ((0.0, 0.3, 0.2), FlowOptions()),
+    ((0.3, 0.0, -0.2), FlowOptions()), ((0.2, -0.3, 0.0), FlowOptions()),
+    ((0.0, 0.0, 0.3), FlowOptions()),
+    # starts at or above the ceiling
+    ((1.0, 0.2, 0.1), FlowOptions()), ((0.1, -4.2, 0.3), FlowOptions(j_max=4.0)),
+    # a dwell below j_min, whole and cut short by l_max
+    ((0.05, 0.049, -0.2), FlowOptions(j_min=0.02)),
+    ((0.05, 0.049, -0.2), FlowOptions(j_min=0.02, l_max=5.5)),
+    ((0.1, -0.1, -0.3), FlowOptions(l_max=57.5)),
+    # ceilings far past where RK45's steps fail
+    ((0.2, 0.3, 0.4), FlowOptions(j_max=1e100)), ((0.5, -0.1, 0.3), FlowOptions(j_max=1e153)),
+]
+_ORACLE_STARTS += _GRID_STARTS
 
 
 @pytest.mark.parametrize("start,opts", _ORACLE_STARTS)
-def test_integrate_flow_equals_tableau_loop(monkeypatch, start, opts):
-    trace = integrate_flow(CouplingVector(*start), opts)
-    monkeypatch.setattr(rg_flow, "solve_ivp", _tableau_rk45)
-    oracle = integrate_flow(CouplingVector(*start), opts)
-    assert trace.samples == oracle.samples
-    assert trace.terminal == oracle.terminal
-    assert trace.invariant_drift == oracle.invariant_drift
-
-
-@pytest.mark.parametrize("direction", [0, 1, -1])
-@pytest.mark.parametrize("terminal", [False, True])
-def test_solve_ivp_equals_tableau_loop_with_events(direction, terminal):
-    # jz rises through 0.35 (l = 1.43), then jy through 0.45: an up and a down
-    # crossing, each recorded when the direction admits it
-    def up(l, y):
-        return y[2] - 0.35
-
-    def down(l, y):
-        return 0.45 - y[1]
-
-    up.direction = down.direction = direction
-    up.terminal = terminal
-    args = (flow_rhs, (0.0, 3.0), (0.1, 0.2, 0.3), (down, up))
-    ours = rg_flow.solve_ivp(*args, rtol=1e-8, atol=1e-10)
-    assert ours == _tableau_rk45(*args, rtol=1e-8, atol=1e-10)
-    assert ours.status == (1 if terminal and direction >= 0 else 0)
-    assert len(ours.t_events[0]) == (direction <= 0 and not (terminal and direction == 0))
-    assert len(ours.t_events[1]) == (direction >= 0)
-
-
-def test_solve_ivp_events_at_zero_and_nan():
-    """Steps where no event can fire are skipped by testing g * g_new > 0:
-    an event zero at the span's end or along it still fires, one whose
-    product underflows to 0 or is NaN still does not."""
-    def at_end(l, y):
-        return l - 2.0
-
-    def zero(l, y):
-        return 0.0
-
-    def tiny(l, y):
-        return 1e-200
-
-    def nan(l, y):
-        return math.nan
-
-    events = (at_end, zero, tiny, nan)
-    for chosen in [*((event,) for event in events), events]:  # alone, each may be skipped
-        args = (flow_rhs, (0.0, 2.0), (0.1, 0.2, 0.3), chosen)
-        ours = rg_flow.solve_ivp(*args, rtol=1e-8, atol=1e-10)
-        assert ours == _tableau_rk45(*args, rtol=1e-8, atol=1e-10)
-        assert ours.status == 0
-        fired = {at_end: 1, zero: len(ours.t) - 1, tiny: 0, nan: 0}
-        assert [len(roots) for roots in ours.t_events] == [fired[e] for e in chosen]
-
-
-@pytest.mark.parametrize("start,opts", _ORACLE_STARTS)
-def test_integrate_flow_matches_scipy_rk45(monkeypatch, start, opts):
-    trace = integrate_flow(CouplingVector(*start), opts)
-    monkeypatch.setattr(rg_flow, "solve_ivp", _scipy_rk45)
-    oracle = integrate_flow(CouplingVector(*start), opts)
+def test_integrate_flow_matches_scipy_rk45(start, opts):
+    """R_F's terminal is the oracle's, its scale or jz* within 1e-9, and its
+    samples keep both constants of motion to 1e-12 of the largest square."""
+    trace, oracle = integrate_flow(CouplingVector(*start), opts), rk45_flow(start, opts)
     assert type(trace.terminal) is type(oracle.terminal)
-    assert len(trace.samples) == len(oracle.samples)
     if isinstance(trace.terminal, StrongCoupling):
         assert abs(trace.terminal.l_star - oracle.terminal.l_star) <= 1e-9
     if isinstance(trace.terminal, Localized):
         assert abs(trace.terminal.j_star.jz - oracle.terminal.j_star.jz) <= 1e-9
-    # on the pole path |j| reaches 1e12-1e13, whose squares round in units far
-    # above 1e-8: there the bound is relative to the largest square on the trace
     largest = max(max(abs(j.jx), abs(j.jy), abs(j.jz)) for _, j in trace.samples)
-    assert trace.invariant_drift < 1e-8 * max(1.0, largest**2)
+    assert trace.invariant_drift <= 1e-12 * max(1.0, largest**2)
 
 
-@pytest.mark.parametrize("t_span", [(0.0, 3.0), (1.0, 1.0)])
-def test_solve_ivp_steps_as_scipy_rk45(t_span):
-    # a non-terminal event of either direction is recorded and the span runs on
-    def crossing(l, y):
-        return y[2] - 0.35
+@pytest.mark.parametrize("start,opts", _ORACLE_STARTS)
+def test_integrate_flow_equals_tableau_loop(start, opts):
+    """PORTRAIT_SAMPLES samples evenly spaced from the start's exact values to
+    the terminal's scale, each within 1e-8 max(1, |j|) of the oracle there:
+    scipy's RK45, a Dormand-Prince tableau loop, at ``rk45_flow``'s tolerances.
+    Past a ceiling of 4 the oracle's own error grows with |j| near the pole,
+    and only the samples with |j| <= 4 are held to it."""
+    trace, oracle = integrate_flow(CouplingVector(*start), opts), rk45_flow(start, opts)
+    ls = [l for l, _ in trace.samples]
+    assert trace.samples[0] == (0.0, CouplingVector(*start))
+    if max(map(abs, start)) >= opts.j_max:
+        assert len(ls) == 1 and trace.terminal == StrongCoupling(1 / opts.j_max)
+        return
+    assert ls == [ls[-1] * k / (PORTRAIT_SAMPLES - 1) for k in range(PORTRAIT_SAMPLES)]
+    for l, j in trace.samples:
+        if opts.j_max > 4 and max(abs(j.jx), abs(j.jy), abs(j.jz)) > 4:
+            continue
+        for ours, theirs in zip((j.jx, j.jy, j.jz), oracle.dense(l)):
+            assert abs(ours - theirs) <= 1e-8 * max(1.0, abs(ours))
 
-    y0 = (0.1, 0.2, 0.3)
-    ours = rg_flow.solve_ivp(flow_rhs, t_span, y0, events=(crossing,), rtol=1e-8, atol=1e-10)
-    oracle = _scipy_rk45(flow_rhs, t_span, y0, (crossing,), rtol=1e-8, atol=1e-10)
-    assert (ours.status, len(ours.t), ours.nfev) == (oracle.status, len(oracle.t), oracle.nfev)
-    # the error estimates round differently from numpy's BLAS sums, and the
-    # step factor (error ** -1/5) carries that into the step sizes
-    assert ours.t == pytest.approx(oracle.t, rel=1e-9)
-    assert len(ours.t_events[0]) == len(oracle.t_events[0])
-    assert ours.t_events[0] == pytest.approx(oracle.t_events[0], rel=1e-9)
+
+def test_carlson_rf_matches_scipy():
+    """R_F of the squares, against scipy.special.elliprf, out to the ends of
+    float range; a square below float range keeps its root's precision."""
+    rng = np.random.default_rng(9)
+    cases = [*rng.uniform(0, 2, (50, 3)), (0.0, 1.0, 2.0), (1.0, 1.0, 1.0), (1e-5, 1e-5, 3.0),
+             (1e-150, 1.0, 1.0), (1e140, 2e140, 3e140), (1.3e154, 1e154, 1e-100),
+             (1e-300, 2e-300, 3e-300)]
+    for p, q, r in cases:
+        scale = max(p, q, r)  # elliprf takes the squares, which may fall outside float range
+        want = scipy.special.elliprf(*((x / scale) ** 2 for x in (p, q, r))) / scale
+        assert carlson_rf(p, q, r) == pytest.approx(want, rel=4e-15)
+    # p, q << r: R_F = ln(4 r / (p + q)) / r up to O(p q / r**2), though p**2 and q**2 underflow
+    assert carlson_rf(3e-160, 1e-160, 0.5) == pytest.approx(math.log(2 / 4e-160) / 0.5, rel=4e-15)
+    assert carlson_rf(1.0, 1.0, 1.0) == 1.0 and carlson_rf(0.5, 0.5, 0.5) == 2.0
+    assert carlson_rf(0.0, 0.0, 1.0) == carlson_rf(0.0, 5e-324, 1.0) == math.inf
+
+
+def test_stiff_start_decays_to_the_cutoff_at_once():
+    """jy = -jz under jx = 1e10 falls to 0 at rate 1e10, which no RK45 finished."""
+    t = time.perf_counter()
+    trace = integrate_flow(CouplingVector(1e10, -0.5, 0.5), FlowOptions(j_max=1e100))
+    assert time.perf_counter() - t < 1.0
+    assert trace.terminal == CutoffReached(100.0)
+    l, last = trace.samples[-1]
+    assert l == 100.0 and abs(last.jy) <= 1e-300 and abs(last.jz) <= 1e-300
+    assert last.jx == 1e10
+
+
+@pytest.mark.parametrize("start", [
+    (-0.38535776437497304, -0.5072376078298155, -0.3853577643745877),
+    (-0.7708229343372648, 0.7708229343380357, 0.8933314189981079),
+    (0.846374577092984, 0.7370796286591674, -0.7370796286584304),
+    (-0.167982181433749, -0.167982181433581, -0.39746543607013174),
+])
+def test_near_separatrix_pole_matches_quadrature(start):
+    """Two magnitudes 1e-12 apart with jx jy jz < 0: the smallest coupling
+    lingers near 0 for tens of scale units before it crosses.  RK45 at
+    rtol 1e-13 drifts here by up to 7e-4 in l_star; a quadrature of
+    dl = dj_k / (j_i j_n) over the conserved differences is the oracle."""
+    m = sorted(map(abs, start))
+    a, b = (m[1] - m[0]) * (m[1] + m[0]), (m[2] - m[0]) * (m[2] + m[0])
+    rate = lambda v: 1 / math.sqrt((v * v + a) * (v * v + b))  # noqa: E731
+    top = math.sqrt((1 - m[2]) * (1 + m[2]) + m[0] * m[0])  # |j_k| at the ceiling j_max = 1
+    l_c = sum(scipy.integrate.quad(rate, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+              for lo, hi in ((-m[0], 0.0), (0.0, top)))
+    terminal = integrate_flow(CouplingVector(*start)).terminal
+    assert terminal.l_star == pytest.approx(l_c + 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("pair", [(1e-160, 2e-160), (1e-170, 1e-170), (-3e-200, 1e-250)])
+def test_pair_whose_squares_underflow_still_flows(pair):
+    """Under jz = 0.5 the pair's sum grows as e^(l/2) and its difference decays,
+    though the squares underflow: the flow runs on the couplings' magnitudes."""
+    trace = integrate_flow(CouplingVector(*pair, 0.5))
+    assert isinstance(trace.terminal, Localized)  # it takes l ~ 700 to rise to j_min
+    plus, minus = pair[0] + pair[1], pair[0] - pair[1]
+    for l, j in trace.samples:
+        assert j.jx + j.jy == pytest.approx(plus * math.exp(0.5 * l), rel=1e-12)
+        assert j.jx - j.jy == pytest.approx(minus * math.exp(-0.5 * l), rel=1e-12)
+        assert j.jz == pytest.approx(0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_j_min_whose_square_underflows(sign):
+    """A pair falling to 0 crosses j_min = 1e-200 near l = 920 and localizes,
+    as the symmetric closed form has it, though j_min**2 underflows."""
+    opts = FlowOptions(j_min=1e-200, l_max=2000.0)
+    terminal = integrate_flow(CouplingVector(1e-5, sign * 1e-5, -sign * 0.5), opts).terminal
+    _, symmetric = symmetric_flow(1e-5, -0.5, opts)
+    assert isinstance(terminal, Localized) and isinstance(symmetric, Localized)
+    assert abs(terminal.j_star.jx) == pytest.approx(symmetric.j_star.jx, rel=1e-9)
+    assert abs(terminal.j_star.jz) == pytest.approx(-symmetric.j_star.jz, rel=1e-12)
+
+
+@pytest.mark.parametrize("start", [(1e-305, -1e-305, 0.5), (0.0, 3e-310, -2.0), (0.0, 0.0, 0.3)])
+def test_two_couplings_below_float_range_of_the_third_are_held_fixed(start):
+    """Two couplings whose product with the largest underflows (below about
+    1e-300 of it), or two zeros, stay at the start: every sample is the start."""
+    trace = integrate_flow(CouplingVector(*start), FlowOptions(j_max=4.0))
+    assert {j for _, j in trace.samples} == {CouplingVector(*start)}
+    assert trace.terminal == Localized(CouplingVector(*start))
 
 
 # --- the closed form on the symmetric plane, against RK45 as its oracle -------
@@ -538,30 +520,20 @@ _SYMMETRIC_IDS = [f"{jp:.17g},{jz:.17g}-j_min={o.j_min:g}-l_max={o.l_max:g}"
                   for (jp, jz), o in _SYMMETRIC_STARTS]
 
 
-def _tight(opts: FlowOptions) -> FlowOptions:
-    return FlowOptions(j_max=opts.j_max, j_min=opts.j_min, l_max=opts.l_max,
-                       abs_tol=1e-22, rel_tol=1e-13)
-
-
 @pytest.mark.parametrize("start,opts", _SYMMETRIC_STARTS, ids=_SYMMETRIC_IDS)
 def test_symmetric_flow_matches_rk45(start, opts):
-    """The closed form ends every start as RK45 does and, at a tight-tolerance
-    integration's own sample points, agrees with it to 1e-8 (seen: 1.6e-9)
-    and on the terminal's scale to 1e-11 (seen: 8e-13, mostly 3e-14).
-
-    At the default tolerances only the labels are compared: abs_tol = 1e-10 is
-    1% of j_min, so RK45's j_min crossing, and with it the Localized scale, is
-    off by up to 1.5e-4 relative, and a pair starting near j_min carries that
-    error along the whole trajectory (3.4e-4 from (5e-9, 3.0)).
-    """
+    """The closed form ends every start as RK45 (``rk45_flow``, at abs_tol
+    1e-22 and rel_tol 1e-13) and R_F do and, at RK45's own sample points,
+    agrees with it to 1e-8 (seen: 5.4e-10) and on the terminal's scale to
+    1e-11 (seen: 3.1e-13)."""
     j0 = CouplingVector(start[0], start[0], start[1])
-    default, tight = integrate_flow(j0, opts), integrate_flow(j0, _tight(opts))
+    tight = rk45_flow(tuple(map(float, (j0.jx, j0.jy, j0.jz))), opts)
     samples, terminal = symmetric_flow(*start, opts, [l for l, _ in tight.samples])
-    assert type(terminal) is type(default.terminal) is type(tight.terminal)
+    assert type(terminal) is type(integrate_flow(j0, opts).terminal) is type(tight.terminal)
     for (l, j_perp, jz), (l_rk, j) in zip(samples, tight.samples, strict=True):
         assert l == l_rk
-        assert j_perp == pytest.approx(j.jx, rel=1e-8, abs=1e-300)
-        assert jz == pytest.approx(j.jz, rel=1e-8, abs=1e-300)
+        assert j_perp == pytest.approx(j[0], rel=1e-8, abs=1e-300)
+        assert jz == pytest.approx(j[2], rel=1e-8, abs=1e-300)
     l_end = symmetric_flow(*start, opts)[0][-1][0]
     assert l_end == pytest.approx(tight.samples[-1][0], rel=1e-11)
     if isinstance(terminal, StrongCoupling):
@@ -602,6 +574,20 @@ def test_symmetric_flow_on_a_ceiling_at_the_pole(start):
     assert terminal.l_star == pytest.approx(oracle.l_star, rel=1e-9)
     assert samples[-1] == (terminal.l_star - 1e-50, math.copysign(1e50, start[0]), 1e50)
     assert all(map(math.isfinite, itertools.chain.from_iterable(samples)))
+
+
+def test_symmetric_flow_at_the_ends_of_float_range():
+    """Two starts whose samples divided by zero: a ceiling near float max,
+    whose scale overflowed (it now agrees with R_F's), and an l_max within
+    rounding of the pole, whose last sample is now the ceiling point."""
+    opts = FlowOptions(j_max=1.34e154)
+    samples, terminal = symmetric_flow(1e-8, 1.3e154, opts)
+    rf = integrate_flow(CouplingVector(1e-8, 1e-8, 1.3e154), opts).terminal
+    assert terminal.l_star == pytest.approx(rf.l_star, rel=1e-12)
+    assert all(map(math.isfinite, itertools.chain.from_iterable(samples)))
+    for jz in (0.9999999999999999, 0.9999999999999998):
+        samples, terminal = symmetric_flow(-1.0, jz, FlowOptions(j_max=1e100, l_max=1.0))
+        assert terminal == CutoffReached(1.0) and samples[-1] == (1.0, -1e100, 1e100)
 
 
 def test_symmetric_flow_is_even_in_j_perp():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codebath import cli, rg_flow, sweeps
+from codebath import cli, sweeps
 from codebath.bath import HBAR_SI, KB_SI, BathSpec
 from codebath.cli import main
 from codebath.errors import ConfigError, ResourceLimitError
@@ -398,6 +398,7 @@ def test_lifetime_rows_on_edge_values(tmp_path, monkeypatch):
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
+from test_rg_flow import rk45_flow  # noqa: E402
 
 
 def flow_index_oracle(terminals):
@@ -735,27 +736,20 @@ _CLOSED_FORM_CONFIGS = {
 
 @pytest.mark.parametrize("name", _CLOSED_FORM_CONFIGS)
 def test_flow_closed_form_starts_match_rk45(tmp_path, monkeypatch, name):
-    """A jx = jy start's index row and trace come from the closed form, held to a
-    tight RK45 as its oracle; a jx != jy start still goes through solve_ivp."""
-    solve_ivp, integrate = rg_flow.solve_ivp, sweeps.integrate_flow
-    rk45_starts, solves = [], []
-
-    def counted_solve(*args, **kwargs):
-        solves.append(args[1])
-        return solve_ivp(*args, **kwargs)
+    """A jx = jy start's index row and trace come from ``symmetric_flow``, held
+    to a tight RK45 as its oracle; a jx != jy start goes through ``integrate_flow``."""
+    integrate = sweeps.integrate_flow
+    rf_starts = []
 
     def counted_flow(start, options):
-        rk45_starts.append(start)
+        rf_starts.append(start)
         return integrate(start, options)
 
-    monkeypatch.setattr(rg_flow, "solve_ivp", counted_solve)
     monkeypatch.setattr(sweeps, "integrate_flow", counted_flow)
     out, cfg = tmp_path / "flows", _CLOSED_FORM_CONFIGS[name]
     assert main(["flow", "--config", write_config(
         tmp_path, {"task": "flow", **cfg, "output_path": str(out)})]) == 0
-    solved = bool(solves)  # before the oracle below integrates
     opts = sweeps._flow_options(cfg["params"])
-    tight = dataclasses.replace(opts, abs_tol=1e-22, rel_tol=1e-13)
     symmetric, labels = 0, set()
     for _, *start, label, l_star, jz_star, fname in read_rows(out / "index.csv")[1:]:
         j0 = CouplingVector(*map(float, start))
@@ -763,7 +757,7 @@ def test_flow_closed_form_starts_match_rk45(tmp_path, monkeypatch, name):
             continue
         symmetric += 1
         labels.add(label)
-        oracle = rg_flow.integrate_flow(j0, tight).terminal
+        oracle = rk45_flow((j0.jx, j0.jy, j0.jz), opts).terminal
         assert label == type(oracle).__name__
         if label == "StrongCoupling":
             assert float(l_star) == pytest.approx(oracle.l_star, rel=1e-11)
@@ -776,9 +770,8 @@ def test_flow_closed_form_starts_match_rk45(tmp_path, monkeypatch, name):
             assert jx == jy and c1 == 0.0
             assert c2_l == pytest.approx(c2, rel=0, abs=8 * sys.float_info.epsilon * max(
                 jz * jz, jx * jx, abs(c2)))
-    assert all(s.jx != s.jy for s in rk45_starts)
-    assert len(rk45_starts) == len(read_rows(out / "index.csv")) - 1 - symmetric
-    assert solved == bool(rk45_starts)  # some jx != jy starts lie below the ceiling
+    assert all(s.jx != s.jy for s in rf_starts)
+    assert len(rf_starts) == len(read_rows(out / "index.csv")) - 1 - symmetric
     assert labels >= ({"StrongCoupling", "Localized"} if name == "zero_pair" else
                       {"StrongCoupling", "Localized", "CutoffReached"})
 
@@ -1131,18 +1124,6 @@ def test_cli_config_without_task_runs_as_its_subcommand(tmp_path):
     del cfg["task"]
     assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 0
     assert read_rows(out)[0] == ["z", *LIFETIME_FIELDS]
-
-
-def test_cli_flow_segment_budget_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(rg_flow, "_MAX_SEGMENTS", 1)
-    out = tmp_path / "f"
-    # an RK45 start (jx != jy) whose pair falls below j_min: a dwell is its second segment
-    cfg = {"task": "flow", "axes": {"jx": [0.05], "jy": [0.049], "jz": [-0.2]},
-           "params": {"j_min": 0.02}, "output_path": str(out)}
-    assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 3
-    assert "resource limit: flow integration exceeded its segment budget" in (
-        capsys.readouterr().err)
-    assert not out.exists()
 
 
 def test_cli_task_mismatch(tmp_path):

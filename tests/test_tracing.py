@@ -17,7 +17,7 @@ import tracing  # noqa: E402
 CONFIGS = {
     "lifetime": {"task": "lifetime", "axes": {"L": [4, 8], "z": [1.0, 0.5]},
                  "params": {"lambda": 0.05}},
-    # jx != jy: RK45 starts, which reach rg_flow.solve_ivp
+    # jx != jy: starts that reach sweeps.integrate_flow
     "flow": {"task": "flow", "axes": {"jx": [0.1], "jy": [0.09], "jz": [-0.2, 0.2]},
              "params": {"l_max": 20.0}},
     "matching": {"task": "matching", "axes": {"n": [4, 6]}},
@@ -35,7 +35,7 @@ def test_tracer_sees_every_layer(tmp_path):
             assert main(["sweep", "--config", str(path)]) == 0
     counts = tracer.counts[0]
     for key in (
-        "sweeps.rows_written", "rg_flow.solve_ivp_calls", "lifetimes.build_report.calls",
+        "sweeps.rows_written", "rg_flow.integrate_flow.calls", "lifetimes.build_report.calls",
         "wick.matching_sum.calls", "surface_code.decodes",
     ):
         assert counts[key] > 0, key
@@ -60,8 +60,8 @@ with tracer.installed():
     codes = [main(["sweep", "--config", path]) for path in sys.argv[1:]]
 print(json.dumps({
     "codes": codes,
-    "solve_ivp_calls": tracer.counts[0]["rg_flow.solve_ivp_calls"],
-    "nfev": tracer.counts[0]["rg_flow.nfev"],
+    "integrate_flow_calls": tracer.counts[0]["rg_flow.integrate_flow.calls"],
+    "samples": tracer.counts[0]["rg_flow.samples"],
     "restored": rg_flow.solve_ivp is solve_ivp,
 }))
 """
@@ -81,6 +81,6 @@ def test_tracer_installed_in_a_fresh_interpreter(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0]
-    assert result["solve_ivp_calls"] > 0
-    assert result["nfev"] > 0
+    assert result["integrate_flow_calls"] > 0
+    assert result["samples"] > 0
     assert result["restored"]
