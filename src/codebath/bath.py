@@ -20,12 +20,15 @@ C_LIGHT_SI = 2.9979e8      # m / s
 C_LIGHT_ROUND = 3.0e8      # m / s
 
 _CRITICAL_TOL = 1e-12      # floats this close to the regime boundary count as critical
-_EXP_ARG_MAX = 709.0
 _RANGE_ERRORS = (OverflowError, ZeroDivisionError)  # a float expression leaving float range
 
 
 def _exp(x: float) -> float:
-    return math.inf if x > _EXP_ARG_MAX else math.exp(x)
+    """math.exp, saturated to inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _saturated(value: float, powers) -> float:

@@ -1,8 +1,10 @@
 """Closed-form lifetime and threshold formulas plus the neutral-atom preset.
 
-Times are in units of the correction cycle tau_qec unless the field name says
-otherwise; approximate relations are equalities with unit prefactors.  The regime
-a bath decided sets the one L-growth g(L) of both lambda_bar_sq and lambda_c.
+The lifetimes t_K, t_comp and t_mem are in units of the correction cycle tau_qec,
+each one expression in that unit, never an absolute time divided by tau; T2 and
+the Korringa rate are absolute.  Approximate relations are equalities with unit
+prefactors.  The regime a bath decided sets the one L-growth g(L) of both
+lambda_bar_sq and lambda_c.
 
 A point models the antiferromagnetic (runaway) channel through the isotropic
 macroscopic coupling j(L); supplying the renormalized coupling ``jz_star``
@@ -91,39 +93,23 @@ def j_of_L(spec: BathSpec, L: int) -> float:
         (spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)))
 
 
-def _window_power(s: float, j_L: float) -> tuple[float, float]:
-    """(x, p) with the computational window eps * tau * x**p, for j_L > 0."""
-    return (math.e, 1.0 / j_L) if s == 1.0 else (1.0 / j_L, 1.0 / (1.0 - s))
-
-
-def t_comp(point: CodePoint, j_L: float) -> float:
-    """Runaway-channel computational window at j_L = j(L), its form set by the
-    bath's s: eps * tau * exp(1/j_L) for an Ohmic bath (s = 1), the power law
-    eps * tau * (1/j_L)**(1/(1-s)) for a sub-Ohmic one."""
-    s = point.spec.s
+def _runaway(point: CodePoint, j_L: float) -> tuple[float, float]:
+    """(t_K, t_comp) / tau in the runaway channel at j_L = j(L), t_K's form set by the
+    bath's s: exp(1/j_L) for an Ohmic bath (s = 1), the power law (1/j_L)**(1/(1-s))
+    for a sub-Ohmic one; the computational window t_comp is eps * t_K."""
+    s, eps = point.spec.s, point.epsilon
     if s == 1.0 and j_L >= SATURATION_J:
-        warnings.warn(
-            "j(L) >= 1e3: perturbative early-decay inversion is untrusted here",
-            stacklevel=2,
-        )
+        warnings.warn("j(L) >= 1e3: perturbative early-decay inversion is untrusted here",
+                      stacklevel=3)  # at build_report's caller
     if j_L <= 0:
-        return math.inf
-    eps, tau = point.epsilon, point.spec.tau_qec
-    x, p = _window_power(s, j_L)
+        return math.inf, math.inf
+    x, p = (math.e, 1.0 / j_L) if s == 1.0 else (1.0 / j_L, 1.0 / (1.0 - s))
     try:
-        window = eps * tau * (_exp(p) if s == 1.0 else x**p)
-    except _RANGE_ERRORS:
-        window = math.nan
-    return window if 0.0 < window < math.inf else _saturated(window, ((eps, 1), (tau, 1), (x, p)))
-
-
-def t_mem_fm(point: CodePoint) -> float:
-    """Localized-channel memory time tau (1-eps)**(-1/(2 jz*^2))."""
-    if point.jz_star is None:
-        raise ValueError("jz_star required for the localized channel")
-    jz = point.jz_star
-    expo = 1.0 / d if (d := 2.0 * jz * jz) else math.inf  # inf where 2 jz*^2 underflows
-    return point.spec.tau_qec * _exp(-expo * math.log1p(-point.epsilon))
+        t_K = _exp(p) if s == 1.0 else x**p
+    except OverflowError:
+        t_K = math.inf
+    window = eps * t_K
+    return t_K, window if 0.0 < window < math.inf else _saturated(window, ((eps, 1), (x, p)))
 
 
 def gamma_korringa(spec: BathSpec, j_L: float) -> float:
@@ -164,24 +150,22 @@ def threshold_exists(z: float, s: float) -> bool:
 
 def build_report(point: CodePoint, shared: tuple | None = None) -> LifetimeReport:
     """Evaluate every applicable formula for one point and bundle the results,
-    under the regime its bath decided when it was built.  ``shared`` is
+    under the regime its bath decided when it was built: without jz* the runaway
+    pair t_K/tau and t_comp/tau, with it the localized memory time
+    t_mem/tau = (1 - eps)**(-1/(2 jz*^2)).  ``shared`` is
     ``shared_values(point.spec, point.L)``, computed here when not given."""
     spec, L = point.spec, point.L
     j_L, gamma, lam_c = shared or shared_values(spec, L)
-    localized = point.jz_star is not None
-    t_K = t_comp_over_tau = t_mem = None
-    if localized:
-        t_mem = t_mem_fm(point) / spec.tau_qec
+    jz, localized = point.jz_star, point.jz_star is not None
+    t_K = t_comp = t_mem = None
+    if localized:  # inf where 2 jz*^2 underflows
+        expo = 1.0 / d if (d := 2.0 * jz * jz) else math.inf
+        t_mem = _exp(-expo * math.log1p(-point.epsilon))
     else:
-        window = t_comp(point, j_L)
-        t_K, t_comp_over_tau = window / point.epsilon / spec.tau_qec, window / spec.tau_qec
-        if j_L > 0 and not (0.0 < t_K < math.inf and 0.0 < t_comp_over_tau < math.inf):
-            x, p = _window_power(spec.s, j_L)  # out of float range: x**p and eps * x**p
-            t_K = _saturated(t_K, ((x, p),))
-            t_comp_over_tau = _saturated(t_comp_over_tau, ((point.epsilon, 1), (x, p)))
+        t_K, t_comp = _runaway(point, j_L)
     return LifetimeReport(
         spec.regime, Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC, L, j_L, t_K,
-        t_comp_over_tau, t_mem, gamma, t2_thermal(spec, point.jz_star), lam_c,
+        t_comp, t_mem, gamma, t2_thermal(spec, jz), lam_c,
         spec.regime is RegimeLabel.SHORT_RANGE,
     )
 

@@ -376,15 +376,15 @@ def _eval_census(params: dict, point: dict):
 
 
 def _eval_lifetime(params: dict, point: dict):
-    """One code distance's record cells (an absent Optional float empty), per (epsilon, jz_star)
-    pair, per bath: j(L), the Korringa rate and lambda_c computed once per bath."""
-    L, (pairs, baths) = {**params, **point}["L"], point[_BATH_AXIS]
+    """One code distance's lead axis cells and record cells (an absent Optional float empty) per
+    (epsilon, jz_star) pair, per bath: j(L), the Korringa rate and lambda_c once per bath."""
+    L, (pairs, baths, leads) = {**params, **point}["L"], point[_BATH_AXIS]
     shared = [lifetimes.shared_values(spec, L) for spec in baths]
     reports = (lifetimes.build_report(lifetimes.CodePoint(L, epsilon, spec, jz_star), values)
                for epsilon, jz_star in pairs for spec, values in zip(baths, shared))
-    return [(rep.regime.value, rep.phase.value, rep.L, rep.j_L,
+    return [(lead, rep.regime.value, rep.phase.value, rep.L, rep.j_L,
              *["" if v is None else "%.17g" % v for v in rep[4:9]], rep.lambda_critical)
-            for rep in reports]
+            for lead, rep in zip(leads, reports, strict=True)]
 
 
 @dataclass(frozen=True)
@@ -477,24 +477,22 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
         with _atomic(out) as fh:
             fh.write("\n".join(lines) + "\n")
         return [out]
-    axes = dict(cfg.axes)
+    axes, header = dict(cfg.axes), list(task.header)
     if cfg.task == "lifetime":  # L alone is the grid: one block holds every other axis
-        codes = {n: axes.pop(n) for n in sorted(cfg.axes) if n != "L" and n not in _BATH_NAMES}
-        baths = {n: axes.pop(n) for n in sorted(cfg.axes) if n in _BATH_NAMES}  # vary fastest
+        rest = sorted(n for n in cfg.axes if n != "L")  # swept axes but L lead each row
+        header[:0] = rest
+        codes = {n: axes.pop(n) for n in rest if n not in _BATH_NAMES}
+        baths = {n: axes.pop(n) for n in rest if n in _BATH_NAMES}  # vary fastest
+        # as the bath axes sort after epsilon and jz_star, these lead cells run pairs by baths
+        cells = itertools.product(*([format_cell(v) + "," for v in cfg.axes[n]] for n in rest))
         axes[_BATH_AXIS] = [(_product(_code_values, cfg.params, codes),
-                             _product(_bath, cfg.params, baths))]
+                             _product(_bath, cfg.params, baths), list(map("".join, cells)))]
     results = _map_points(task.evaluate, cfg.params, grid_points(axes), 1)
     _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
     if tree:
         return _write_flow(out, results)
-    header, rows = list(task.header), [row for rs in results for row in rs]
-    if cfg.task == "lifetime":  # swept axes but L, which the record holds, lead each row
-        header[:0] = [n for n in sorted(cfg.axes) if n != "L"]
-        cells = [[""] * len(vs) if n == "L" else [format_cell(v) + "," for v in vs]
-                 for n, vs in sorted(cfg.axes.items())]  # each value formatted once
-        leads = map("".join, itertools.product(*cells))  # L's slot repeats, not printed
-        rows = [(lead, *row) for lead, row in zip(leads, rows, strict=True)]
-    elif header[0] == "trajectory_id":  # a grid point's rows carry its index
+    rows = [row for rs in results for row in rs]
+    if header[0] == "trajectory_id":  # a grid point's rows carry its index
         rows = [(tid, *row) for tid, rs in enumerate(results) for row in rs]
     _write_rows(out, header, rows, template=task.template)
     return [out]

@@ -23,8 +23,6 @@ from codebath.lifetimes import (
     lambda_bar_sq,
     preset_report,
     t2_thermal,
-    t_comp,
-    t_mem_fm,
     threshold_exists,
 )
 from codebath.cli import main
@@ -78,6 +76,19 @@ def test_j_of_L_rejects_odd():
 NAT = BathSpec()
 
 
+def at_j(point, j_L):
+    """The report of ``point`` with j(L) set to ``j_L`` (its Korringa rate and lambda_c 0)."""
+    return build_report(point, (j_L, 0.0, 0.0))
+
+
+def t_comp(point, j_L):
+    return at_j(point, j_L).t_comp_over_tau
+
+
+def t_mem(point):
+    return build_report(point).t_mem_over_tau
+
+
 def test_t_comp_ohmic_value():
     point = CodePoint(L=8, epsilon=0.01, spec=NAT)
     t = t_comp(point, j_L=0.1)
@@ -93,8 +104,7 @@ def test_t_comp_ohmic_matches_rk45_pole():
         terminal = integrate_flow(CouplingVector(j, j, j)).terminal
         assert isinstance(terminal, StrongCoupling)
         assert terminal.l_star == pytest.approx(1.0 / j, rel=0.05)
-        t_K = t_comp(point, j_L=j) / point.epsilon
-        assert t_K == pytest.approx(NAT.tau_qec * math.exp(terminal.l_star), rel=0.10)
+        assert at_j(point, j).t_K_over_tau == pytest.approx(math.exp(terminal.l_star), rel=0.10)
 
 
 def test_t_comp_is_epsilon_times_t_K():
@@ -109,45 +119,44 @@ def test_t_comp_double_exponential_growth():
     spec = unit_weight_spec(0.25)  # below threshold: j(L) shrinks with L
     p8 = CodePoint(L=8, epsilon=0.01, spec=spec)
     p12 = CodePoint(L=12, epsilon=0.01, spec=spec)
-    assert t_comp(p12, j_of_L(spec, 12)) > t_comp(p8, j_of_L(spec, 8))
+    assert build_report(p12).t_comp_over_tau > build_report(p8).t_comp_over_tau
 
 
 def test_t_comp_saturation_warning():
     point = CodePoint(L=8, epsilon=0.01, spec=NAT)
-    with pytest.warns(UserWarning):
-        t_comp(point, j_L=2e3)
+    with pytest.warns(UserWarning, match=r"j\(L\) >= 1e3"):
+        at_j(point, 2e3)
 
 
 def test_t_mem_fm_frozen_values():
     point = CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=0.1)
-    assert t_mem_fm(point) == pytest.approx(0.99 ** (-50.0), rel=1e-12)
-    assert t_mem_fm(point) == pytest.approx(1.652876, abs=1e-5)
+    assert t_mem(point) == pytest.approx(0.99 ** (-50.0), rel=1e-12)
+    assert t_mem(point) == pytest.approx(1.652876, abs=1e-5)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
 def test_t_mem_fm_exact_vs_approx_gap(eps):
-    # the small-budget form tau exp(eps / (2 jz*^2)) trails the exact time by
+    # the small-budget form exp(eps / (2 jz*^2)) trails the exact time by
     # eps**2 / (4 jz*^2) to leading order, below eps while eps <= 2 jz*^2
     for jz in (0.05, 0.1, 0.3):
         if eps > 2 * jz * jz:
             continue
-        exact = t_mem_fm(CodePoint(L=8, epsilon=eps, spec=NAT, jz_star=jz))
-        approx = NAT.tau_qec * math.exp(eps / (2 * jz * jz))
+        exact = t_mem(CodePoint(L=8, epsilon=eps, spec=NAT, jz_star=jz))
+        approx = math.exp(eps / (2 * jz * jz))
         assert abs(exact - approx) / exact < eps
 
 
 def test_t_mem_fm_limits():
-    tiny = t_mem_fm(CodePoint(L=8, epsilon=1e-12, spec=NAT, jz_star=0.1))
+    tiny = t_mem(CodePoint(L=8, epsilon=1e-12, spec=NAT, jz_star=0.1))
     assert tiny == pytest.approx(1.0, rel=1e-9)
     assert tiny >= 1.0
-    assert t_mem_fm(CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=0.0)) == math.inf
-    with pytest.raises(ValueError):
-        t_mem_fm(CodePoint(L=8, epsilon=0.01, spec=NAT))
+    assert t_mem(CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=0.0)) == math.inf
+    assert t_mem(CodePoint(L=8, epsilon=0.01, spec=NAT)) is None  # the runaway channel
 
 
 def test_t_mem_fm_diverges_as_jz_vanishes():
     values = [
-        t_mem_fm(CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=jz))
+        t_mem(CodePoint(L=8, epsilon=0.01, spec=NAT, jz_star=jz))
         for jz in (0.2, 0.1, 0.05)
     ]
     assert values[0] < values[1] < values[2]
@@ -192,16 +201,17 @@ def test_closed_forms_saturate_out_of_float_range():
         L=4, epsilon=0.01, spec=BathSpec(temperature=1e-300, kB=1e-10), jz_star=1e-200
     )
     assert t2_thermal(fm.spec, fm.jz_star) == math.inf  # denominator underflows
-    assert t_mem_fm(fm) == math.inf
+    assert t_mem(fm) == math.inf
     # 0 * inf in j^2 kB T / hbar: (1e-200)^2 * 1e300 * 1e300 is 1e200
     hot = CodePoint(L=4, epsilon=0.01, spec=BathSpec(temperature=1e300, kB=1e300))
     assert gamma_korringa(hot.spec, j_L=1e-200) == pytest.approx(1e200, rel=1e-9)
-    # eps * tau underflows to 0 while exp(1/j) overflows
+    # exp(1/j) overflows, and so does eps * exp(1/j)
     tiny = CodePoint(L=4, epsilon=1e-200, spec=BathSpec(tau_qec=1e-200))
     assert t_comp(tiny, j_L=1e-5) == math.inf
-    # 1e-200 * 1e-200 * (1 / 1e-200) ** 2 is 1 in exact arithmetic
+    # (1 / 1e-200) ** 2 overflows, yet 1e-200 * (1 / 1e-200) ** 2 is 1e200
     tiny_sub = CodePoint(L=4, epsilon=1e-200, spec=BathSpec(tau_qec=1e-200, s=0.5))
-    assert t_comp(tiny_sub, j_L=1e-200) == pytest.approx(1.0, rel=1e-9)
+    assert at_j(tiny_sub, 1e-200).t_K_over_tau == math.inf
+    assert t_comp(tiny_sub, j_L=1e-200) == pytest.approx(1e200, rel=1e-9)
     assert critical_coupling(BathSpec(a=1e200, z=2.0), 4) == math.inf
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, s=0.5), 4) == math.inf
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, lam=0.0), 4) == 0.0
@@ -214,14 +224,21 @@ def test_closed_forms_saturate_out_of_float_range():
     # kB * T overflows before the division by hbar: gamma read inf
     ({"lambda": 1e290, "hbar": 1e300, "kB": 1e300, "temperature": 1e300},
      {"gamma_korringa": (1e-10 * math.sqrt(8.0 / math.pi) * 1.6e-19) ** 2 * 1e300}),
-    # eps * tau * (1/j)**2 underflows, j = 16 sqrt(8/pi): t_K and t_comp read 0
+    # eps * tau * (1/j)**2 underflows, j = 16 sqrt(8/pi): t_K and t_comp read 0 when
+    # formed from it
     ({"tau_qec": 1e-200, "lambda": 1e200, "v": 1e200, "epsilon": 1e-200, "s": 0.5},
      {"j_L": 16.0 * math.sqrt(8.0 / math.pi), "t_K_over_tau": math.pi / 2048.0,
       "t_comp_over_tau": 1e-200 * math.pi / 2048.0}),
-    # the window 1.5e198 is in range but window / eps overflows: t_K read inf
+    # the window eps * tau * t_K, 1.5e199, is in range but its quotient by eps is not:
+    # t_K read inf when formed from it
     ({"tau_qec": 1e300, "hbar": 1e300, "lambda": 1e83, "epsilon": 1e-200, "s": 0.5},
      {"t_K_over_tau": (1e50 / (1.6 * math.sqrt(8.0 / math.pi))) ** 2,
       "t_comp_over_tau": 1e-200 * (1e50 / (1.6 * math.sqrt(8.0 / math.pi))) ** 2}),
+    # tau * t_mem overflows before the division by tau: t_mem read inf
+    ({"tau_qec": 1e300, "epsilon": 0.5, "jz_star": 0.034},
+     {"t_mem_over_tau": 1.5969279487350948e+130}),
+    # exp(709.58) is in float range, which ends at exp(709.78)
+    ({"epsilon": 0.5, "jz_star": 0.0221}, {"t_mem_over_tau": 1.4909270111552462e+308}),
 ])
 def test_intermediate_overflow_leaves_no_wrong_zero_or_inf(tmp_path, params, want):
     config = tmp_path / "cfg.json"
@@ -235,6 +252,14 @@ def test_intermediate_overflow_leaves_no_wrong_zero_or_inf(tmp_path, params, wan
         (row,) = csv.DictReader(fh)
     for column, value in want.items():
         assert float(row[column]) == pytest.approx(value, rel=1e-12)
+
+
+def test_runaway_pair_is_finite_up_to_the_float_ceiling():
+    # exp(1/j) at 1/j = 709.5, below the 709.78 where exp overflows; no absolute
+    # window is formed, so neither column is rounded through one
+    rep = at_j(CodePoint(L=4, epsilon=0.01, spec=BathSpec()), 1.0 / 709.5)
+    assert rep.t_K_over_tau == math.exp(709.5)
+    assert rep.t_comp_over_tau == 0.01 * math.exp(709.5)
 
 
 def test_bases_survive_an_overflowing_intermediate():
@@ -258,6 +283,28 @@ def closure_form(value, powers):
         return result
     log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers())
     return 0.0 if math.isnan(log) else wick._exp(log)
+
+
+def power(x, p):
+    """x ** p, inf where it overflows."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def lifetime_columns(point, j):
+    """(t_K, t_comp, t_mem) / tau as the closed forms write them at j(L) = j: the
+    runaway pair of a point without jz*, the localized column of one with it."""
+    e, s, jz = point.epsilon, point.spec.s, point.jz_star
+    if jz is not None:
+        expo = closure_form(lambda: 1.0 / (2.0 * jz * jz), lambda: ((2.0, -1), (abs(jz), -2)))
+        return None, None, wick._exp(-expo * math.log1p(-e))
+    if j <= 0:
+        return math.inf, math.inf, None
+    x, p = (math.e, 1.0 / j) if s == 1.0 else (1.0 / j, 1.0 / (1.0 - s))
+    t_K = wick._exp(p) if s == 1.0 else power(x, p)
+    return t_K, closure_form(lambda: e * t_K, lambda: ((e, 1), (x, p))), None
 
 
 MAGNITUDE = st.one_of(st.just(0.0), st.floats(-320, 300).map(lambda e: 10.0**e))
@@ -309,14 +356,8 @@ def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, 
         lambda: lam / (hbar * v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0),
         lambda: ((lam, 1), (hbar, -1), (v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)),
     )
-    e = point.epsilon
-    p = 1.0 / (1.0 - s) if s < 1.0 else None
-    window = math.inf if j <= 0 else closure_form(
-        lambda: e * tau * wick._exp(1.0 / j), lambda: ((e, 1), (tau, 1), (math.e, 1.0 / j))
-    ) if s == 1.0 else closure_form(
-        lambda: e * tau * (1.0 / j) ** p, lambda: ((e, 1), (tau, 1), (1.0 / j, p))
-    )
-    expo = closure_form(lambda: 1.0 / (2.0 * jz * jz), lambda: ((2.0, -1), (abs(jz), -2)))
+    t_K, window, _ = lifetime_columns(dataclasses.replace(point, jz_star=None), j)
+    t_mem = lifetime_columns(point, j)[2]
     gamma = 0.0 if T == 0.0 else closure_form(
         lambda: j * j * (kB * T / hbar), lambda: ((abs(j), 2), (kB, 1), (T, 1), (hbar, -1))
     )
@@ -326,10 +367,11 @@ def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, 
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        runaway = at_j(dataclasses.replace(point, jz_star=None), j)
         got = (lambda_bar_sq(spec, L), critical_coupling(spec, L), j_of_L(spec, L),
-               t_comp(point, j_L=j), t_mem_fm(point), t2_thermal(spec, point.jz_star),
-               gamma_korringa(spec, j_L=j))
-    want = (lb, lam_c, j_L, window, tau * wick._exp(-expo * math.log1p(-e)), t2, gamma)
+               runaway.t_K_over_tau, runaway.t_comp_over_tau, at_j(point, j).t_mem_over_tau,
+               t2_thermal(spec, point.jz_star), gamma_korringa(spec, j_L=j))
+    want = (lb, lam_c, j_L, t_K, window, t_mem, t2, gamma)
     assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
@@ -423,26 +465,26 @@ def test_short_range_a0_scaling_is_the_stated_power():
 
 
 def test_t_comp_matches_regime_closed_forms():
-    # independent route: eps tau exp[(hbar v/lam) sqrt(pi/2L) (base/deflate)^(L/2)]
+    # independent route: eps exp[(hbar v/lam) sqrt(pi/2L) (base/deflate)^(L/2)]
     def closed_form(spec, L, eps, deflate):
         lead = (spec.hbar * spec.v / spec.lam) * math.sqrt(math.pi / (2 * L))
         base = spec.hbar * spec.a0 ** (1 - spec.z) * spec.a**spec.z / (
             4 * spec.lam * spec.tau_qec
         )
-        return eps * spec.tau_qec * math.exp(lead * (base / deflate) ** (L / 2))
+        return eps * math.exp(lead * (base / deflate) ** (L / 2))
 
     kw = dict(lam=0.3, v=1.3, a=1.7, a0=0.4, tau_qec=0.9)
     for z, L in ((0.8, 8), (1.0, 12)):
         spec = BathSpec(z=z, **kw)
-        got = t_comp(CodePoint(L=L, epsilon=0.01, spec=spec), j_of_L(spec, L))
+        got = build_report(CodePoint(L=L, epsilon=0.01, spec=spec)).t_comp_over_tau
         assert got == pytest.approx(closed_form(spec, L, 0.01, 1.0), rel=1e-12)
     spec = BathSpec(z=0.5, **kw)
-    got = t_comp(CodePoint(L=8, epsilon=0.01, spec=spec), j_of_L(spec, 8))
+    got = build_report(CodePoint(L=8, epsilon=0.01, spec=spec)).t_comp_over_tau
     assert got == pytest.approx(closed_form(spec, 8, 0.01, math.sqrt(math.log(8))), rel=1e-12)
     # long range: the deflation consistent with the L**(1-2z) contraction
     # weight is L**((1-2z)/2) inside the (.)**(L/2) bracket
     spec = BathSpec(z=0.3, **kw)
-    got = t_comp(CodePoint(L=8, epsilon=0.01, spec=spec), j_of_L(spec, 8))
+    got = build_report(CodePoint(L=8, epsilon=0.01, spec=spec)).t_comp_over_tau
     assert got == pytest.approx(closed_form(spec, 8, 0.01, 8 ** ((1 - 2 * 0.3) / 2)), rel=1e-12)
 
 
@@ -550,20 +592,17 @@ def test_build_report_is_the_public_formulas(point):
     """build_report reads the regime its bath decided when built and calls the
     public formulas; every field must be the very float they give, signed
     zeros, infinities and s < 1 included."""
-    spec, L, tau = point.spec, point.L, point.spec.tau_qec
+    spec, L = point.spec, point.L
     localized = point.jz_star is not None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # j(L) >= 1e3
         rep = build_report(point)
-        window = None if localized else t_comp(point, j_of_L(spec, L))
     expected = LifetimeReport(
         classify_regime(spec.z, spec.s),
         Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC,
         L,
         j_of_L(spec, L),
-        None if localized else window / point.epsilon / tau,
-        None if localized else window / tau,
-        t_mem_fm(point) / tau if localized else None,
+        *lifetime_columns(point, j_of_L(spec, L)),
         gamma_korringa(spec, j_of_L(spec, L)),
         t2_thermal(spec, point.jz_star),
         critical_coupling(spec, L),

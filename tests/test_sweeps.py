@@ -1191,7 +1191,7 @@ def test_cli_overflowing_coupling_saturates(tmp_path, s, jz_star):
 
 
 def test_cli_lifetime_window_below_float_range_writes_zero(tmp_path):
-    # t_comp = eps tau (1/j)**2 underflows at L = 2000: a saturated 0, not a refusal
+    # t_K = (1/j)**2 and t_comp = eps (1/j)**2 underflow at L = 2000: a saturated 0, not a refusal
     out = tmp_path / "underflow.csv"
     cfg = lifetime_config(out, axes={"L": [200, 2000]}, params={"s": 0.5, "lambda": 0.5})
     assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 0
