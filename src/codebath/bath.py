@@ -124,13 +124,6 @@ class BathSpec:
                           critical_coupling_base=lam_c)  # frozen guards only setattr
 
 
-def temporal_correlator(spec: BathSpec, t1: float, t2: float) -> float:
-    """Same-site correlator lam**2 / (v * (t1 - t2))**2."""
-    if t1 == t2:
-        raise ValueError("coincident times: correlator is singular at t1 == t2")
-    return (spec.lam / (spec.v * (t1 - t2))) ** 2
-
-
 def spatial_correlator(spec: BathSpec, x1: float, x2: float) -> float:
     """Equal-time correlator lam**2 / (a0**(2(1-zeta)) * |x1 - x2|**(2 zeta))."""
     if x1 == x2:

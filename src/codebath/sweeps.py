@@ -303,9 +303,9 @@ def _code_point(values: dict) -> lifetimes.CodePoint:
 
 
 def _matching_problem(values: dict) -> wick.MatchingProblem:
-    """Sites ``range(n)`` (n = 2 if absent), refused above the probe ceiling."""
+    """Sites ``range(n)`` (n = 2 if absent), refused above the pairing-sum ceiling."""
     n = values.get("n", 2)
-    wick.check_probe_ceiling(n)
+    wick.check_matching_ceiling(n)
     return wick.MatchingProblem(tuple(range(n)), float(values.get("z", 1.0)))
 
 
@@ -491,8 +491,9 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
     if tree:
         return _write_flow(out, results)
-    rows = [row for rs in results for row in rs]
     if header[0] == "trajectory_id":  # a grid point's rows carry its index
         rows = [(tid, *row) for tid, rs in enumerate(results) for row in rs]
+    else:
+        rows = [row for rs in results for row in rs]
     _write_rows(out, header, rows, template=task.template)
     return [out]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bath import RegimeLabel, _exp, classify_regime
+from .bath import _exp
 from .errors import ResourceLimitError
 
 MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the pairing-sum ceiling
@@ -46,7 +46,7 @@ def matching_sum(problem: MatchingProblem) -> float:
     """
     pos = problem.positions
     n = len(pos)
-    check_probe_ceiling(n)
+    check_matching_ceiling(n)
     expo = -2.0 * problem.z
     w = [
         [abs(pos[i] - pos[j]) ** expo if i != j else 0.0 for j in range(n)]
@@ -74,67 +74,10 @@ def matching_sum(problem: MatchingProblem) -> float:
     return rest((1 << n) - 1)
 
 
-def check_probe_ceiling(n: int) -> None:
+def check_matching_ceiling(n: int) -> None:
     """Raise ResourceLimitError when n sites are more than the pairing sum takes."""
     if n > MATCHING_HARD_LIMIT:
-        raise ResourceLimitError(f"n = {n} above probe ceiling {MATCHING_HARD_LIMIT}")
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Per-pair effective weights w(n) = S(n)**(2/n) over a ladder of sizes."""
-
-    z: float
-    regime: RegimeLabel
-    n_values: tuple[int, ...]
-    sums: tuple[float, ...]
-    weights: tuple[float, ...]
-    increments: tuple[float, ...]
-    loglog_slope: float
-
-    @property
-    def trend_label(self) -> str:
-        return {
-            RegimeLabel.SHORT_RANGE: "bounded",
-            RegimeLabel.CRITICAL: "logarithmic",
-            RegimeLabel.LONG_RANGE: "power_law",
-        }[self.regime]
-
-
-def matching_scaling_probe(n_values, z) -> ProbeResult:
-    """Evaluate the pairing sum on unit-spaced strings and report its trend.
-
-    ``z`` is a bath's per-coupling exponent zeta (its z at s = 1), so the label
-    compares it with 1/2; the raw weights let callers verify the trend.  Sizes
-    above ``MATCHING_HARD_LIMIT`` and a z <= 0 are refused before any sum.
-    """
-    ns = tuple(int(n) for n in n_values)
-    if len(ns) < 3:
-        raise ValueError("need at least 3 sample sizes to read off a trend")
-    if any(n < 2 or n % 2 for n in ns):
-        raise ValueError("sample sizes must be even and >= 2")
-    check_probe_ceiling(max(ns))
-    regime = classify_regime(float(z), 1.0)
-    ns = tuple(sorted(ns))
-    sums = tuple(matching_sum(MatchingProblem(tuple(range(n)), z)) for n in ns)
-    weights = tuple(s ** (2.0 / n) for s, n in zip(sums, ns))
-    increments = tuple(b - a for a, b in zip(weights, weights[1:]))
-    lx = [math.log(n) for n in ns]
-    ly = [math.log(wt) for wt in weights]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    slope = sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sum(
-        (x - mx) ** 2 for x in lx
-    )
-    return ProbeResult(
-        z=float(z),
-        regime=regime,
-        n_values=ns,
-        sums=sums,
-        weights=weights,
-        increments=increments,
-        loglog_slope=slope,
-    )
+        raise ResourceLimitError(f"n = {n} above pairing-sum ceiling {MATCHING_HARD_LIMIT}")
 
 
 def check_even_L(L) -> None:

@@ -23,13 +23,7 @@ from codebath.rg_flow import (
 from codebath.surface_code import TieBreak, failure_census
 from codebath.sweeps import run as run_sweep
 from codebath.sweeps import validate_config
-from codebath.wick import (
-    MatchingProblem,
-    matching_scaling_probe,
-    matching_sum,
-    n_paths,
-    n_paths_stirling,
-)
+from codebath.wick import MatchingProblem, matching_sum, n_paths, n_paths_stirling
 
 _REGISTRY = []
 
@@ -122,31 +116,48 @@ def c06_matching_oracle():
     return f"s(z=1) = {s1:.6f}, s(z=0.5) = {s2:.6f}, (n-1)!! exact to n=12"
 
 
+def _per_pair_weights(ns, z):
+    """The ``per_pair_weight`` column of a ``matching`` run over ``ns`` at ``z``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "matching.csv"
+        cfg = validate_config(
+            {"task": "matching", "axes": {"n": list(ns)}, "params": {"z": z},
+             "output_path": str(out)}
+        )
+        run_sweep(cfg)
+        header, *rows = out.read_text().splitlines()
+    assert header == "n,matching_sum,per_pair_weight", header
+    assert [int(row.split(",")[0]) for row in rows] == list(ns), "rows not in n order"
+    return [float(row.split(",")[2]) for row in rows]
+
+
 @criterion(7, 60.0, "per-pair weight trends split the three regimes at n <= 16")
 def c07_regime_trends():
-    ns = range(4, 17, 2)
-    bounded = matching_scaling_probe(ns, 1.0)
-    incs = bounded.increments
+    ns = list(range(4, 17, 2))
+    bounded = _per_pair_weights(ns, 1.0)
+    incs = [b - a for a, b in zip(bounded, bounded[1:])]
     assert all(b < a for a, b in zip(incs, incs[1:])), "z=1 increments not shrinking"
-    w = dict(zip(bounded.n_values, bounded.weights))
+    w = dict(zip(ns, bounded))
     assert w[16] - w[12] < w[8] - w[4], "z=1 late increments not smaller"
 
-    power = matching_scaling_probe(ns, 0.25)
-    assert all(i > 0 for i in power.increments), "z=0.25 weights not growing"
-    assert power.loglog_slope > 0, f"z=0.25 log-log slope {power.loglog_slope}"
+    power = _per_pair_weights(ns, 0.25)
+    assert all(b - a > 0 for a, b in zip(power, power[1:])), "z=0.25 weights not growing"
+    lx = [math.log(n) for n in ns]
+    ly = [math.log(v) for v in power]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    slope = sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sum((x - mx) ** 2 for x in lx)
+    assert slope > 0, f"z=0.25 log-log slope {slope}"
 
-    log = matching_scaling_probe(ns, 0.5)
-    assert all(i > 0 for i in log.increments), "z=0.5 weights not growing"
-    assert all(b < a for a, b in zip(log.increments, log.increments[1:])), (
-        "z=0.5 increments not shrinking"
-    )
+    log = _per_pair_weights(ns, 0.5)
+    log_incs = [b - a for a, b in zip(log, log[1:])]
+    assert all(i > 0 for i in log_incs), "z=0.5 weights not growing"
+    assert all(b < a for a, b in zip(log_incs, log_incs[1:])), "z=0.5 increments not shrinking"
     # sub-power: the local log-log slope keeps falling, unlike a power law
-    lw = [math.log(v) for v in log.weights]
-    ln = [math.log(n) for n in log.n_values]
-    local = [(lw[i + 1] - lw[i]) / (ln[i + 1] - ln[i]) for i in range(len(lw) - 1)]
+    lw = [math.log(v) for v in log]
+    local = [(lw[i + 1] - lw[i]) / (lx[i + 1] - lx[i]) for i in range(len(lw) - 1)]
     assert all(b < a for a, b in zip(local, local[1:])), "z=0.5 local slope not falling"
     return (
-        f"z=1 w(16)={w[16]:.4f}; z=0.25 slope={power.loglog_slope:.3f}; "
+        f"z=1 w(16)={w[16]:.4f}; z=0.25 slope={slope:.3f}; "
         f"z=0.5 local slopes {local[0]:.3f}->{local[-1]:.3f}"
     )
 

@@ -9,7 +9,6 @@ from codebath.bath import (
     BathSpec,
     RegimeLabel,
     spatial_correlator,
-    temporal_correlator,
     thermal_correlator,
 )
 
@@ -52,28 +51,6 @@ def test_replace_rederives_regime_zeta_and_bases():
         assert moved.lambda_bar_sq_base == 16.0 / 2.0 ** (2.0 * zeta)
         assert moved.critical_coupling_base == 2.0**zeta / 4.0
         assert vars(moved) == vars(BathSpec(z=z, s=0.5, a=2.0))
-
-
-def test_temporal_examples():
-    assert temporal_correlator(NAT, 1.0, 0.0) == pytest.approx(1.0)
-    assert temporal_correlator(BathSpec(lam=2.0), 3.0, 1.0) == pytest.approx(1.0)
-    assert temporal_correlator(BathSpec(v=2.0), 0.5, 0.0) == pytest.approx(1.0)
-
-
-def test_temporal_coincident_raises():
-    with pytest.raises(ValueError):
-        temporal_correlator(NAT, 1.0, 1.0)
-
-
-@given(
-    t1=st.floats(-50, 50),
-    dt=st.floats(0.01, 50),
-)
-@settings(max_examples=50, deadline=None)
-def test_temporal_symmetric_and_decreasing(t1, dt):
-    c = temporal_correlator(NAT, t1, t1 + dt)
-    assert c == temporal_correlator(NAT, t1 + dt, t1)
-    assert temporal_correlator(NAT, t1, t1 + 2 * dt) < c
 
 
 def test_spatial_examples():

@@ -4,7 +4,7 @@ traceback, and no output holds ``nan``; an exit 2 names the offending field.
 Configs are drawn for all six tasks, mostly valid so that evaluation runs,
 with out-of-domain values mixed in and lifetime magnitudes out to the ends of
 float range.  Sizes are bounded only for time: flow ``l_max`` <= 50,
-matching n <= 20 (or 26, which the probe ceiling refuses at once), census
+matching n <= 20 (or 26, which the pairing-sum ceiling refuses at once), census
 L <= 30 (or 20000, which the census ceiling refuses at once), at most two
 values per axis.
 """

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebath import bath, lifetimes, wick
-from codebath.bath import BathSpec, C_LIGHT_SI, HBAR_SI
+from codebath import bath, lifetimes
+from codebath.bath import BathSpec, C_LIGHT_SI, HBAR_SI, RegimeLabel, classify_regime
 from codebath.lifetimes import (
     CodePoint,
     LifetimeReport,
@@ -27,7 +27,6 @@ from codebath.lifetimes import (
 )
 from codebath.cli import main
 from codebath.rg_flow import CouplingVector, StrongCoupling, integrate_flow
-from codebath.wick import RegimeLabel, classify_regime
 
 
 def unit_weight_spec(lbar_sq=1.0, z=1.0):
@@ -282,7 +281,7 @@ def closure_form(value, powers):
     if 0.0 < result < math.inf:
         return result
     log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers())
-    return 0.0 if math.isnan(log) else wick._exp(log)
+    return 0.0 if math.isnan(log) else bath._exp(log)
 
 
 def power(x, p):
@@ -299,11 +298,11 @@ def lifetime_columns(point, j):
     e, s, jz = point.epsilon, point.spec.s, point.jz_star
     if jz is not None:
         expo = closure_form(lambda: 1.0 / (2.0 * jz * jz), lambda: ((2.0, -1), (abs(jz), -2)))
-        return None, None, wick._exp(-expo * math.log1p(-e))
+        return None, None, bath._exp(-expo * math.log1p(-e))
     if j <= 0:
         return math.inf, math.inf, None
     x, p = (math.e, 1.0 / j) if s == 1.0 else (1.0 / j, 1.0 / (1.0 - s))
-    t_K = wick._exp(p) if s == 1.0 else power(x, p)
+    t_K = bath._exp(p) if s == 1.0 else power(x, p)
     return t_K, closure_form(lambda: e * t_K, lambda: ((e, 1), (x, p))), None
 
 
@@ -622,7 +621,7 @@ def test_build_report_reads_the_regime_its_bath_decided(monkeypatch):
     def refuse(*_):
         raise AssertionError("classify_regime called after the bath was built")
 
-    for module in (bath, wick, lifetimes):
+    for module in (bath, lifetimes):
         monkeypatch.setattr(module, "classify_regime", refuse)
     assert [list(map(repr, build_report(point))) for point in points] == before
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codebath import cli, sweeps
-from codebath.bath import HBAR_SI, KB_SI, BathSpec
+from codebath.bath import HBAR_SI, KB_SI, BathSpec, RegimeLabel
 from codebath.cli import main
 from codebath.errors import ConfigError, ResourceLimitError
 from codebath.lifetimes import CodePoint, LifetimeReport, Phase, build_report, critical_coupling
@@ -32,7 +32,6 @@ from codebath.sweeps import (
     run,
     validate_config,
 )
-from codebath.wick import RegimeLabel
 
 
 def lifetime_config(out, axes=None, params=None, **extra):

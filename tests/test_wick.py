@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebath import wick
-from codebath.bath import BathSpec, spatial_correlator
+from codebath.bath import BathSpec, RegimeLabel, classify_regime, spatial_correlator
 from codebath.errors import ResourceLimitError
 from codebath.lifetimes import lambda_bar_sq
 from codebath.wick import (
     MatchingProblem,
-    RegimeLabel,
-    check_probe_ceiling,
-    classify_regime,
-    matching_scaling_probe,
+    check_matching_ceiling,
     matching_sum,
     n_paths,
     n_paths_stirling,
@@ -144,90 +140,77 @@ def test_matching_problem_validation():
     for z in (-1e-300, -1.0, math.nan):
         with pytest.raises(ValueError, match="z must be >= 0"):
             MatchingProblem((0, 1), z)
-    with pytest.raises(ResourceLimitError):
+    check_matching_ceiling(24)
+    with pytest.raises(ResourceLimitError, match="n = 26 above pairing-sum ceiling 24"):
         matching_sum(MatchingProblem(tuple(range(26)), 1.0))
 
 
+def weight_trend(ns, z):
+    """Per-pair weights w(n) = S(n)**(2/n) of unit-spaced strings (the ``matching``
+    task's ``per_pair_weight``), their increments and their log-log slope in n."""
+    weights = [matching_sum(MatchingProblem(tuple(range(n)), z)) ** (2.0 / n) for n in ns]
+    increments = [b - a for a, b in zip(weights, weights[1:])]
+    lx = [math.log(n) for n in ns]
+    ly = [math.log(w) for w in weights]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    slope = sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sum((x - mx) ** 2 for x in lx)
+    return weights, increments, slope
+
+
 def test_probe_bounded_trend_z1():
-    probe = matching_scaling_probe(range(4, 13, 2), 1.0)
-    assert probe.regime is RegimeLabel.SHORT_RANGE
-    assert probe.trend_label == "bounded"
-    assert all(inc > 0 for inc in probe.increments)
-    assert all(b < a for a, b in zip(probe.increments, probe.increments[1:]))
+    assert classify_regime(1.0) is RegimeLabel.SHORT_RANGE
+    _, incs, _ = weight_trend(range(4, 13, 2), 1.0)
+    assert all(inc > 0 for inc in incs)
+    assert all(b < a for a, b in zip(incs, incs[1:]))
 
 
 def test_probe_power_trend_z025():
-    probe = matching_scaling_probe(range(4, 13, 2), 0.25)
-    assert probe.regime is RegimeLabel.LONG_RANGE
-    assert probe.trend_label == "power_law"
-    assert all(inc > 0 for inc in probe.increments)
-    assert probe.loglog_slope > 0.3
+    assert classify_regime(0.25) is RegimeLabel.LONG_RANGE
+    _, incs, slope = weight_trend(range(4, 13, 2), 0.25)
+    assert all(inc > 0 for inc in incs)
+    assert slope > 0.3
 
 
 def test_probe_log_trend_z05():
-    probe = matching_scaling_probe(range(4, 13, 2), 0.5)
-    assert probe.regime is RegimeLabel.CRITICAL
-    assert probe.trend_label == "logarithmic"
-    assert all(inc > 0 for inc in probe.increments)
-    assert all(b < a for a, b in zip(probe.increments, probe.increments[1:]))
+    assert classify_regime(0.5) is RegimeLabel.CRITICAL
+    _, incs, _ = weight_trend(range(4, 13, 2), 0.5)
+    assert all(inc > 0 for inc in incs)
+    assert all(b < a for a, b in zip(incs, incs[1:]))
 
 
 def test_probe_trends_hold_to_n20():
     # the C07 trend properties, checked out to n = 20
     ns = range(4, 21, 2)
-    bounded = matching_scaling_probe(ns, 1.0)
-    incs = bounded.increments
+    weights, incs, _ = weight_trend(ns, 1.0)
     assert all(b < a for a, b in zip(incs, incs[1:]))
-    w = dict(zip(bounded.n_values, bounded.weights))
+    w = dict(zip(ns, weights))
     assert w[20] - w[16] < w[8] - w[4]
 
-    power = matching_scaling_probe(ns, 0.25)
-    assert all(i > 0 for i in power.increments)
-    assert power.loglog_slope > 0
+    _, incs, slope = weight_trend(ns, 0.25)
+    assert all(i > 0 for i in incs)
+    assert slope > 0
 
-    log = matching_scaling_probe(ns, 0.5)
-    assert all(i > 0 for i in log.increments)
-    assert all(b < a for a, b in zip(log.increments, log.increments[1:]))
-    lw = [math.log(v) for v in log.weights]
-    ln = [math.log(n) for n in log.n_values]
+    weights, incs, _ = weight_trend(ns, 0.5)
+    assert all(i > 0 for i in incs)
+    assert all(b < a for a, b in zip(incs, incs[1:]))
+    lw = [math.log(v) for v in weights]
+    ln = [math.log(n) for n in ns]
     local = [(lw[i + 1] - lw[i]) / (ln[i + 1] - ln[i]) for i in range(len(lw) - 1)]
     assert all(b < a for a, b in zip(local, local[1:]))
 
 
 def test_probe_trend_flips_at_zeta_one_half_for_a_subohmic_bath():
     """At s = 0.5 the threshold z = 1/(s+1) = 2/3 is zeta = 1/2: the pairing
-    sum run at a sub-Ohmic bath's zeta reads the trend its regime names, and
+    sum run at a sub-Ohmic bath's zeta falls in the regime its bath names, and
     grows more slowly (a smaller log-log slope) the larger zeta is."""
     slopes = []
-    for z, trend in ((0.4, "power_law"), (2 / 3, "logarithmic"), (1.0, "bounded")):
+    for z in (0.4, 2 / 3, 1.0):
         spec = BathSpec(z=z, s=0.5)
-        probe = matching_scaling_probe(range(4, 17, 2), spec.zeta)
-        assert probe.trend_label == trend
-        assert probe.regime is spec.regime
-        assert all(i > 0 for i in probe.increments)
-        slopes.append(probe.loglog_slope)
+        _, incs, slope = weight_trend(range(4, 17, 2), spec.zeta)
+        assert classify_regime(spec.zeta) is spec.regime
+        assert all(i > 0 for i in incs)
+        slopes.append(slope)
     assert slopes == sorted(slopes, reverse=True) and len(set(slopes)) == 3
-
-
-def test_probe_guards():
-    with pytest.raises(ValueError):
-        matching_scaling_probe([4, 6], 1.0)
-    with pytest.raises(ValueError, match="sample sizes must be even"):
-        matching_scaling_probe([2, 3, 4], 1.0)
-    with pytest.raises(ResourceLimitError, match="above probe ceiling 24"):
-        matching_scaling_probe([4, 6, 26], 1.0)
-    check_probe_ceiling(20)
-    check_probe_ceiling(24)
-
-
-def test_probe_refuses_z_zero_before_any_sum(monkeypatch):
-    calls = []
-    monkeypatch.setattr(wick, "matching_sum", lambda problem: calls.append(problem) or 1.0)
-    with pytest.raises(ValueError, match="z must be positive"):
-        matching_scaling_probe([2, 4, 6], 0.0)
-    assert calls == []
-    matching_scaling_probe([2, 4, 6], 1.0)  # the counter sees a probe's sums
-    assert len(calls) == 3
 
 
 def test_lambda_bar_sq_in_each_regime():
