@@ -1,8 +1,8 @@
 """Closed-form environment functions: the bath parameters and two-point correlators.
 
 Everything here is a pure function of a :class:`BathSpec`.  The default spec
-is in natural units (hbar = kB = 1, lengths and times of order one); the
-hardware presets in :mod:`codebath.lifetimes` build SI-valued specs instead.
+is in natural units (hbar = kB = 1, lengths and times of order one); a
+config may give SI values instead, as the hardware examples do.
 Proportionality constants that the underlying asymptotic forms leave free are
 fixed to 1.  This leaf module also holds the regime rule and float-range helpers.
 """
@@ -11,13 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-# SI adapter constants (CODATA values; the rounded light speed reproduces
-# back-of-envelope hardware figures exactly).
-HBAR_SI = 1.054571817e-34  # J s
-KB_SI = 1.380649e-23       # J / K
-C_LIGHT_SI = 2.9979e8      # m / s
-C_LIGHT_ROUND = 3.0e8      # m / s
 
 _CRITICAL_TOL = 1e-12      # floats this close to the regime boundary count as critical
 _RANGE_ERRORS = (OverflowError, ZeroDivisionError)  # a float expression leaving float range
@@ -135,8 +128,10 @@ def spatial_correlator(spec: BathSpec, x1: float, x2: float) -> float:
 def thermal_correlator(spec: BathSpec, t: float) -> float:
     """Finite-temperature correlator (w / sinh(w t))**2 with w = pi kB T / hbar.
 
-    At T = 0 this is the analytic limit 1/t**2.  Evaluated via exponentials so
-    large w*t underflows to 0 instead of overflowing sinh.
+    This is the Ohmic (s = 1) kernel whatever ``spec.s`` is, which it does not
+    read: at T = 0 it is the analytic limit 1/t**2, not the t**-(1+s) of a
+    J(w) ~ w**s bath.  Evaluated via exponentials so large w*t underflows to
+    0 instead of overflowing sinh.
     """
     if t <= 0:
         raise ValueError("t must be positive")

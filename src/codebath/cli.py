@@ -12,7 +12,6 @@ import sys
 
 from . import sweeps
 from .errors import ConfigError, ResourceLimitError
-from .lifetimes import PRESET_NAMES
 
 # ``sweep`` takes the task from the config; each task is also a subcommand
 _COMMANDS = {"sweep": None, **{task.replace("_", "-"): task for task in sweeps.TASKS}}
@@ -30,21 +29,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON sweep config file")
         p.add_argument("--out", help="override the config output_path")
         p.add_argument("--force", action="store_true", help="allow overwriting outputs")
-        if command == "preset":
-            p.add_argument(
-                "--name", choices=PRESET_NAMES, help="preset name (config-free shortcut)"
-            )
     return parser
 
 
 def _build_config(args) -> sweeps.SweepConfig:
     task = _COMMANDS[args.command]
-    if args.config is not None:
-        obj = sweeps.read_config(args.config)
-    elif args.command == "preset" and args.name is not None:
-        obj = {"task": "preset", "params": {"name": args.name}}
-    else:
+    if args.config is None:
         raise ConfigError("$", "--config is required")
+    obj = sweeps.read_config(args.config)
     stated = obj.get("task")
     if stated is None:
         obj = {**obj, "task": task}

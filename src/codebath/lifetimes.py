@@ -1,4 +1,4 @@
-"""Closed-form lifetime and threshold formulas plus the neutral-atom preset.
+"""Closed-form lifetime and threshold formulas.
 
 The lifetimes t_K, t_comp and t_mem are in units of the correction cycle tau_qec,
 each one expression in that unit, never an absolute time divided by tau; T2 and
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .bath import BathSpec, C_LIGHT_ROUND, C_LIGHT_SI, HBAR_SI, KB_SI, RegimeLabel
+from .bath import BathSpec, RegimeLabel
 from .bath import _RANGE_ERRORS, _exp, _saturated, classify_regime
 from .wick import check_even_L
 
@@ -48,7 +48,7 @@ class CodePoint:
             raise ValueError("jz_star must be finite")
 
 
-class LifetimeReport(NamedTuple):  # all fields but the last are the lifetime CSV columns
+class LifetimeReport(NamedTuple):  # the lifetime CSV columns
     regime: RegimeLabel
     phase: Phase
     L: int
@@ -59,7 +59,6 @@ class LifetimeReport(NamedTuple):  # all fields but the last are the lifetime CS
     gamma_korringa: float | None
     t2_thermal: float | None
     lambda_critical: float
-    threshold_exists: bool
 
 
 def _growth(spec: BathSpec, L: int) -> float:
@@ -165,60 +164,5 @@ def build_report(point: CodePoint, shared: tuple | None = None) -> LifetimeRepor
         t_K, t_comp = _runaway(point, j_L)
     return LifetimeReport(
         spec.regime, Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC, L, j_L, t_K,
-        t_comp, t_mem, gamma, t2_thermal(spec, jz), lam_c,
-        spec.regime is RegimeLabel.SHORT_RANGE,
-    )
+        t_comp, t_mem, gamma, t2_thermal(spec, jz), lam_c)
 
-
-# --- hardware preset ---------------------------------------------------------
-
-PRESET_NAMES = ("neutral_atom",)
-
-
-@dataclass(frozen=True)
-class PresetReport:
-    name: str
-    check_values: dict[str, float]
-    report: LifetimeReport
-
-
-def preset_report(name: str) -> PresetReport:
-    """Evaluate the ``neutral_atom`` hardware parameter set.
-
-    A 1 ms cycle, 3 um pitch, z = 1 vacuum and velocity c.  The light-cone
-    site count c*tau/a and the threshold coupling g_c = 1/(4 c tau/a) are
-    computed exactly with the rounded c = 3e8 m/s (both also reported with
-    c = 2.9979e8).  The bundled lifetime report evaluates the code at the
-    threshold coupling, L = 100, eps = 0.01.  Other platforms' critical
-    couplings, over any grid of even L, are a ``lifetime`` sweep's column.
-    """
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    tau = 1.0e-3
-    pitch = 3.0e-6
-    sites_round = 3 * 10**8 * 10**6 // (10**3 * 3)  # c tau / a, exactly 10**11
-    g_round = 1 / (4 * sites_round)  # int / int rounds once
-    sites_precise = C_LIGHT_SI * tau / pitch
-    g_precise = 1.0 / (4.0 * sites_precise)
-    spec = BathSpec(
-        z=1.0,
-        s=1.0,
-        lam=g_round * HBAR_SI * C_LIGHT_ROUND,
-        v=C_LIGHT_ROUND,
-        a=pitch,
-        a0=pitch,
-        temperature=0.0,
-        tau_qec=tau,
-        hbar=HBAR_SI,
-        kB=KB_SI,
-    )
-    checks = {
-        "light_cone_sites": float(sites_round),
-        "g_critical": g_round,
-        "light_cone_sites_precise_c": sites_precise,
-        "g_critical_precise_c": g_precise,
-        "lambda_critical_si": critical_coupling(spec, 100),
-        "lambda_bar_sq_at_critical": lambda_bar_sq(spec, 100),
-    }
-    report = build_report(CodePoint(L=100, epsilon=0.01, spec=spec))
-    return PresetReport(name=name, check_values=checks, report=report)

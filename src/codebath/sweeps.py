@@ -1,4 +1,4 @@
-"""Config-driven deterministic parameter sweeps with CSV/text emission.
+"""Config-driven deterministic parameter sweeps with CSV emission.
 
 A config (schema in README) names a task of ``TASKS``, its axes and params
 and an output path.  Axes are ordered alphabetically by name and the product
@@ -22,7 +22,6 @@ leading axis cells are config values, each formatted once per run by
 """
 from __future__ import annotations
 
-import contextlib
 import fnmatch
 import itertools
 import json
@@ -52,7 +51,7 @@ PORTRAIT_RANGE = 3.5
 _INT_AXES = {"L", "weight", "n"}
 _RULES = tuple(rule.value for rule in surface_code.TieBreak)
 
-LIFETIME_FIELDS = lifetimes.LifetimeReport._fields[:-1]  # all but threshold_exists
+LIFETIME_FIELDS = lifetimes.LifetimeReport._fields
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def validate_config(obj) -> SweepConfig:
                     f"axes.{name}[{i}]", f"must lie within |j| <= {PORTRAIT_RANGE}"
                 )
         axes[name] = tuple(values)
-    if spec.axes and not axes:  # preset takes none: any name is unknown above
+    if not axes:
         raise ConfigError("axes", f"at least one axis is required for task '{task}'")
     if task == "flow" and "j_perp" in axes and ("jx" in axes or "jy" in axes):
         raise ConfigError("axes.j_perp", "exclusive with axes.jx/axes.jy")
@@ -154,11 +153,6 @@ def validate_config(obj) -> SweepConfig:
         if name == "rule":
             if value not in _RULES:
                 raise ConfigError("params.rule", f"must be one of {'|'.join(_RULES)}")
-        elif name == "name":
-            if value not in lifetimes.PRESET_NAMES:
-                raise ConfigError(
-                    "params.name", f"must be one of {'|'.join(lifetimes.PRESET_NAMES)}"
-                )
         elif not _is_number(value):
             raise ConfigError(f"params.{name}", "must be a finite number")
         params[name] = value
@@ -237,27 +231,21 @@ def _refuse_overwrite(path: str, force: bool, tree: bool) -> None:
         raise NotADirectoryError(f"cannot write {path}: {head} is not a directory")
 
 
-@contextlib.contextmanager
-def _atomic(path: str, newline: str | None = None):
-    """A new file, uniquely named beside ``path``, renamed over ``path`` when
-    the block ends; if the block raises, the new file is removed."""
+def _write_rows(path: str, header: list[str], rows: list, *, template: str) -> None:
+    """A CSV of ``header`` and ``rows``, each row a tuple through ``template``,
+    a %-format of one line (no cell needs quoting: see the module docstring).
+    It is written under a unique name beside ``path`` and renamed over it; if
+    the write raises, the new file is removed."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(tmp, "x", newline=newline) as fh:
-            yield fh
+        with open(tmp, "x", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(map(template.__mod__, rows))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def _write_rows(path: str, header: list[str], rows: list, *, template: str) -> None:
-    """A CSV of ``header`` and ``rows``, each row a tuple through ``template``,
-    a %-format of one line (no cell needs quoting: see the module docstring)."""
-    with _atomic(path, newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(template.__mod__, rows))
 
 
 # --- per-point evaluation ----------------------------------------------------
@@ -393,14 +381,13 @@ class Task:
     either), ``check(values)`` building the object whose rules the params and
     each axis value must pass, and ``evaluate(params, point)`` returning a
     grid point's rows under ``header``, each a tuple for ``template`` (``flow``'s
-    header and template are its index's, as it writes its own traces; ``preset``
-    has no grid and no evaluator).
+    header and template are its index's, as it writes its own traces).
     """
 
     axes: Collection[str]
     params: Collection[str]
-    evaluate: Callable[[dict, dict], list] | None = None
-    header: tuple[str, ...] = ()
+    evaluate: Callable[[dict, dict], list]
+    header: tuple[str, ...]
     required: Collection[str] = ()
     check: Callable[[dict], object] | None = None
     template: str | None = None
@@ -434,7 +421,6 @@ TASKS = {
         _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point,
         template="%s%s,%s,%d,%.17g,%s,%s,%s,%s,%s,%.17g\n",  # after the axis cells
     ),
-    "preset": Task(set(), {"name"}, required={"name"}),
 }
 
 
@@ -470,13 +456,6 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     """
     out, task, tree = cfg.output_path, TASKS[cfg.task], cfg.task == "flow"
     _refuse_overwrite(out, force, tree)  # before any point is evaluated
-    if task.evaluate is None:
-        rep = lifetimes.preset_report(cfg.params["name"])
-        lines = [f"preset = {rep.name}", *(f"{k} = {v!r}" for k, v in rep.check_values.items()),
-                 *(f"report.{k} = {format_cell(v)}" for k, v in rep.report._asdict().items())]
-        with _atomic(out) as fh:
-            fh.write("\n".join(lines) + "\n")
-        return [out]
     axes, header = dict(cfg.axes), list(task.header)
     if cfg.task == "lifetime":  # L alone is the grid: one block holds every other axis
         rest = sorted(n for n in cfg.axes if n != "L")  # swept axes but L lead each row

@@ -4,6 +4,7 @@ Run under pytest (``pytest tests/test_acceptance.py -v``) or directly
 (``python tests/test_acceptance.py``) for the line-per-criterion report.
 """
 import hashlib
+import json
 import math
 import tempfile
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from codebath.lifetimes import critical_coupling, preset_report, threshold_exists
+from codebath.lifetimes import critical_coupling, threshold_exists
 from codebath.bath import BathSpec, thermal_correlator
 from codebath.rg_flow import (
     CouplingVector,
@@ -26,6 +27,7 @@ from codebath.sweeps import validate_config
 from codebath.wick import MatchingProblem, matching_sum, n_paths, n_paths_stirling
 
 _REGISTRY = []
+NEUTRAL_ATOM = Path(__file__).resolve().parent.parent / "examples" / "neutral_atom.json"
 
 
 def criterion(cid, limit_s, title):
@@ -52,10 +54,17 @@ def _run(cid):
 
 @criterion(1, 1.0, "neutral-atom preset reproduces the headline numbers exactly")
 def c01_neutral_atom():
-    rep = preset_report("neutral_atom")
-    sites = rep.check_values["light_cone_sites"]
-    g_c = rep.check_values["g_critical"]
+    # the example's lifetime run at L = 100: lambda_c over hbar c is g_c = 1/(4 c tau/a)
+    obj = json.loads(NEUTRAL_ATOM.read_text())
+    params = obj["params"]
+    sites = params["v"] * params["tau_qec"] / params["a"]
     assert sites == 1e11, f"light-cone sites {sites!r} != 1e11"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "neutral_atom.csv"
+        run_sweep(validate_config({**obj, "output_path": str(out)}))
+        header, row = out.read_text().splitlines()
+    lam_c = float(row.split(",")[header.split(",").index("lambda_critical")])
+    g_c = lam_c / (params["hbar"] * params["v"])
     assert g_c == 2.5e-12, f"g_c {g_c!r} != 2.5e-12"
     return f"c*tau/a = {sites:g}, g_c = {g_c:g}"
 

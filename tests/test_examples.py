@@ -7,7 +7,9 @@ import re
 
 import pytest
 
+from codebath.bath import BathSpec
 from codebath.cli import main
+from codebath.lifetimes import lambda_bar_sq
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.json"))
@@ -57,3 +59,18 @@ def test_subohmic_threshold_example(tmp_path):
     for (z, regime), column in curves.items():
         assert len(column) == 3
         assert (len(set(column)) == 1) == (regime == "ShortRange"), z
+
+
+def test_neutral_atom_example(tmp_path):
+    # a 1 ms cycle, 3 um pitch, z = 1 vacuum and c = 3e8 m/s at the threshold
+    # coupling g_c = 1/(4 c tau/a), evaluated at L = 100 and eps = 0.01
+    config = ROOT / "examples" / "neutral_atom.json"
+    out = tmp_path / "neutral_atom.csv"
+    assert main(["lifetime", "--config", str(config), "--out", str(out)]) == 0
+    _, row = out.read_text().splitlines()
+    assert row == ("ShortRange,AFM,100,1.9947114020071577e-11,inf,inf,,0,inf,"
+                   "7.9092886274999993e-38")
+    params = json.loads(config.read_text())["params"]
+    spec = BathSpec(**{"lam" if name == "lambda" else name: value
+                       for name, value in params.items() if name != "epsilon"})
+    assert lambda_bar_sq(spec, 100) == pytest.approx(1.0, rel=1e-12)

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 import codebath
-from codebath.lifetimes import PRESET_NAMES
 
 SRC = str(Path(codebath.__file__).resolve().parent.parent)
 
@@ -54,8 +53,6 @@ def test_closed_form_tasks_load_no_numpy_or_scipy(tmp_path):
         ["matching", config(tmp_path, "matching", {"task": "matching", "axes": {"n": [2, 8]}})],
         ["census", config(tmp_path, "census", {
             "task": "census", "axes": {"L": [6], "weight": [0, 3, 6]}})],
-        *([f"preset {name}", ["preset", "--name", name, "--out", str(tmp_path / f"{name}.txt")]]
-          for name in PRESET_NAMES),
         ["flow", config(tmp_path, "flow", {
             "task": "flow", "axes": {"j_perp": [0.1], "jz": [0.2]}, "params": {"l_max": 5.0}})],
         ["phase_diagram", config(tmp_path, "phase_diagram", {

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codebath import bath, lifetimes
-from codebath.bath import BathSpec, C_LIGHT_SI, HBAR_SI, RegimeLabel, classify_regime
+from codebath.bath import BathSpec, RegimeLabel, classify_regime
 from codebath.lifetimes import (
     CodePoint,
     LifetimeReport,
@@ -21,7 +21,6 @@ from codebath.lifetimes import (
     gamma_korringa,
     j_of_L,
     lambda_bar_sq,
-    preset_report,
     t2_thermal,
     threshold_exists,
 )
@@ -507,7 +506,7 @@ def test_build_report_afm():
     assert rep.t_comp_over_tau == pytest.approx(0.01 * rep.t_K_over_tau, rel=1e-12)
     assert rep.t_comp_over_tau <= rep.t_K_over_tau * point.epsilon * (1 + 1e-12)
     assert rep.gamma_korringa == 0.0 and rep.t2_thermal == math.inf  # T = 0 sentinel
-    assert rep.threshold_exists
+    assert threshold_exists(point.spec.z, point.spec.s)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(BathSpec)])
@@ -558,9 +557,9 @@ def test_build_report_subohmic():
     rep = build_report(point)
     j = rep.j_L
     assert rep.t_comp_over_tau == pytest.approx(0.01 * (1.0 / j) ** 2.0, rel=1e-9)
-    assert rep.threshold_exists  # z = 1 > 1/(s+1) = 2/3
-    sub_long = CodePoint(L=8, epsilon=0.01, spec=BathSpec(z=0.5, s=0.5, lam=0.01))
-    assert not build_report(sub_long).threshold_exists
+    assert threshold_exists(point.spec.z, point.spec.s)  # z = 1 > 1/(s+1) = 2/3
+    sub_long = BathSpec(z=0.5, s=0.5, lam=0.01)
+    assert not threshold_exists(sub_long.z, sub_long.s)
 
 
 # z on, or within 1e-11 of, the s = 1 boundary 1/2 or the point's own 1/(s+1)
@@ -605,7 +604,6 @@ def test_build_report_is_the_public_formulas(point):
         gamma_korringa(spec, j_of_L(spec, L)),
         t2_thermal(spec, point.jz_star),
         critical_coupling(spec, L),
-        threshold_exists(spec.z, spec.s),
     )
     assert list(map(repr, rep)) == list(map(repr, expected))
 
@@ -626,23 +624,6 @@ def test_build_report_reads_the_regime_its_bath_decided(monkeypatch):
     assert [list(map(repr, build_report(point))) for point in points] == before
 
 
-def test_preset_neutral_atom_exact_numbers():
-    rep = preset_report("neutral_atom")
-    assert rep.check_values["light_cone_sites"] == 1e11
-    assert rep.check_values["g_critical"] == 2.5e-12
-    assert rep.check_values["light_cone_sites_precise_c"] == pytest.approx(
-        C_LIGHT_SI * 1e-3 / 3e-6, rel=1e-12
-    )
-    assert rep.check_values["lambda_bar_sq_at_critical"] == pytest.approx(1.0, rel=1e-12)
-    # lam_c = hbar a / (4 tau) in SI
-    assert rep.check_values["lambda_critical_si"] == pytest.approx(
-        HBAR_SI * 3e-6 / (4 * 1e-3), rel=1e-12
-    )
-    assert rep.report is not None
-    assert rep.report.phase is Phase.ANTIFERROMAGNETIC
-    assert rep.report.t_K_over_tau == math.inf  # threshold coupling, astronomically slow
-
-
 def test_preset_superconducting_curves(tmp_path):
     # the superconducting lambda_c curves are the example config's lifetime sweep
     config = pathlib.Path(__file__).resolve().parent.parent / "examples" / "superconducting_lambda_c.json"
@@ -661,7 +642,3 @@ def test_preset_superconducting_curves(tmp_path):
     lr = [(L, lam) for z, L, lam in curve if z == 0.3]
     assert all(b[1] < a[1] for a, b in zip(lr, lr[1:]))
 
-
-def test_preset_unknown_name():
-    with pytest.raises(ValueError):
-        preset_report("ion_trap")

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codebath import cli, sweeps
-from codebath.bath import HBAR_SI, KB_SI, BathSpec, RegimeLabel
+from codebath.bath import BathSpec, RegimeLabel
 from codebath.cli import main
 from codebath.errors import ConfigError, ResourceLimitError
 from codebath.lifetimes import CodePoint, LifetimeReport, Phase, build_report, critical_coupling
@@ -85,11 +85,14 @@ MALFORMED = [
         {"task": "lifetime", "axes": {"z": [1.0]}, "params": {"z": 0.5}, "output_path": "x.csv"},
         "params.z",
     ),
+    # a hardware point is a lifetime config's params: no task takes a preset name
     (
-        {"task": "preset", "params": {"name": "mainframe"}, "output_path": "x.txt"},
+        {"task": "lifetime", "axes": {"L": [100]}, "params": {"name": "neutral_atom"},
+         "output_path": "x.csv"},
         "params.name",
     ),
-    ({"task": "preset", "output_path": "x.txt"}, "params.name"),
+    ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"name": "neutral_atom"},
+      "output_path": "x"}, "params.name"),
     (
         {"task": "lifetime", "axes": {"L": [4]}, "output_path": "x.csv", "seed": "abc"},
         "seed",
@@ -114,8 +117,8 @@ MALFORMED = [
         "params.L",
     ),
     (
-        {"task": "preset", "params": {"name": "neutral_atom", "L_grid": [4, 5]},
-         "output_path": "x.txt"},
+        {"task": "census", "axes": {"L": [4], "weight": [2]}, "params": {"L_grid": [4, 5]},
+         "output_path": "x.csv"},
         "params.L_grid",
     ),
     # domain rules of the object each value becomes
@@ -163,11 +166,14 @@ MALFORMED = [
     # a trace keeps every accepted step, and a lifetime sweep gives lambda_c over any L grid
     ({"task": "flow", "axes": {"jz": [0.1]}, "params": {"sample_stride": 3}, "output_path": "x"},
      "params.sample_stride"),
-    ({"task": "preset", "params": {"name": "neutral_atom", "L_grid": [4, 8, 64]},
-      "output_path": "x.txt"}, "params.L_grid"),
+    ({"task": "lifetime", "axes": {"L": [4]}, "params": {"L_grid": [4, 8, 64]},
+      "output_path": "x.csv"}, "params.L_grid"),
     ({"task": "lifetime", "axes": {"L": [4]}, "output_path": ""}, "output_path"),
     ({"task": "lifetime", "axes": {"L": [4]}, "params": [], "output_path": "x.csv"}, "params"),
     ([], "$"),
+    # the hardware presets are example configs of the lifetime task
+    ({"task": "preset", "params": {"name": "neutral_atom"}, "output_path": "x.txt"}, "task"),
+    ({"task": "preset", "output_path": "x.txt"}, "task"),
 ]
 
 
@@ -316,7 +322,7 @@ def lifetime_oracle(cfg: SweepConfig, reports):
     gave ``reports``: the swept axes but L as configured, then the record."""
     names = [name for name in sorted(cfg.axes) if name != "L"]
     points = grid_points(cfg.axes)
-    rows = [[*(p[name] for name in names), *rep[:-1]] for p, rep in zip(points, reports)]
+    rows = [[*(p[name] for name in names), *rep] for p, rep in zip(points, reports)]
     assert len(rows) == len(points)
     return [*names, *LIFETIME_FIELDS], rows
 
@@ -380,7 +386,7 @@ def test_lifetime_rows_on_edge_values(tmp_path, monkeypatch):
 
     def edge_report(point, shared):
         rep = LifetimeReport(*next(labels), point.L, next(floats),
-                             *(next(optional) for _ in range(5)), next(floats), False)
+                             *(next(optional) for _ in range(5)), next(floats))
         reports.append(rep)
         return rep
 
@@ -775,20 +781,6 @@ def test_flow_closed_form_starts_match_rk45(tmp_path, monkeypatch, name):
                       {"StrongCoupling", "Localized", "CutoffReached"})
 
 
-def test_preset_task_contains_headline_numbers(tmp_path):
-    out = tmp_path / "preset.txt"
-    cfg = validate_config(
-        {"task": "preset", "params": {"name": "neutral_atom"}, "output_path": str(out)}
-    )
-    run(cfg)
-    values = {}
-    for line in out.read_text().splitlines():
-        key, _, val = line.partition(" = ")
-        values[key] = val
-    assert float(values["light_cone_sites"]) == 1e11
-    assert float(values["g_critical"]) == 2.5e-12
-
-
 SC_L_GRID = (10, 30, 100, 300, 1000)
 SC_EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "superconducting_lambda_c.json"
 
@@ -820,7 +812,8 @@ def test_preset_superconducting_curve_is_a_lifetime_sweep(tmp_path):
     # params, whatever lambda is: at lambda = 1 j(L) saturates, the column does not move
     lam_c = superconducting_lambda_c(tmp_path)
     for (zv, Lv), value in lam_c.items():
-        spec = BathSpec(z=zv, a=1e-3, a0=1e-3, tau_qec=1e-6, hbar=HBAR_SI, kB=KB_SI)
+        spec = BathSpec(z=zv, a=1e-3, a0=1e-3, tau_qec=1e-6, hbar=1.054571817e-34,
+                        kB=1.380649e-23)
         assert value == critical_coupling(spec, Lv)
     sweep = tmp_path / "sweep.csv"
     cfg = json.loads(SC_EXAMPLE.read_text())
@@ -837,15 +830,16 @@ def test_preset_superconducting_curve_is_a_lifetime_sweep(tmp_path):
 
 
 def test_superconducting_preset_is_gone(tmp_path, capsys):
-    # its critical-coupling curves are the example's lifetime sweep
-    with pytest.raises(SystemExit) as exc:
-        main(["preset", "--name", "superconducting", "--out", str(tmp_path / "sc.txt")])
-    assert exc.value.code == 2
-    assert "invalid choice: 'superconducting'" in capsys.readouterr().err
-    cfg = {"task": "preset", "params": {"name": "superconducting"},
-           "output_path": str(tmp_path / "sc.txt")}
-    assert main(["preset", "--config", write_config(tmp_path, cfg)]) == 2
-    assert "params.name: must be one of neutral_atom" in capsys.readouterr().err
+    # both presets are example configs of the lifetime task: no subcommand, no task
+    for name in ("superconducting", "neutral_atom"):
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "--name", name, "--out", str(tmp_path / f"{name}.txt")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'preset'" in capsys.readouterr().err
+        cfg = {"task": "preset", "params": {"name": name},
+               "output_path": str(tmp_path / f"{name}.txt")}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: task: must be one of" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
@@ -1159,11 +1153,16 @@ def test_cli_census_above_ceiling(tmp_path, capsys):
 
 
 def test_cli_preset_refuses_huge_L_grid_entry(tmp_path, capsys):
+    # a preset config is refused at its task, a lifetime one at the L_grid it cannot take
     out = tmp_path / "p.txt"
     cfg = {"task": "preset", "params": {"name": "neutral_atom", "L_grid": [4, 10**400]},
            "output_path": str(out)}
-    assert main(["preset", "--config", write_config(tmp_path, cfg)]) == 2
-    assert "params.L_grid: unknown parameter for task 'preset'" in capsys.readouterr().err
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "config error: task: must be one of" in capsys.readouterr().err
+    cfg = {"task": "lifetime", "axes": {"L": [100]}, "params": {"L_grid": [4, 10**400]},
+           "output_path": str(out)}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "params.L_grid: unknown parameter for task 'lifetime'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1247,14 +1246,6 @@ def test_cli_overwrite_exit_code(tmp_path):
 
 def test_cli_missing_config(tmp_path):
     assert main(["lifetime", "--config", str(tmp_path / "absent.json")]) == 2
-
-
-def test_cli_preset_shortcut(tmp_path):
-    out = tmp_path / "preset.txt"
-    assert main(["preset", "--name", "neutral_atom", "--out", str(out)]) == 0
-    text = out.read_text()
-    assert "light_cone_sites" in text
-    assert main(["preset", "--name", "neutral_atom"]) == 2  # no --out
 
 
 def test_cli_invalid_json(tmp_path):
