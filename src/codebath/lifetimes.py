@@ -92,23 +92,25 @@ def j_of_L(spec: BathSpec, L: int) -> float:
         (spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)))
 
 
-def _runaway(point: CodePoint, j_L: float) -> tuple[float, float]:
-    """(t_K, t_comp) / tau in the runaway channel at j_L = j(L), t_K's form set by the
-    bath's s: exp(1/j_L) for an Ohmic bath (s = 1), the power law (1/j_L)**(1/(1-s))
-    for a sub-Ohmic one; the computational window t_comp is eps * t_K."""
-    s, eps = point.spec.s, point.epsilon
-    if s == 1.0 and j_L >= SATURATION_J:
-        warnings.warn("j(L) >= 1e3: perturbative early-decay inversion is untrusted here",
-                      stacklevel=3)  # at build_report's caller
+def window_power(s: float, j_L: float) -> tuple[float, float]:
+    """(x, p) with t_K/tau = x**p at j_L = j(L), its form set by the bath's s: (e, 1/j_L)
+    for an Ohmic bath (s = 1), (1/j_L, 1/(1-s)) for a sub-Ohmic one; (e, inf) at j_L <= 0."""
     if j_L <= 0:
-        return math.inf, math.inf
-    x, p = (math.e, 1.0 / j_L) if s == 1.0 else (1.0 / j_L, 1.0 / (1.0 - s))
-    try:
-        t_K = _exp(p) if s == 1.0 else x**p
-    except OverflowError:
-        t_K = math.inf
-    window = eps * t_K
-    return t_K, window if 0.0 < window < math.inf else _saturated(window, ((eps, 1), (x, p)))
+        return math.e, math.inf
+    return (math.e, 1.0 / j_L) if s == 1.0 else (1.0 / j_L, 1.0 / (1.0 - s))
+
+
+def t_comp_over_tau(epsilon: float, t_K: float, s: float, j_L: float) -> float:
+    """The computational window eps * t_K/tau, summed in logs where it leaves float range."""
+    window = epsilon * t_K
+    return window if 0.0 < window < math.inf else _saturated(
+        window, ((epsilon, 1), window_power(s, j_L)))
+
+
+def t_mem_over_tau(epsilon: float, jz_star: float) -> float:
+    """The localized memory time (1 - eps)**(-1/(2 jz*^2)); inf where 2 jz*^2 underflows."""
+    expo = 1.0 / d if (d := 2.0 * jz_star * jz_star) else math.inf
+    return _exp(-expo * math.log1p(-epsilon))
 
 
 def gamma_korringa(spec: BathSpec, j_L: float) -> float:
@@ -136,12 +138,6 @@ def t2_thermal(spec: BathSpec, jz_star: float | None) -> float | None:
         t2, ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz_star), -2)))
 
 
-def shared_values(spec: BathSpec, L: int) -> tuple[float, float, float]:
-    """(j(L), its Korringa rate, lambda_c) on one bath: the same for every epsilon and jz*."""
-    j_L = j_of_L(spec, L)
-    return j_L, gamma_korringa(spec, j_L), critical_coupling(spec, L)
-
-
 def threshold_exists(z: float, s: float) -> bool:
     """True iff z > 1/(s+1), the short-range criterion."""
     return classify_regime(z, s) is RegimeLabel.SHORT_RANGE
@@ -150,19 +146,26 @@ def threshold_exists(z: float, s: float) -> bool:
 def build_report(point: CodePoint, shared: tuple | None = None) -> LifetimeReport:
     """Evaluate every applicable formula for one point and bundle the results,
     under the regime its bath decided when it was built: without jz* the runaway
-    pair t_K/tau and t_comp/tau, with it the localized memory time
-    t_mem/tau = (1 - eps)**(-1/(2 jz*^2)).  ``shared`` is
-    ``shared_values(point.spec, point.L)``, computed here when not given."""
+    pair t_K/tau and t_comp/tau, with it the localized memory time t_mem/tau.
+    ``shared`` is (j(L), its Korringa rate, lambda_c) on the point's bath, the same
+    for every epsilon and jz*, computed here when not given."""
     spec, L = point.spec, point.L
-    j_L, gamma, lam_c = shared or shared_values(spec, L)
+    j_L = shared[0] if shared else j_of_L(spec, L)
+    _, gamma, lam_c = shared or (j_L, gamma_korringa(spec, j_L), critical_coupling(spec, L))
     jz, localized = point.jz_star, point.jz_star is not None
     t_K = t_comp = t_mem = None
-    if localized:  # inf where 2 jz*^2 underflows
-        expo = 1.0 / d if (d := 2.0 * jz * jz) else math.inf
-        t_mem = _exp(-expo * math.log1p(-point.epsilon))
+    if localized:
+        t_mem = t_mem_over_tau(point.epsilon, jz)
     else:
-        t_K, t_comp = _runaway(point, j_L)
+        if spec.s == 1.0 and j_L >= SATURATION_J:
+            warnings.warn("j(L) >= 1e3: perturbative early-decay inversion is untrusted here",
+                          stacklevel=2)  # at the caller
+        x, p = window_power(spec.s, j_L)
+        try:
+            t_K = _exp(p) if spec.s == 1.0 else x**p
+        except OverflowError:
+            t_K = math.inf
+        t_comp = t_comp_over_tau(point.epsilon, t_K, spec.s, j_L)
     return LifetimeReport(
         spec.regime, Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC, L, j_L, t_K,
         t_comp, t_mem, gamma, t2_thermal(spec, jz), lam_c)
-

@@ -7,18 +7,18 @@ pure function of the config.  Evaluation is a serial map over grid points, each 
 closed form of at most about a millisecond, too little work for a process pool to
 pay for itself.  A lifetime run's grid points are its code distances L, each one
 block of every (epsilon, jz_star) pair by every bath (built once per run), bath
-fastest, with j(L), the Korringa rate and lambda_c once per bath: L sorts first and
-the bath axes last.  A value naming a field of ``FlowOptions`` or
+fastest: L sorts first and the bath axes last.  A lifetime cell is computed and
+formatted where it varies: one ``build_report`` per (L, bath), the pair and T2 cells
+once per run, t_comp per row.  A value naming a field of ``FlowOptions`` or
 ``BathSpec``, all floats, enters it through ``float``.  The config key
 ``parallelism`` is validated and not stored, and ``run``'s ``workers``
 keyword (the CLI has no flag for it) is accepted and unused, so outputs are
 byte-identical for any value of either.  Each file is written under a unique
 temporary name and atomically renamed, so an interrupted run leaves no
-partial output.  Rows go through one %-template per file (floats as
-``%.17g``, enums by value, an absent Optional float empty); no cell needs
-quoting, as none can hold a comma, quote or newline.  A lifetime file's
-leading axis cells are config values, each formatted once per run by
-``format_cell``, so an integer prints as itself.
+partial output.  Rows go through one %-template per file (floats as ``%.17g``,
+enums by value, an absent Optional float empty); a lifetime row is one line under
+``"%s"``, led by its axis cells, config values formatted once per run by ``format_cell``
+(an integer prints as itself).  No cell needs quoting: none holds a comma, quote or newline.
 """
 from __future__ import annotations
 
@@ -104,7 +104,7 @@ def validate_config(obj) -> SweepConfig:
     task = obj.get("task")
     if task is None:
         raise ConfigError("task", "required")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:  # a JSON array or object is unhashable
         raise ConfigError("task", f"must be one of {'|'.join(TASKS)}")
     spec = TASKS[task]
 
@@ -363,25 +363,42 @@ def _eval_census(params: dict, point: dict):
     return [(rec.L, rec.weight, rec.rule.value, rec.n_success, rec.n_logical, rec.n_tie)]
 
 
+def _pair_cells(pairs: list, baths: list) -> list:
+    """Each (epsilon, jz_star) pair of a lifetime run with the cells that no L changes: its
+    t_mem cell (empty in the runaway channel) and, once per jz_star, each bath's T2 cell."""
+    t2 = {jz: [format_cell(lifetimes.t2_thermal(spec, jz)) for spec in baths]
+          for jz in dict.fromkeys(jz for _, jz in pairs)}  # T2 is even in jz_star: 0.0 is -0.0
+    return [(epsilon, jz, "" if jz is None else format_cell(lifetimes.t_mem_over_tau(epsilon, jz)),
+             t2[jz]) for epsilon, jz in pairs]
+
+
 def _eval_lifetime(params: dict, point: dict):
-    """One code distance's lead axis cells and record cells (an absent Optional float empty) per
-    (epsilon, jz_star) pair, per bath: j(L), the Korringa rate and lambda_c once per bath."""
+    """One code distance's rows, each one line: its lead axis cells, the cells of one
+    ``build_report`` per bath at the first pair (the regime, the phase all pairs share, j(L),
+    t_K, the Korringa rate and lambda_c), the pair's cells and, per row, t_comp = eps * t_K."""
     L, (pairs, baths, leads) = {**params, **point}["L"], point[_BATH_AXIS]
-    shared = [lifetimes.shared_values(spec, L) for spec in baths]
-    reports = (lifetimes.build_report(lifetimes.CodePoint(L, epsilon, spec, jz_star), values)
-               for epsilon, jz_star in pairs for spec, values in zip(baths, shared))
-    return [(lead, rep.regime.value, rep.phase.value, rep.L, rep.j_L,
-             *["" if v is None else "%.17g" % v for v in rep[4:9]], rep.lambda_critical)
-            for lead, rep in zip(leads, reports, strict=True)]
+    reports = [lifetimes.build_report(lifetimes.CodePoint(L, pairs[0][0], spec, pairs[0][1]))
+               for spec in baths]
+    cells = [(f"{rep.regime.value},{rep.phase.value},{L},{rep.j_L:.17g},"
+              f"{format_cell(rep.t_K_over_tau)},", f",{format_cell(rep.gamma_korringa)},",
+              f",{rep.lambda_critical:.17g}\n") for rep in reports]
+    rows, lead = [], iter(leads)
+    for epsilon, jz, t_mem, t2s in pairs:
+        t_comps = itertools.repeat("") if jz is not None else [
+            format_cell(lifetimes.t_comp_over_tau(epsilon, rep.t_K_over_tau, spec.s, rep.j_L))
+            for spec, rep in zip(baths, reports)]
+        rows += [f"{next(lead)}{head}{t_comp},{t_mem}{gamma}{t2}{lam_c}"
+                 for (head, gamma, lam_c), t_comp, t2 in zip(cells, t_comps, t2s)]
+    return rows
 
 
 @dataclass(frozen=True)
 class Task:
     """One task: the axes and params a config may name (``required`` ones as
     either), ``check(values)`` building the object whose rules the params and
-    each axis value must pass, and ``evaluate(params, point)`` returning a
-    grid point's rows under ``header``, each a tuple for ``template`` (``flow``'s
-    header and template are its index's, as it writes its own traces).
+    each axis value must pass, and ``evaluate(params, point)`` returning a grid
+    point's rows under ``header``, each a tuple for ``template`` or, for a lifetime,
+    one line under ``"%s"`` (``flow``'s are its index's, as it writes its own traces).
     """
 
     axes: Collection[str]
@@ -418,8 +435,7 @@ TASKS = {
     "lifetime": Task(
         {"L", "z", "lambda", "temperature", "epsilon", "s", "jz_star"},
         {*_BATH_NAMES, "L", "epsilon", "jz_star"},
-        _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point,
-        template="%s%s,%s,%d,%.17g,%s,%s,%s,%s,%s,%.17g\n",  # after the axis cells
+        _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point, template="%s",
     ),
 }
 
@@ -464,8 +480,9 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
         baths = {n: axes.pop(n) for n in rest if n in _BATH_NAMES}  # vary fastest
         # as the bath axes sort after epsilon and jz_star, these lead cells run pairs by baths
         cells = itertools.product(*([format_cell(v) + "," for v in cfg.axes[n]] for n in rest))
-        axes[_BATH_AXIS] = [(_product(_code_values, cfg.params, codes),
-                             _product(_bath, cfg.params, baths), list(map("".join, cells)))]
+        specs = _product(_bath, cfg.params, baths)
+        axes[_BATH_AXIS] = [(_pair_cells(_product(_code_values, cfg.params, codes), specs),
+                             specs, list(map("".join, cells)))]
     results = _map_points(task.evaluate, cfg.params, grid_points(axes), 1)
     _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
     if tree:

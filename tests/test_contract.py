@@ -1,9 +1,9 @@
 """The CLI contract: any config ends in exit 0, 2, 3 or 4, never in a
 traceback, and no output holds ``nan``; an exit 2 names the offending field.
 
-Configs are drawn for all six tasks, mostly valid so that evaluation runs,
+Configs are drawn for all five tasks, mostly valid so that evaluation runs,
 with out-of-domain values mixed in and lifetime magnitudes out to the ends of
-float range.  Sizes are bounded only for time: flow ``l_max`` <= 50,
+float range, and for task names that no task has.  Sizes are bounded only for time: flow ``l_max`` <= 50,
 matching n <= 20 (or 26, which the pairing-sum ceiling refuses at once), census
 L <= 30 (or 20000, which the census ceiling refuses at once), at most two
 values per axis.
@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from codebath.cli import main
+from codebath.sweeps import TASKS
 
 EXTREMES = [1e-300, 1e-200, 1e-10, 1e10, 1e200, 1e300, 1.7e308]
 INVALID = [0.0, -1.0, math.nan, math.inf, 10**400]
@@ -94,9 +95,14 @@ census = config(
      "weight": axis(st.one_of(st.integers(-1, 32), st.just(10000)))},
     {"rule": st.sampled_from(["report", "benign", "adversarial", "hope"])},
 )
-preset = config(
-    "preset", st.just({}),
-    {"name": st.sampled_from(["neutral_atom", "superconducting", "mainframe"])},
+# a task that no entry of TASKS names: any other string, or a JSON value of another type
+unknown_task = st.builds(
+    lambda task, axes: {"task": task, "axes": axes, "params": {}},
+    st.one_of(st.text(max_size=12).filter(lambda name: name not in TASKS),
+              st.lists(st.sampled_from(sorted(TASKS)), max_size=2),
+              st.dictionaries(st.sampled_from(sorted(TASKS)), st.integers(), max_size=1),
+              st.integers(), st.booleans(), st.floats(allow_nan=False)),
+    st.fixed_dictionaries({}, optional={"L": axis(_L)}),
 )
 
 
@@ -104,7 +110,7 @@ preset = config(
     max_examples=150, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-@given(st.one_of(lifetime, flow, phase_diagram, matching, census, preset))
+@given(st.one_of(lifetime, flow, phase_diagram, matching, census, unknown_task))
 # values that once ended in a traceback or a late, pathless refusal
 @example({"task": "matching", "axes": {"n": [2, 4, 6]}, "params": {"z": -1e300}})
 @example({"task": "preset", "axes": {}, "params": {"name": "neutral_atom", "L_grid": [10**400]}})

@@ -380,25 +380,57 @@ def test_templated_rows_on_edge_values(tmp_path):
 
 def test_lifetime_rows_on_edge_values(tmp_path, monkeypatch):
     """Axis cells formatted once per run (an int as itself, -0.0 as -0) ahead
-    of records of every enum, None and edge float, through a full run."""
+    of records of every enum, None and edge float, through full runs in both
+    channels: the bath cells from ``build_report``, the pair and row cells from
+    the helpers that compute them, each patched to give edge values."""
     floats, optional = itertools.cycle(EDGE_FLOATS), itertools.cycle([None, *EDGE_FLOATS])
-    labels, reports = itertools.cycle(itertools.product(RegimeLabel, Phase)), []
+    labels = itertools.cycle(itertools.product(RegimeLabel, Phase))
+    drawn = {}  # per patched function, the value given for each argument list
 
-    def edge_report(point, shared):
-        rep = LifetimeReport(*next(labels), point.L, next(floats),
-                             *(next(optional) for _ in range(5)), next(floats))
-        reports.append(rep)
-        return rep
+    def edge(name, draw, key=lambda *args: repr(args)):
+        table = drawn[name] = {}
 
-    monkeypatch.setattr(sweeps.lifetimes, "build_report", edge_report)
+        def cell(*args):
+            k = key(*args)
+            if k not in table:
+                table[k] = draw(*args)
+            return table[k]
+        return cell
+
+    monkeypatch.setattr(sweeps.lifetimes, "build_report", edge(
+        "build_report", lambda point: LifetimeReport(
+            *next(labels), point.L, next(floats), *(next(optional) for _ in range(5)),
+            next(floats)),
+        key=lambda point: (point.L, repr(point.spec))))  # one per (L, bath)
+    for name in ("t_comp_over_tau", "t_mem_over_tau", "t2_thermal"):
+        monkeypatch.setattr(sweeps.lifetimes, name, edge(name, lambda *_: next(optional)))
+
+    def edge_rows(cfg):
+        """Per grid point, the report the patched functions give its cells."""
+        for p in grid_points(cfg.axes):
+            values = {**cfg.params, **p}
+            spec, (epsilon, jz_star) = sweeps._bath(values), sweeps._code_values(values)
+            rep = drawn["build_report"][(p["L"], repr(spec))]
+            if jz_star is None:
+                args, t_mem = (epsilon, rep.t_K_over_tau, spec.s, rep.j_L), None
+                t_comp = drawn["t_comp_over_tau"][repr(args)]
+            else:
+                t_comp, t_mem = None, drawn["t_mem_over_tau"][repr((epsilon, jz_star))]
+            t2 = drawn["t2_thermal"][repr((spec, jz_star))]
+            yield rep._replace(t_comp_over_tau=t_comp, t_mem_over_tau=t_mem, t2_thermal=t2)
+
     axes = {"L": [2, 10**20], "lambda": [0, -0.0, 5e-324, 10**20, _Float(0.1)],
             "jz_star": [-12, 1e17], "temperature": [0.0, 1.7976931348623157e308]}
     cfg = validate_config(lifetime_config(tmp_path / "life.csv", axes=axes, params={"z": 1}))
     run(cfg)
-    assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, reports))
+    assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, edge_rows(cfg)))
     text = (tmp_path / "life.csv").read_text()
     assert text.count("\n-12,-0,0,") == 2  # one row per L
     assert text.count("\n1e+17,100000000000000000000,1.7976931348623157e+308,") == 2
+    axes = {"L": [4, 10**20], "epsilon": [0.5, 5e-324], "lambda": [0, -0.0], "s": [1, 0.5]}
+    cfg = validate_config(lifetime_config(tmp_path / "runaway.csv", axes=axes, params={"z": 1}))
+    run(cfg)
+    assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, edge_rows(cfg)))
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -607,6 +639,37 @@ def test_run_computes_each_L_and_bath_value_once(tmp_path, monkeypatch):
     # once in each point's CodePoint, at most twice more per (L, bath)
     assert calls["check_even_L"] <= n_L * n_baths * n_pairs + 2 * n_L * n_baths
     monkeypatch.undo()
+    assert_lifetime_rows_per_point(cfg)
+
+
+def test_run_builds_one_report_per_L_and_bath(tmp_path, monkeypatch):
+    # the bath's cells come from one build_report per (L, bath); t_mem varies
+    # with the (epsilon, jz_star) pair alone, t_comp with the row
+    axes = {"L": [2, 4, 8], "lambda": [0.1, 0.2], "epsilon": [0.01, 0.1], "jz_star": [-0.2, 0.3]}
+    n_L, n_baths, n_pairs = 3, 2, 4
+    cfg = validate_config(lifetime_config(tmp_path / "d.csv", axes=axes,
+                                          params={"temperature": 0.5}))
+    calls = Counter()
+    for name in ("build_report", "t_mem_over_tau"):
+        def wrapper(*args, fn=getattr(sweeps.lifetimes, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(sweeps.lifetimes, name, wrapper)
+    run(cfg)
+    assert calls["build_report"] == n_L * n_baths
+    assert calls["t_mem_over_tau"] <= n_L * n_pairs
+    monkeypatch.undo()
+    assert_lifetime_rows_per_point(cfg)
+    # j(L) >= 1e3 on both s = 1 baths (z = 0.5 is critical there): one caution per (L, bath)
+    axes = {"L": [12, 14, 16], "epsilon": [0.01, 0.1, 0.2], "z": [1, 0.5]}
+    runaway = validate_config(lifetime_config(tmp_path / "r.csv", axes=axes,
+                                              params={"lambda": 1}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(runaway)
+    assert [str(w.message).startswith("j(L) >= 1e3") for w in caught] == [True] * 3 * 2
+    assert_lifetime_rows_per_point(runaway)
     assert_lifetime_rows_per_point(cfg)
 
 
