@@ -118,6 +118,22 @@ def carlson_rf(p: float, q: float, r: float) -> float:
     return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / math.sqrt(a)
 
 
+def _stop(fall: float, rise: float, l_c: float, opts: FlowOptions):
+    """(l_end, terminal, scales) of a flow whose transverse pair is below j_min from
+    ``fall`` to ``rise`` and which reaches the ceiling at ``l_c``: it localizes at
+    fall + DWELL_INTERVAL (terminal None, as the caller knows j there) if that lies
+    within l_max and short of rise and l_c; else it ends at the ceiling within l_max,
+    else at the cutoff.  ``scales`` are PORTRAIT_SAMPLES, evenly spaced from 0 to l_end."""
+    end = fall + DWELL_INTERVAL
+    if end <= opts.l_max and min(rise, l_c) > end:
+        l_end, terminal = end, None
+    elif l_c <= opts.l_max:
+        l_end, terminal = l_c, StrongCoupling(l_star=l_c + 1.0 / opts.j_max)
+    else:
+        l_end, terminal = opts.l_max, CutoffReached(l_max=opts.l_max)
+    return l_end, terminal, [l_end * (k / (PORTRAIT_SAMPLES - 1)) for k in range(PORTRAIT_SAMPLES)]
+
+
 def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowTrace:
     """The flow from j0 to its terminal (see module docstring) on R_F.
 
@@ -134,7 +150,7 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     check_start(j0)
     j = (float(j0.jx), float(j0.jy), float(j0.jz))
     m = [abs(x) for x in j]
-    j_max, j_min, l_max, inf = opts.j_max, opts.j_min, opts.l_max, math.inf
+    j_max, j_min, inf = opts.j_max, opts.j_min, math.inf
     if max(m) >= j_max:
         return FlowTrace(((0.0, CouplingVector(*j)),), StrongCoupling(l_star=1.0 / j_max), 0.0)
     k = m.index(min(m))
@@ -165,14 +181,7 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
         g = carlson_rf(*floor)
         fall = max(g - g0, 0.0) if fall and v0 < 0 else fall
         rise = top - g if fall < inf else inf
-    end = fall + DWELL_INTERVAL
-    if end <= l_max and min(rise, l_c) > end:
-        l_end, terminal = end, None
-    elif l_c <= l_max:
-        l_end, terminal = l_c, StrongCoupling(l_star=l_c + 1.0 / j_max)
-    else:
-        l_end, terminal = l_max, CutoffReached(l_max=l_max)
-    ls = [l_end * (x / (PORTRAIT_SAMPLES - 1)) for x in range(PORTRAIT_SAMPLES)]
+    l_end, terminal, ls = _stop(fall, rise, l_c, opts)
 
     def solve(l: float, lo: float, hi: float, v: float, f: float) -> float:
         """The v in [lo, hi] at scale l, from v, where l(v) - l = f."""
@@ -225,7 +234,7 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions, ls=None):
     cosh(rl) - jz0 sinh(rl)/r if c > 0, taken over cosh(rl) with jz0 - r from
     j_perp0**2, exact for a tiny pair.  Crossings invert by atanh, arctan, asinh.
     """
-    p0, z0, j_max, j_min, l_max = float(j_perp), float(jz), opts.j_max, opts.j_min, opts.l_max
+    p0, z0, j_max, j_min = float(j_perp), float(jz), opts.j_max, opts.j_min
     check_start(CouplingVector(p0, p0, z0))
     if max(abs(p0), abs(z0)) >= j_max:
         return ((0.0, p0, z0),), StrongCoupling(l_star=1.0 / j_max)
@@ -265,13 +274,8 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions, ls=None):
                - math.log(am)) / (2 * r)
     elif p0 and (c < 0 or c == 0 < z0):  # runs away, reaching jz = b
         l_c = math.atan2(r * (b - z0), b * z0 - c) / r if r else 1 / z0 - 1 / b
-    end = (0.0 if a < j_min else fall if z0 < 0 else inf) + DWELL_INTERVAL
-    if end <= l_max and min(rise, l_c) > end:
-        p, z = at(end)
-        l_end, terminal = end, Localized(j_star=CouplingVector(p, p, z))
-    elif l_c <= l_max:
-        l_end, terminal = l_c, StrongCoupling(l_star=l_c + 1.0 / j_max)
-    else:
-        l_end, terminal = l_max, CutoffReached(l_max=l_max)
-    ls = ls or [l_end * (k / (PORTRAIT_SAMPLES - 1)) for k in range(PORTRAIT_SAMPLES)]
-    return tuple((l, *at(l)) for l in ls), terminal
+    l_end, terminal, scales = _stop(0.0 if a < j_min else fall if z0 < 0 else inf, rise, l_c, opts)
+    if terminal is None:
+        p, z = at(l_end)
+        terminal = Localized(j_star=CouplingVector(p, p, z))
+    return tuple((l, *at(l)) for l in ls or scales), terminal

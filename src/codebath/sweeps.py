@@ -15,10 +15,10 @@ once per run, t_comp per row.  A value naming a field of ``FlowOptions`` or
 keyword (the CLI has no flag for it) is accepted and unused, so outputs are
 byte-identical for any value of either.  Each file is written under a unique
 temporary name and atomically renamed, so an interrupted run leaves no
-partial output.  Rows go through one %-template per file (floats as ``%.17g``,
-enums by value, an absent Optional float empty); a lifetime row is one line under
-``"%s"``, led by its axis cells, config values formatted once per run by ``format_cell``
-(an integer prints as itself).  No cell needs quoting: none holds a comma, quote or newline.
+partial output.  Each evaluator returns its rows as finished lines (floats as ``%.17g``,
+integers in full, enums by value, an absent Optional float empty), which are written
+as they are; a lifetime row is led by its axis cells, config values formatted once per
+run by ``format_cell``.  No cell needs quoting: none holds a comma, quote or newline.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ import os
 import sys
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, fields
-from enum import Enum
 
 from . import lifetimes, surface_code, wick
 from .bath import BathSpec
@@ -202,18 +201,13 @@ def grid_points(axes: dict[str, tuple]) -> list[dict]:
 # --- formatting and file emission ------------------------------------------
 
 
-def format_cell(v) -> str:
+def format_cell(v: float | None) -> str:
+    """A cell: empty for None, an integer in full, a float as ``%.17g``."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, Enum):
-        return str(v.value)
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    return f"{v:.17g}"
 
 
 def _refuse_overwrite(path: str, force: bool, tree: bool) -> None:
@@ -231,16 +225,16 @@ def _refuse_overwrite(path: str, force: bool, tree: bool) -> None:
         raise NotADirectoryError(f"cannot write {path}: {head} is not a directory")
 
 
-def _write_rows(path: str, header: list[str], rows: list, *, template: str) -> None:
-    """A CSV of ``header`` and ``rows``, each row a tuple through ``template``,
-    a %-format of one line (no cell needs quoting: see the module docstring).
-    It is written under a unique name beside ``path`` and renamed over it; if
-    the write raises, the new file is removed."""
+def _write_rows(path: str, header: list[str], rows: list[str]) -> None:
+    """A CSV of ``header`` and ``rows``, each row one finished line (no cell
+    needs quoting: see the module docstring).  It is written under a unique
+    name beside ``path`` and renamed over it; if the write raises, the new
+    file is removed."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(map(template.__mod__, rows))
+            fh.writelines(rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -297,13 +291,11 @@ def _matching_problem(values: dict) -> wick.MatchingProblem:
     return wick.MatchingProblem(tuple(range(n)), float(values.get("z", 1.0)))
 
 
-def _terminal_fields(terminal: Terminal) -> tuple[str, str, str]:
+def _terminal_cells(terminal: Terminal) -> str:
     """The terminal's label and its l_star and jz_star cells (empty if it has none)."""
-    if isinstance(terminal, StrongCoupling):
-        return "StrongCoupling", "%.17g" % terminal.l_star, ""
-    if isinstance(terminal, Localized):
-        return "Localized", "", "%.17g" % terminal.j_star.jz
-    return "CutoffReached", "", ""
+    l_star = f"{terminal.l_star:.17g}" if isinstance(terminal, StrongCoupling) else ""
+    jz_star = f"{terminal.j_star.jz:.17g}" if isinstance(terminal, Localized) else ""
+    return f"{type(terminal).__name__},{l_star},{jz_star}"
 
 
 def _flow_start(values: dict) -> CouplingVector:
@@ -321,16 +313,21 @@ def _check_flow(values: dict) -> None:
 
 
 def _eval_flow(params: dict, point: dict):
-    """One start's index row (without id and file name) and its trace's (l, jx,
-    jy, jz, c1, c2) rows: ``symmetric_flow``'s if jx and jy are one float."""
-    start, opts = _flow_start(point), _flow_options(params)
+    """One start's index cells (without id and file name) and its trace's (l, jx,
+    jy, jz, c1, c2) lines: ``symmetric_flow``'s if jx and jy are one float."""
+    start, opts, rows = _flow_start(point), _flow_options(params), []
     if start.jx == start.jy and math.copysign(1, start.jx) == math.copysign(1, start.jy):
         samples, terminal = symmetric_flow(start.jx, start.jz, opts)
-        rows = [(l, p, p, z, 0.0, z * z - p * p) for l, p, z in samples]
-        return (start.jx, start.jy, start.jz, *_terminal_fields(terminal)), rows
-    trace = integrate_flow(start, opts)
-    rows = [(l, j.jx, j.jy, j.jz, *constants_of_motion(j)) for l, j in trace.samples]
-    return (start.jx, start.jy, start.jz, *_terminal_fields(trace.terminal)), rows
+        for l, p, z in samples:
+            p_cell = f"{p:.17g}"  # jx and jy, formatted once
+            rows.append(f"{l:.17g},{p_cell},{p_cell},{z:.17g},0,{z * z - p * p:.17g}\n")
+    else:
+        trace = integrate_flow(start, opts)
+        terminal = trace.terminal
+        for l, j in trace.samples:
+            c1, c2 = constants_of_motion(j)
+            rows.append(f"{l:.17g},{j.jx:.17g},{j.jy:.17g},{j.jz:.17g},{c1:.17g},{c2:.17g}\n")
+    return f"{start.jx:.17g},{start.jy:.17g},{start.jz:.17g},{_terminal_cells(terminal)}", rows
 
 
 def _separatrix_tag(j_perp: float, jz: float) -> str:
@@ -343,24 +340,24 @@ def _separatrix_tag(j_perp: float, jz: float) -> str:
 
 
 def _eval_portrait(params: dict, point: dict):
-    """(l, j_perp, j_z, terminal_label, separatrix) samples of one symmetric start."""
+    """(l, j_perp, j_z, terminal_label, separatrix) lines of one symmetric start."""
     j_perp, jz = float(point["j_perp"]), float(point["jz"])
     samples, terminal = symmetric_flow(j_perp, jz, _portrait_options(params))
-    cells = (_terminal_fields(terminal)[0], _separatrix_tag(j_perp, jz))
-    return [(*sample, *cells) for sample in samples]
+    cells = f"{type(terminal).__name__},{_separatrix_tag(j_perp, jz)}\n"
+    return [f"{l:.17g},{p:.17g},{z:.17g},{cells}" for l, p, z in samples]
 
 
 def _eval_matching(params: dict, point: dict):
     problem = _matching_problem({**params, **point})
     n = len(problem.positions)
     total = wick.matching_sum(problem)
-    return [(n, total, total ** (2.0 / n))]
+    return [f"{n},{total:.17g},{total ** (2.0 / n):.17g}\n"]
 
 
 def _eval_census(params: dict, point: dict):
     rule = surface_code.TieBreak(params.get("rule", "report"))
     rec = surface_code.failure_census(point["L"], point["weight"], rule)
-    return [(rec.L, rec.weight, rec.rule.value, rec.n_success, rec.n_logical, rec.n_tie)]
+    return [f"{rec.L},{rec.weight},{rec.rule.value},{rec.n_success},{rec.n_logical},{rec.n_tie}\n"]
 
 
 def _pair_cells(pairs: list, baths: list) -> list:
@@ -397,8 +394,8 @@ class Task:
     """One task: the axes and params a config may name (``required`` ones as
     either), ``check(values)`` building the object whose rules the params and
     each axis value must pass, and ``evaluate(params, point)`` returning a grid
-    point's rows under ``header``, each a tuple for ``template`` or, for a lifetime,
-    one line under ``"%s"`` (``flow``'s are its index's, as it writes its own traces).
+    point's rows under ``header``, each a finished line (``flow`` returns its index
+    cells and its trace's lines, as it writes its own traces).
     """
 
     axes: Collection[str]
@@ -407,35 +404,31 @@ class Task:
     header: tuple[str, ...]
     required: Collection[str] = ()
     check: Callable[[dict], object] | None = None
-    template: str | None = None
 
 
-_TRACE_ROW = ",".join(["%.17g"] * 6) + "\n"  # (l, jx, jy, jz, c1, c2)
 TASKS = {
     "flow": Task(
         {"jx", "jy", "jz", "j_perp"}, _FLOW_PARAMS, _eval_flow,
         ("trajectory_id", "jx0", "jy0", "jz0", "terminal", "l_star", "jz_star", "file"),
-        check=_check_flow, template="%d,%.17g,%.17g,%.17g,%s,%s,%s,%s\n",
+        check=_check_flow,
     ),
     "phase_diagram": Task(
         {"j_perp", "jz"}, {"j_max", "j_min", "l_max"}, _eval_portrait,
         ("trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"),
         required={"j_perp", "jz"}, check=_portrait_options,
-        template="%d,%.17g,%.17g,%.17g,%s,%s\n",
     ),
     "matching": Task(
         {"n"}, {"z"}, _eval_matching, ("n", "matching_sum", "per_pair_weight"),
-        check=_matching_problem, template="%d,%.17g,%.17g\n",
+        check=_matching_problem,
     ),
     "census": Task(
         {"L", "weight"}, {"rule"}, _eval_census,
         ("L", "weight", "rule", "n_success", "n_logical", "n_tie"), required={"L", "weight"},
-        template="%d,%d,%s,%d,%d,%d\n",
     ),
     "lifetime": Task(
         {"L", "z", "lambda", "temperature", "epsilon", "s", "jz_star"},
         {*_BATH_NAMES, "L", "epsilon", "jz_star"},
-        _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point, template="%s",
+        _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point,
     ),
 }
 
@@ -453,12 +446,12 @@ def _write_flow(out: str, results: list) -> list[str]:
     for tid, (start, rows) in enumerate(results):
         fname = f"trace_{tid:04d}.csv"
         written.append(os.path.join(out, fname))
-        _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows, template=_TRACE_ROW)
-        index_rows.append((tid, *start, fname))
+        _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows)
+        index_rows.append(f"{tid},{start},{fname}\n")
     written.append(os.path.join(out, "index.csv"))
-    _write_rows(written[-1], TASKS["flow"].header, index_rows, template=TASKS["flow"].template)
+    _write_rows(written[-1], TASKS["flow"].header, index_rows)
     # a forced rerun with fewer starts leaves no trace the index omits
-    listed = {row[-1] for row in index_rows}
+    listed = set(map(os.path.basename, written))
     for name in os.listdir(out):
         if fnmatch.fnmatch(name, "trace_*.csv") and name not in listed:
             os.remove(os.path.join(out, name))
@@ -488,8 +481,8 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     if tree:
         return _write_flow(out, results)
     if header[0] == "trajectory_id":  # a grid point's rows carry its index
-        rows = [(tid, *row) for tid, rs in enumerate(results) for row in rs]
+        rows = [f"{tid},{row}" for tid, rs in enumerate(results) for row in rs]
     else:
         rows = [row for rs in results for row in rs]
-    _write_rows(out, header, rows, template=task.template)
+    _write_rows(out, header, rows)
     return [out]

@@ -1,10 +1,9 @@
 """Start-up cost: the CLI and every task, the flow integrations included, run
 without numpy or scipy (about 0.8 s to import), which only the tests use as
 oracles, and without the ``csv`` module, which only the tests use as the byte
-oracle of the row templates; importing one submodule loads only the
-submodules it uses.  Each
-case runs in a fresh interpreter, since the rest of the suite has long loaded
-both."""
+oracle of every task's rows; importing one submodule loads only the
+submodules it uses.  Each case runs in a fresh interpreter, since the rest of
+the suite has long loaded both."""
 import json
 import os
 import subprocess

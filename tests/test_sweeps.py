@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,16 @@ from codebath.bath import BathSpec, RegimeLabel
 from codebath.cli import main
 from codebath.errors import ConfigError, ResourceLimitError
 from codebath.lifetimes import CodePoint, LifetimeReport, Phase, build_report, critical_coupling
-from codebath.rg_flow import PORTRAIT_SAMPLES, CouplingVector, Localized, StrongCoupling
-from codebath.surface_code import TieBreak
+from codebath.rg_flow import (
+    PORTRAIT_SAMPLES,
+    CouplingVector,
+    CutoffReached,
+    FlowTrace,
+    Localized,
+    StrongCoupling,
+    constants_of_motion,
+)
+from codebath.surface_code import CensusRecord, TieBreak
 from codebath.sweeps import (
     LIFETIME_FIELDS,
     SweepConfig,
@@ -257,12 +267,9 @@ class _Float(float):
 
 def test_format_cell():
     assert format_cell(None) == ""
-    assert format_cell(True) == "true"
-    assert format_cell(False) == "false"
     assert format_cell(7) == "7"
     assert format_cell(-12) == "-12"
-    assert format_cell(Phase.ANTIFERROMAGNETIC) == "AFM"
-    assert format_cell("x") == "x"
+    assert format_cell(10**20) == "100000000000000000000"
     assert format_cell(0.1) == "0.10000000000000001"
     assert format_cell(math.inf) == "inf"
     assert format_cell(-math.inf) == "-inf"
@@ -274,24 +281,25 @@ def test_format_cell():
 
 
 def test_failed_write_leaves_no_file(tmp_path):
-    """A row whose formatting raises halfway through the file, after the rows
-    before it reached the temporary file, leaves neither it nor the output."""
+    """A write that fails halfway through the lines, after the lines before
+    it reached the temporary file, leaves neither it nor the output."""
     out = tmp_path / "rows.csv"
 
-    class FailingCell:
-        def __str__(self):
-            assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
-            raise RuntimeError("disk full")
+    class DiskFullHalfway(list):
+        def __iter__(self):
+            yield from itertools.islice(list.__iter__(self), 5000)
+            [tmp] = tmp_path.iterdir()
+            assert tmp.suffix == ".tmp" and tmp.stat().st_size > 0
+            raise OSError(errno.ENOSPC, "disk full")
 
-    rows = [("ok", 2)] * 5000 + [(FailingCell(), 2)] + [("ok", 2)] * 5000
-    with pytest.raises(RuntimeError, match="disk full"):
-        sweeps._write_rows(str(out), ["a", "b"], rows, template="%s,%d\n")
+    with pytest.raises(OSError, match="disk full"):
+        sweeps._write_rows(str(out), ["a", "b"], DiskFullHalfway(["ok,2\n"] * 10001))
     assert list(tmp_path.iterdir()) == []
 
 
-# --- templated rows: csv.writer with format_cell is their oracle -------------
+# --- rows: csv.writer with the oracle's own cell rules is their oracle ---------
 
-TRACE_HEADER = ["l", "jx", "jy", "jz", "c1", "c2"]
+TRACE_HEADER = ("l", "jx", "jy", "jz", "c1", "c2")
 PORTRAIT, FLOW = sweeps.TASKS["phase_diagram"], sweeps.TASKS["flow"]
 MATCHING, CENSUS, LIFETIME = (sweeps.TASKS[t] for t in ("matching", "census", "lifetime"))
 EDGE_FLOATS = [
@@ -301,17 +309,32 @@ EDGE_FLOATS = [
 EDGE_INTS = [0, 2, -12, 10**20]
 
 
+def oracle_cell(v) -> str:
+    """A cell as the oracle writes it: None empty, an enum by value, an int in
+    full, a float as ``%.17g``, a label or file name as itself."""
+    if v is None:
+        return ""
+    if isinstance(v, Enum):
+        return str(v.value)
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return "%.17g" % v
+    assert isinstance(v, str)
+    return v
+
+
 def oracle_csv(header, rows) -> bytes:
     """The bytes ``csv.writer`` writes for ``header`` and ``rows``, each cell
-    through ``format_cell``: the writer every template is held to."""
+    through ``oracle_cell``: the writer every task's lines are held to."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([format_cell(v) for v in row] for row in rows)
+    writer.writerows([oracle_cell(v) for v in row] for row in rows)
     return buf.getvalue().encode()
 
 
-def assert_template_matches_oracle(path: Path, header, rows):
+def assert_rows_match_oracle(path: Path, header, rows):
     """The file at ``path`` holds the bytes the oracle gives for ``header``
     and ``rows``, the cells as evaluated (config values, enums and None)."""
     assert path.read_bytes() == oracle_csv(header, rows)
@@ -331,51 +354,144 @@ def assert_lifetime_rows_per_point(cfg: SweepConfig):
     """The lifetime file of ``cfg`` holds, per grid point, the report of a
     point that ``_code_point`` builds, its bath with it, from that point alone."""
     reports = (build_report(sweeps._code_point({**cfg.params, **p})) for p in grid_points(cfg.axes))
-    assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, reports))
+    assert_rows_match_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, reports))
 
 
 @given(st.floats())
 def test_float_template_equals_format_cell(v):
-    assert "%.17g" % v == format_cell(v)
+    # the evaluators' f-string cells, format_cell and the oracle's rule agree
+    assert f"{v:.17g}" == format_cell(v) == oracle_cell(v) == "%.17g" % v
 
 
-def test_templated_rows_on_edge_values(tmp_path):
-    n = len(EDGE_FLOATS)
-    trace = [tuple(EDGE_FLOATS[(i + k) % n] for k in range(6)) for i in range(n)]
-    labels = itertools.product(
-        ("StrongCoupling", "Localized", "CutoffReached"), ("", "jz=-jperp", "jz=+jperp")
-    )
-    portrait = [
-        (tid, v, -v, EDGE_FLOATS[tid % n], kind, tag)
-        for tid, (v, (kind, tag)) in enumerate(itertools.product(EDGE_FLOATS, labels))
-    ]
-    matching = [(k, v, -v) for k, v in zip(itertools.cycle(EDGE_INTS), EDGE_FLOATS)]
-    census = [
-        (L, w, rule, L, w, -w)
-        for (L, w), rule in zip(itertools.product(EDGE_INTS, repeat=2), itertools.cycle(TieBreak))
-    ]
-    index = []
-    for tid, v in enumerate(EDGE_FLOATS):
-        kind = ("StrongCoupling", "Localized", "CutoffReached")[tid % 3]
-        l_star, jz_star = (v, None) if tid % 3 == 0 else (None, v) if tid % 3 == 1 else (None, None)
-        index.append((tid, v, -v, v, kind, l_star, jz_star, f"trace_{tid:04d}.csv"))
-    cases = (  # file, header, template, rows as written, rows as evaluated
-        ("trace.csv", TRACE_HEADER, sweeps._TRACE_ROW, trace, trace),
-        ("portrait.csv", PORTRAIT.header, PORTRAIT.template, portrait, portrait),
-        ("matching.csv", MATCHING.header, MATCHING.template, matching, matching),
-        ("census.csv", CENSUS.header, CENSUS.template,
-         [(*row[:2], row[2].value, *row[3:]) for row in census], census),
-        ("index.csv", FLOW.header, FLOW.template,
-         [(*row[:5], *("" if v is None else "%.17g" % v for v in row[5:7]), row[7])
-          for row in index], index),
-    )
-    for name, header, template, rows, evaluated in cases:
-        path = tmp_path / name
-        sweeps._write_rows(str(path), list(header), rows, template=template)
-        assert_template_matches_oracle(path, header, evaluated)
-    assert ",StrongCoupling,\n" in (tmp_path / "portrait.csv").read_text()  # empty tag
-    assert ",CutoffReached,,,trace_" in (tmp_path / "index.csv").read_text()  # no l*, jz*
-    assert "\n0,-12,adversarial,0,-12,12\n" in (tmp_path / "census.csv").read_text()
+def flow_index_oracle(flows):
+    """The index rows of flows that gave (start, terminal, trace), in order,
+    with each l_star and jz_star as evaluated (None if it has none)."""
+    rows = []
+    for tid, (start, terminal, _) in enumerate(flows):
+        l_star = terminal.l_star if isinstance(terminal, StrongCoupling) else None
+        jz_star = terminal.j_star.jz if isinstance(terminal, Localized) else None
+        rows.append((tid, start.jx, start.jy, start.jz, type(terminal).__name__, l_star,
+                     jz_star, f"trace_{tid:04d}.csv"))
+    return rows
+
+
+def assert_flow_matches_oracle(out: Path, flows):
+    """Each trace file and the index of a ``flow`` run whose starts, in order,
+    gave ``flows``: (start, terminal, trace rows as evaluated)."""
+    for tid, (_, _, trace) in enumerate(flows):
+        assert_rows_match_oracle(out / f"trace_{tid:04d}.csv", TRACE_HEADER, trace)
+    assert_rows_match_oracle(out / "index.csv", FLOW.header, flow_index_oracle(flows))
+
+
+def portrait_oracle(flows, tag):
+    """The rows of a portrait whose starts, in order, gave ``flows``; ``tag``
+    gives each start's separatrix cell."""
+    return [(tid, l, p, z, type(terminal).__name__, tag(start))
+            for tid, (start, terminal, trace) in enumerate(flows) for l, p, _, z, _, _ in trace]
+
+
+def record_flows(monkeypatch, integrate, closed) -> list:
+    """Route ``sweeps``' two flow calls through ``integrate`` and ``closed``;
+    returns the list that each call appends its start, terminal and (l, jx, jy,
+    jz, c1, c2) trace rows to."""
+    flows = []
+
+    def traced(start, options):
+        trace = integrate(start, options)
+        rows = [(l, j.jx, j.jy, j.jz, *constants_of_motion(j)) for l, j in trace.samples]
+        flows.append((start, trace.terminal, rows))
+        return trace
+
+    def traced_closed(j_perp, jz, options):  # a jx = jy start, or a portrait's
+        samples, terminal = closed(j_perp, jz, options)
+        rows = [(l, p, p, z, 0.0, z * z - p * p) for l, p, z in samples]
+        flows.append((CouplingVector(j_perp, j_perp, jz), terminal, rows))
+        return samples, terminal
+
+    monkeypatch.setattr(sweeps, "integrate_flow", traced)
+    monkeypatch.setattr(sweeps, "symmetric_flow", traced_closed)
+    return flows
+
+
+def record_values(monkeypatch, matching_sum, failure_census) -> list:
+    """Route the pairing sum and the census through the given functions;
+    returns the list that each call appends its row, as evaluated, to."""
+    values = []
+
+    def summed(problem):
+        n, total = len(problem.positions), matching_sum(problem)
+        values.append((n, total, total ** (2.0 / n)))
+        return total
+
+    def counted(L, weight, rule):
+        rec = failure_census(L, weight, rule)
+        values.append((rec.L, rec.weight, rec.rule, rec.n_success, rec.n_logical, rec.n_tie))
+        return rec
+
+    monkeypatch.setattr(sweeps.wick, "matching_sum", summed)
+    monkeypatch.setattr(sweeps.surface_code, "failure_census", counted)
+    return values
+
+
+def test_templated_rows_on_edge_values(tmp_path, monkeypatch):
+    """Every task but ``lifetime`` (see below) through full runs, each physics
+    call patched to give edge values: nan, +-inf, -0.0, 5e-324, 10**20 among
+    them, every terminal kind with and without an l_star or jz_star cell."""
+    floats = itertools.cycle(EDGE_FLOATS)
+    kinds = itertools.cycle((StrongCoupling, Localized, CutoffReached))
+
+    def terminal():
+        kind = next(kinds)
+        if kind is Localized:
+            return Localized(CouplingVector(next(floats), next(floats), next(floats)))
+        return kind(next(floats))
+
+    def edge_closed(j_perp, jz, options):
+        return tuple((next(floats), next(floats), next(floats)) for _ in range(4)), terminal()
+
+    squarable = itertools.cycle([v for v in EDGE_FLOATS if not 1e154 < abs(v) < math.inf])
+
+    def edge_integrate(start, options):  # as its own: no finite coupling whose square overflows
+        samples = tuple((next(floats), CouplingVector(*(next(squarable) for _ in range(3))))
+                        for _ in range(4))
+        return FlowTrace(samples, terminal(), 0.0)
+
+    sums = itertools.cycle([v for v in EDGE_FLOATS if not v < 0])  # a sum of positive weights
+    census = itertools.product(EDGE_INTS, repeat=2)
+    rules = itertools.cycle(TieBreak)
+
+    def edge_census(L, weight, rule):
+        L, w = next(census)
+        return CensusRecord(L, w, next(rules), L, w, -w)
+
+    flows = record_flows(monkeypatch, edge_integrate, edge_closed)
+    values = record_values(monkeypatch, lambda problem: next(sums), edge_census)
+
+    def run_task(name, axes, params=None):
+        flows.clear()
+        values.clear()
+        cfg = validate_config({"task": name, "axes": axes, "params": params or {},
+                               "output_path": str(tmp_path / name)})
+        run(cfg)
+        return tmp_path / name
+
+    tags = {(0.1, -0.1): "jz=-jperp", (0.1, 0.1): "jz=+jperp"}
+    out = run_task("phase_diagram", {"j_perp": [0.0, -0.0, 5e-324, 0.1], "jz": [-0.1, 0.1, 3.5]})
+    assert_rows_match_oracle(out, PORTRAIT.header, portrait_oracle(
+        flows, lambda start: tags.get((start.jx, start.jz), "")))
+    assert ",StrongCoupling,\n" in out.read_text()  # empty tag
+    # jx = jy starts take the closed form, the others integrate_flow
+    out = run_task("flow", {"jx": [0.0, -0.0, 1e17, 5e-324], "jy": [0.0, 1e-300, 1e17],
+                            "jz": [-0.0, -1e17]})
+    assert len(flows) == 24 and 0 < sum(s.jx == s.jy for s, _, _ in flows) < 24
+    assert_flow_matches_oracle(out, flows)
+    assert ",CutoffReached,,,trace_" in (out / "index.csv").read_text()  # no l*, jz*
+    out = run_task("matching", {"n": [2, 4, 24, 2, 4, 24, 2, 4, 24, 2, 4, 24]})
+    assert_rows_match_oracle(out, MATCHING.header, values)
+    out = run_task("census", {"L": [4, 6, 8, 10], "weight": [0, 1, 2, 3]})
+    assert_rows_match_oracle(out, CENSUS.header, values)
+    assert "\n0,-12,adversarial,0,-12,12\n" in out.read_text()
+    assert ",100000000000000000000,report,100000000000000000000," in out.read_text()
 
 
 def test_lifetime_rows_on_edge_values(tmp_path, monkeypatch):
@@ -423,86 +539,78 @@ def test_lifetime_rows_on_edge_values(tmp_path, monkeypatch):
             "jz_star": [-12, 1e17], "temperature": [0.0, 1.7976931348623157e308]}
     cfg = validate_config(lifetime_config(tmp_path / "life.csv", axes=axes, params={"z": 1}))
     run(cfg)
-    assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, edge_rows(cfg)))
+    assert_rows_match_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, edge_rows(cfg)))
     text = (tmp_path / "life.csv").read_text()
     assert text.count("\n-12,-0,0,") == 2  # one row per L
     assert text.count("\n1e+17,100000000000000000000,1.7976931348623157e+308,") == 2
     axes = {"L": [4, 10**20], "epsilon": [0.5, 5e-324], "lambda": [0, -0.0], "s": [1, 0.5]}
     cfg = validate_config(lifetime_config(tmp_path / "runaway.csv", axes=axes, params={"z": 1}))
     run(cfg)
-    assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, edge_rows(cfg)))
+    assert_rows_match_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, edge_rows(cfg)))
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 from test_rg_flow import rk45_flow  # noqa: E402
 
+HEADERS = {"trace": TRACE_HEADER, **{name: task.header for name, task in sweeps.TASKS.items()}}
 
-def flow_index_oracle(terminals):
-    """The index rows of flows that gave ``terminals`` (start, terminal), in
-    order, with each l_star and jz_star as evaluated (None if it has none)."""
-    rows = []
-    for tid, (start, terminal) in enumerate(terminals):
-        l_star = terminal.l_star if isinstance(terminal, StrongCoupling) else None
-        jz_star = terminal.j_star.jz if isinstance(terminal, Localized) else None
-        rows.append((tid, start.jx, start.jy, start.jz, type(terminal).__name__, l_star,
-                     jz_star, f"trace_{tid:04d}.csv"))
-    return rows
+
+def header_task(header) -> str:
+    """The task whose header ``header`` ends with ("trace" for a flow's trace
+    file); a lifetime header leads with its swept axes."""
+    [name] = [n for n, h in HEADERS.items() if tuple(header)[-len(h):] == h]
+    return name
 
 
 def run_workload_checked(tmp_path, monkeypatch, workload: str, seed: int) -> Counter:
     """Run the benchmark's ``workload`` configs for ``seed``, holding every
-    file written byte-equal to the oracle; returns the files per template."""
-    write_rows, integrate, closed = sweeps._write_rows, sweeps.integrate_flow, sweeps.symmetric_flow
-    templates, terminals = Counter(), []
+    file written byte-equal to the oracle of the values its physics calls
+    gave; returns the files written per header, named by ``header_task``."""
+    write_rows, files = sweeps._write_rows, Counter()
 
-    def checked(path, header, rows, *, template):
-        write_rows(path, header, rows, template=template)
-        templates[template] += 1
-        if template not in (LIFETIME.template, FLOW.template):  # cells as evaluated
-            assert_template_matches_oracle(Path(path), header, rows)
-
-    def traced(start, options):
-        trace = integrate(start, options)
-        terminals.append((start, trace.terminal))
-        return trace
-
-    def traced_closed(j_perp, jz, options):  # a jx = jy start, or a portrait's
-        samples, terminal = closed(j_perp, jz, options)
-        terminals.append((CouplingVector(j_perp, j_perp, jz), terminal))
-        return samples, terminal
+    def checked(*args):  # the benchmark's tracer unpacks three positional arguments
+        path, header, rows = args
+        assert isinstance(rows, list)  # and takes their len
+        write_rows(*args)
+        files[header_task(header)] += 1
 
     monkeypatch.setattr(sweeps, "_write_rows", checked)
-    monkeypatch.setattr(sweeps, "integrate_flow", traced)
-    monkeypatch.setattr(sweeps, "symmetric_flow", traced_closed)
+    flows = record_flows(monkeypatch, sweeps.integrate_flow, sweeps.symmetric_flow)
+    values = record_values(monkeypatch, sweeps.wick.matching_sum,
+                           sweeps.surface_code.failure_census)
     for call in workloads.build(workload, seed):
         cfg = validate_config({**call.config, "output_path": str(tmp_path / call.out)})
-        terminals.clear()
+        flows.clear()
+        values.clear()
+        out = Path(cfg.output_path)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the j(L) >= 1e3 caution
             run(cfg)
             if cfg.task == "lifetime":
                 assert_lifetime_rows_per_point(cfg)
         if cfg.task == "flow":
-            assert_template_matches_oracle(
-                Path(cfg.output_path) / "index.csv", FLOW.header, flow_index_oracle(terminals)
-            )
-    return templates
+            assert_flow_matches_oracle(out, flows)
+        elif cfg.task == "phase_diagram":
+            assert_rows_match_oracle(out, PORTRAIT.header, portrait_oracle(
+                flows, lambda start: sweeps._separatrix_tag(start.jx, start.jz)))
+        elif cfg.task != "lifetime":
+            assert_rows_match_oracle(out, sweeps.TASKS[cfg.task].header, values)
+    return files
 
 
 @pytest.mark.parametrize("seed", [1, 7, 123])
 def test_templated_rows_on_portrait_workload(tmp_path, monkeypatch, seed):
     """Every file of the benchmark's flow_portrait configs."""
-    templates = run_workload_checked(tmp_path, monkeypatch, "flow_portrait", seed)
+    files = run_workload_checked(tmp_path, monkeypatch, "flow_portrait", seed)
     # one trace per flow start
-    assert templates == {sweeps._TRACE_ROW: 16, PORTRAIT.template: 1, FLOW.template: 1}
+    assert files == {"trace": 16, "phase_diagram": 1, "flow": 1}
 
 
 @pytest.mark.parametrize("seed", [1, 7, 123])
 @pytest.mark.parametrize(
     "workload, files",
-    [("lifetime_grid", {LIFETIME.template: 2}),
-     ("combinatorics", {MATCHING.template: 3, CENSUS.template: 10})],
+    [("lifetime_grid", {"lifetime": 2}), ("combinatorics", {"matching": 3, "census": 10})],
 )
 def test_templated_rows_on_workload(tmp_path, monkeypatch, workload, files, seed):
     """Every file of the benchmark's lifetime_grid and combinatorics configs."""
@@ -721,7 +829,7 @@ def test_lifetime_rows_are_reports_on_fresh_baths(grid):
                                "output_path": os.path.join(tmp, "life.csv")})
         run(cfg)
         reports = (fresh_report({**params, **p}) for p in grid_points(axes))
-        assert_template_matches_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, reports))
+        assert_rows_match_oracle(Path(cfg.output_path), *lifetime_oracle(cfg, reports))
 
 
 def test_census_task_matches_direct_call(tmp_path):

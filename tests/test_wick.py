@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codebath.bath import BathSpec, RegimeLabel, classify_regime, spatial_correlator
@@ -247,9 +247,14 @@ def test_lambda_bar_sq_saturates_out_of_float_range():
 @given(
     st.floats(0.0, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.6, 3.0),
 )
+# (lam tau)**2 underflows to 0.0, yet 16 lam**2 a0**4 rounds to the least subnormal, 5e-324
+@example(lam=2.0163727310224186e-164, a=1.0, a0=5.0, z=3.0)
 def test_lambda_bar_sq_in_range_is_the_plain_expression(lam, a, a0, z):
     spec = BathSpec(lam=lam, a=a, a0=a0, z=z)
     plain = 16.0 * (lam * 1.0) ** 2 / (1.0**2 * a0 ** (2.0 * (1.0 - z)) * a ** (2.0 * z))
+    if plain == 0.0 < lam:  # the plain expression underflowed: the value is its log sum
+        plain = math.exp(sum(p * math.log(x) for x, p in (
+            (16.0, 1), (lam, 2), (a0, -2.0 * (1.0 - z)), (a, -2.0 * z))))
     assert lambda_bar_sq(spec, 4) == plain
 
 
