@@ -1,4 +1,4 @@
-"""Closed-form environment functions: the bath parameters and two-point correlators.
+"""Closed-form environment functions: the bath parameters and the thermal correlator.
 
 Everything here is a pure function of a :class:`BathSpec`.  The default spec
 is in natural units (hbar = kB = 1, lengths and times of order one); a
@@ -115,14 +115,6 @@ class BathSpec:
             lam_c = _saturated(lam_c, ((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0 * tau, -1)))
         vars(self).update(regime=regime, zeta=zeta, lambda_bar_sq_base=lb,
                           critical_coupling_base=lam_c)  # frozen guards only setattr
-
-
-def spatial_correlator(spec: BathSpec, x1: float, x2: float) -> float:
-    """Equal-time correlator lam**2 / (a0**(2(1-zeta)) * |x1 - x2|**(2 zeta))."""
-    if x1 == x2:
-        raise ValueError("coincident points: correlator is singular at x1 == x2")
-    dx = abs(x1 - x2)
-    return spec.lam**2 / (spec.a0 ** (2.0 * (1.0 - spec.zeta)) * dx ** (2.0 * spec.zeta))
 
 
 def thermal_correlator(spec: BathSpec, t: float) -> float:

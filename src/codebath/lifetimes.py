@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .bath import BathSpec, RegimeLabel
-from .bath import _RANGE_ERRORS, _exp, _saturated, classify_regime
+from .bath import BathSpec, RegimeLabel, _RANGE_ERRORS, _exp, _saturated
 from .wick import check_even_L
 
 SATURATION_J = 1e3
@@ -136,11 +135,6 @@ def t2_thermal(spec: BathSpec, jz_star: float | None) -> float | None:
         t2 = math.nan
     return t2 if 0.0 < t2 < math.inf else _saturated(
         t2, ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz_star), -2)))
-
-
-def threshold_exists(z: float, s: float) -> bool:
-    """True iff z > 1/(s+1), the short-range criterion."""
-    return classify_regime(z, s) is RegimeLabel.SHORT_RANGE
 
 
 def build_report(point: CodePoint, shared: tuple | None = None) -> LifetimeReport:

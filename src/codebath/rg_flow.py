@@ -222,11 +222,11 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     return FlowTrace(samples=tuple(zip(ls, path)), terminal=terminal, invariant_drift=drift)
 
 
-def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions, ls=None):
+def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     """The flow from (j_perp, j_perp, jz) in closed form, ended as
-    ``integrate_flow`` ends it: (l, j_perp, jz) samples at the scales ``ls``
-    (if none, PORTRAIT_SAMPLES evenly spaced from 0 to the terminal's scale,
-    or the start alone if it is at the ceiling) and the terminal.
+    ``integrate_flow`` ends it: (l, j_perp, jz) samples at PORTRAIT_SAMPLES
+    scales evenly spaced from 0 to the terminal's scale (the start alone if
+    it is at the ceiling) and the terminal.
 
     c = jz**2 - j_perp**2 is conserved and djz/dl = jz**2 - c (Anderson, Yuval
     & Hamann, PRB 1, 4464 (1970)): with r = sqrt|c|, j_perp = j_perp0/w and
@@ -278,4 +278,4 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions, ls=None):
     if terminal is None:
         p, z = at(l_end)
         terminal = Localized(j_star=CouplingVector(p, p, z))
-    return tuple((l, *at(l)) for l in ls or scales), terminal
+    return tuple((l, *at(l)) for l in scales), terminal

@@ -1,4 +1,4 @@
-"""Exact combinatorics of an error string: pairing sums, path counts, the distance check.
+"""Exact combinatorics of an error string: the pairing sum and the distance check.
 
 The pairing sum is computed by an exact DP, independent of the asymptotic
 formulas of :mod:`codebath.lifetimes`: it is the desk-scale oracle they are
@@ -6,10 +6,8 @@ checked against.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .bath import _exp
 from .errors import ResourceLimitError
 
 MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the pairing-sum ceiling
@@ -85,16 +83,3 @@ def check_even_L(L) -> None:
     if not isinstance(L, int) or isinstance(L, bool) or L < 2 or L % 2:
         raise ValueError("L must be an even integer >= 2")
 
-
-def n_paths(L: int) -> int:
-    """Exact number of degenerate failure pathways, L * C(L, L/2)."""
-    check_even_L(L)
-    if L > 512:
-        raise ResourceLimitError("exact path count is guarded at L <= 512")
-    return L * math.comb(L, L // 2)
-
-
-def n_paths_stirling(L: int) -> float:
-    """Stirling form sqrt(2L/pi) * 2**L of the exact path count."""
-    check_even_L(L)
-    return _exp(0.5 * math.log(2.0 * L / math.pi) + L * math.log(2.0))

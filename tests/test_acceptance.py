@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from codebath.lifetimes import critical_coupling, threshold_exists
 from codebath.bath import BathSpec, thermal_correlator
 from codebath.rg_flow import (
     CouplingVector,
@@ -24,7 +23,7 @@ from codebath.rg_flow import (
 from codebath.surface_code import TieBreak, failure_census
 from codebath.sweeps import run as run_sweep
 from codebath.sweeps import validate_config
-from codebath.wick import MatchingProblem, matching_sum, n_paths, n_paths_stirling
+from codebath.wick import MatchingProblem, matching_sum
 
 _REGISTRY = []
 NEUTRAL_ATOM = Path(__file__).resolve().parent.parent / "examples" / "neutral_atom.json"
@@ -52,6 +51,15 @@ def _run(cid):
     assert elapsed < limit_s, f"criterion {cid} took {elapsed:.1f}s, limit {limit_s}s"
 
 
+def _task_rows(obj):
+    """The rows a sweep run of config ``obj`` writes, each as {column: cell}."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        run_sweep(validate_config({**obj, "output_path": str(out)}))
+        header, *rows = out.read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","), strict=True)) for row in rows]
+
+
 @criterion(1, 1.0, "neutral-atom preset reproduces the headline numbers exactly")
 def c01_neutral_atom():
     # the example's lifetime run at L = 100: lambda_c over hbar c is g_c = 1/(4 c tau/a)
@@ -59,11 +67,8 @@ def c01_neutral_atom():
     params = obj["params"]
     sites = params["v"] * params["tau_qec"] / params["a"]
     assert sites == 1e11, f"light-cone sites {sites!r} != 1e11"
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "neutral_atom.csv"
-        run_sweep(validate_config({**obj, "output_path": str(out)}))
-        header, row = out.read_text().splitlines()
-    lam_c = float(row.split(",")[header.split(",").index("lambda_critical")])
+    (row,) = _task_rows(obj)
+    lam_c = float(row["lambda_critical"])
     g_c = lam_c / (params["hbar"] * params["v"])
     assert g_c == 2.5e-12, f"g_c {g_c!r} != 2.5e-12"
     return f"c*tau/a = {sites:g}, g_c = {g_c:g}"
@@ -71,7 +76,12 @@ def c01_neutral_atom():
 
 @criterion(2, 1.0, "Stirling path count within [0.997, 1.005] of the exact one at L=100")
 def c02_stirling():
-    ratio = n_paths_stirling(100) / n_paths(100)
+    # at the default bath lbar^2 = 16, so j(L) is the Stirling count sqrt(2L/pi) 2**L; the
+    # exact count is L times the census's ties at weight L/2.  jz_star keeps the lifetime
+    # run in the localized channel, clear of the j(L) >= 1e3 warning
+    (life,) = _task_rows({"task": "lifetime", "axes": {"L": [100]}, "params": {"jz_star": -0.5}})
+    (census,) = _task_rows({"task": "census", "axes": {"L": [100], "weight": [50]}})
+    ratio = float(life["j_L"]) / (100 * int(census["n_tie"]))
     assert 0.997 <= ratio <= 1.005, f"ratio {ratio}"
     return f"ratio = {ratio:.6f}"
 
@@ -127,17 +137,10 @@ def c06_matching_oracle():
 
 def _per_pair_weights(ns, z):
     """The ``per_pair_weight`` column of a ``matching`` run over ``ns`` at ``z``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "matching.csv"
-        cfg = validate_config(
-            {"task": "matching", "axes": {"n": list(ns)}, "params": {"z": z},
-             "output_path": str(out)}
-        )
-        run_sweep(cfg)
-        header, *rows = out.read_text().splitlines()
-    assert header == "n,matching_sum,per_pair_weight", header
-    assert [int(row.split(",")[0]) for row in rows] == list(ns), "rows not in n order"
-    return [float(row.split(",")[2]) for row in rows]
+    rows = _task_rows({"task": "matching", "axes": {"n": list(ns)}, "params": {"z": z}})
+    assert list(rows[0]) == ["n", "matching_sum", "per_pair_weight"], list(rows[0])
+    assert [int(row["n"]) for row in rows] == list(ns), "rows not in n order"
+    return [float(row["per_pair_weight"]) for row in rows]
 
 
 @criterion(7, 60.0, "per-pair weight trends split the three regimes at n <= 16")
@@ -205,14 +208,21 @@ def c09_thermal_limits():
 
 @criterion(10, 1.0, "threshold criterion table matches z > 1/(s+1) exactly")
 def c10_threshold_table():
+    # a threshold exists exactly on ShortRange rows; jz_star keeps the run clear of the
+    # j(L) >= 1e3 warning
+    rows = _task_rows({"task": "lifetime", "axes": {"z": [0.25, 0.5, 1.0], "s": [0.5, 1.0],
+                                                     "L": [8, 64]}, "params": {"jz_star": -0.5}})
+    by_bath = {}
+    for row in rows:
+        by_bath.setdefault((float(row["z"]), float(row["s"])), {})[int(row["L"])] = row
     cells = []
     for z in (0.25, 0.5, 1.0):
         for s in (0.5, 1.0):
             expected = z > 1.0 / (s + 1.0)
-            got = threshold_exists(z, s)
+            at = by_bath[(z, s)]
+            got = at[8]["regime"] == "ShortRange"
             assert got == expected, f"(z={z}, s={s}): {got} != {expected}"
-            spec = BathSpec(z=z, s=s)
-            indep = critical_coupling(spec, 8) == critical_coupling(spec, 64)
+            indep = float(at[8]["lambda_critical"]) == float(at[64]["lambda_critical"])
             assert indep == got, f"(z={z}, s={s}): lam_c L-dependence mismatch"
             cells.append(f"({z},{s})={'T' if got else 'F'}")
     return " ".join(cells)

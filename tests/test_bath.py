@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebath.bath import (
-    BathSpec,
-    RegimeLabel,
-    spatial_correlator,
-    thermal_correlator,
-)
+from codebath.bath import BathSpec, RegimeLabel, thermal_correlator
 
 NAT = BathSpec()  # natural units, unit parameters
 
@@ -53,24 +48,30 @@ def test_replace_rederives_regime_zeta_and_bases():
         assert vars(moved) == vars(BathSpec(z=z, s=0.5, a=2.0))
 
 
+def spatial(spec: BathSpec) -> float:
+    """The equal-time correlator lam**2 / (a0**(2(1-zeta)) |x|**(2 zeta)) at the
+    pitch x = a, read off the contraction base 16 (tau / hbar)**2 times it."""
+    return spec.lambda_bar_sq_base * (spec.hbar / spec.tau_qec) ** 2 / 16.0
+
+
 def test_spatial_examples():
-    assert spatial_correlator(NAT, 0.0, 2.0) == pytest.approx(0.25)
-    assert spatial_correlator(BathSpec(z=0.37), 0.0, 1.0) == pytest.approx(1.0)
-    assert spatial_correlator(BathSpec(z=0.5, a0=4.0), 0.0, 1.0) == pytest.approx(0.25)
+    assert spatial(BathSpec(a=2.0)) == pytest.approx(0.25)
+    assert spatial(BathSpec(z=0.37)) == pytest.approx(1.0)
+    assert spatial(BathSpec(z=0.5, a0=4.0)) == pytest.approx(0.25)
 
 
 def test_spatial_coincident_raises():
-    with pytest.raises(ValueError):
-        spatial_correlator(NAT, 2.0, 2.0)
+    # the correlator is singular at zero separation, so the bath refuses a zero pitch
+    with pytest.raises(ValueError, match="a must be positive"):
+        BathSpec(a=0.0)
 
 
 @pytest.mark.parametrize("z", [0.25, 0.5, 1.0])
 def test_spatial_loglog_slope(z):
-    spec = BathSpec(z=z, a0=0.7)
     x1, x2 = 1.5, 37.0
     slope = (
-        math.log(spatial_correlator(spec, 0.0, x2))
-        - math.log(spatial_correlator(spec, 0.0, x1))
+        math.log(spatial(BathSpec(z=z, a0=0.7, a=x2)))
+        - math.log(spatial(BathSpec(z=z, a0=0.7, a=x1)))
     ) / (math.log(x2) - math.log(x1))
     assert slope == pytest.approx(-2.0 * z, abs=1e-9)
 

@@ -22,7 +22,6 @@ from codebath.lifetimes import (
     j_of_L,
     lambda_bar_sq,
     t2_thermal,
-    threshold_exists,
 )
 from codebath.cli import main
 from codebath.rg_flow import CouplingVector, StrongCoupling, integrate_flow
@@ -381,7 +380,7 @@ def test_lambda_c_is_L_independent_exactly_when_a_threshold_exists(z_s):
     spec = BathSpec(z=z, s=s, a=2.0)
     assert spec.regime is classify_regime(z, s)
     same = critical_coupling(spec, 8) == critical_coupling(spec, 64)
-    assert same == threshold_exists(z, s)
+    assert same == (spec.regime is RegimeLabel.SHORT_RANGE)
 
 
 def test_t_comp_subohmic_values():
@@ -395,10 +394,7 @@ def test_t_comp_subohmic_values():
 def test_threshold_exists_grid():
     for z in (0.25, 0.5, 1.0):
         for s in (0.5, 1.0):
-            assert threshold_exists(z, s) == (z > 1.0 / (s + 1.0))
-            assert threshold_exists(z, s) == (
-                classify_regime(z, s) is RegimeLabel.SHORT_RANGE
-            )
+            assert (classify_regime(z, s) is RegimeLabel.SHORT_RANGE) == (z > 1.0 / (s + 1.0))
 
 
 def test_critical_coupling_short_range():
@@ -506,7 +502,6 @@ def test_build_report_afm():
     assert rep.t_comp_over_tau == pytest.approx(0.01 * rep.t_K_over_tau, rel=1e-12)
     assert rep.t_comp_over_tau <= rep.t_K_over_tau * point.epsilon * (1 + 1e-12)
     assert rep.gamma_korringa == 0.0 and rep.t2_thermal == math.inf  # T = 0 sentinel
-    assert threshold_exists(point.spec.z, point.spec.s)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(BathSpec)])
@@ -557,9 +552,8 @@ def test_build_report_subohmic():
     rep = build_report(point)
     j = rep.j_L
     assert rep.t_comp_over_tau == pytest.approx(0.01 * (1.0 / j) ** 2.0, rel=1e-9)
-    assert threshold_exists(point.spec.z, point.spec.s)  # z = 1 > 1/(s+1) = 2/3
-    sub_long = BathSpec(z=0.5, s=0.5, lam=0.01)
-    assert not threshold_exists(sub_long.z, sub_long.s)
+    assert rep.regime is RegimeLabel.SHORT_RANGE  # z = 1 > 1/(s+1) = 2/3
+    assert BathSpec(z=0.5, s=0.5, lam=0.01).regime is RegimeLabel.LONG_RANGE
 
 
 # z on, or within 1e-11 of, the s = 1 boundary 1/2 or the point's own 1/(s+1)
@@ -619,8 +613,8 @@ def test_build_report_reads_the_regime_its_bath_decided(monkeypatch):
     def refuse(*_):
         raise AssertionError("classify_regime called after the bath was built")
 
-    for module in (bath, lifetimes):
-        monkeypatch.setattr(module, "classify_regime", refuse)
+    for module in (bath, lifetimes):  # lifetimes imports no classify_regime of its own
+        monkeypatch.setattr(module, "classify_regime", refuse, raising=False)
     assert [list(map(repr, build_report(point))) for point in points] == before
 
 

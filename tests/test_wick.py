@@ -6,16 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codebath.bath import BathSpec, RegimeLabel, classify_regime, spatial_correlator
+from codebath.bath import BathSpec, RegimeLabel, classify_regime
 from codebath.errors import ResourceLimitError
-from codebath.lifetimes import lambda_bar_sq
-from codebath.wick import (
-    MatchingProblem,
-    check_matching_ceiling,
-    matching_sum,
-    n_paths,
-    n_paths_stirling,
-)
+from codebath.lifetimes import j_of_L, lambda_bar_sq
+from codebath.surface_code import failure_census
+from codebath.wick import MatchingProblem, check_matching_ceiling, matching_sum
 
 
 # brute-force oracle: the (n-1)!! recursion pairs the smallest unmatched site
@@ -281,14 +276,15 @@ SHORT, CRITICAL, LONG = RegimeLabel.SHORT_RANGE, RegimeLabel.CRITICAL, RegimeLab
     (0.51, 0.5, LONG),  # between 1/2 and 1/(s+1)
 ])
 def test_lambda_bar_sq_follows_the_summed_correlator(z, s, regime):
-    # sum the equal-time correlator over the separations 1..L directly: it is
-    # bounded, grows like ln L or like L**(1-2 zeta), and its ratio to the
-    # contraction weight must level off in L
+    # sum the equal-time correlator lam**2 / (a0**(2(1-zeta)) |x|**(2 zeta)) over
+    # the separations 1..L directly: it is bounded, grows like ln L or like
+    # L**(1-2 zeta), and its ratio to the contraction weight must level off in L
     spec = BathSpec(z=z, s=s, a=2.0)
     assert spec.regime is regime
+    lam, a0, zeta = spec.lam, spec.a0, spec.zeta
     total, ratios = 0.0, []
     for x in range(1, 2**14 + 1):
-        total += spatial_correlator(spec, 0, x)
+        total += lam**2 / (a0 ** (2.0 * (1.0 - zeta)) * x ** (2.0 * zeta))
         if x >= 2 and not x & (x - 1):
             ratios.append(total / lambda_bar_sq(spec, x))
     steps = [abs(b / a - 1.0) for a, b in zip(ratios, ratios[1:])]
@@ -296,36 +292,22 @@ def test_lambda_bar_sq_follows_the_summed_correlator(z, s, regime):
     assert steps[-1] < 0.025
 
 
-def pascal_binomial(n, k):
-    row = [1]
-    for _ in range(n):
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    return row[k]
+def stirling_over_exact(L):
+    # at the default bath lbar^2 = 16, so (lbar^2)**(L/4) = 2**L and j(L) is the Stirling
+    # form sqrt(2L/pi) 2**L of the L C(L, L/2) failure paths: L times the census's ties
+    return j_of_L(BathSpec(), L) / (L * failure_census(L, L // 2).n_tie)
 
 
 def test_n_paths_small_values():
-    assert n_paths(2) == 4
-    assert n_paths(4) == 24
-
-
-def test_n_paths_matches_pascal_triangle():
-    for L in range(2, 65, 2):
-        assert n_paths(L) == L * pascal_binomial(L, L // 2)
-
-
-def test_n_paths_guards():
-    with pytest.raises(ValueError):
-        n_paths(5)
-    with pytest.raises(ResourceLimitError):
-        n_paths(514)
+    assert [L * failure_census(L, L // 2).n_tie for L in (2, 4)] == [4, 24]
 
 
 def test_stirling_ratio():
-    ratio = n_paths_stirling(100) / n_paths(100)
+    ratio = stirling_over_exact(100)
     assert ratio == pytest.approx(1.0025, abs=5e-4)
     assert 0.997 <= ratio <= 1.005
     # convergence toward 1 with growing L
-    assert abs(n_paths_stirling(400) / n_paths(400) - 1) < abs(ratio - 1)
+    assert abs(stirling_over_exact(400) - 1) < abs(ratio - 1)
 
 
 def test_classify_regime_examples():
