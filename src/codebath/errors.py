@@ -14,4 +14,3 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-        self.message = message

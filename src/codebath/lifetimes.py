@@ -20,9 +20,14 @@ from enum import Enum
 from typing import NamedTuple
 
 from .bath import BathSpec, RegimeLabel, _RANGE_ERRORS, _exp, _saturated
-from .wick import check_even_L
 
 SATURATION_J = 1e3
+
+
+def check_even_L(L) -> None:
+    """Raise ValueError unless L is an even integer >= 2 (a code distance)."""
+    if not isinstance(L, int) or isinstance(L, bool) or L < 2 or L % 2:
+        raise ValueError("L must be an even integer >= 2")
 
 
 class Phase(Enum):

@@ -1,4 +1,4 @@
-"""Exact combinatorics of an error string: the pairing sum and the distance check.
+"""Exact combinatorics of an error string: the pairing sum.
 
 The pairing sum is computed by an exact DP, independent of the asymptotic
 formulas of :mod:`codebath.lifetimes`: it is the desk-scale oracle they are
@@ -76,10 +76,3 @@ def check_matching_ceiling(n: int) -> None:
     """Raise ResourceLimitError when n sites are more than the pairing sum takes."""
     if n > MATCHING_HARD_LIMIT:
         raise ResourceLimitError(f"n = {n} above pairing-sum ceiling {MATCHING_HARD_LIMIT}")
-
-
-def check_even_L(L) -> None:
-    """Raise ValueError unless L is an even integer >= 2 (a code distance)."""
-    if not isinstance(L, int) or isinstance(L, bool) or L < 2 or L % 2:
-        raise ValueError("L must be an even integer >= 2")
-

@@ -517,10 +517,10 @@ def test_every_bath_field_reaches_the_report(name):
 
 
 def _flow_index(tmp_path, j_perp, jz):
-    """Rows of the index.csv a `codebath flow` run over one start grid writes."""
+    """Rows of the index.csv a `flow` run over one start grid writes."""
     cfg = tmp_path / "flow.json"
     cfg.write_text(json.dumps({"task": "flow", "axes": {"j_perp": j_perp, "jz": jz}}))
-    assert main(["flow", "--config", str(cfg), "--out", str(tmp_path / "flows")]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "flows")]) == 0
     with open(tmp_path / "flows" / "index.csv", newline="") as fh:
         return list(csv.DictReader(fh))
 

@@ -923,7 +923,7 @@ def test_flow_closed_form_starts_match_rk45(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(sweeps, "integrate_flow", counted_flow)
     out, cfg = tmp_path / "flows", _CLOSED_FORM_CONFIGS[name]
-    assert main(["flow", "--config", write_config(
+    assert main(["sweep", "--config", write_config(
         tmp_path, {"task": "flow", **cfg, "output_path": str(out)})]) == 0
     opts = sweeps._flow_options(cfg["params"])
     symmetric, labels = 0, set()
@@ -1040,7 +1040,7 @@ def test_phase_diagram_cli_labels_separatrix(tmp_path):
     out = tmp_path / "portrait.csv"
     cfg = {"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [-0.1, 0.1, -0.3]},
            "params": {"l_max": 30.0}, "output_path": str(out)}
-    assert main(["phase-diagram", "--config", write_config(tmp_path, cfg)]) == 0
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
     tags = {row[0]: row[5] for row in read_rows(out)[1:]}
     assert tags == {"0": "jz=-jperp", "1": "jz=+jperp", "2": ""}
 
@@ -1079,7 +1079,7 @@ def test_phase_diagram_cli_range_guard(tmp_path, capsys):
     out = tmp_path / "portrait.csv"
     cfg = {"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [-4.0]},
            "output_path": str(out)}
-    assert main(["phase-diagram", "--config", write_config(tmp_path, cfg)]) == 2
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
     assert "axes.jz[0]" in capsys.readouterr().err
     assert not out.exists()
 
@@ -1122,8 +1122,8 @@ def test_overwrite_refused_before_any_point_is_evaluated(tmp_path, monkeypatch):
     out.write_text("kept\n")
     monkeypatch.setitem(sweeps.TASKS, "lifetime", dataclasses.replace(LIFETIME, evaluate=unaffordable))
     cfg_path = write_config(tmp_path, lifetime_config(out))
-    assert main(["lifetime", "--config", cfg_path]) == 4  # before the point's own exit 3
-    assert main(["lifetime", "--config", cfg_path, "--force"]) == 3
+    assert main(["sweep", "--config", cfg_path]) == 4  # before the point's own exit 3
+    assert main(["sweep", "--config", cfg_path, "--force"]) == 3
     assert out.read_text() == "kept\n"
 
 
@@ -1139,7 +1139,7 @@ def test_unwritable_output_path_refused_before_any_point_is_evaluated(
                         dataclasses.replace(sweeps.TASKS[task], evaluate=unaffordable))
     cfg = {"task": task, "axes": {"L": [4]} if task == "lifetime" else {"jz": [0.1]},
            "output_path": str(tmp_path / name)}
-    assert main([task, "--config", write_config(tmp_path, cfg)]) == 2
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["cfg.json"]
 
@@ -1162,7 +1162,7 @@ def test_unusable_output_path_refused_before_any_point_is_evaluated(
     out = str(tmp_path / name)
     cfg = {"task": task, "axes": {"L": [4]} if task == "lifetime" else {"jz": [0.1]},
            "output_path": out}
-    argv = [task, "--config", write_config(tmp_path, cfg), *["--force"] * force]
+    argv = ["sweep", "--config", write_config(tmp_path, cfg), *["--force"] * force]
     assert main(argv) == 4  # before the point's own exit 3
     err = capsys.readouterr().err
     assert err.startswith("io error: ") and out in err and ".tmp" not in err
@@ -1173,7 +1173,7 @@ def test_unusable_output_path_refused_before_any_point_is_evaluated(
 def test_flow_traces_go_into_missing_directories(tmp_path):
     out = tmp_path / "new" / "deep" / "traces"
     cfg = {"task": "flow", "axes": {"jz": [0.1]}, "output_path": str(out)}
-    assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 0
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
     assert sorted(os.listdir(out)) == ["index.csv", "trace_0000.csv"]
 
 
@@ -1198,7 +1198,7 @@ def test_output_that_appears_during_evaluation_is_refused(tmp_path, monkeypatch)
 def test_cli_lifetime_roundtrip(tmp_path, capsys):
     out = tmp_path / "cli.csv"
     cfg_path = write_config(tmp_path, lifetime_config(out))
-    assert main(["lifetime", "--config", cfg_path]) == 0
+    assert main(["sweep", "--config", cfg_path]) == 0
     assert out.exists()
     assert str(out) in capsys.readouterr().out
 
@@ -1213,7 +1213,7 @@ def test_cli_out_override(tmp_path):
     out = tmp_path / "orig.csv"
     other = tmp_path / "override.csv"
     cfg_path = write_config(tmp_path, lifetime_config(out))
-    assert main(["lifetime", "--config", cfg_path, "--out", str(other)]) == 0
+    assert main(["sweep", "--config", cfg_path, "--out", str(other)]) == 0
     assert other.exists() and not out.exists()
 
 
@@ -1223,20 +1223,20 @@ def test_cli_out_override(tmp_path):
 def test_derived_bath_values_are_not_params(tmp_path, capsys, name):
     # a bath derives these when built; they are not fields, so no config sets them
     cfg = lifetime_config(tmp_path / "x.csv", params={"lambda": 0.05, name: 1.0})
-    assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 2
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
     assert f"params.{name}" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, {"task": "lifetime", "output_path": "x.csv"})
-    assert main(["lifetime", "--config", cfg_path]) == 2
+    assert main(["sweep", "--config", cfg_path]) == 2
 
 
 def test_cli_refuses_workers_flag(tmp_path, capsys):
     out = tmp_path / "x.csv"
     cfg_path = write_config(tmp_path, lifetime_config(out))
     with pytest.raises(SystemExit) as exc:
-        main(["lifetime", "--config", cfg_path, "--workers", "2"])
+        main(["sweep", "--config", cfg_path, "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert not out.exists()
@@ -1246,11 +1246,11 @@ def test_cli_main_repeated_in_one_process(tmp_path, capsys):
     """One parser serves every call; a parse error or --help between calls
     leaves the next call's exit code, output and file bytes as they were."""
     out = tmp_path / "x.csv"
-    argv = ["lifetime", "--config", write_config(tmp_path, lifetime_config(out)), "--force"]
+    argv = ["sweep", "--config", write_config(tmp_path, lifetime_config(out)), "--force"]
     assert main(argv) == 0
     first = out.read_bytes(), capsys.readouterr()
     for bad, code in (
-        (argv + ["--workers", "2"], 2), (["--help"], 0), (["lifetime", "--help"], 0),
+        (argv + ["--workers", "2"], 2), (["--help"], 0), (["sweep", "--help"], 0),
         (["teleport"], 2), ([], 2),
     ):
         with pytest.raises(SystemExit) as exc:
@@ -1264,7 +1264,7 @@ def test_cli_main_repeated_in_one_process(tmp_path, capsys):
 
 def test_cli_unsquarable_flow_start_exit_code(tmp_path, capsys):
     cfg = {"task": "flow", "axes": {"jz": [1e160]}, "output_path": str(tmp_path / "f")}
-    assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 2
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
     assert "axes.jz[0]" in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
 
@@ -1277,22 +1277,28 @@ def test_cli_unsquarable_flow_start_exit_code(tmp_path, capsys):
     (None, "$: --config is required"),
 ], ids=["negative-lambda", "zero-rel-tol", "json-list", "no-config"])
 def test_cli_config_refusals(tmp_path, capsys, cfg, message):
-    argv = ["lifetime"] if cfg is None else ["sweep", "--config", write_config(tmp_path, cfg)]
+    argv = ["sweep"] if cfg is None else ["sweep", "--config", write_config(tmp_path, cfg)]
     assert main(argv) == 2
     assert f"config error: {message}" in capsys.readouterr().err
 
 
-def test_cli_config_without_task_runs_as_its_subcommand(tmp_path):
-    out = tmp_path / "x.csv"
-    cfg = lifetime_config(out)
+def test_cli_config_without_task_refused(tmp_path, capsys):
+    # the config alone names its task: no command supplies a missing one
+    cfg = lifetime_config(tmp_path / "x.csv")
     del cfg["task"]
-    assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 0
-    assert read_rows(out)[0] == ["z", *LIFETIME_FIELDS]
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "config error: task: required" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-def test_cli_task_mismatch(tmp_path):
+@pytest.mark.parametrize("command", ["flow", "phase-diagram", "matching", "census", "lifetime"])
+def test_cli_task_names_are_not_commands(tmp_path, capsys, command):
     cfg_path = write_config(tmp_path, lifetime_config(tmp_path / "x.csv"))
-    assert main(["census", "--config", cfg_path]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_cli_resource_limit_exit_code(tmp_path):
@@ -1301,7 +1307,7 @@ def test_cli_resource_limit_exit_code(tmp_path):
         "axes": {"n": [26]},
         "output_path": str(tmp_path / "big.csv"),
     }
-    assert main(["matching", "--config", write_config(tmp_path, cfg)]) == 3
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
     assert not (tmp_path / "big.csv").exists()
 
 
@@ -1310,7 +1316,7 @@ def test_cli_matching_refuses_negative_z(tmp_path, capsys, n, z):
     # the weights |x_i - x_j|**(-2z) overflow for z < 0
     out = tmp_path / "m.csv"
     cfg = {"task": "matching", "axes": {"n": n}, "params": {"z": z}, "output_path": str(out)}
-    assert main(["matching", "--config", write_config(tmp_path, cfg)]) == 2
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
     assert "params.z: z must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
@@ -1318,7 +1324,7 @@ def test_cli_matching_refuses_negative_z(tmp_path, capsys, n, z):
 def test_cli_census_above_ceiling(tmp_path, capsys):
     out = tmp_path / "big.csv"
     cfg = {"task": "census", "axes": {"L": [20000], "weight": [10000]}, "output_path": str(out)}
-    assert main(["census", "--config", write_config(tmp_path, cfg)]) == 3
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
     assert "L = 20000 above census ceiling 10000" in capsys.readouterr().err
     assert not out.exists()
 
@@ -1341,7 +1347,7 @@ def test_cli_flow_resting_on_j_min(tmp_path):
     out = tmp_path / "rest"
     cfg = {"task": "flow", "axes": {"jx": [0.0625]}, "params": {"j_min": 0.0625},
            "output_path": str(out)}
-    assert main(["flow", "--config", write_config(tmp_path, cfg)]) == 0
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
     assert read_rows(out / "index.csv")[1][4] == "CutoffReached"
 
 
@@ -1355,7 +1361,7 @@ def test_cli_overflowing_coupling_saturates(tmp_path, s, jz_star):
     out = tmp_path / "overflow.csv"
     axes = {"L": [4, 64], "z": [1.0, 0.5, 0.25], "temperature": [0.0, 0.5]}
     cfg_path = write_config(tmp_path, lifetime_config(out, axes=axes, params=params))
-    assert main(["lifetime", "--config", cfg_path]) == 0
+    assert main(["sweep", "--config", cfg_path]) == 0
     assert "nan" not in out.read_text()
 
 
@@ -1363,7 +1369,7 @@ def test_cli_lifetime_window_below_float_range_writes_zero(tmp_path):
     # t_K = (1/j)**2 and t_comp = eps (1/j)**2 underflow at L = 2000: a saturated 0, not a refusal
     out = tmp_path / "underflow.csv"
     cfg = lifetime_config(out, axes={"L": [200, 2000]}, params={"s": 0.5, "lambda": 0.5})
-    assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 0
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
     header, small, large = read_rows(out)
     windows = [header.index("t_K_over_tau"), header.index("t_comp_over_tau")]
     assert all(float(small[i]) > 0 for i in windows)
@@ -1387,7 +1393,7 @@ def test_cli_out_of_range_magnitudes_saturate(tmp_path, params, expected):
     cfg = lifetime_config(out, axes={"L": [4]}, params=params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # j(L) >= 1e3 where a denominator underflows
-        assert main(["lifetime", "--config", write_config(tmp_path, cfg)]) == 0
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
     header, row = read_rows(out)
     assert "nan" not in row
     assert {name: row[header.index(name)] for name in expected} == expected
@@ -1400,7 +1406,7 @@ def test_cli_census_large_L(tmp_path):
         "axes": {"L": [22], "weight": [2, 11]},
         "output_path": str(out),
     }
-    assert main(["census", "--config", write_config(tmp_path, cfg)]) == 0
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
     assert read_rows(out)[1:] == [
         ["22", "2", "report", "231", "0", "0"],
         ["22", "11", "report", "0", "0", str(math.comb(22, 11))],
@@ -1410,19 +1416,19 @@ def test_cli_census_large_L(tmp_path):
 def test_cli_overwrite_exit_code(tmp_path):
     out = tmp_path / "c.csv"
     cfg_path = write_config(tmp_path, lifetime_config(out))
-    assert main(["lifetime", "--config", cfg_path]) == 0
-    assert main(["lifetime", "--config", cfg_path]) == 4
-    assert main(["lifetime", "--config", cfg_path, "--force"]) == 0
+    assert main(["sweep", "--config", cfg_path]) == 0
+    assert main(["sweep", "--config", cfg_path]) == 4
+    assert main(["sweep", "--config", cfg_path, "--force"]) == 0
 
 
 def test_cli_missing_config(tmp_path):
-    assert main(["lifetime", "--config", str(tmp_path / "absent.json")]) == 2
+    assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
 
 
 def test_cli_invalid_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["lifetime", "--config", str(bad)]) == 2
+    assert main(["sweep", "--config", str(bad)]) == 2
 
 
 @pytest.mark.parametrize("content, message", [
@@ -1433,6 +1439,6 @@ def test_cli_invalid_json(tmp_path):
 def test_cli_undecodable_config_refused_at_root(tmp_path, capsys, content, message):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
-    assert main(["lifetime", "--config", str(bad)]) == 2
+    assert main(["sweep", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: $: invalid JSON: ") and message in err, err
