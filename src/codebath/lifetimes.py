@@ -142,15 +142,12 @@ def t2_thermal(spec: BathSpec, jz_star: float | None) -> float | None:
         t2, ((hbar, 1), (2.0 * math.pi, -1), (kB, -1), (T, -1), (abs(jz_star), -2)))
 
 
-def build_report(point: CodePoint, shared: tuple | None = None) -> LifetimeReport:
+def build_report(point: CodePoint) -> LifetimeReport:
     """Evaluate every applicable formula for one point and bundle the results,
     under the regime its bath decided when it was built: without jz* the runaway
-    pair t_K/tau and t_comp/tau, with it the localized memory time t_mem/tau.
-    ``shared`` is (j(L), its Korringa rate, lambda_c) on the point's bath, the same
-    for every epsilon and jz*, computed here when not given."""
+    pair t_K/tau and t_comp/tau, with it the localized memory time t_mem/tau."""
     spec, L = point.spec, point.L
-    j_L = shared[0] if shared else j_of_L(spec, L)
-    _, gamma, lam_c = shared or (j_L, gamma_korringa(spec, j_L), critical_coupling(spec, L))
+    j_L = j_of_L(spec, L)
     jz, localized = point.jz_star, point.jz_star is not None
     t_K = t_comp = t_mem = None
     if localized:
@@ -167,4 +164,4 @@ def build_report(point: CodePoint, shared: tuple | None = None) -> LifetimeRepor
         t_comp = t_comp_over_tau(point.epsilon, t_K, spec.s, j_L)
     return LifetimeReport(
         spec.regime, Phase.FERROMAGNETIC if localized else Phase.ANTIFERROMAGNETIC, L, j_L, t_K,
-        t_comp, t_mem, gamma, t2_thermal(spec, jz), lam_c)
+        t_comp, t_mem, gamma_korringa(spec, j_L), t2_thermal(spec, jz), critical_coupling(spec, L))

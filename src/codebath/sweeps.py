@@ -5,17 +5,17 @@ and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
 pure function of the config.  Evaluation is a serial map over grid points, each a
 closed form of at most about a millisecond, too little work for a process pool to
-pay for itself.  A lifetime run's grid points are its code distances L, each one
-block of every (epsilon, jz_star) pair by every bath (built once per run), bath
-fastest: L sorts first and the bath axes last.  A lifetime cell is computed and
+pay for itself.  A lifetime run's grid points are its code distances L, each
+evaluated with the run's one block of every (epsilon, jz_star) pair by every bath,
+bath fastest: L sorts first and the bath axes last.  A lifetime cell is computed and
 formatted where it varies: one ``build_report`` per (L, bath), the pair and T2 cells
 once per run, t_comp per row.  A value naming a field of ``FlowOptions`` or
 ``BathSpec``, all floats, enters it through ``float``.  The config key
-``parallelism`` is validated and not stored, and ``run``'s ``workers``
-keyword (the CLI has no flag for it) is accepted and unused, so outputs are
-byte-identical for any value of either.  Each file is written under a unique
-temporary name and atomically renamed, so an interrupted run leaves no
-partial output.  Each evaluator returns its rows as finished lines (floats as ``%.17g``,
+``parallelism`` and ``flow``'s ``abs_tol`` and ``rel_tol`` are validated and not
+stored, and ``run``'s ``workers`` keyword (the CLI has no flag for it) is accepted
+and unused, so outputs are byte-identical for any of their values.  Each file is
+written under a unique temporary name and atomically renamed, so an interrupted run
+leaves no partial output.  Each evaluator returns its rows as finished lines (floats as ``%.17g``,
 integers in full, enums by value, an absent Optional float empty), which are written
 as they are; a lifetime row is led by its axis cells, config values formatted once per
 run by ``format_cell``.  No cell needs quoting: none holds a comma, quote or newline.
@@ -23,6 +23,7 @@ run by ``format_cell``.  No cell needs quoting: none holds a comma, quote or new
 from __future__ import annotations
 
 import fnmatch
+import functools
 import itertools
 import json
 import math
@@ -246,6 +247,7 @@ def _write_rows(path: str, header: list[str], rows: list[str]) -> None:
 
 
 _FLOW_PARAMS = {f.name for f in fields(FlowOptions)}
+_RTOL_MIN = 100 * sys.float_info.epsilon  # the floor a flow config keeps on rel_tol
 
 
 def _flow_options(values: dict) -> FlowOptions:
@@ -259,13 +261,6 @@ def _portrait_options(values: dict) -> FlowOptions:
 
 
 _BATH_NAMES = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(BathSpec)}
-_BATH_AXIS = "~bath"  # a lifetime run's block of (epsilon, jz_star) pairs and baths; sorts last
-
-
-def _product(build, params: dict, axes: dict) -> list:
-    """``build`` of the params updated by each combination of ``axes``, the last fastest."""
-    return [build({**params, **dict(zip(axes, vs))}) for vs in itertools.product(*axes.values())]
-
 
 def _bath(values: dict) -> BathSpec:
     """A bath from config names (``lambda`` for ``lam``)."""
@@ -308,8 +303,13 @@ def _flow_start(values: dict) -> CouplingVector:
 
 
 def _check_flow(values: dict) -> None:
+    """A flow's options and start, and its tolerances, which no closed form reads."""
     _flow_options(values)
     check_start(_flow_start(values))
+    if values.get("abs_tol", 1) <= 0 or values.get("rel_tol", 1) <= 0:
+        raise ValueError("tolerances must be positive")
+    if values.get("rel_tol", 1) < _RTOL_MIN:
+        raise ValueError(f"rel_tol must be >= {_RTOL_MIN!r} (100 float epsilons)")
 
 
 def _eval_flow(params: dict, point: dict):
@@ -360,20 +360,28 @@ def _eval_census(params: dict, point: dict):
     return [f"{rec.L},{rec.weight},{rec.rule.value},{rec.n_success},{rec.n_logical},{rec.n_tie}\n"]
 
 
-def _pair_cells(pairs: list, baths: list) -> list:
-    """Each (epsilon, jz_star) pair of a lifetime run with the cells that no L changes: its
-    t_mem cell (empty in the runaway channel) and, once per jz_star, each bath's T2 cell."""
-    t2 = {jz: [format_cell(lifetimes.t2_thermal(spec, jz)) for spec in baths]
-          for jz in dict.fromkeys(jz for _, jz in pairs)}  # T2 is even in jz_star: 0.0 is -0.0
-    return [(epsilon, jz, "" if jz is None else format_cell(lifetimes.t_mem_over_tau(epsilon, jz)),
-             t2[jz]) for epsilon, jz in pairs]
+def _lifetime_block(params: dict, axes: dict) -> tuple[list, list, list]:
+    """What every L of a lifetime run shares: each (epsilon, jz_star) pair with its t_mem cell
+    (empty in the runaway channel) and each bath's T2 cell, the baths, and the lead cells."""
+    rest = {n: axes[n] for n in sorted(axes) if n != "L"}  # bath axes last: pairs by baths
+    specs = [_bath({**params, **p})
+             for p in grid_points({n: v for n, v in rest.items() if n in _BATH_NAMES})]
+    pairs, t2 = [], {}  # T2 once per jz_star; it is even in jz_star: 0.0 is -0.0
+    for p in grid_points({n: v for n, v in rest.items() if n not in _BATH_NAMES}):
+        epsilon, jz = _code_values({**params, **p})
+        if jz not in t2:
+            t2[jz] = [format_cell(lifetimes.t2_thermal(spec, jz)) for spec in specs]
+        t_mem = "" if jz is None else format_cell(lifetimes.t_mem_over_tau(epsilon, jz))
+        pairs.append((epsilon, jz, t_mem, t2[jz]))
+    cells = itertools.product(*([format_cell(v) + "," for v in vs] for vs in rest.values()))
+    return pairs, specs, list(map("".join, cells))
 
 
-def _eval_lifetime(params: dict, point: dict):
-    """One code distance's rows, each one line: its lead axis cells, the cells of one
+def _eval_lifetime(block: tuple, params: dict, point: dict):
+    """One code distance's rows, each one line: its lead cells, the cells of one
     ``build_report`` per bath at the first pair (the regime, the phase all pairs share, j(L),
     t_K, the Korringa rate and lambda_c), the pair's cells and, per row, t_comp = eps * t_K."""
-    L, (pairs, baths, leads) = {**params, **point}["L"], point[_BATH_AXIS]
+    L, (pairs, baths, leads) = {**params, **point}["L"], block
     reports = [lifetimes.build_report(lifetimes.CodePoint(L, pairs[0][0], spec, pairs[0][1]))
                for spec in baths]
     cells = [(f"{rep.regime.value},{rep.phase.value},{L},{rep.j_L:.17g},"
@@ -395,7 +403,8 @@ class Task:
     either), ``check(values)`` building the object whose rules the params and
     each axis value must pass, and ``evaluate(params, point)`` returning a grid
     point's rows under ``header``, each a finished line (``flow`` returns its index
-    cells and its trace's lines, as it writes its own traces).
+    cells and its trace's lines, as it writes its own traces; ``lifetime`` first takes
+    its run's ``_lifetime_block``).
     """
 
     axes: Collection[str]
@@ -408,12 +417,12 @@ class Task:
 
 TASKS = {
     "flow": Task(
-        {"jx", "jy", "jz", "j_perp"}, _FLOW_PARAMS, _eval_flow,
+        {"jx", "jy", "jz", "j_perp"}, {*_FLOW_PARAMS, "abs_tol", "rel_tol"}, _eval_flow,
         ("trajectory_id", "jx0", "jy0", "jz0", "terminal", "l_star", "jz_star", "file"),
         check=_check_flow,
     ),
     "phase_diagram": Task(
-        {"j_perp", "jz"}, {"j_max", "j_min", "l_max"}, _eval_portrait,
+        {"j_perp", "jz"}, _FLOW_PARAMS, _eval_portrait,
         ("trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"),
         required={"j_perp", "jz"}, check=_portrait_options,
     ),
@@ -465,18 +474,12 @@ def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> li
     """
     out, task, tree = cfg.output_path, TASKS[cfg.task], cfg.task == "flow"
     _refuse_overwrite(out, force, tree)  # before any point is evaluated
-    axes, header = dict(cfg.axes), list(task.header)
-    if cfg.task == "lifetime":  # L alone is the grid: one block holds every other axis
-        rest = sorted(n for n in cfg.axes if n != "L")  # swept axes but L lead each row
-        header[:0] = rest
-        codes = {n: axes.pop(n) for n in rest if n not in _BATH_NAMES}
-        baths = {n: axes.pop(n) for n in rest if n in _BATH_NAMES}  # vary fastest
-        # as the bath axes sort after epsilon and jz_star, these lead cells run pairs by baths
-        cells = itertools.product(*([format_cell(v) + "," for v in cfg.axes[n]] for n in rest))
-        specs = _product(_bath, cfg.params, baths)
-        axes[_BATH_AXIS] = [(_pair_cells(_product(_code_values, cfg.params, codes), specs),
-                             specs, list(map("".join, cells)))]
-    results = _map_points(task.evaluate, cfg.params, grid_points(axes), 1)
+    axes, header, evaluate = cfg.axes, list(task.header), task.evaluate
+    if cfg.task == "lifetime":  # L alone is the grid; the swept axes but L lead each row
+        header[:0] = sorted(n for n in axes if n != "L")
+        evaluate = functools.partial(evaluate, _lifetime_block(cfg.params, axes))
+        axes = {n: v for n, v in axes.items() if n == "L"}
+    results = _map_points(evaluate, cfg.params, grid_points(axes), 1)
     _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
     if tree:
         return _write_flow(out, results)

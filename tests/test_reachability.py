@@ -1,7 +1,9 @@
 """``src/`` holds only what a task runs: every module-level function of
-``codebath`` is entered by some CLI run.  The runs are every example config,
-one small config per task and channel, and one refused config; a function no
-run enters has no production consumer, and either gains one or leaves."""
+``codebath`` is entered by some CLI run, and each of its defaulted parameters
+is given another value by one.  The runs are every example config, one small
+config per task and channel, and one refused config; a function no run enters,
+or a parameter no run sets, has no production consumer, and either gains one
+or leaves."""
 import importlib
 import inspect
 import json
@@ -21,7 +23,8 @@ CONFIGS = {
                         "params": {"l_max": 5.0}},
     "flow_symmetric": {"task": "flow", "axes": {"j_perp": [0.1, 0.3], "jz": [-0.2, 0.2]}},
     "matching": {"task": "matching", "axes": {"n": [2, 6]}, "params": {"z": 0.5}},
-    "census": {"task": "census", "axes": {"L": [4], "weight": [1, 2, 3]}},
+    "census": {"task": "census", "axes": {"L": [4], "weight": [1, 2, 3]},
+               "params": {"rule": "adversarial"}},
     "localized": {"task": "lifetime", "axes": {"L": [4, 8], "jz_star": [-0.5]},
                   "params": {"lambda": 0.05, "temperature": 0.5}},
     "subohmic": {"task": "lifetime", "axes": {"L": [4, 8], "z": [0.3, 1.0]},
@@ -43,15 +46,31 @@ def module_functions() -> dict:
     return found
 
 
+def defaulted_parameters(functions: dict) -> dict:
+    """{code object: {name: default}} of the functions' parameters that have a default."""
+    found = {}
+    for code, name in functions.items():
+        module, attr = name.rsplit(".", 1)
+        params = inspect.signature(inspect.unwrap(getattr(sys.modules[module], attr))).parameters
+        found[code] = {p.name: p.default for p in params.values() if p.default is not p.empty}
+    return found
+
+
 def test_every_module_function_is_entered_by_a_cli_run(tmp_path):
-    functions, entered = module_functions(), set()
+    functions, entered, set_params = module_functions(), set(), set()
+    defaults = defaulted_parameters(functions)
 
     def profile(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
+            for name, default in defaults.get(frame.f_code, {}).items():
+                value = frame.f_locals[name]
+                if value is not default and value != default:
+                    set_params.add(f"{functions[frame.f_code]}({name})")
 
     argvs = [["sweep", "--config", str(path), "--out", str(tmp_path / path.stem)]
              for path in EXAMPLES]
+    argvs[0].append("--force")
     for name, config in [*CONFIGS.items(), ("refused", REFUSED)]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**config, "output_path": str(tmp_path / f"{name}.out")}))
@@ -67,3 +86,6 @@ def test_every_module_function_is_entered_by_a_cli_run(tmp_path):
     never = {name for code, name in functions.items() if code not in entered}
     # thermal_correlator waits for its consumer, the thermal cutoff of ROADMAP item 5
     assert never == {"codebath.bath.thermal_correlator"}
+    unset = {f"{functions[code]}({name})" for code, names in defaults.items() for name in names}
+    # C11 passes run's workers, which ROADMAP item 1 keeps
+    assert unset - set_params == {"codebath.sweeps.run(workers)"}

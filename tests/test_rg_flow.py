@@ -1,7 +1,7 @@
+import dataclasses
 import functools
 import itertools
 import math
-import sys
 import time
 from typing import Callable, NamedTuple
 
@@ -12,6 +12,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codebath.errors import ConfigError
 from codebath.rg_flow import (
     DWELL_INTERVAL,
     PORTRAIT_SAMPLES,
@@ -28,6 +29,7 @@ from codebath.rg_flow import (
     integrate_flow,
     symmetric_flow,
 )
+from codebath.sweeps import validate_config
 
 
 def flow_rhs(l, y):
@@ -281,21 +283,21 @@ def test_flow_options_validation():
     with pytest.raises(ValueError) as err:
         FlowOptions(j_max=_J_LIMIT)
     assert str(err.value) == "need 0 < j_min < j_max < 1.3407807929942596e+154"
-
-
-def test_flow_options_refuse_rel_tol_below_solver_floor():
-    floor = 100 * sys.float_info.epsilon
-    assert FlowOptions(rel_tol=floor).rel_tol == floor
-    with pytest.raises(ValueError, match=r"rel_tol must be >= 2\.220446049250313e-14"):
-        FlowOptions(rel_tol=math.nextafter(floor, 0.0))
+    # the closed forms take no tolerance
+    assert [f.name for f in dataclasses.fields(FlowOptions)] == ["j_max", "j_min", "l_max"]
 
 
 @pytest.mark.parametrize("field", ["l_max", "abs_tol", "rel_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_flow_options_refuse_non_finite(field, value):
-    # a NaN rel_tol once reached integrate_flow, which then never finished
-    with pytest.raises(ValueError, match="l_max, abs_tol and rel_tol must be finite"):
-        FlowOptions(**{field: value})
+    # a NaN rel_tol once reached integrate_flow, which then never finished; the
+    # tolerances, which no closed form reads, are keys of the flow config alone
+    if field == "l_max":
+        with pytest.raises(ValueError, match="l_max must be finite"):
+            FlowOptions(l_max=value)
+    cfg = {"task": "flow", "axes": {"jz": [0.1]}, "params": {field: value}, "output_path": "x"}
+    with pytest.raises(ConfigError, match=rf"^params\.{field}: must be a finite number$"):
+        validate_config(cfg)
 
 
 _TERMINAL_STARTS = [

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -205,6 +206,24 @@ def test_flow_options_are_checked_together():
     with pytest.raises(ConfigError) as err:
         validate_config({**flow, "params": {"j_min": 0.5, "j_max": 0.4}})
     assert err.value.path == "params.j_max"
+
+
+def test_flow_config_refuses_rel_tol_below_solver_floor():
+    # no closed form reads the tolerances, yet a flow config keeps their rules
+    flow, floor = {"task": "flow", "axes": {"jz": [0.1]}, "output_path": "x"}, 2.220446049250313e-14
+    assert floor == 100 * sys.float_info.epsilon
+    assert validate_config({**flow, "params": {"rel_tol": floor}}).params == {"rel_tol": floor}
+    for params, message in (
+        ({"rel_tol": math.nextafter(floor, 0.0)},
+         "params.rel_tol: rel_tol must be >= 2.220446049250313e-14 (100 float epsilons)"),
+        ({"rel_tol": 1e-20}, "params.rel_tol: rel_tol must be >= 2.220446049250313e-14"),
+        ({"rel_tol": 0}, "params.rel_tol: tolerances must be positive"),
+        ({"abs_tol": 1e-10, "rel_tol": 1e-10, "j_min": 2.0}, "params.j_min: need 0 < j_min"),
+        ({"abs_tol": 0.0, "rel_tol": 1e-10}, "params.abs_tol: tolerances must be positive"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            validate_config({**flow, "params": params})
+        assert str(err.value).startswith(message)
 
 
 def test_distinct_paths_across_canonical_malformed_set():
@@ -685,7 +704,6 @@ def test_bath_axes_sort_after_every_other_lifetime_axis():
     others = sorted(n for n in LIFETIME.axes if n not in sweeps._BATH_NAMES)
     assert baths and others
     assert max(others) < min(baths)
-    assert max(LIFETIME.axes) < sweeps._BATH_AXIS  # their one axis of baths sorts last too
     # a run joins its per-L row blocks, which gives grid order only while L varies slowest
     assert min(LIFETIME.axes) == "L"
 
@@ -1113,7 +1131,7 @@ def test_overwrite_refused_without_force(tmp_path):
     run(cfg, force=True)  # allowed
 
 
-def unaffordable(params, point):
+def unaffordable(*args):  # a lifetime run's block leads its arguments
     raise ResourceLimitError("a point was evaluated")
 
 
@@ -1180,10 +1198,10 @@ def test_flow_traces_go_into_missing_directories(tmp_path):
 def test_output_that_appears_during_evaluation_is_refused(tmp_path, monkeypatch):
     out = tmp_path / "late.csv"
 
-    def racing(params, point):
+    def racing(*args):
         if not out.exists():
             out.write_text("theirs\n")
-        return LIFETIME.evaluate(params, point)
+        return LIFETIME.evaluate(*args)
 
     monkeypatch.setitem(sweeps.TASKS, "lifetime", dataclasses.replace(LIFETIME, evaluate=racing))
     with pytest.raises(FileExistsError):
@@ -1203,10 +1221,34 @@ def test_cli_lifetime_roundtrip(tmp_path, capsys):
     assert str(out) in capsys.readouterr().out
 
 
-def test_cli_sweep_runs_config_task(tmp_path):
-    out = tmp_path / "cli2.csv"
-    cfg_path = write_config(tmp_path, lifetime_config(out))
-    assert main(["sweep", "--config", cfg_path]) == 0
+PROCESS_CASES = {  # config (None: no file), exit code, what stderr starts with
+    "example": (json.loads(SC_EXAMPLE.read_text()), 0, ""),
+    "missing-config": (None, 2, "config error: $: cannot read config"),
+    "matching-n26": ({"task": "matching", "axes": {"n": [26]}, "output_path": "m.csv"}, 3,
+                     "resource limit: "),
+    "census-missing-dir": ({"task": "census", "axes": {"L": [4], "weight": [1]},
+                            "output_path": "missing/c.csv"}, 4, "io error: cannot write"),
+}
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_cli_exit_codes_at_the_process_boundary(tmp_path, case):
+    # the status a shell sees is main's return value; a refusal writes nothing
+    cfg, code, stderr = PROCESS_CASES[case]
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    src = str(Path(sweeps.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "codebath.cli", "sweep", "--config", "cfg.json"], cwd=tmp_path,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr[:len(stderr)]) == (code, stderr), proc.stderr
+    written = sorted(os.listdir(tmp_path))
+    if code:
+        assert proc.stdout == "" and written == ([] if cfg is None else ["cfg.json"])
+    else:
+        assert proc.stdout == f"{cfg['output_path']}\n"
+        assert written == ["cfg.json", cfg["output_path"]]
 
 
 def test_cli_out_override(tmp_path):
