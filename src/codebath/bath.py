@@ -42,7 +42,7 @@ class RegimeLabel(Enum):
     LONG_RANGE = "LongRange"
 
 
-def classify_regime(z, s=1.0) -> RegimeLabel:
+def classify_regime(z, s) -> RegimeLabel:
     """Compare z against 1/(s+1) as floats: above is short range, within
     ``_CRITICAL_TOL`` of it is critical, below is long range."""
     if z <= 0:

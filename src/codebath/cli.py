@@ -24,7 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("sweep", help="run the task the config names")
     p.add_argument("--config", help="JSON sweep config file")
-    p.add_argument("--out", help="override the config output_path")
     p.add_argument("--force", action="store_true", help="allow overwriting outputs")
     return parser
 
@@ -34,10 +33,8 @@ def main(argv=None) -> int:
     try:
         if args.config is None:
             raise ConfigError("$", "--config is required")
-        obj = sweeps.read_config(args.config)
-        if args.out is not None:
-            obj = {**obj, "output_path": args.out}
-        written = sweeps.run(sweeps.validate_config(obj), force=args.force)
+        cfg = sweeps.validate_config(sweeps.read_config(args.config))
+        written = sweeps.run(cfg, args.force)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

@@ -50,7 +50,7 @@ def check_census(L: int, weight: int) -> None:
         raise ValueError("weight must lie in 0..L")
 
 
-def failure_census(L: int, weight: int, tie_break: TieBreak = TieBreak.REPORT) -> CensusRecord:
+def failure_census(L: int, weight: int, tie_break: TieBreak) -> CensusRecord:
     """Tally the decoder outcomes over all C(L, weight) contour chains of that weight.
 
     The other correction consistent with a chain's syndrome is its

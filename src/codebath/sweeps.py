@@ -12,8 +12,7 @@ formatted where it varies: one ``build_report`` per (L, bath), the pair and T2 c
 once per run, t_comp per row.  A value naming a field of ``FlowOptions`` or
 ``BathSpec``, all floats, enters it through ``float``.  The config key
 ``parallelism`` and ``flow``'s ``abs_tol`` and ``rel_tol`` are validated and not
-stored, and ``run``'s ``workers`` keyword (the CLI has no flag for it) is accepted
-and unused, so outputs are byte-identical for any of their values.  Each file is
+stored, so outputs are byte-identical for any of their values.  Each file is
 written under a unique temporary name and atomically renamed, so an interrupted run
 leaves no partial output.  Each evaluator returns its rows as finished lines (floats as ``%.17g``,
 integers in full, enums by value, an absent Optional float empty), which are written
@@ -162,9 +161,8 @@ def validate_config(obj) -> SweepConfig:
         raise ConfigError("parallelism", "must be an integer >= 1")
 
     for name in spec.required:
-        if name not in params and name not in axes:
-            where = "params" if name in spec.params else "axes"
-            raise ConfigError(f"{where}.{name}", "required")
+        if name not in axes:
+            raise ConfigError(f"axes.{name}", "required")
     if spec.check is not None:
         _check_values(spec.check, params, axes)
     if task == "census":  # weight <= L is a rule on grid points, not on values
@@ -175,8 +173,8 @@ def validate_config(obj) -> SweepConfig:
     return SweepConfig(task, axes, params, output_path)
 
 
-def read_config(path: str) -> dict:
-    """Open and decode a config file, which must hold one JSON object in UTF-8."""
+def read_config(path: str):
+    """Open and decode a UTF-8 JSON config file; ``validate_config`` checks its shape."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -185,8 +183,6 @@ def read_config(path: str) -> dict:
     # also bytes that are not UTF-8, an integer of 4300+ digits and nesting past the stack
     except (ValueError, RecursionError) as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError("$", "config must be a JSON object")
     return obj
 
 
@@ -366,13 +362,12 @@ def _lifetime_block(params: dict, axes: dict) -> tuple[list, list, list]:
     rest = {n: axes[n] for n in sorted(axes) if n != "L"}  # bath axes last: pairs by baths
     specs = [_bath({**params, **p})
              for p in grid_points({n: v for n, v in rest.items() if n in _BATH_NAMES})]
-    pairs, t2 = [], {}  # T2 once per jz_star; it is even in jz_star: 0.0 is -0.0
+    pairs = []
     for p in grid_points({n: v for n, v in rest.items() if n not in _BATH_NAMES}):
         epsilon, jz = _code_values({**params, **p})
-        if jz not in t2:
-            t2[jz] = [format_cell(lifetimes.t2_thermal(spec, jz)) for spec in specs]
         t_mem = "" if jz is None else format_cell(lifetimes.t_mem_over_tau(epsilon, jz))
-        pairs.append((epsilon, jz, t_mem, t2[jz]))
+        pairs.append((epsilon, jz, t_mem,
+                      [format_cell(lifetimes.t2_thermal(spec, jz)) for spec in specs]))
     cells = itertools.product(*([format_cell(v) + "," for v in vs] for vs in rest.values()))
     return pairs, specs, list(map("".join, cells))
 
@@ -381,7 +376,7 @@ def _eval_lifetime(block: tuple, params: dict, point: dict):
     """One code distance's rows, each one line: its lead cells, the cells of one
     ``build_report`` per bath at the first pair (the regime, the phase all pairs share, j(L),
     t_K, the Korringa rate and lambda_c), the pair's cells and, per row, t_comp = eps * t_K."""
-    L, (pairs, baths, leads) = {**params, **point}["L"], block
+    L, (pairs, baths, leads) = point["L"], block
     reports = [lifetimes.build_report(lifetimes.CodePoint(L, pairs[0][0], spec, pairs[0][1]))
                for spec in baths]
     cells = [(f"{rep.regime.value},{rep.phase.value},{L},{rep.j_L:.17g},"
@@ -400,7 +395,7 @@ def _eval_lifetime(block: tuple, params: dict, point: dict):
 @dataclass(frozen=True)
 class Task:
     """One task: the axes and params a config may name (``required`` ones as
-    either), ``check(values)`` building the object whose rules the params and
+    axes), ``check(values)`` building the object whose rules the params and
     each axis value must pass, and ``evaluate(params, point)`` returning a grid
     point's rows under ``header``, each a finished line (``flow`` returns its index
     cells and its trace's lines, as it writes its own traces; ``lifetime`` first takes
@@ -436,7 +431,7 @@ TASKS = {
     ),
     "lifetime": Task(
         {"L", "z", "lambda", "temperature", "epsilon", "s", "jz_star"},
-        {*_BATH_NAMES, "L", "epsilon", "jz_star"},
+        {*_BATH_NAMES, "epsilon", "jz_star"},
         _eval_lifetime, LIFETIME_FIELDS, required={"L"}, check=_code_point,
     ),
 }
@@ -467,11 +462,8 @@ def _write_flow(out: str, results: list) -> list[str]:
     return written
 
 
-def run(cfg: SweepConfig, force: bool = False, workers: int | None = None) -> list[str]:
-    """Execute a validated config; returns the list of files written.
-
-    ``workers`` is accepted for compatibility and changes nothing.
-    """
+def run(cfg: SweepConfig, force: bool = False) -> list[str]:
+    """Execute a validated config; returns the list of files written."""
     out, task, tree = cfg.output_path, TASKS[cfg.task], cfg.task == "flow"
     _refuse_overwrite(out, force, tree)  # before any point is evaluated
     axes, header, evaluate = cfg.axes, list(task.header), task.evaluate

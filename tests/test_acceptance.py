@@ -244,9 +244,10 @@ def c11_determinism():
                     "axes": {"L": [4, 6, 8, 10], "z": [1.0, 0.5, 0.25]},
                     "params": {"lambda": 0.02, "epsilon": 0.01},
                     "output_path": str(out),
+                    "parallelism": workers,
                 }
             )
-            run_sweep(cfg, workers=workers)
+            run_sweep(cfg)
             hashes.append(digest(out))
         assert hashes[0] == hashes[1], "rerun changed bytes"
         assert hashes[0] == hashes[2], "worker count changed bytes"
@@ -259,9 +260,10 @@ def c11_determinism():
                     "axes": {"j_perp": [0.1, 0.2], "jz": [-0.3, 0.1]},
                     "params": {"l_max": 40.0},
                     "output_path": str(out),
+                    "parallelism": workers,
                 }
             )
-            run_sweep(cfg, workers=workers)
+            run_sweep(cfg)
             portrait_hashes.append(digest(out))
         assert portrait_hashes[0] == portrait_hashes[1], "portrait bytes differ by workers"
     return f"sha256 {hashes[0][:12]} (table) and {portrait_hashes[0][:12]} (portrait) stable"

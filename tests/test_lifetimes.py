@@ -699,8 +699,9 @@ def test_every_bath_field_reaches_the_report(name):
 def _flow_index(tmp_path, j_perp, jz):
     """Rows of the index.csv a `flow` run over one start grid writes."""
     cfg = tmp_path / "flow.json"
-    cfg.write_text(json.dumps({"task": "flow", "axes": {"j_perp": j_perp, "jz": jz}}))
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "flows")]) == 0
+    cfg.write_text(json.dumps({"task": "flow", "axes": {"j_perp": j_perp, "jz": jz},
+                               "output_path": str(tmp_path / "flows")}))
+    assert main(["sweep", "--config", str(cfg)]) == 0
     with open(tmp_path / "flows" / "index.csv", newline="") as fh:
         return list(csv.DictReader(fh))
 
@@ -801,8 +802,9 @@ def test_build_report_reads_the_regime_its_bath_decided(monkeypatch):
 def test_preset_superconducting_curves(tmp_path):
     # the superconducting lambda_c curves are the example config's lifetime sweep
     config = pathlib.Path(__file__).resolve().parent.parent / "examples" / "superconducting_lambda_c.json"
-    out = tmp_path / "sc.csv"
-    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    out, cfg = tmp_path / "sc.csv", tmp_path / "sc.json"
+    cfg.write_text(json.dumps({**json.loads(config.read_text()), "output_path": str(out)}))
+    assert main(["sweep", "--config", str(cfg)]) == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     curve = [(float(row["z"]), int(row["L"]), float(row["lambda_critical"])) for row in rows]

@@ -56,7 +56,7 @@ def defaulted_parameters(functions: dict) -> dict:
     return found
 
 
-def test_every_module_function_is_entered_by_a_cli_run(tmp_path):
+def test_every_module_function_is_entered_by_a_cli_run(tmp_path, monkeypatch):
     functions, entered, set_params = module_functions(), set(), set()
     defaults = defaulted_parameters(functions)
 
@@ -68,8 +68,8 @@ def test_every_module_function_is_entered_by_a_cli_run(tmp_path):
                 if value is not default and value != default:
                     set_params.add(f"{functions[frame.f_code]}({name})")
 
-    argvs = [["sweep", "--config", str(path), "--out", str(tmp_path / path.stem)]
-             for path in EXAMPLES]
+    monkeypatch.chdir(tmp_path)  # each example writes to its own relative output_path
+    argvs = [["sweep", "--config", str(path)] for path in EXAMPLES]
     argvs[0].append("--force")
     for name, config in [*CONFIGS.items(), ("refused", REFUSED)]:
         path = tmp_path / f"{name}.json"
@@ -87,5 +87,4 @@ def test_every_module_function_is_entered_by_a_cli_run(tmp_path):
     # thermal_correlator waits for its consumer, the thermal cutoff of ROADMAP item 5
     assert never == {"codebath.bath.thermal_correlator"}
     unset = {f"{functions[code]}({name})" for code, names in defaults.items() for name in names}
-    # C11 passes run's workers, which ROADMAP item 1 keeps
-    assert unset - set_params == {"codebath.sweeps.run(workers)"}
+    assert unset - set_params == set()

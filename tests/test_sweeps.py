@@ -570,7 +570,7 @@ def test_lifetime_rows_on_edge_values(tmp_path, monkeypatch):
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
-from test_rg_flow import rk45_flow  # noqa: E402
+from test_rg_flow import scipy_flow  # noqa: E402
 
 HEADERS = {"trace": TRACE_HEADER, **{name: task.header for name, task in sweeps.TASKS.items()}}
 
@@ -931,7 +931,8 @@ _CLOSED_FORM_CONFIGS = {
 @pytest.mark.parametrize("name", _CLOSED_FORM_CONFIGS)
 def test_flow_closed_form_starts_match_rk45(tmp_path, monkeypatch, name):
     """A jx = jy start's index row and trace come from ``symmetric_flow``, held
-    to a tight RK45 as its oracle; a jx != jy start goes through ``integrate_flow``."""
+    to a tight scipy integration as its oracle; a jx != jy start goes through
+    ``integrate_flow``."""
     integrate = sweeps.integrate_flow
     rf_starts = []
 
@@ -951,7 +952,7 @@ def test_flow_closed_form_starts_match_rk45(tmp_path, monkeypatch, name):
             continue
         symmetric += 1
         labels.add(label)
-        oracle = rk45_flow((j0.jx, j0.jy, j0.jz), opts).terminal
+        oracle = scipy_flow((j0.jx, j0.jy, j0.jz), opts).terminal
         assert label == type(oracle).__name__
         if label == "StrongCoupling":
             assert float(l_star) == pytest.approx(oracle.l_star, rel=1e-11)
@@ -978,9 +979,10 @@ def superconducting_lambda_c(tmp_path):
     """Run the superconducting example through ``codebath sweep``: {(z, L): lambda_c}."""
     # lambda = 0 keeps every j(L) at 0, so no column saturates and nothing warns
     out = tmp_path / "sc.csv"
+    cfg = {**json.loads(SC_EXAMPLE.read_text()), "output_path": str(out)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["sweep", "--config", str(SC_EXAMPLE), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", write_config(tmp_path, cfg, "sc.json")]) == 0
     header, *rows = read_rows(out)
     z, L = header.index("z"), header.index("L")
     return {(float(row[z]), int(row[L])): float(row[-1]) for row in rows}
@@ -1117,8 +1119,8 @@ def test_byte_identical_reruns(tmp_path):
 def test_workers_do_not_change_bytes(tmp_path):
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w8.csv"
     axes = {"L": [4, 6, 8, 10], "z": [1.0, 0.5]}
-    run(validate_config(lifetime_config(out1, axes=axes)), workers=1)
-    run(validate_config(lifetime_config(out2, axes=axes)), workers=8)
+    run(validate_config(lifetime_config(out1, axes=axes, parallelism=1)))
+    run(validate_config(lifetime_config(out2, axes=axes, parallelism=8)))
     assert digest(out1) == digest(out2)
 
 
@@ -1251,12 +1253,24 @@ def test_cli_exit_codes_at_the_process_boundary(tmp_path, case):
         assert written == ["cfg.json", cfg["output_path"]]
 
 
-def test_cli_out_override(tmp_path):
-    out = tmp_path / "orig.csv"
-    other = tmp_path / "override.csv"
+def test_cli_refuses_out_flag(tmp_path, capsys):
+    # the config's output_path alone names the output
+    out, other = tmp_path / "x.csv", tmp_path / "other.csv"
     cfg_path = write_config(tmp_path, lifetime_config(out))
-    assert main(["sweep", "--config", cfg_path, "--out", str(other)]) == 0
-    assert other.exists() and not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg_path, "--out", str(other)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_lifetime_L_is_an_axis_only(tmp_path, capsys):
+    # L is a lifetime run's grid: a config that gives it as a param is refused
+    cfg = lifetime_config(tmp_path / "x.csv", axes={"z": [1.0]}, params={"L": 4})
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: params.L: unknown parameter for task 'lifetime'" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize(

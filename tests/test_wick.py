@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from codebath.bath import BathSpec, RegimeLabel, classify_regime
 from codebath.errors import ResourceLimitError
 from codebath.lifetimes import j_of_L, lambda_bar_sq
-from codebath.surface_code import failure_census
+from codebath.surface_code import TieBreak, failure_census
 from codebath.wick import MatchingProblem, check_matching_ceiling, matching_sum
 
 
@@ -153,21 +153,21 @@ def weight_trend(ns, z):
 
 
 def test_probe_bounded_trend_z1():
-    assert classify_regime(1.0) is RegimeLabel.SHORT_RANGE
+    assert classify_regime(1.0, 1.0) is RegimeLabel.SHORT_RANGE
     _, incs, _ = weight_trend(range(4, 13, 2), 1.0)
     assert all(inc > 0 for inc in incs)
     assert all(b < a for a, b in zip(incs, incs[1:]))
 
 
 def test_probe_power_trend_z025():
-    assert classify_regime(0.25) is RegimeLabel.LONG_RANGE
+    assert classify_regime(0.25, 1.0) is RegimeLabel.LONG_RANGE
     _, incs, slope = weight_trend(range(4, 13, 2), 0.25)
     assert all(inc > 0 for inc in incs)
     assert slope > 0.3
 
 
 def test_probe_log_trend_z05():
-    assert classify_regime(0.5) is RegimeLabel.CRITICAL
+    assert classify_regime(0.5, 1.0) is RegimeLabel.CRITICAL
     _, incs, _ = weight_trend(range(4, 13, 2), 0.5)
     assert all(inc > 0 for inc in incs)
     assert all(b < a for a, b in zip(incs, incs[1:]))
@@ -202,7 +202,7 @@ def test_probe_trend_flips_at_zeta_one_half_for_a_subohmic_bath():
     for z in (0.4, 2 / 3, 1.0):
         spec = BathSpec(z=z, s=0.5)
         _, incs, slope = weight_trend(range(4, 17, 2), spec.zeta)
-        assert classify_regime(spec.zeta) is spec.regime
+        assert classify_regime(spec.zeta, 1.0) is spec.regime
         assert all(i > 0 for i in incs)
         slopes.append(slope)
     assert slopes == sorted(slopes, reverse=True) and len(set(slopes)) == 3
@@ -295,11 +295,11 @@ def test_lambda_bar_sq_follows_the_summed_correlator(z, s, regime):
 def stirling_over_exact(L):
     # at the default bath lbar^2 = 16, so (lbar^2)**(L/4) = 2**L and j(L) is the Stirling
     # form sqrt(2L/pi) 2**L of the L C(L, L/2) failure paths: L times the census's ties
-    return j_of_L(BathSpec(), L) / (L * failure_census(L, L // 2).n_tie)
+    return j_of_L(BathSpec(), L) / (L * failure_census(L, L // 2, TieBreak.REPORT).n_tie)
 
 
 def test_n_paths_small_values():
-    assert [L * failure_census(L, L // 2).n_tie for L in (2, 4)] == [4, 24]
+    assert [L * failure_census(L, L // 2, TieBreak.REPORT).n_tie for L in (2, 4)] == [4, 24]
 
 
 def test_stirling_ratio():
