@@ -97,11 +97,11 @@ def j_of_L(spec: BathSpec, L: int) -> float:
 
 
 def window_power(s: float, j_L: float) -> tuple[float, float]:
-    """(x, p) with t_K/tau = x**p at j_L = j(L), its form set by the bath's s: (e, 1/j_L)
-    for an Ohmic bath (s = 1), (1/j_L, 1/(1-s)) for a sub-Ohmic one; (e, inf) at j_L <= 0."""
+    """(x, p) with t_K/tau = x**p at j_L = j(L), its form set by the bath's s: (e, 1/j_L) for
+    an Ohmic bath (s = 1), (j_L, -1/(1-s)) for a sub-Ohmic one (no 1/j_L); (e, inf) at j_L <= 0."""
     if j_L <= 0:
         return math.e, math.inf
-    return (math.e, 1.0 / j_L) if s == 1.0 else (1.0 / j_L, 1.0 / (1.0 - s))
+    return (math.e, 1.0 / j_L) if s == 1.0 else (j_L, -1.0 / (1.0 - s))
 
 
 def t_comp_over_tau(epsilon: float, t_K: float, s: float, j_L: float) -> float:
@@ -112,9 +112,8 @@ def t_comp_over_tau(epsilon: float, t_K: float, s: float, j_L: float) -> float:
 
 
 def t_mem_over_tau(epsilon: float, jz_star: float) -> float:
-    """The localized memory time (1 - eps)**(-1/(2 jz*^2)); inf where 2 jz*^2 underflows."""
-    expo = 1.0 / d if (d := 2.0 * jz_star * jz_star) else math.inf
-    return _exp(-expo * math.log1p(-epsilon))
+    """The localized memory time (1 - eps)**(-1/(2 jz*^2)), forming no jz*^2; inf at jz* = 0."""
+    return _exp(-math.log1p(-epsilon) / jz_star / jz_star / 2.0) if jz_star else math.inf
 
 
 def gamma_korringa(spec: BathSpec, j_L: float) -> float:

@@ -598,6 +598,16 @@ def test_symmetric_flow_at_the_ends_of_float_range():
         assert terminal == CutoffReached(1.0) and samples[-1] == (1.0, -1e100, 1e100)
 
 
+@pytest.mark.xfail(reason="R_F rounds onto l_max a pole that lies 1.1e-16 beyond it")
+def test_both_closed_forms_stop_a_pole_within_rounding_of_l_max_at_the_cutoff():
+    """The pole of this jx = jy start lies just beyond l_max: symmetric_flow ends at the
+    cutoff, and integrate_flow should too."""
+    opts = FlowOptions(j_max=1e100, l_max=1.0)
+    assert symmetric_flow(-1.0, 0.9999999999999999, opts)[1] == CutoffReached(1.0)
+    start = CouplingVector(-1.0, -1.0, 0.9999999999999999)
+    assert integrate_flow(start, opts).terminal == CutoffReached(1.0)
+
+
 def test_symmetric_flow_is_even_in_j_perp():
     """The flow depends on j_perp**2 only: a mirrored start mirrors j_perp."""
     for jz in (-0.5, 0.5, -0.3, 0.1, -0.6):
