@@ -9,6 +9,7 @@ fixed to 1.  This leaf module also holds the regime rule and float-range helpers
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,14 +124,17 @@ def thermal_correlator(spec: BathSpec, t: float) -> float:
     This is the Ohmic (s = 1) kernel whatever ``spec.s`` is, which it does not
     read: at T = 0 it is the analytic limit 1/t**2, not the t**-(1+s) of a
     J(w) ~ w**s bath.  Evaluated via exponentials so large w*t underflows to
-    0 instead of overflowing sinh.
+    0 instead of overflowing sinh: a w*t below the normal floats gives 1/t**2
+    (inf where that overflows), and a w*t past float max gives 0.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     w = math.pi * spec.kB * spec.temperature / spec.hbar
-    if w == 0.0:
-        return 1.0 / (t * t)
     u = w * t
-    # w / sinh(u) = 2 w e^{-u} / (1 - e^{-2u})
-    amp = 2.0 * w * math.exp(-u) / (-math.expm1(-2.0 * u))
+    if u < sys.float_info.min:  # u / sinh(u) rounds to 1: 1/t**2, with no subnormal t*t
+        return 1.0 / (t * t) if t * t >= sys.float_info.min else 1.0 / t / t
+    if u == math.inf:
+        return 0.0
+    # w / sinh(u) = 2 w e^{-u} / (1 - e^{-2u}), with 2 w not formed: it may overflow
+    amp = 2.0 * (w * math.exp(-u)) / (-math.expm1(-2.0 * u))
     return amp * amp

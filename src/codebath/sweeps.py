@@ -46,8 +46,6 @@ from .rg_flow import (
     symmetric_flow,
 )
 
-PORTRAIT_RANGE = 3.5
-_INT_AXES = {"L", "weight", "n"}
 _RULES = tuple(rule.value for rule in surface_code.TieBreak)
 
 LIFETIME_FIELDS = lifetimes.LifetimeReport._fields
@@ -90,9 +88,9 @@ def _check_values(check, params: dict, axes: dict) -> None:
 
 
 def validate_config(obj) -> SweepConfig:
-    """Check a decoded JSON object against the schema, and each value against
-    the rules of the object it becomes (``Task.check``); raise ConfigError, or
-    ResourceLimitError for a matching or census size above its ceiling."""
+    """Check a decoded JSON object against the schema (an axis value need only be a
+    finite number), and each value against the rules of the object it becomes
+    (``Task.check``); raise ConfigError, or ResourceLimitError for a size above its ceiling."""
     if not isinstance(obj, dict):
         raise ConfigError("$", "config must be a JSON object")
     known = {"task", "axes", "params", "output_path", "parallelism"}
@@ -128,12 +126,6 @@ def validate_config(obj) -> SweepConfig:
         for i, v in enumerate(values):
             if not _is_number(v):
                 raise ConfigError(f"axes.{name}[{i}]", "must be a finite number")
-            if name in _INT_AXES and not isinstance(v, int):
-                raise ConfigError(f"axes.{name}[{i}]", "must be an integer")
-            if task == "phase_diagram" and abs(v) > PORTRAIT_RANGE:
-                raise ConfigError(
-                    f"axes.{name}[{i}]", f"must lie within |j| <= {PORTRAIT_RANGE}"
-                )
         axes[name] = tuple(values)
     if not axes:
         raise ConfigError("axes", f"at least one axis is required for task '{task}'")
@@ -278,6 +270,8 @@ def _code_point(values: dict) -> lifetimes.CodePoint:
 def _matching_problem(values: dict) -> wick.MatchingProblem:
     """Sites ``range(n)`` (n = 2 if absent), refused above the pairing-sum ceiling."""
     n = values.get("n", 2)
+    if not isinstance(n, int):
+        raise ValueError("n must be an integer")
     wick.check_matching_ceiling(n)
     return wick.MatchingProblem(tuple(range(n)), float(values.get("z", 1.0)))
 
@@ -298,9 +292,9 @@ def _flow_start(values: dict) -> CouplingVector:
     )
 
 
-def _check_flow(values: dict) -> None:
-    """A flow's options and start, and its tolerances, which no closed form reads."""
-    _flow_options(values)
+def _check_flow(values: dict, options=_flow_options) -> None:
+    """A flow's ``options`` and start, and its tolerances, which no closed form reads."""
+    options(values)
     check_start(_flow_start(values))
     if values.get("abs_tol", 1) <= 0 or values.get("rel_tol", 1) <= 0:
         raise ValueError("tolerances must be positive")
@@ -337,9 +331,9 @@ def _separatrix_tag(j_perp: float, jz: float) -> str:
 
 def _eval_portrait(params: dict, point: dict):
     """(l, j_perp, j_z, terminal_label, separatrix) lines of one symmetric start."""
-    j_perp, jz = float(point["j_perp"]), float(point["jz"])
-    samples, terminal = symmetric_flow(j_perp, jz, _portrait_options(params))
-    cells = f"{type(terminal).__name__},{_separatrix_tag(j_perp, jz)}\n"
+    start = _flow_start(point)
+    samples, terminal = symmetric_flow(start.jx, start.jz, _portrait_options(params))
+    cells = f"{type(terminal).__name__},{_separatrix_tag(start.jx, start.jz)}\n"
     return [f"{l:.17g},{p:.17g},{z:.17g},{cells}" for l, p, z in samples]
 
 
@@ -419,7 +413,7 @@ TASKS = {
     "phase_diagram": Task(
         {"j_perp", "jz"}, _FLOW_PARAMS, _eval_portrait,
         ("trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"),
-        required={"j_perp", "jz"}, check=_portrait_options,
+        required={"j_perp", "jz"}, check=functools.partial(_check_flow, options=_portrait_options),
     ),
     "matching": Task(
         {"n"}, {"z"}, _eval_matching, ("n", "matching_sum", "per_pair_weight"),

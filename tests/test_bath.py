@@ -131,6 +131,18 @@ def test_thermal_monotone_decreasing(t, scale):
     assert thermal_correlator(spec, t * scale) < thermal_correlator(spec, t)
 
 
+@pytest.mark.parametrize("spec,t,expected", [
+    (NAT, 1e-170, math.inf),  # t * t underflows: 1/t**2 overflows
+    (NAT, 9e-155, 1.2345679012345678e308),  # t * t is subnormal, 1/t**2 finite
+    (BathSpec(temperature=1e-320), 1e-10, 1.0 / (1e-10 * 1e-10)),  # w t underflows to 0
+    (BathSpec(temperature=1e-300), 1e-10, 1.0 / (1e-10 * 1e-10)),  # w t is subnormal
+    (BathSpec(temperature=1e300, hbar=1e-300), 1.0, 0.0),  # w overflows
+    (BathSpec(temperature=5e307), 1.0, 0.0),  # 2 w overflows where e^{-w t} is 0
+])
+def test_thermal_limits_at_the_edges_of_float_range(spec, t, expected):
+    assert thermal_correlator(spec, t) == expected
+
+
 def test_thermal_invalid_time():
     with pytest.raises(ValueError):
         thermal_correlator(NAT, 0.0)

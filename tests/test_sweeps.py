@@ -258,12 +258,20 @@ def test_flow_axis_exclusivity():
     assert err.value.path == "axes.j_perp"
 
 
-def test_portrait_range_check():
-    with pytest.raises(ConfigError) as err:
-        validate_config(
-            {"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [4.0]}, "output_path": "x"}
-        )
-    assert err.value.path == "axes.jz[0]"
+@pytest.mark.parametrize("task,axes,path,message", [
+    ("lifetime", {"L": [4.0]}, "axes.L[0]", "L must be an even integer >= 2"),
+    ("census", {"L": [4.0], "weight": [1]}, "axes.L[0]",
+     "contour length and weight must be integers"),
+    ("census", {"L": [4], "weight": [1.0]}, "axes.weight[0]",
+     "contour length and weight must be integers"),
+    ("matching", {"n": [4.0]}, "axes.n[0]", "n must be an integer"),
+], ids=["lifetime-L", "census-L", "census-weight", "matching-n"])
+def test_non_integer_axis_is_refused_by_its_object(tmp_path, capsys, task, axes, path, message):
+    out = tmp_path / "out.csv"
+    cfg = {"task": task, "axes": axes, "output_path": str(out)}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not out.exists()
 
 
 # --- grid and formatting ----------------------------------------------------
@@ -1095,13 +1103,30 @@ def test_phase_diagram_integrates_nothing(tmp_path, monkeypatch):
     assert len(read_rows(out)) == 1 + 6 * PORTRAIT_SAMPLES
 
 
-def test_phase_diagram_cli_range_guard(tmp_path, capsys):
+def test_phase_diagram_start_is_checked_as_a_flow_start(tmp_path, capsys):
     out = tmp_path / "portrait.csv"
-    cfg = {"task": "phase_diagram", "axes": {"j_perp": [0.1], "jz": [-4.0]},
+    cfg = {"task": "phase_diagram", "axes": {"j_perp": [1e300], "jz": [0.1]},
            "output_path": str(out)}
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
-    assert "axes.jz[0]" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "config error: axes.j_perp[0]: initial couplings must be finite")
     assert not out.exists()
+
+
+def test_phase_diagram_past_its_plot_window_ends_as_flow_does(tmp_path):
+    # a |j| = 3.6 start flows from below the ceiling of 4; a |j| = 5.0 one is a single row
+    axes = {"j_perp": [-5.0, 0.1, 3.6], "jz": [-3.6, 0.1, 5.0]}
+    portrait, flow = tmp_path / "portrait.csv", tmp_path / "flow"
+    for task, out, params in (("phase_diagram", portrait, {}), ("flow", flow, {"j_max": 4})):
+        cfg = {"task": task, "axes": axes, "params": params, "output_path": str(out)}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = read_rows(portrait)[1:]
+    labels = {int(row[0]): row[4] for row in rows}  # a start's rows share its terminal
+    assert labels == {int(row[0]): row[4] for row in read_rows(flow / "index.csv")[1:]}
+    assert Counter(labels.values()) == {"StrongCoupling": 7, "Localized": 1, "CutoffReached": 1}
+    rows_per_start = Counter(int(row[0]) for row in rows)
+    above = [max(map(abs, start)) >= 4 for start in itertools.product(*axes.values())]
+    assert [rows_per_start[tid] == 1 for tid in range(9)] == above
 
 
 # --- determinism ------------------------------------------------------------
