@@ -27,8 +27,8 @@ def _exp(x: float) -> float:
 
 def _saturated(value: float, powers) -> float:
     """prod(x ** p for x, p in ``powers``), all x >= 0, summed in logs and saturated to
-    0 or inf: a closed form whose float ``value`` is not positive and finite (it raised
-    as nan, or an intermediate left float range).  A zero base keeps a zero ``value``."""
+    0 or inf: a closed form whose float ``value`` cannot be kept (it raised as nan, or
+    an intermediate left the normal floats).  A zero base keeps a zero ``value``."""
     log = sum(p * (math.log(x) if x else -math.inf) for x, p in powers)
     if log == -math.inf and value == 0.0:
         return value
@@ -119,22 +119,23 @@ class BathSpec:
 
 
 def thermal_correlator(spec: BathSpec, t: float) -> float:
-    """Finite-temperature correlator (w / sinh(w t))**2 with w = pi kB T / hbar.
-
-    This is the Ohmic (s = 1) kernel whatever ``spec.s`` is, which it does not
-    read: at T = 0 it is the analytic limit 1/t**2, not the t**-(1+s) of a
-    J(w) ~ w**s bath.  Evaluated via exponentials so large w*t underflows to
-    0 instead of overflowing sinh: a w*t below the normal floats gives 1/t**2
-    (inf where that overflows), and a w*t past float max gives 0.
+    """Finite-temperature correlator (w / sinh(w t))**2, w = pi kB T / hbar: the Ohmic
+    (s = 1) kernel whatever ``spec.s``, which it does not read (at T = 0 it is 1/t**2,
+    not the t**-(1+s) of a J(w) ~ w**s bath).  It is (f/t)**2 in u = w t for every
+    t > 0, f = u / sinh u being 1 at u = 0, 0 at u = inf and 2 u e^-u / (1 - e^-2u)
+    between, with e^-u in halves, one beside 1/t, so neither falls subnormal where the
+    value is normal.  Where pi kB T or w leaves the normal floats, u is summed from
+    the logs of its five factors.
     """
-    if t <= 0:
+    if not t > 0:  # refuses nan too
         raise ValueError("t must be positive")
-    w = math.pi * spec.kB * spec.temperature / spec.hbar
+    x = math.pi * spec.kB * spec.temperature
+    w = x / spec.hbar
     u = w * t
-    if u < sys.float_info.min:  # u / sinh(u) rounds to 1: 1/t**2, with no subnormal t*t
-        return 1.0 / (t * t) if t * t >= sys.float_info.min else 1.0 / t / t
-    if u == math.inf:
-        return 0.0
-    # w / sinh(u) = 2 w e^{-u} / (1 - e^{-2u}), with 2 w not formed: it may overflow
-    amp = 2.0 * (w * math.exp(-u)) / (-math.expm1(-2.0 * u))
-    return amp * amp
+    if not (min(x, w) >= sys.float_info.min and w < math.inf):  # digits lost, or out of range
+        u = _saturated(u, ((math.pi, 1), (spec.kB, 1), (spec.temperature, 1),
+                           (spec.hbar, -1), (t, 1)))
+    half = math.exp(-u / 2)
+    ratio = 2.0 * (u * half) / -math.expm1(-2.0 * u) if 0 < u < math.inf else float(u == 0)
+    g = ratio * (half / t)  # f / t, as f = ratio * half
+    return g * g

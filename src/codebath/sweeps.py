@@ -21,12 +21,12 @@ run by ``format_cell``.  No cell needs quoting: none holds a comma, quote or new
 """
 from __future__ import annotations
 
-import fnmatch
 import functools
 import itertools
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, fields
@@ -244,7 +244,7 @@ def _flow_options(values: dict) -> FlowOptions:
 
 
 def _portrait_options(values: dict) -> FlowOptions:
-    """A portrait's flow options: its ceiling sits just outside the plotted window."""
+    """A portrait's flow options: its ceiling ``j_max`` defaults to 4, a flow's to 1."""
     return _flow_options({"j_max": 4.0, **values})
 
 
@@ -321,12 +321,11 @@ def _eval_flow(params: dict, point: dict):
 
 
 def _separatrix_tag(j_perp: float, jz: float) -> str:
-    j_perp = abs(j_perp)  # the flow depends on j_perp**2 alone
-    if j_perp > 0 and math.isclose(jz, -j_perp, rel_tol=1e-12, abs_tol=1e-15):
-        return "jz=-jperp"
-    if j_perp > 0 and math.isclose(jz, j_perp, rel_tol=1e-12, abs_tol=1e-15):
-        return "jz=+jperp"
-    return ""
+    """The separatrix jz = -|j_perp| or +|j_perp| (by jz's sign, as the flow reads it)
+    exactly where ``symmetric_flow`` finds c = 0 from the same expression; else empty."""
+    if not j_perp or (jz - j_perp) * (jz + j_perp):
+        return ""
+    return "jz=-jperp" if jz < 0 else "jz=+jperp"
 
 
 def _eval_portrait(params: dict, point: dict):
@@ -451,7 +450,7 @@ def _write_flow(out: str, results: list) -> list[str]:
     # a forced rerun with fewer starts leaves no trace the index omits
     listed = set(map(os.path.basename, written))
     for name in os.listdir(out):
-        if fnmatch.fnmatch(name, "trace_*.csv") and name not in listed:
+        if re.fullmatch(r"trace_[0-9]{4,}\.csv", name) and name not in listed:
             os.remove(os.path.join(out, name))
     return written
 

@@ -1,10 +1,15 @@
 import dataclasses
+import decimal
 import math
+import sys
+from decimal import Decimal
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from codebath import bath
 from codebath.bath import BathSpec, RegimeLabel, thermal_correlator
 
 NAT = BathSpec()  # natural units, unit parameters
@@ -134,8 +139,9 @@ def test_thermal_monotone_decreasing(t, scale):
 @pytest.mark.parametrize("spec,t,expected", [
     (NAT, 1e-170, math.inf),  # t * t underflows: 1/t**2 overflows
     (NAT, 9e-155, 1.2345679012345678e308),  # t * t is subnormal, 1/t**2 finite
-    (BathSpec(temperature=1e-320), 1e-10, 1.0 / (1e-10 * 1e-10)),  # w t underflows to 0
-    (BathSpec(temperature=1e-300), 1e-10, 1.0 / (1e-10 * 1e-10)),  # w t is subnormal
+    # w t underflows to 0, and is subnormal: 1/t**2, which rounds to 1e20 at t = 1e-10
+    (BathSpec(temperature=1e-320), 1e-10, 1e20),
+    (BathSpec(temperature=1e-300), 1e-10, 1e20),
     (BathSpec(temperature=1e300, hbar=1e-300), 1.0, 0.0),  # w overflows
     (BathSpec(temperature=5e307), 1.0, 0.0),  # 2 w overflows where e^{-w t} is 0
 ])
@@ -143,9 +149,98 @@ def test_thermal_limits_at_the_edges_of_float_range(spec, t, expected):
     assert thermal_correlator(spec, t) == expected
 
 
+_EXACT = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.InvalidOperation, decimal.DivisionByZero])
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+_TOP = Decimal(2**1024 - 2**970)  # the least value that rounds to inf
+EPS = sys.float_info.epsilon
+
+
+def _kernel_exact(spec: BathSpec, t: float) -> tuple[Decimal, Decimal]:
+    """u = w t and (u / sinh u / t)**2 at 50 digits from the float inputs."""
+    with decimal.localcontext(_EXACT):
+        u = _PI * Decimal(spec.kB) * Decimal(spec.temperature) / Decimal(spec.hbar) * Decimal(t)
+        if u < 1:  # sinh u / u as its series: e^u - e^-u would cancel
+            total, term, k = Decimal(1), Decimal(1), 1
+            while term > Decimal("1e-55"):
+                term *= u * u / ((2 * k) * (2 * k + 1))
+                total, k = total + term, k + 1
+            f = 1 / total
+        else:
+            f = 2 * u * (-u).exp() / (1 - (-2 * u).exp())
+        return u, (f / Decimal(t)) ** 2
+
+
+def _kernel_bound(spec: BathSpec, t: float, u: Decimal, log_path: bool) -> float:
+    """The kernel's relative error bound, derived to first order in EPS = 2**-52.
+
+    C = (f(u) / t)**2 with f = u / sinh u, so a relative error du in u moves C by
+    |d ln C / d ln u| du = 2 |1 - u coth u| du.  du is
+    - on the product path, pi's rounding and those of three products and a quotient:
+      below 3 EPS;
+    - on the log path (``_saturated``), five logs, each within 1 ulp of |ln x|, and
+      four sums, each within EPS/2 of a partial sum below S = sum |p ln x|, make the
+      log's absolute error below 3 EPS S; exp adds 1 ulp: du < 3 EPS S + EPS.
+    (Where u is subnormal its error is absolute, but there f = 1 - u**2/6 rounds to 1.)
+    At a given u the evaluation adds 11 EPS: exp(-u/2) (1 ulp) taken twice, u * half
+    (EPS/2), expm1 (1 ulp), the divide, half / t and their product (EPS/2 each) are
+    5 EPS in f / t, doubled by the square, plus the square's own EPS/2.
+    """
+    if log_path:
+        factors = (math.pi, spec.kB, spec.temperature, spec.hbar, t)
+        s = sum(abs(math.log(x)) for x in factors if x)  # T = 0 gives u = 0 exactly
+        du = 3 * EPS * s + EPS
+    else:
+        du = 3 * EPS
+    v = min(float(u), 1e300)  # beyond, C is 0 to far below the least subnormal
+    amplification = 2 * abs(1 - v / math.tanh(v)) if v else 0.0
+    return amplification * du + 11 * EPS
+
+
+def _thermal_within_bound(kB: float, temperature: float, hbar: float, t: float) -> None:
+    """The kernel against its 50-digit value, within ``_kernel_bound`` relative and one
+    subnormal absolute; inf stands for any value past the largest float."""
+    spec = BathSpec(temperature=temperature, hbar=hbar, kB=kB)
+    with mock.patch.object(bath, "_saturated", wraps=bath._saturated) as log_path:
+        got = thermal_correlator(spec, t)
+    u, exact = _kernel_exact(spec, t)
+    bound = _kernel_bound(spec, t, u, log_path.called)
+    with decimal.localcontext(_EXACT):
+        exact = min(exact, _TOP)
+        error = abs((_TOP if got == math.inf else Decimal(got)) - exact)
+        assert error <= Decimal(bound) * exact + Decimal(2.0**-1074), (got, float(exact), bound)
+
+
+_LOG_UNIFORM = st.floats(-300, 300).map(lambda e: 10.0**e)
+
+
+@given(kB=_LOG_UNIFORM, temperature=_LOG_UNIFORM, hbar=_LOG_UNIFORM, t=_LOG_UNIFORM)
+@example(kB=1e200, temperature=1e200, hbar=1e300, t=1e-120)  # w overflows: 1.0e240
+@example(kB=1e-200, temperature=1e-200, hbar=1e-300, t=1e101)  # kB T underflows: 2.0e-226
+@example(kB=1e-200, temperature=1e-120, hbar=1e-300, t=1e20)  # pi kB T subnormal, w normal
+@example(kB=1.0, temperature=2.3e202, hbar=1.0, t=1e-200)  # u = 723: e^-u is subnormal
+@example(kB=1.0, temperature=0.0, hbar=1.0, t=1e-170)  # the six edge cases above
+@example(kB=1.0, temperature=0.0, hbar=1.0, t=9e-155)
+@example(kB=1.0, temperature=1e-320, hbar=1.0, t=1e-10)
+@example(kB=1.0, temperature=1e-300, hbar=1.0, t=1e-10)
+@example(kB=1.0, temperature=1e300, hbar=1e-300, t=1.0)
+@example(kB=1.0, temperature=5e307, hbar=1.0, t=1.0)
+@settings(max_examples=400, deadline=None)
+def test_thermal_kernel_within_its_bound_of_the_exact_value(kB, temperature, hbar, t):
+    _thermal_within_bound(kB, temperature, hbar, t)
+
+
+@given(temperature=st.floats(0, 100), t=st.floats(-6, 6).map(lambda e: 10.0**e))
+@settings(max_examples=200, deadline=None)
+def test_thermal_kernel_within_its_bound_in_natural_units(temperature, t):
+    _thermal_within_bound(1.0, temperature, 1.0, t)
+
+
 def test_thermal_invalid_time():
     with pytest.raises(ValueError):
         thermal_correlator(NAT, 0.0)
     with pytest.raises(ValueError):
         thermal_correlator(NAT, -1.0)
+    with pytest.raises(ValueError, match="t must be positive"):
+        thermal_correlator(NAT, math.nan)
 

@@ -901,10 +901,12 @@ def test_flow_force_removes_stale_traces(tmp_path):
         "output_path": str(out),
     }
     run(validate_config(cfg))
-    (out / "notes.txt").write_text("kept")
+    kept = ["notes.txt", "trace_notes.csv", "trace_.csv", "trace_0001.csv.bak", "trace_1.csv"]
+    for name in kept:  # no name the flow writes: trace_ and four or more digits
+        (out / name).write_text("kept")
     cfg["axes"]["j_perp"] = [0.05]
     run(validate_config(cfg), force=True)
-    assert sorted(p.name for p in out.iterdir()) == ["index.csv", "notes.txt", "trace_0000.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["index.csv", "trace_0000.csv", *kept])
 
 
 def test_flow_task_writes_traces_and_index(tmp_path):
@@ -1090,6 +1092,30 @@ def test_phase_diagram_tags_mirrored_separatrices(tmp_path):
     for tid, mirror in (("0", "2"), ("1", "3")):
         assert [row[1:] for row in by_tid[tid]] == [
             [l, "-" + j_perp, *rest] for l, j_perp, *rest in (row[1:] for row in by_tid[mirror])]
+
+
+def _ulps_away(x: float, k: int) -> float:
+    """x moved |k| floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@given(magnitude=st.floats(-200, math.log10(3)).map(lambda e: 10.0**e),
+       perp_sign=st.sampled_from([1.0, -1.0]), z_sign=st.sampled_from([1.0, -1.0]),
+       k=st.integers(-3, 3))
+@example(magnitude=0.3, perp_sign=1.0, z_sign=-1.0, k=-1)  # jz = -0.30000000000000004: untagged
+@example(magnitude=1e-200, perp_sign=1.0, z_sign=1.0, k=3)  # c underflows to 0
+@settings(max_examples=300, deadline=None)
+def test_separatrix_tag_is_the_flows_c_equal_zero(magnitude, perp_sign, z_sign, k):
+    """Starts 0-3 floats from jz = +-|j_perp|: tagged exactly where symmetric_flow's
+    c = (jz - j_perp) (jz + j_perp) is 0, as the flow reads the sign of jz."""
+    j_perp, jz = perp_sign * magnitude, _ulps_away(z_sign * magnitude, k)
+    tag = sweeps._separatrix_tag(j_perp, jz)
+    assert bool(tag) == ((jz - j_perp) * (jz + j_perp) == 0)
+    assert tag in ("", "jz=-jperp" if jz < 0 else "jz=+jperp")
+    if magnitude < 1e-170:  # c underflows: the flow takes every such start as on a separatrix
+        assert tag
 
 
 def test_phase_diagram_integrates_nothing(tmp_path, monkeypatch):
