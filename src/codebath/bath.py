@@ -72,7 +72,7 @@ class BathSpec:
     (``dataclasses.replace`` rebuilds them): its ``regime``; ``zeta`` = (s+1) z / 2,
     the coupling's spatial exponent, |x|**(-2 zeta); and the saturated L-independent
     bases ``lambda_bar_sq_base`` = 16 (lam tau / hbar)**2 / (a0**(2(1-zeta)) a**(2 zeta))
-    and ``critical_coupling_base`` = hbar a0**(1-zeta) a**zeta / (4 tau).
+    and ``critical_coupling_base`` = hbar a0**(1-zeta) a**zeta / (4 tau), set in ``vars`` (frozen).
     """
 
     z: float = 1.0
@@ -98,24 +98,26 @@ class BathSpec:
                 raise ValueError(f"{name} must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        zeta = (self.s + 1.0) / 2.0 * self.z  # exactly z at s = 1
+        vars(self)["zeta"] = zeta = (self.s + 1.0) / 2.0 * self.z  # exactly z at s = 1
         lam, a, a0, tau, hbar = self.lam, self.a, self.a0, self.tau_qec, self.hbar
         try:
             lb = 16.0 * (lam * tau) ** 2 / (hbar**2 * a0 ** (2.0 * (1.0 - zeta))
                                              * a ** (2.0 * zeta))
         except _RANGE_ERRORS:
             lb = math.nan
-        if not 0.0 < lb < math.inf:
-            lb = _saturated(lb, ((16.0, 1), (lam, 2), (tau, 2), (hbar, -2),
-                                 (a0, -2.0 * (1.0 - zeta)), (a, -2.0 * zeta)))
+        lb = lb if 0.0 < lb < math.inf else _saturated(lb, self.lambda_bar_sq_powers(1.0))
         try:
             lam_c = hbar * a0 ** (1.0 - zeta) * a**zeta / (4.0 * tau)
         except _RANGE_ERRORS:
             lam_c = math.nan
         if not 0.0 < lam_c < math.inf:
             lam_c = _saturated(lam_c, ((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0 * tau, -1)))
-        vars(self).update(regime=regime, zeta=zeta, lambda_bar_sq_base=lb,
-                          critical_coupling_base=lam_c)  # frozen guards only setattr
+        vars(self).update(regime=regime, lambda_bar_sq_base=lb, critical_coupling_base=lam_c)
+
+    def lambda_bar_sq_powers(self, q: float) -> tuple:
+        """The (field, power) pairs whose product is ``lambda_bar_sq_base ** q``."""
+        return ((16.0, q), (self.lam, 2 * q), (self.tau_qec, 2 * q), (self.hbar, -2 * q),
+                (self.a0, -2.0 * (1.0 - self.zeta) * q), (self.a, -2.0 * self.zeta * q))
 
 
 def thermal_correlator(spec: BathSpec, t: float) -> float:

@@ -35,8 +35,8 @@ def main(argv=None) -> int:
             raise ConfigError("$", "--config is required")
         cfg = sweeps.validate_config(sweeps.read_config(args.config))
         written = sweeps.run(cfg, args.force)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:  # also a sweep too large for memory
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
@@ -44,8 +44,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for path in written:
-        print(path)
+    print(*written, sep="\n")
     return 0
 
 

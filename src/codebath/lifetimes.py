@@ -86,14 +86,16 @@ def critical_coupling(spec: BathSpec, L: int) -> float:
 
 
 def j_of_L(spec: BathSpec, L: int) -> float:
-    """Macroscopic dimensionless coupling (lam/hbar v) sqrt(2L/pi) (lbar^2)^(L/4)."""
+    """Macroscopic coupling (lam/hbar v) sqrt(2L/pi) (lbar^2)^(L/4), in logs out of float range."""
     lb = lambda_bar_sq(spec, L)
     try:
         j = spec.lam / (spec.hbar * spec.v) * math.sqrt(2.0 * L / math.pi) * lb ** (L / 4.0)
     except _RANGE_ERRORS:
         j = math.nan
-    return j if 0.0 < j < math.inf else _saturated(j, (
-        (spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5), (lb, L / 4.0)))
+    return j if 0.0 < j < math.inf and lb >= 2.0**-1022 else _saturated(j, (
+        (spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5),
+        *(((lb, L / 4.0),) if 2.0**-1022 <= lb < math.inf  # a subnormal lbar^2 lost its digits
+          else ((_growth(spec, L), L / 4.0), *spec.lambda_bar_sq_powers(L / 4.0)))))
 
 
 def window_power(s: float, j_L: float) -> tuple[float, float]:

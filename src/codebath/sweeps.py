@@ -316,7 +316,7 @@ def _eval_flow(params: dict, point: dict):
         terminal = trace.terminal
         for l, j in trace.samples:
             c1, c2 = constants_of_motion(j)
-            rows.append(f"{l:.17g},{j.jx:.17g},{j.jy:.17g},{j.jz:.17g},{c1:.17g},{c2:.17g}\n")
+            rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (l, j.jx, j.jy, j.jz, c1, c2))
     return f"{start.jx:.17g},{start.jy:.17g},{start.jz:.17g},{_terminal_cells(terminal)}", rows
 
 
@@ -438,15 +438,22 @@ def _map_points(fn, params: dict, points: list[dict], workers: int) -> list:
 
 def _write_flow(out: str, results: list) -> list[str]:
     """One trace file per start plus the index; returns the files written."""
+    made, written, index_rows = not os.path.isdir(out), [], []
     os.makedirs(out, exist_ok=True)
-    written, index_rows = [], []
-    for tid, (start, rows) in enumerate(results):
-        fname = f"trace_{tid:04d}.csv"
-        written.append(os.path.join(out, fname))
-        _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows)
-        index_rows.append(f"{tid},{start},{fname}\n")
-    written.append(os.path.join(out, "index.csv"))
-    _write_rows(written[-1], TASKS["flow"].header, index_rows)
+    try:
+        for tid, (start, rows) in enumerate(results):
+            fname = f"trace_{tid:04d}.csv"
+            written.append(os.path.join(out, fname))
+            _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows)
+            index_rows.append(f"{tid},{start},{fname}\n")
+        written.append(os.path.join(out, "index.csv"))
+        _write_rows(written[-1], TASKS["flow"].header, index_rows)
+    except BaseException:
+        if made:  # a failed run leaves no directory it made
+            for path in filter(os.path.exists, written):
+                os.remove(path)
+            os.rmdir(out)
+        raise
     # a forced rerun with fewer starts leaves no trace the index omits
     listed = set(map(os.path.basename, written))
     for name in os.listdir(out):

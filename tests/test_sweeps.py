@@ -909,6 +909,33 @@ def test_flow_force_removes_stale_traces(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(["index.csv", "trace_0000.csv", *kept])
 
 
+def test_failed_flow_leaves_no_directory_it_made(tmp_path, monkeypatch):
+    # the fourth file write fails: the three traces before it and the directory go, but a
+    # forced rerun into an existing directory leaves it, and the files the flow does not name
+    out, calls, write_rows = tmp_path / "flows", [], sweeps._write_rows
+
+    def disk_full_at_the_fourth(path, header, rows):
+        calls.append(path)
+        if len(calls) == 4:
+            raise OSError(errno.ENOSPC, "disk full")
+        write_rows(path, header, rows)
+
+    cfg = validate_config({"task": "flow", "axes": {"j_perp": [0.05, 0.1, 0.15],
+                                                    "jz": [-0.2, 0.2]},
+                           "params": {"l_max": 5.0}, "output_path": str(out)})
+    monkeypatch.setattr(sweeps, "_write_rows", disk_full_at_the_fourth)
+    with pytest.raises(OSError, match="disk full"):
+        run(cfg)
+    assert len(calls) == 4 and list(tmp_path.iterdir()) == []
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    calls.clear()
+    with pytest.raises(OSError, match="disk full"):
+        run(cfg, force=True)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notes.txt", "trace_0000.csv", "trace_0001.csv", "trace_0002.csv"]
+
+
 def test_flow_task_writes_traces_and_index(tmp_path):
     out = tmp_path / "flows"
     cfg = validate_config(
@@ -1302,6 +1329,29 @@ def test_cli_exit_codes_at_the_process_boundary(tmp_path, case):
     else:
         assert proc.stdout == f"{cfg['output_path']}\n"
         assert written == ["cfg.json", cfg["output_path"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmPeak from /proc")
+def test_sweep_too_large_for_memory_exits_3(tmp_path):
+    # 8M grid points under an address-space limit of the CLI's start-up peak + 200 MB, set on
+    # the child process alone: a MemoryError is a resource limit, with no traceback or file
+    resource = pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(Path(sweeps.__file__).resolve().parent.parent)}
+    peak = subprocess.run(
+        [sys.executable, "-c", "import codebath.cli; print(next(line.split()[1] for line in "
+         "open('/proc/self/status') if line.startswith('VmPeak:')))"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    limit = int(peak.stdout) * 1024 + 200 * 2**20
+    values = [i / 1000 for i in range(1, 201)]
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "task": "flow", "axes": {"jx": values, "jy": values, "jz": values}, "output_path": "out"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "codebath.cli", "sweep", "--config", "cfg.json"], cwd=tmp_path,
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr.startswith("resource limit: ") and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_cli_refuses_out_flag(tmp_path, capsys):
