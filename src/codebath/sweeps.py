@@ -12,12 +12,12 @@ formatted where it varies: one ``build_report`` per (L, bath), the pair and T2 c
 once per run, t_comp per row.  A value naming a field of ``FlowOptions`` or
 ``BathSpec``, all floats, enters it through ``float``.  The config key
 ``parallelism`` and ``flow``'s ``abs_tol`` and ``rel_tol`` are validated and not
-stored, so outputs are byte-identical for any of their values.  Each file is
-written under a unique temporary name and atomically renamed, so an interrupted run
-leaves no partial output.  Each evaluator returns its rows as finished lines (floats as ``%.17g``,
-integers in full, enums by value, an absent Optional float empty), which are written
-as they are; a lifetime row is led by its axis cells, config values formatted once per
-run by ``format_cell``.  No cell needs quoting: none holds a comma, quote or newline.
+stored, so outputs are byte-identical for any of their values.  Each file is written
+under a unique temporary name and renamed into place, a flow's only once all are written,
+so a failed run changes no file.  Each evaluator returns its rows as finished lines (floats
+as ``%.17g``, integers in full, enums by value, an absent Optional float empty), written as
+they are; a lifetime row is led by its axis cells, config values formatted once per run by
+``format_cell``.  No cell needs quoting: none holds a comma, quote or newline.
 """
 from __future__ import annotations
 
@@ -199,10 +199,10 @@ def format_cell(v: float | None) -> str:
     return f"{v:.17g}"
 
 
-def _refuse_overwrite(path: str, force: bool, tree: bool) -> None:
-    """Raise an OSError naming ``path`` where no output can go: an existing one
-    (unless ``force``), a file onto a directory or into no directory, a ``tree``
-    under a file (its nearest existing ancestor, ``path`` included, decides)."""
+def _refuse_overwrite(path: str, force: bool, tree: bool) -> str:
+    """Raise an OSError naming ``path`` where no output can go: an existing one (unless
+    ``force``), a file onto a directory or into no directory, a ``tree`` under a file; else
+    return the directory that decides, a file's parent or a tree's nearest existing ancestor."""
     if os.path.exists(path) and not force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
     if not tree and os.path.isdir(path):
@@ -212,6 +212,7 @@ def _refuse_overwrite(path: str, force: bool, tree: bool) -> None:
         head = os.path.dirname(head)
     if not os.path.isdir(head or "."):
         raise NotADirectoryError(f"cannot write {path}: {head} is not a directory")
+    return head or "."
 
 
 def _write_rows(path: str, header: list[str], rows: list[str]) -> None:
@@ -332,8 +333,8 @@ def _eval_portrait(params: dict, point: dict):
     """(l, j_perp, j_z, terminal_label, separatrix) lines of one symmetric start."""
     start = _flow_start(point)
     samples, terminal = symmetric_flow(start.jx, start.jz, _portrait_options(params))
-    cells = f"{type(terminal).__name__},{_separatrix_tag(start.jx, start.jz)}\n"
-    return [f"{l:.17g},{p:.17g},{z:.17g},{cells}" for l, p, z in samples]
+    row = f"%.17g,%.17g,%.17g,{type(terminal).__name__},{_separatrix_tag(start.jx, start.jz)}\n"
+    return [row % sample for sample in samples]
 
 
 def _eval_matching(params: dict, point: dict):
@@ -436,30 +437,29 @@ def _map_points(fn, params: dict, points: list[dict], workers: int) -> list:
     return [fn(params, point) for point in points]
 
 
-def _write_flow(out: str, results: list) -> list[str]:
-    """One trace file per start plus the index; returns the files written."""
-    made, written, index_rows = not os.path.isdir(out), [], []
-    os.makedirs(out, exist_ok=True)
+def _write_flow(out: str, root: str, results: list) -> list[str]:
+    """One trace file per start plus the index; returns the files written.  All are
+    written into a stage directory in ``root`` (``out``'s nearest existing ancestor, so
+    its filesystem) and moved into ``out`` after the last, so a failed write changes nothing."""
+    names = [f"trace_{tid:04d}.csv" for tid in range(len(results))] + ["index.csv"]
+    stage = os.path.join(root, f".flow.{os.urandom(8).hex()}.tmp")
+    os.mkdir(stage)
     try:
-        for tid, (start, rows) in enumerate(results):
-            fname = f"trace_{tid:04d}.csv"
-            written.append(os.path.join(out, fname))
-            _write_rows(written[-1], ["l", "jx", "jy", "jz", "c1", "c2"], rows)
-            index_rows.append(f"{tid},{start},{fname}\n")
-        written.append(os.path.join(out, "index.csv"))
-        _write_rows(written[-1], TASKS["flow"].header, index_rows)
-    except BaseException:
-        if made:  # a failed run leaves no directory it made
-            for path in filter(os.path.exists, written):
-                os.remove(path)
-            os.rmdir(out)
-        raise
-    # a forced rerun with fewer starts leaves no trace the index omits
-    listed = set(map(os.path.basename, written))
-    for name in os.listdir(out):
-        if re.fullmatch(r"trace_[0-9]{4,}\.csv", name) and name not in listed:
-            os.remove(os.path.join(out, name))
-    return written
+        for name, (_, rows) in zip(names, results):
+            _write_rows(os.path.join(stage, name), ["l", "jx", "jy", "jz", "c1", "c2"], rows)
+        index = [f"{tid},{start},{names[tid]}\n" for tid, (start, _) in enumerate(results)]
+        _write_rows(os.path.join(stage, "index.csv"), TASKS["flow"].header, index)
+        os.makedirs(out, exist_ok=True)
+        for name in os.listdir(out):  # a rerun with fewer starts leaves no trace it omits
+            if re.fullmatch(r"trace_[0-9]{4,}\.csv", name) and name not in names:
+                os.remove(os.path.join(out, name))
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    finally:
+        for name in os.listdir(stage):
+            os.remove(os.path.join(stage, name))
+        os.rmdir(stage)
+    return [os.path.join(out, name) for name in names]
 
 
 def run(cfg: SweepConfig, force: bool = False) -> list[str]:
@@ -472,9 +472,9 @@ def run(cfg: SweepConfig, force: bool = False) -> list[str]:
         evaluate = functools.partial(evaluate, _lifetime_block(cfg.params, axes))
         axes = {n: v for n, v in axes.items() if n == "L"}
     results = _map_points(evaluate, cfg.params, grid_points(axes), 1)
-    _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
+    root = _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
     if tree:
-        return _write_flow(out, results)
+        return _write_flow(out, root, results)
     if header[0] == "trajectory_id":  # a grid point's rows carry its index
         rows = [f"{tid},{row}" for tid, rs in enumerate(results) for row in rs]
     else:

@@ -909,31 +909,59 @@ def test_flow_force_removes_stale_traces(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(["index.csv", "trace_0000.csv", *kept])
 
 
-def test_failed_flow_leaves_no_directory_it_made(tmp_path, monkeypatch):
-    # the fourth file write fails: the three traces before it and the directory go, but a
-    # forced rerun into an existing directory leaves it, and the files the flow does not name
-    out, calls, write_rows = tmp_path / "flows", [], sweeps._write_rows
+def listing(root: Path) -> dict:
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
 
-    def disk_full_at_the_fourth(path, header, rows):
-        calls.append(path)
-        if len(calls) == 4:
-            raise OSError(errno.ENOSPC, "disk full")
+
+def failing_write(monkeypatch, at: int, exc: BaseException) -> list:
+    """Make the ``at``-th ``_write_rows`` call raise ``exc``; returns the paths it was called with."""
+    calls, write_rows = [], sweeps._write_rows
+
+    def write(path, header, rows):
+        calls.append(Path(path))
+        if len(calls) == at:
+            raise exc
         write_rows(path, header, rows)
 
-    cfg = validate_config({"task": "flow", "axes": {"j_perp": [0.05, 0.1, 0.15],
-                                                    "jz": [-0.2, 0.2]},
-                           "params": {"l_max": 5.0}, "output_path": str(out)})
-    monkeypatch.setattr(sweeps, "_write_rows", disk_full_at_the_fourth)
-    with pytest.raises(OSError, match="disk full"):
-        run(cfg)
-    assert len(calls) == 4 and list(tmp_path.iterdir()) == []
-    out.mkdir()
+    monkeypatch.setattr(sweeps, "_write_rows", write)
+    return calls
+
+
+def test_failed_flow_leaves_no_directory_it_made(tmp_path, monkeypatch):
+    # 6 traces, then the index: a write that raises at the first trace, the fourth write or
+    # the index changes nothing.  A fresh run under two missing parents makes none of them,
+    # and a forced rerun over an earlier run leaves every old file as it was
+    flow = {"task": "flow", "axes": {"j_perp": [0.05, 0.1, 0.15], "jz": [-0.2, 0.2]},
+            "params": {"l_max": 5.0}}
+    fresh = validate_config({**flow, "output_path": str(tmp_path / "a" / "b" / "flows")})
+    for at in (1, 4, 7):
+        calls = failing_write(monkeypatch, at, OSError(errno.ENOSPC, "disk full"))
+        with pytest.raises(OSError, match="disk full"):
+            run(fresh)
+        # the stage sits in the nearest existing ancestor, so on the output's filesystem
+        assert len(calls) == at and calls[-1].parent.parent == tmp_path
+        assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    out = tmp_path / "flows"
+    run(validate_config({**flow, "axes": {"j_perp": [0.05, 0.1, 0.15, 0.2], "jz": [-0.3, 0.3]},
+                         "output_path": str(out)}))
     (out / "notes.txt").write_text("kept")
-    calls.clear()
-    with pytest.raises(OSError, match="disk full"):
-        run(cfg, force=True)
-    assert sorted(p.name for p in out.iterdir()) == [
-        "notes.txt", "trace_0000.csv", "trace_0001.csv", "trace_0002.csv"]
+    before, rerun = listing(tmp_path), validate_config({**flow, "output_path": str(out)})
+    for at in (1, 4, 7):
+        calls = failing_write(monkeypatch, at, OSError(errno.ENOSPC, "disk full"))
+        with pytest.raises(OSError, match="disk full"):
+            run(rerun, force=True)
+        assert len(calls) == at and calls[-1].parent.parent == out
+        assert listing(tmp_path) == before
+
+
+def test_interrupted_flow_leaves_no_stage(tmp_path, monkeypatch):
+    out = tmp_path / "flows"
+    failing_write(monkeypatch, 2, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        run(validate_config({"task": "flow", "axes": {"jz": [0.1, 0.2]}, "output_path": str(out)}))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flow_task_writes_traces_and_index(tmp_path):
@@ -1288,6 +1316,21 @@ def test_output_that_appears_during_evaluation_is_refused(tmp_path, monkeypatch)
         run(validate_config(lifetime_config(out)))
     assert out.read_text() == "theirs\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["late.csv"]
+
+
+def test_flow_directory_that_appears_during_evaluation_is_refused(tmp_path, monkeypatch):
+    out = tmp_path / "flows"
+
+    def racing(*args):
+        if not out.exists():
+            out.mkdir()
+            (out / "index.csv").write_text("theirs\n")
+        return FLOW.evaluate(*args)
+
+    monkeypatch.setitem(sweeps.TASKS, "flow", dataclasses.replace(FLOW, evaluate=racing))
+    with pytest.raises(FileExistsError):
+        run(validate_config({"task": "flow", "axes": {"jz": [0.1, 0.2]}, "output_path": str(out)}))
+    assert listing(tmp_path) == {Path("flows"): None, Path("flows/index.csv"): b"theirs\n"}
 
 
 # --- CLI --------------------------------------------------------------------
