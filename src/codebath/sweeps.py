@@ -39,7 +39,6 @@ from .rg_flow import (
     FlowOptions,
     Localized,
     StrongCoupling,
-    Terminal,
     check_start,
     constants_of_motion,
     integrate_flow,
@@ -237,16 +236,12 @@ def _write_rows(path: str, header: list[str], rows: list[str]) -> None:
 
 _FLOW_PARAMS = {f.name for f in fields(FlowOptions)}
 _RTOL_MIN = 100 * sys.float_info.epsilon  # the floor a flow config keeps on rel_tol
+_PORTRAIT = {"j_max": 4.0}  # merged under a portrait's values; a flow's j_max defaults to 1
 
 
 def _flow_options(values: dict) -> FlowOptions:
     """Flow options from the entries of ``values`` that name a field."""
     return FlowOptions(**{n: float(v) for n, v in values.items() if n in _FLOW_PARAMS})
-
-
-def _portrait_options(values: dict) -> FlowOptions:
-    """A portrait's flow options: its ceiling ``j_max`` defaults to 4, a flow's to 1."""
-    return _flow_options({"j_max": 4.0, **values})
 
 
 _BATH_NAMES = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(BathSpec)}
@@ -277,13 +272,6 @@ def _matching_problem(values: dict) -> wick.MatchingProblem:
     return wick.MatchingProblem(tuple(range(n)), float(values.get("z", 1.0)))
 
 
-def _terminal_cells(terminal: Terminal) -> str:
-    """The terminal's label and its l_star and jz_star cells (empty if it has none)."""
-    l_star = f"{terminal.l_star:.17g}" if isinstance(terminal, StrongCoupling) else ""
-    jz_star = f"{terminal.j_star.jz:.17g}" if isinstance(terminal, Localized) else ""
-    return f"{type(terminal).__name__},{l_star},{jz_star}"
-
-
 def _flow_start(values: dict) -> CouplingVector:
     """A flow's start from config names (``j_perp`` sets jx and jy; 0 if absent)."""
     return CouplingVector(
@@ -293,9 +281,9 @@ def _flow_start(values: dict) -> CouplingVector:
     )
 
 
-def _check_flow(values: dict, options=_flow_options) -> None:
-    """A flow's ``options`` and start, and its tolerances, which no closed form reads."""
-    options(values)
+def _check_flow(values: dict) -> None:
+    """The flow options and start that ``values`` make, and the tolerances no closed form reads."""
+    _flow_options(values)
     check_start(_flow_start(values))
     if values.get("abs_tol", 1) <= 0 or values.get("rel_tol", 1) <= 0:
         raise ValueError("tolerances must be positive")
@@ -304,8 +292,8 @@ def _check_flow(values: dict, options=_flow_options) -> None:
 
 
 def _eval_flow(params: dict, point: dict):
-    """One start's index cells (without id and file name) and its trace's (l, jx,
-    jy, jz, c1, c2) lines: ``symmetric_flow``'s if jx and jy are one float."""
+    """A start's index cells (jx0 to jz_star; l_star if it ran away, jz_star if it localized)
+    and its trace's (l, jx, jy, jz, c1, c2) lines: ``symmetric_flow``'s if jx, jy are one float."""
     start, opts, rows = _flow_start(point), _flow_options(params), []
     if start.jx == start.jy and math.copysign(1, start.jx) == math.copysign(1, start.jy):
         samples, terminal = symmetric_flow(start.jx, start.jz, opts)
@@ -318,7 +306,10 @@ def _eval_flow(params: dict, point: dict):
         for l, j in trace.samples:
             c1, c2 = constants_of_motion(j)
             rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (l, j.jx, j.jy, j.jz, c1, c2))
-    return f"{start.jx:.17g},{start.jy:.17g},{start.jz:.17g},{_terminal_cells(terminal)}", rows
+    l_star = f"{terminal.l_star:.17g}" if isinstance(terminal, StrongCoupling) else ""
+    jz_star = f"{terminal.j_star.jz:.17g}" if isinstance(terminal, Localized) else ""
+    return (f"{start.jx:.17g},{start.jy:.17g},{start.jz:.17g},{type(terminal).__name__},"
+            f"{l_star},{jz_star}", rows)
 
 
 def _separatrix_tag(j_perp: float, jz: float) -> str:
@@ -332,7 +323,7 @@ def _separatrix_tag(j_perp: float, jz: float) -> str:
 def _eval_portrait(params: dict, point: dict):
     """(l, j_perp, j_z, terminal_label, separatrix) lines of one symmetric start."""
     start = _flow_start(point)
-    samples, terminal = symmetric_flow(start.jx, start.jz, _portrait_options(params))
+    samples, terminal = symmetric_flow(start.jx, start.jz, _flow_options({**_PORTRAIT, **params}))
     row = f"%.17g,%.17g,%.17g,{type(terminal).__name__},{_separatrix_tag(start.jx, start.jz)}\n"
     return [row % sample for sample in samples]
 
@@ -413,7 +404,7 @@ TASKS = {
     "phase_diagram": Task(
         {"j_perp", "jz"}, _FLOW_PARAMS, _eval_portrait,
         ("trajectory_id", "l", "j_perp", "j_z", "terminal_label", "separatrix"),
-        required={"j_perp", "jz"}, check=functools.partial(_check_flow, options=_portrait_options),
+        required={"j_perp", "jz"}, check=lambda values: _check_flow({**_PORTRAIT, **values}),
     ),
     "matching": Task(
         {"n"}, {"z"}, _eval_matching, ("n", "matching_sum", "per_pair_weight"),

@@ -580,7 +580,11 @@ def test_closed_forms_hold_to_their_exact_values(lam, tau, hbar, v, a, a0, kB, T
     # kB * T falls in the subnormal band
     ("gamma_korringa", lambda: gamma_korringa(BathSpec(kB=1e-160, temperature=1e-160,
                                                        hbar=1e-300), 1.0), Decimal("1e-20")),
-], ids=["subnormal-denominator", "subnormal-product"])
+    # (lam tau)**2 overflows, so the lambda_bar_sq base comes from its log sum, 754 ulp off
+    # (inside its bound); raised to L/4 = 50 that error reads 34,638 ulp in j(L)
+    ("j_of_L", lambda: j_of_L(BathSpec(tau_qec=1e300, hbar=3e299), 200),
+     Decimal("1.1727554650162987357900868814658807925557838202535e-186")),
+], ids=["subnormal-denominator", "subnormal-product", "log-sum-base-raised"])
 def test_known_losses(form, got, exact):
     assert ulps(got(), exact) <= ULP_BOUND[form]
 
@@ -602,6 +606,20 @@ def test_t_comp_subohmic_values():
     assert t_comp(point, j_L=1.0) == pytest.approx(0.01, rel=1e-12)
     point = CodePoint(L=8, epsilon=0.01, spec=BathSpec(s=0.9))
     assert t_comp(point, j_L=0.1) == pytest.approx(1e8, rel=1e-9)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="the sub-Ohmic window j**(-1/(1-s)) falls "
+                   "below one cycle and does not tend to e**(1/j) as s -> 1 (ROADMAP item 3)")
+def test_runaway_window_is_at_least_one_cycle_and_continuous_at_s_1():
+    # j(L) = 1.404 reads t_K/tau 2.04 at s = 1, but 0.507 at s = 0.5, 1.8e-15 at s = 0.99
+    # and 0 at s = 1 - 1e-6
+    def t_K(s):
+        return build_report(CodePoint(8, 0.01, BathSpec(z=1.0, lam=0.3, s=s))).t_K_over_tau
+
+    near_1 = [t_K(1 - 10.0**-k) for k in range(3, 10)]
+    assert min(t_K(s) for s in (0.5, 0.9, 0.99, 1.0)) >= 1 and min(near_1) >= 1
+    gaps = [abs(t - t_K(1.0)) for t in near_1]
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 1e-3 * t_K(1.0)
 
 
 def test_threshold_exists_grid():

@@ -3,7 +3,8 @@
 is given another value by one.  The runs are every example config, one small
 config per task and channel, and one refused config; a function no run enters,
 or a parameter no run sets, has no production consumer, and either gains one
-or leaves."""
+or leaves.  Nor does a module import a name it never reads."""
+import ast
 import importlib
 import inspect
 import json
@@ -88,3 +89,17 @@ def test_every_module_function_is_entered_by_a_cli_run(tmp_path, monkeypatch):
     assert never == {"codebath.bath.thermal_correlator"}
     unset = {f"{functions[code]}({name})" for code, names in defaults.items() for name in names}
     assert unset - set_params == set()
+
+
+def test_every_imported_name_is_read():
+    unread = []
+    for info in pkgutil.iter_modules(codebath.__path__, "codebath."):
+        nodes = list(ast.walk(ast.parse(inspect.getsource(importlib.import_module(info.name)))))
+        # an annotation is parsed as an expression, so a name it holds is read
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unread += [f"{info.name}: {name}" for name in names if name not in read]
+    assert unread == []
