@@ -111,7 +111,7 @@ class BathSpec:
         except _RANGE_ERRORS:
             lam_c = math.nan
         if not 0.0 < lam_c < math.inf:
-            lam_c = _saturated(lam_c, ((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0 * tau, -1)))
+            lam_c = _saturated(lam_c, ((hbar, 1), (a0, 1 - zeta), (a, zeta), (4.0, -1), (tau, -1)))
         vars(self).update(regime=regime, lambda_bar_sq_base=lb, critical_coupling_base=lam_c)
 
     def lambda_bar_sq_powers(self, q: float) -> tuple:

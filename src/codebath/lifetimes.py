@@ -93,7 +93,7 @@ def j_of_L(spec: BathSpec, L: int) -> float:
     except _RANGE_ERRORS:
         j = math.nan
     return j if 0.0 < j < math.inf and lb >= 2.0**-1022 else _saturated(j, (
-        (spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (2.0 * L / math.pi, 0.5),
+        (spec.lam, 1), (spec.hbar, -1), (spec.v, -1), (L, 0.5), (2.0 / math.pi, 0.5),
         *(((lb, L / 4.0),) if 2.0**-1022 <= lb < math.inf  # a subnormal lbar^2 lost its digits
           else ((_growth(spec, L), L / 4.0), *spec.lambda_bar_sq_powers(L / 4.0)))))
 

@@ -3,21 +3,21 @@
 A config (schema in README) names a task of ``TASKS``, its axes and params
 and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
-pure function of the config.  Evaluation is a serial map over grid points, each a
-closed form of at most about a millisecond, too little work for a process pool to
-pay for itself.  A lifetime run's grid points are its code distances L, each
-evaluated with the run's one block of every (epsilon, jz_star) pair by every bath,
-bath fastest: L sorts first and the bath axes last.  A lifetime cell is computed and
-formatted where it varies: one ``build_report`` per (L, bath), the pair and T2 cells
-once per run, t_comp per row.  A value naming a field of ``FlowOptions`` or
-``BathSpec``, all floats, enters it through ``float``.  The config key
-``parallelism`` and ``flow``'s ``abs_tol`` and ``rel_tol`` are validated and not
-stored, so outputs are byte-identical for any of their values.  Each file is written
-under a unique temporary name and renamed into place, a flow's only once all are written,
-so a failed run changes no file.  Each evaluator returns its rows as finished lines (floats
-as ``%.17g``, integers in full, enums by value, an absent Optional float empty), written as
-they are; a lifetime row is led by its axis cells, config values formatted once per run by
-``format_cell``.  No cell needs quoting: none holds a comma, quote or newline.
+pure function of the config.  Evaluation is a serial map over grid points, as no pool path
+exists, though a point may take 0.26 s (a pairing sum at n = 24, on a 2-core Xeon VM).  A
+lifetime run's grid points are its code distances L, each evaluated with the run's one
+block of every (epsilon, jz_star) pair by every bath, bath fastest: L sorts first and the
+bath axes last.  A lifetime cell is computed and formatted where it varies: one
+``build_report`` per (L, bath), the pair and T2 cells once per run, t_comp per row.  A value
+naming a field of ``FlowOptions`` or ``BathSpec``, all floats, enters it through ``float``.
+The config key ``parallelism`` (kept for the benchmark's pool workload until ROADMAP item
+1b) and ``flow``'s ``abs_tol`` and ``rel_tol`` are validated and unread, so outputs are
+byte-identical for any of their values.  Each file is written under a unique temporary name
+and renamed into place, a flow's only once all are written, so a failed run changes no
+file.  Each evaluator returns its rows as finished lines (floats as ``%.17g``, integers in
+full, enums by value, an absent Optional float empty), written as they are; a lifetime row
+is led by its axis cells, config values formatted once per run by ``format_cell``.  No cell
+needs quoting: none holds a comma, quote or newline.
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ def _check_values(check, params: dict, axes: dict) -> None:
     """Pass the params, then each axis value over them, through ``check``; if
     the params fail, the path is the first one (in config order) they fail at."""
     try:
-        check(params)
+        check(params)  # whole first: a prefix may fail where all pass (j_min 2 before j_max 5)
     except ValueError:
         given = {}
         for name, value in params.items():
@@ -291,10 +291,10 @@ def _check_flow(values: dict) -> None:
         raise ValueError(f"rel_tol must be >= {_RTOL_MIN!r} (100 float epsilons)")
 
 
-def _eval_flow(params: dict, point: dict):
+def _eval_flow(values: dict):
     """A start's index cells (jx0 to jz_star; l_star if it ran away, jz_star if it localized)
     and its trace's (l, jx, jy, jz, c1, c2) lines: ``symmetric_flow``'s if jx, jy are one float."""
-    start, opts, rows = _flow_start(point), _flow_options(params), []
+    start, opts, rows = _flow_start(values), _flow_options(values), []
     if start.jx == start.jy and math.copysign(1, start.jx) == math.copysign(1, start.jy):
         samples, terminal = symmetric_flow(start.jx, start.jz, opts)
         for l, p, z in samples:
@@ -320,24 +320,24 @@ def _separatrix_tag(j_perp: float, jz: float) -> str:
     return "jz=-jperp" if jz < 0 else "jz=+jperp"
 
 
-def _eval_portrait(params: dict, point: dict):
+def _eval_portrait(values: dict):
     """(l, j_perp, j_z, terminal_label, separatrix) lines of one symmetric start."""
-    start = _flow_start(point)
-    samples, terminal = symmetric_flow(start.jx, start.jz, _flow_options({**_PORTRAIT, **params}))
+    start = _flow_start(values)
+    samples, terminal = symmetric_flow(start.jx, start.jz, _flow_options({**_PORTRAIT, **values}))
     row = f"%.17g,%.17g,%.17g,{type(terminal).__name__},{_separatrix_tag(start.jx, start.jz)}\n"
     return [row % sample for sample in samples]
 
 
-def _eval_matching(params: dict, point: dict):
-    problem = _matching_problem({**params, **point})
+def _eval_matching(values: dict):
+    problem = _matching_problem(values)
     n = len(problem.positions)
     total = wick.matching_sum(problem)
     return [f"{n},{total:.17g},{total ** (2.0 / n):.17g}\n"]
 
 
-def _eval_census(params: dict, point: dict):
-    rule = surface_code.TieBreak(params.get("rule", "report"))
-    rec = surface_code.failure_census(point["L"], point["weight"], rule)
+def _eval_census(values: dict):
+    rule = surface_code.TieBreak(values.get("rule", "report"))
+    rec = surface_code.failure_census(values["L"], values["weight"], rule)
     return [f"{rec.L},{rec.weight},{rec.rule.value},{rec.n_success},{rec.n_logical},{rec.n_tie}\n"]
 
 
@@ -357,11 +357,11 @@ def _lifetime_block(params: dict, axes: dict) -> tuple[list, list, list]:
     return pairs, specs, list(map("".join, cells))
 
 
-def _eval_lifetime(block: tuple, params: dict, point: dict):
+def _eval_lifetime(block: tuple, values: dict):
     """One code distance's rows, each one line: its lead cells, the cells of one
     ``build_report`` per bath at the first pair (the regime, the phase all pairs share, j(L),
     t_K, the Korringa rate and lambda_c), the pair's cells and, per row, t_comp = eps * t_K."""
-    L, (pairs, baths, leads) = point["L"], block
+    L, (pairs, baths, leads) = values["L"], block
     reports = [lifetimes.build_report(lifetimes.CodePoint(L, pairs[0][0], spec, pairs[0][1]))
                for spec in baths]
     cells = [(f"{rep.regime.value},{rep.phase.value},{L},{rep.j_L:.17g},"
@@ -381,15 +381,15 @@ def _eval_lifetime(block: tuple, params: dict, point: dict):
 class Task:
     """One task: the axes and params a config may name (``required`` ones as
     axes), ``check(values)`` building the object whose rules the params and
-    each axis value must pass, and ``evaluate(params, point)`` returning a grid
-    point's rows under ``header``, each a finished line (``flow`` returns its index
-    cells and its trace's lines, as it writes its own traces; ``lifetime`` first takes
-    its run's ``_lifetime_block``).
+    each axis value must pass, and ``evaluate(values)`` returning the rows of a
+    grid point merged over the params (no name is both) under ``header``, each a
+    finished line (``flow`` returns its index cells and its trace's lines, as it writes
+    its own traces; ``lifetime`` first takes its run's ``_lifetime_block``).
     """
 
     axes: Collection[str]
     params: Collection[str]
-    evaluate: Callable[[dict, dict], list]
+    evaluate: Callable[[dict], list]
     header: tuple[str, ...]
     required: Collection[str] = ()
     check: Callable[[dict], object] | None = None
@@ -425,7 +425,7 @@ TASKS = {
 # The benchmark's tracer patches this binding and unpacks the four positional
 # arguments, so the name and the unused ``workers`` stay.
 def _map_points(fn, params: dict, points: list[dict], workers: int) -> list:
-    return [fn(params, point) for point in points]
+    return [fn({**params, **point}) for point in points]
 
 
 def _write_flow(out: str, root: str, results: list) -> list[str]:

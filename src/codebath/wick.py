@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 
-MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.3 s: the pairing-sum ceiling
+MATCHING_HARD_LIMIT = 24   # 75025 memoized subsets, ~0.2 s: the pairing-sum ceiling
 
 
 @dataclass(frozen=True)

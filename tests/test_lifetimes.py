@@ -219,6 +219,12 @@ def test_closed_forms_saturate_out_of_float_range():
     assert critical_coupling(BathSpec(a=1e200, z=2.0), 4) == math.inf
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, s=0.5), 4) == math.inf
     assert j_of_L(BathSpec(hbar=1e-300, v=1e-300, lam=0.0), 4) == 0.0
+    # 4 tau overflows, so it is logged as two factors: lambda_c is not read as 0
+    for tau, lam_c in ((5e307, 5e-9), (1e308, 2.5e-9)):
+        assert BathSpec(tau_qec=tau, hbar=1e300).critical_coupling_base == pytest.approx(
+            lam_c, rel=1e-12)
+    # 2 L overflows, so it is logged as two factors: j(L) ~ 0.04**(L/4) is 0, not inf
+    assert j_of_L(BathSpec(lam=0.05), 9 * 10**307) == j_of_L(BathSpec(lam=0.05), 10**308) == 0.0
 
 
 @pytest.mark.parametrize("params, want", [
@@ -243,6 +249,8 @@ def test_closed_forms_saturate_out_of_float_range():
      {"t_mem_over_tau": 1.5969279487350948e+130}),
     # exp(709.58) is in float range, which ends at exp(709.78)
     ({"epsilon": 0.5, "jz_star": 0.0221}, {"t_mem_over_tau": 1.4909270111552462e+308}),
+    # 4 tau overflows before the division: lambda_c read 0
+    ({"tau_qec": 5e307, "hbar": 1e300}, {"lambda_critical": 5e-9}),
 ])
 def test_intermediate_overflow_leaves_no_wrong_zero_or_inf(tmp_path, params, want):
     config = tmp_path / "cfg.json"
@@ -348,7 +356,7 @@ def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, 
     )
     lam_c = closure_form(
         lambda: hbar * a0 ** (1.0 - zeta) * a**zeta / (4.0 * tau),
-        lambda: ((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0 * tau, -1)),
+        lambda: ((hbar, 1), (a0, 1.0 - zeta), (a, zeta), (4.0, -1), (tau, -1)),
     )
     gap, q = z - 1.0 / (s + 1.0), L / 4.0
     g = math.log(L) if abs(gap) <= 1e-12 else 1.0 if gap > 0 else L ** (1.0 - 2.0 * zeta)
@@ -360,7 +368,7 @@ def test_closed_forms_equal_their_closure_form(lam, tau, hbar, v, a, a0, kB, T, 
         (a0, -2.0 * (1.0 - zeta) * q), (a, -2.0 * zeta * q)]
     j_L = closure_form(
         lambda: lam / (hbar * v) * math.sqrt(2.0 * L / math.pi) * lb ** q if normal else math.nan,
-        lambda: ((lam, 1), (hbar, -1), (v, -1), (2.0 * L / math.pi, 0.5), *lb_powers),
+        lambda: ((lam, 1), (hbar, -1), (v, -1), (L, 0.5), (2.0 / math.pi, 0.5), *lb_powers),
     )
     t_K, window, _ = lifetime_columns(dataclasses.replace(point, jz_star=None), j)
     t_mem = lifetime_columns(point, j)[2]

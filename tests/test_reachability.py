@@ -3,7 +3,8 @@
 is given another value by one.  The runs are every example config, one small
 config per task and channel, and one refused config; a function no run enters,
 or a parameter no run sets, has no production consumer, and either gains one
-or leaves.  Nor does a module import a name it never reads."""
+or leaves.  Nor does a module import a name it never reads, nor a function
+take a parameter its body never reads."""
 import ast
 import importlib
 import inspect
@@ -103,3 +104,24 @@ def test_every_imported_name_is_read():
                 names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unread += [f"{info.name}: {name}" for name in names if name not in read]
     assert unread == []
+
+
+def test_every_parameter_is_read():
+    """A parameter of any function, nested function or lambda is loaded by its body.
+    The one exception is ``sweeps._map_points``'s ``workers``: the benchmark's tracer
+    unpacks it from the call's four positional arguments (ROADMAP item 1b)."""
+    unread = set()
+    for info in pkgutil.iter_modules(codebath.__path__, "codebath."):
+        tree = ast.parse(inspect.getsource(importlib.import_module(info.name)))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            fn = getattr(node, "name", "<lambda>")
+            unread |= {f"{info.name}.{fn}({name})" for name in names if name not in read}
+    assert unread == {"codebath.sweeps._map_points(workers)"}

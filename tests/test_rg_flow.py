@@ -369,6 +369,8 @@ _GRID_STARTS = [  # what the seeded starts above may miss
     ((0.05, 0.049, -0.2), FlowOptions(j_min=0.02)),
     ((0.05, 0.049, -0.2), FlowOptions(j_min=0.02, l_max=5.5)),
     ((0.1, -0.1, -0.3), FlowOptions(l_max=57.5)),
+    # a pair far below j_min beside jz: the inversion of l(v) bisects and stops at its step cap
+    ((-1e-160, -1e-161, -0.05), FlowOptions()),
     # ceilings far past where the oracle's steps fail
     ((0.2, 0.3, 0.4), FlowOptions(j_max=1e100)), ((0.5, -0.1, 0.3), FlowOptions(j_max=1e153)),
 ]
