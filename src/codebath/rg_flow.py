@@ -83,16 +83,16 @@ def check_start(j0: CouplingVector) -> None:
 
 
 def carlson_rf(p: float, q: float, r: float) -> float:
-    """R_F(p**2, q**2, r**2) = 1/2 int_0^inf dt / sqrt((t + p**2)(t + q**2)(t + r**2))
-    by duplication from the roots, so a square below float range costs no
-    precision (Carlson, Numer. Algorithms 10, 13 (1995)); inf where two are 0."""
-    e = math.frexp(max(p, q, r))[1]
-    if not -500 < e < 500:  # R_F(c**2 x, c**2 y, c**2 z) = R_F(x, y, z) / c, exact for c = 2**-e
-        g = carlson_rf(math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(r, -e))
-        return math.ldexp(g, -e) if math.frexp(g)[1] - e < 1024 else math.inf
+    """R_F(p**2, q**2, r**2) = 1/2 int_0^inf dt / sqrt((t + p**2)(t + q**2)(t + r**2)), by
+    duplication from the roots, so a square below float range costs no precision (Carlson,
+    Numer. Algorithms 10, 13 (1995)); ln(4 hi / (lo + mid)) / hi where two lie below 1e-300
+    of the third (Carlson & Gustafson 1994), so inf only at two zeros or past float range."""
+    lo, mid, hi = sorted((p, q, r))
+    if mid <= 1e-300 * hi:  # <=, as 1e-300 hi may underflow to 0
+        return (math.log(4 * hi) - math.log(lo + mid)) / hi if mid else math.inf
+    e = math.frexp(hi)[1] - 1  # R_F(c**2 x, c**2 y, c**2 z) = R_F(x, y, z) / c, c = 2**-e exact
+    p, q, r = math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(r, -e)
     lam = p * (q + r) + q * r
-    if lam < 1e-300:  # two of p, q, r below float range beside the third, scaled to ~1
-        return math.inf
     x, y, z = p * p, q * q, r * r
     a = a0 = (x + y + z) / 3
     dx, dy = a0 - x, a0 - y
@@ -107,7 +107,7 @@ def carlson_rf(p: float, q: float, r: float) -> float:
         lam = p * (q + r) + q * r
     u, w = dx * f / a, dy * f / a  # and -u - w
     e2, e3 = u * w - (u + w) ** 2, -u * w * (u + w)
-    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / math.sqrt(a)
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / math.sqrt(a) / 2.0**e
 
 
 def _stop(fall: float, rise: float, l_c: float, opts: FlowOptions):
@@ -129,14 +129,13 @@ def _stop(fall: float, rise: float, l_c: float, opts: FlowOptions):
 def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowTrace:
     """The flow from j0 to its terminal (see module docstring) on R_F.
 
-    For the k of least |j|, dj_k/dl = j_i j_n keeps a sign s, v = s j_k rises
-    along the flow and the squares are v**2 + r**2 (r: |j| at j_k = 0), so
-    l(v) = R_F(at v) - R_F(start) while v < 0, then T - R_F(at v), with
-    T = R_F(start), or 2 R_F(at 0) - R_F(start) past j_k = 0.  Terminals take
-    |j| from their targets and the conserved differences, never squared.  The
-    PORTRAIT_SAMPLES samples, evenly spaced in l, invert l(v) by Halley's
-    method (exact where l is a Mobius map of v, as at the pole), or by an asinh
-    where two fall to 0 together.  Two below 1e-300 of the third hold j0 fixed.
+    For the k of least |j|, dj_k/dl = j_i j_n keeps a sign s, v = s j_k rises along the
+    flow and the squares are v**2 + r**2 (r: |j| at j_k = 0), so l(v) = R_F(at v) -
+    R_F(start) while v < 0, then T - R_F(at v), with T = R_F(start), or 2 R_F(at 0) -
+    R_F(start) past j_k = 0.  Terminals take |j| from their targets and the conserved
+    differences, never squared.  The PORTRAIT_SAMPLES samples, evenly spaced in l, invert
+    l(v) by Halley's method (exact where l is a Mobius map of v, as at the pole), or by an
+    asinh where two fall to 0 together.  An inf R_F(start) holds j0: two zeros, or tiny j.
     """
     opts = opts or FlowOptions()
     check_start(j0)
@@ -160,16 +159,19 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     def at(v: float) -> tuple[float, float, float]:  # |jx|, |jy|, |jz| at v
         return math.hypot(v, r[0]), math.hypot(v, r[1]), math.hypot(v, r[2])
 
+    fall = rise = 0.0 if max(m[0], m[1]) < j_min else inf  # below j_min from fall to rise
     g0 = carlson_rf(*at(v0))
-    reach = g0 < inf and (v0 >= 0 or ra * rb > 0)  # the flow gets past j_k = 0
+    if g0 == inf:  # two zeros, a fixed point; or every |j| below 2.2e-307, unmoved for l < 1e288
+        _, terminal, ls = _stop(fall, inf, inf, opts)
+        held = CouplingVector(*j)
+        return FlowTrace(tuple((l, held) for l in ls), terminal or Localized(held), 0.0)
+    reach = v0 >= 0 or min(ra, rb) > 0  # the flow gets past j_k = 0
     top = (g0 if v0 >= 0 else 2 * carlson_rf(*at(0.0)) - g0) if reach else inf  # the pole
 
     ceiling = at_target(j_max, m.index(max(m)))
     l_c = top - carlson_rf(*ceiling) if reach else inf
-    fall = 0.0 if max(m[0], m[1]) < j_min else inf  # the pair is below j_min from fall to rise
     floor = at_target(j_min, 0 if m[0] >= m[1] else 1)
-    rise = inf if g0 == inf else fall
-    if g0 < inf and floor[k] > 0:
+    if floor[k] > 0:
         g = carlson_rf(*floor)
         fall = max(g - g0, 0.0) if fall and v0 < 0 else fall
         rise = top - g if fall < inf else inf
@@ -177,8 +179,6 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
 
     def solve(l: float, lo: float, hi: float, v: float, f: float) -> float:
         """The v in [lo, hi] at scale l, from v, where l(v) - l = f."""
-        if g0 == inf:  # held fixed
-            return v0
         if not reach:  # |v| = rc / sinh(rc l + asinh(rc / |v0|)), or 1/(l + 1/|v0|)
             rc = max(ra, rb)
             x = rc * l + math.asinh(rc / -v0)
@@ -187,7 +187,7 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
             lo, hi = (v, hi) if f < 0 else (lo, v)
             pa, pb = math.hypot(v, ra), math.hypot(v, rb)
             step = -f * pa * pb  # Newton's, then Halley's correction where it is sound
-            h = 1 - step * v * (1 / pa / pa + 1 / pb / pb) / 2 if pa and pb else 1.0
+            h = 1 - (step / pa * (v / pa) + step / pb * (v / pb)) / 2 if pa and pb else 1.0
             new = v + (step / h if h > 0.5 else step)
             if not lo <= new <= hi:
                 new = lo + (hi - lo) / 2
@@ -197,7 +197,7 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
             v, f = new, (g - g0 if new < 0 else top - g) - l  # l(new) - l
         return v
 
-    def state(v: float, q) -> CouplingVector:  # at v0 the start's exact values (l = 0, or fixed)
+    def state(v: float, q) -> CouplingVector:  # at v0 the start's exact values
         q = [math.copysign(x, y) for x, y in zip(q, j)]
         q[k] = s * v
         return CouplingVector(*q) if v != v0 else CouplingVector(*j)
@@ -215,10 +215,9 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
 
 
 def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
-    """The flow from (j_perp, j_perp, jz) in closed form, ended as
-    ``integrate_flow`` ends it: (l, j_perp, jz) samples at PORTRAIT_SAMPLES
-    scales evenly spaced from 0 to the terminal's scale (the start alone if
-    it is at the ceiling) and the terminal.
+    """The flow from (j_perp, j_perp, jz) in closed form, ended as ``integrate_flow`` ends
+    it: (l, j_perp, jz) samples at PORTRAIT_SAMPLES scales evenly spaced from 0 to the
+    terminal's scale (the start alone if it is at the ceiling) and the terminal.
 
     c = jz**2 - j_perp**2 is conserved and djz/dl = jz**2 - c (Anderson, Yuval
     & Hamann, PRB 1, 4464 (1970)): with r = sqrt|c|, j_perp = j_perp0/w and
@@ -235,7 +234,7 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     am = a * a / (z0 + r) if z0 > 0 else z0 - r  # jz0 - r, which c > 0 keeps off 0
 
     def at(l: float) -> tuple[float, float]:
-        if l == 0 or not p0 or (c > 0 and not am):  # a pair too small to square stays put
+        if l == 0 or not p0:
             return p0, z0
         if l >= l_c:  # where the flow stops, short of its pole
             return math.copysign(top[0], p0), top[1]
@@ -260,10 +259,11 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
         fall, rise = (math.atan2(r * (x - z0), x * z0 - c) / r for x in (-floor, floor))
     b = math.sqrt((j_max - r) * (j_max + r))  # the other coupling where one is j_max
     top = (b, j_max) if c > 0 else (j_max, b)  # |j_perp| and jz at the ceiling
-    if c > 0 and am > 0:  # runs away: atanh(r (j_max - z0) / (j_max z0 - c)) / r
-        q = 2 * r * (j_max - z0) / ((j_max + r) * am)  # by logs where that overflows:
+    if c > 0 < z0 and p0:  # runs away: atanh(r (j_max - z0) / (j_max z0 - c)) / r
+        normal = am >= sys.float_info.min  # else ln am = 2 ln a - ln(z0 + r)
+        q = 2 * r * (j_max - z0) / ((j_max + r) * am) if normal else inf  # by logs if inf:
         l_c = (math.log1p(q) if q < inf else math.log(2 * r / (j_max + r) * (j_max - z0))
-               - math.log(am)) / (2 * r)
+               - (math.log(am) if normal else 2 * math.log(a) - math.log(z0 + r))) / (2 * r)
     elif p0 and (c < 0 or c == 0 < z0):  # runs away, reaching jz = b
         l_c = math.atan2(r * (b - z0), b * z0 - c) / r if r else 1 / z0 - 1 / b
     l_end, terminal, scales = _stop(0.0 if a < j_min else fall if z0 < 0 else inf, rise, l_c, opts)

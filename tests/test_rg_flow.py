@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import functools
 import itertools
 import math
@@ -12,6 +13,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codebath import rg_flow
 from codebath.errors import ConfigError
 from codebath.rg_flow import (
     DWELL_INTERVAL,
@@ -369,7 +371,7 @@ _GRID_STARTS = [  # what the seeded starts above may miss
     ((0.05, 0.049, -0.2), FlowOptions(j_min=0.02)),
     ((0.05, 0.049, -0.2), FlowOptions(j_min=0.02, l_max=5.5)),
     ((0.1, -0.1, -0.3), FlowOptions(l_max=57.5)),
-    # a pair far below j_min beside jz: the inversion of l(v) bisects and stops at its step cap
+    # a pair far below j_min beside jz, whose 1 / |j|**2 in Halley's correction overflows
     ((-1e-160, -1e-161, -0.05), FlowOptions()),
     # ceilings far past where the oracle's steps fail
     ((0.2, 0.3, 0.4), FlowOptions(j_max=1e100)), ((0.5, -0.1, 0.3), FlowOptions(j_max=1e153)),
@@ -418,7 +420,7 @@ def test_carlson_rf_matches_scipy():
     rng = np.random.default_rng(9)
     cases = [*rng.uniform(0, 2, (50, 3)), (0.0, 1.0, 2.0), (1.0, 1.0, 1.0), (1e-5, 1e-5, 3.0),
              (1e-150, 1.0, 1.0), (1e140, 2e140, 3e140), (1.3e154, 1e154, 1e-100),
-             (1e-300, 2e-300, 3e-300)]
+             (1e-300, 2e-300, 3e-300), (2**-499.5,) * 3]
     for p, q, r in cases:
         scale = max(p, q, r)  # elliprf takes the squares, which may fall outside float range
         want = scipy.special.elliprf(*((x / scale) ** 2 for x in (p, q, r))) / scale
@@ -426,7 +428,22 @@ def test_carlson_rf_matches_scipy():
     # p, q << r: R_F = ln(4 r / (p + q)) / r up to O(p q / r**2), though p**2 and q**2 underflow
     assert carlson_rf(3e-160, 1e-160, 0.5) == pytest.approx(math.log(2 / 4e-160) / 0.5, rel=4e-15)
     assert carlson_rf(1.0, 1.0, 1.0) == 1.0 and carlson_rf(0.5, 0.5, 0.5) == 2.0
-    assert carlson_rf(0.0, 0.0, 1.0) == carlson_rf(0.0, 5e-324, 1.0) == math.inf
+    assert carlson_rf(0.0, 0.0, 1.0) == carlson_rf(0.0, 0.0, 1e-30) == math.inf
+
+
+@pytest.mark.parametrize("p,q,r", [
+    (0.0, 5e-324, 1.0), (1e-301, 3e-302, 1.0), (2e-320, 1e-318, 1e-5), (1e-190, 5e-200, 1e150),
+    (7e-310, 0.0, 3e-9),
+    (0.0, 2e-300, 1.0), (1e-301, 1.5e-300, 1.0),  # just above 1e-300, by duplication
+])
+def test_carlson_rf_with_two_roots_below_1e_300_of_the_third(p, q, r):
+    """R_F = ln(4 r / (p + q)) / r up to a relative O(q / r)**2 ln(r / q): the limit
+    form, here in 40 decimal digits, where the squares of p and q leave float range."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = float((4 * decimal.Decimal(r) / (decimal.Decimal(p) + decimal.Decimal(q))).ln()
+                     / decimal.Decimal(r))
+    assert carlson_rf(p, q, r) == pytest.approx(want, rel=4e-15, abs=0)
 
 
 def test_stiff_start_decays_to_the_cutoff_at_once():
@@ -461,17 +478,50 @@ def test_near_separatrix_pole_matches_quadrature(start):
     assert terminal.l_star == pytest.approx(l_c + 1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("pair", [(1e-160, 2e-160), (1e-170, 1e-170), (-3e-200, 1e-250)])
-def test_pair_whose_squares_underflow_still_flows(pair):
-    """Under jz = 0.5 the pair's sum grows as e^(l/2) and its difference decays,
-    though the squares underflow: the flow runs on the couplings' magnitudes."""
-    trace = integrate_flow(CouplingVector(*pair, 0.5))
-    assert isinstance(trace.terminal, Localized)  # it takes l ~ 700 to rise to j_min
-    plus, minus = pair[0] + pair[1], pair[0] - pair[1]
+def _tiny_pairs(n: int, seed: int) -> list[tuple[float, float, float]]:
+    """n starts of a pair, each of either sign and log-uniform from 1e-305 to 1e-100,
+    beside a g of either sign and uniform in (0.01, 0.9), in a drawn slot."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(n):
+        signs, exponents = rng.choice([-1, 1], 2), rng.uniform(-305, -100, 2)
+        start = [float(s * 10**e) for s, e in zip(signs, exponents)]
+        start.insert(int(rng.integers(3)), float(rng.choice([-1, 1]) * rng.uniform(0.01, 0.9)))
+        starts.append(tuple(start))
+    return starts
+
+
+_TINY_PAIRS = [
+    (1e-160, 2e-160, 0.5), (1e-170, 1e-170, 0.5), (-3e-200, 1e-250, 0.5),
+    # pairs near and below 1e-300 of g, where R_F takes its limit form
+    (1e-305, -1e-305, 0.5), (0.0, 3e-310, -2.0), (0.353, 1.94e-300, -1.70e-302),
+    *_tiny_pairs(40, 7),
+]
+
+
+@pytest.mark.parametrize("start", _TINY_PAIRS, ids=[f"pair{i}" for i in range(len(_TINY_PAIRS))])
+def test_pair_whose_squares_underflow_still_flows(start):
+    """Beside g the pair's sum grows as e^(g l) and its difference decays as
+    e^(-g l), though the squares underflow: the flow runs on the couplings'
+    magnitudes.  Each of the pair is held to 1e-10 of the pair's size, and g,
+    which moves by a relative pair**2 / g**2, to rounding.  Until one of the sum
+    and difference dwarfs the other (l <= 1 here), each is held to 1e-12 of itself."""
+    g_slot = max(range(3), key=lambda c: abs(start[c]))
+    a, b = (c for c in range(3) if c != g_slot)
+    g, plus, minus = start[g_slot], start[a] + start[b], start[a] - start[b]
+    trace = integrate_flow(CouplingVector(*start), FlowOptions(j_max=4.0))
+    # g as jz: the pair dwells below j_min and localizes at l = 1; else it runs to l_max
+    assert isinstance(trace.terminal, Localized if g_slot == 2 else CutoffReached)
     for l, j in trace.samples:
-        assert j.jx + j.jy == pytest.approx(plus * math.exp(0.5 * l), rel=1e-12)
-        assert j.jx - j.jy == pytest.approx(minus * math.exp(-0.5 * l), rel=1e-12)
-        assert j.jz == pytest.approx(0.5, rel=1e-15)
+        j = (j.jx, j.jy, j.jz)
+        grow, decay = plus * math.exp(g * l), minus * math.exp(-g * l)
+        size = max(abs(grow + decay), abs(grow - decay)) / 2
+        assert abs(j[a] - (grow + decay) / 2) <= 1e-10 * size
+        assert abs(j[b] - (grow - decay) / 2) <= 1e-10 * size
+        assert j[g_slot] == pytest.approx(g, rel=1e-15)
+        if l <= 1:
+            assert j[a] + j[b] == pytest.approx(grow, rel=1e-12, abs=0)
+            assert j[a] - j[b] == pytest.approx(decay, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -482,17 +532,38 @@ def test_j_min_whose_square_underflows(sign):
     terminal = integrate_flow(CouplingVector(1e-5, sign * 1e-5, -sign * 0.5), opts).terminal
     _, symmetric = symmetric_flow(1e-5, -0.5, opts)
     assert isinstance(terminal, Localized) and isinstance(symmetric, Localized)
-    assert abs(terminal.j_star.jx) == pytest.approx(symmetric.j_star.jx, rel=1e-9)
-    assert abs(terminal.j_star.jz) == pytest.approx(-symmetric.j_star.jz, rel=1e-12)
+    assert abs(terminal.j_star.jx) == pytest.approx(symmetric.j_star.jx, rel=1e-9, abs=0)
+    assert abs(terminal.j_star.jz) == pytest.approx(-symmetric.j_star.jz, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("start", [(1e-305, -1e-305, 0.5), (0.0, 3e-310, -2.0), (0.0, 0.0, 0.3)])
-def test_two_couplings_below_float_range_of_the_third_are_held_fixed(start):
-    """Two couplings whose product with the largest underflows (below about
-    1e-300 of it), or two zeros, stay at the start: every sample is the start."""
-    trace = integrate_flow(CouplingVector(*start), FlowOptions(j_max=4.0))
-    assert {j for _, j in trace.samples} == {CouplingVector(*start)}
-    assert trace.terminal == Localized(CouplingVector(*start))
+def test_two_zeros_are_a_fixed_point():
+    """Two zero couplings stay 0 and hold the third: every sample is the start."""
+    start = CouplingVector(0.0, 0.0, 0.3)
+    trace = integrate_flow(start, FlowOptions(j_max=4.0))
+    assert {j for _, j in trace.samples} == {start}
+    assert trace.terminal == Localized(start)
+
+
+@pytest.mark.parametrize("exponent", [-534, -500, -498, -300, 300, 510])
+def test_flow_is_exact_at_every_scale(exponent, monkeypatch):
+    """(j, l) -> (c j, l / c) maps one flow onto another.  For c = 2**exponent,
+    exponent even, every square root and R_F the flow takes scales exactly, so every
+    sample and the terminal scale bit for bit (the dwell interval with l).  Below
+    2**-534 a product of two couplings leaves normal float range: nothing is claimed."""
+    c = 2.0**exponent
+    opts = FlowOptions(j_max=c, j_min=1e-8 * c, l_max=100.0 / c)
+    for start in np.random.default_rng(5).uniform(-0.9, 0.9, (20, 3)):
+        monkeypatch.setattr(rg_flow, "DWELL_INTERVAL", DWELL_INTERVAL)
+        trace = integrate_flow(CouplingVector(*start))
+        monkeypatch.setattr(rg_flow, "DWELL_INTERVAL", DWELL_INTERVAL / c)
+        scaled = integrate_flow(CouplingVector(*(c * start)), opts)
+        assert scaled.samples == tuple(
+            (l / c, CouplingVector(c * j.jx, c * j.jy, c * j.jz)) for l, j in trace.samples)
+        t = trace.terminal
+        assert scaled.terminal == (
+            StrongCoupling(t.l_star / c) if isinstance(t, StrongCoupling) else
+            CutoffReached(t.l_max / c) if isinstance(t, CutoffReached) else
+            Localized(CouplingVector(c * t.j_star.jx, c * t.j_star.jy, c * t.j_star.jz)))
 
 
 # --- the closed form on the symmetric plane, against scipy as its oracle ------
@@ -598,6 +669,19 @@ def test_symmetric_flow_at_the_ends_of_float_range():
     for jz in (0.9999999999999999, 0.9999999999999998):
         samples, terminal = symmetric_flow(-1.0, jz, FlowOptions(j_max=1e100, l_max=1.0))
         assert terminal == CutoffReached(1.0) and samples[-1] == (1.0, -1e100, 1e100)
+
+
+@pytest.mark.parametrize("p0", [1e-160, 1e-170, 1e-200, 1e-300])
+def test_symmetric_pair_whose_square_underflows_runs_away(p0):
+    """Under jz = 0.5 a pair whose square underflows still flows: it grows as
+    e^(l/2) and runs away where integrate_flow has it."""
+    opts = FlowOptions(j_min=1e-320, l_max=2000.0)
+    terminal = symmetric_flow(p0, 0.5, opts)[1]
+    want = integrate_flow(CouplingVector(p0, p0, 0.5), opts).terminal
+    assert isinstance(terminal, StrongCoupling) and isinstance(want, StrongCoupling)
+    assert terminal.l_star == pytest.approx(want.l_star, rel=1e-12)
+    l, p, z = symmetric_flow(p0, 0.5, FlowOptions())[0][-1]
+    assert l == 1.0 and p == pytest.approx(p0 * math.exp(0.5), rel=1e-12, abs=0) and z == 0.5
 
 
 @pytest.mark.xfail(reason="R_F rounds onto l_max a pole that lies 1.1e-16 beyond it")
