@@ -135,7 +135,7 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     R_F(start) past j_k = 0.  Terminals take |j| from their targets and the conserved
     differences, never squared.  The PORTRAIT_SAMPLES samples, evenly spaced in l, invert
     l(v) by Halley's method (exact where l is a Mobius map of v, as at the pole), or by an
-    asinh where two fall to 0 together.  An inf R_F(start) holds j0: two zeros, or tiny j.
+    asinh where two fall to 0 together.  An inf R_F(start) holds j0 fixed (see README).
     """
     opts = opts or FlowOptions()
     check_start(j0)
@@ -161,7 +161,7 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
 
     fall = rise = 0.0 if max(m[0], m[1]) < j_min else inf  # below j_min from fall to rise
     g0 = carlson_rf(*at(v0))
-    if g0 == inf:  # two zeros, a fixed point; or every |j| below 2.2e-307, unmoved for l < 1e288
+    if g0 == inf:  # two zeros, a fixed point; or every |j| below 2.2e-307 (exact to l = 1e288)
         _, terminal, ls = _stop(fall, inf, inf, opts)
         held = CouplingVector(*j)
         return FlowTrace(tuple((l, held) for l in ls), terminal or Localized(held), 0.0)
@@ -219,11 +219,11 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     it: (l, j_perp, jz) samples at PORTRAIT_SAMPLES scales evenly spaced from 0 to the
     terminal's scale (the start alone if it is at the ceiling) and the terminal.
 
-    c = jz**2 - j_perp**2 is conserved and djz/dl = jz**2 - c (Anderson, Yuval
-    & Hamann, PRB 1, 4464 (1970)): with r = sqrt|c|, j_perp = j_perp0/w and
-    jz = -w'/w for w = cos(rl) - jz0 sin(rl)/r if c < 0, 1 - jz0 l if c = 0 and
-    cosh(rl) - jz0 sinh(rl)/r if c > 0, taken over cosh(rl) with jz0 - r from
-    j_perp0**2, exact for a tiny pair.  Crossings invert by atanh, arctan, asinh.
+    c = jz**2 - j_perp**2 is conserved and djz/dl = jz**2 - c (Anderson, Yuval & Hamann, PRB
+    1, 4464 (1970)): with r = sqrt|c|, j_perp = j_perp0/w and jz = -w'/w for w = cos(rl) -
+    jz0 sin(rl)/r if c < 0, 1 - jz0 l if c = 0 and cosh(rl) - jz0 sinh(rl)/r if c > 0, taken
+    over cosh(rl) with jz0 - r from j_perp0**2, or over e^-rl from ln|j_perp0| where jz0 - r
+    is below float range beside r or j_max.  Crossings invert by atanh, arctan, asinh.
     """
     p0, z0, j_max, j_min = float(j_perp), float(jz), opts.j_max, opts.j_min
     check_start(CouplingVector(p0, p0, z0))
@@ -232,6 +232,7 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     c, a, inf = (z0 - p0) * (z0 + p0), abs(p0), math.inf
     r = math.sqrt(abs(c))
     am = a * a / (z0 + r) if z0 > 0 else z0 - r  # jz0 - r, which c > 0 keeps off 0
+    tiny = c > 0 < z0 and am < sys.float_info.min * max(j_max, 1)  # w / cosh(rl) would underflow
 
     def at(l: float) -> tuple[float, float]:
         if l == 0 or not p0:
@@ -239,6 +240,10 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
         if l >= l_c:  # where the flow stops, short of its pole
             return math.copysign(top[0], p0), top[1]
         try:
+            if tiny:  # w e^(rl) = 1 - t, t = am e^(rl) sinh(rl) / r, from g = |j_perp0| e^(rl)
+                g = math.exp(math.log(a) + r * l)
+                t = g / (z0 + r) * (g / (2 * r)) * -math.expm1(-2 * r * l)
+                return math.copysign(g, p0) / (1 - t), (r * (1 + t) + am) / (1 - t)
             if c > 0:  # from e^-u, which underflows where cosh u would overflow
                 e = math.exp(-r * l)
                 sech = 2 * e / (1 + e * e)
@@ -260,14 +265,12 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     b = math.sqrt((j_max - r) * (j_max + r))  # the other coupling where one is j_max
     top = (b, j_max) if c > 0 else (j_max, b)  # |j_perp| and jz at the ceiling
     if c > 0 < z0 and p0:  # runs away: atanh(r (j_max - z0) / (j_max z0 - c)) / r
-        normal = am >= sys.float_info.min  # else ln am = 2 ln a - ln(z0 + r)
-        q = 2 * r * (j_max - z0) / ((j_max + r) * am) if normal else inf  # by logs if inf:
+        q = 2 * r * (j_max - z0) / ((j_max + r) * am) if not tiny else inf  # by logs if inf:
         l_c = (math.log1p(q) if q < inf else math.log(2 * r / (j_max + r) * (j_max - z0))
-               - (math.log(am) if normal else 2 * math.log(a) - math.log(z0 + r))) / (2 * r)
+               - (2 * math.log(a) - math.log(z0 + r) if tiny else math.log(am))) / (2 * r)
     elif p0 and (c < 0 or c == 0 < z0):  # runs away, reaching jz = b
         l_c = math.atan2(r * (b - z0), b * z0 - c) / r if r else 1 / z0 - 1 / b
-    l_end, terminal, scales = _stop(0.0 if a < j_min else fall if z0 < 0 else inf, rise, l_c, opts)
-    if terminal is None:
-        p, z = at(l_end)
-        terminal = Localized(j_star=CouplingVector(p, p, z))
-    return tuple((l, *at(l)) for l in scales), terminal
+    _, terminal, scales = _stop(0.0 if a < j_min else fall if z0 < 0 else inf, rise, l_c, opts)
+    samples = tuple((l, *at(l)) for l in scales)
+    _, p, z = samples[-1]  # at l_end
+    return samples, terminal or Localized(j_star=CouplingVector(p, p, z))
