@@ -11,8 +11,8 @@ closed form.  The tests decode every chain as the oracle of that form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ResourceLimitError
 
@@ -27,8 +27,7 @@ class TieBreak(Enum):
     ADVERSARIAL = "adversarial"
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     L: int
     weight: int
     rule: TieBreak

@@ -4,7 +4,8 @@ A config (schema in README) names a task of ``TASKS``, its axes and params
 and an output path.  Axes are ordered alphabetically by name and the product
 is enumerated with earlier axes varying slowest, so output row order is a
 pure function of the config.  Evaluation is a serial map over grid points, as no pool path
-exists, though a point may take 0.26 s (a pairing sum at n = 24, on a 2-core Xeon VM).  A
+exists, though a point may take 0.2 s (a pairing sum at n = 24, on a 2-core Xeon VM; a
+``matching`` run's points share one memo, so each subset's sum is computed once a run).  A
 lifetime run's grid points are its code distances L, each evaluated with the run's one
 block of every (epsilon, jz_star) pair by every bath, bath fastest: L sorts first and the
 bath axes last.  A lifetime cell is computed and formatted where it varies: one
@@ -328,10 +329,11 @@ def _eval_portrait(values: dict):
     return [row % sample for sample in samples]
 
 
-def _eval_matching(values: dict):
+def _eval_matching(memo: dict, values: dict):
+    """One n's row, its pairing sum read from and left in the run's ``memo``."""
     problem = _matching_problem(values)
     n = len(problem.positions)
-    total = wick.matching_sum(problem)
+    total = wick.matching_sum(problem, memo)
     return [f"{n},{total:.17g},{total ** (2.0 / n):.17g}\n"]
 
 
@@ -384,7 +386,8 @@ class Task:
     each axis value must pass, and ``evaluate(values)`` returning the rows of a
     grid point merged over the params (no name is both) under ``header``, each a
     finished line (``flow`` returns its index cells and its trace's lines, as it writes
-    its own traces; ``lifetime`` first takes its run's ``_lifetime_block``).
+    its own traces; ``lifetime`` first takes its run's ``_lifetime_block``, ``matching`` its
+    run's pairing-sum memo).
     """
 
     axes: Collection[str]
@@ -462,6 +465,8 @@ def run(cfg: SweepConfig, force: bool = False) -> list[str]:
         header[:0] = sorted(n for n in axes if n != "L")
         evaluate = functools.partial(evaluate, _lifetime_block(cfg.params, axes))
         axes = {n: v for n, v in axes.items() if n == "L"}
+    elif cfg.task == "matching":  # one memo per run: the largest n leaves every smaller n's sum
+        evaluate = functools.partial(evaluate, {})
     results = _map_points(evaluate, cfg.params, grid_points(axes), 1)
     root = _refuse_overwrite(out, force, tree)  # a file that appeared meanwhile is refused too
     if tree:

@@ -445,8 +445,8 @@ def record_values(monkeypatch, matching_sum, failure_census) -> list:
     returns the list that each call appends its row, as evaluated, to."""
     values = []
 
-    def summed(problem):
-        n, total = len(problem.positions), matching_sum(problem)
+    def summed(problem, *memo):
+        n, total = len(problem.positions), matching_sum(problem, *memo)
         values.append((n, total, total ** (2.0 / n)))
         return total
 
@@ -492,7 +492,7 @@ def test_templated_rows_on_edge_values(tmp_path, monkeypatch):
         return CensusRecord(L, w, next(rules), L, w, -w)
 
     flows = record_flows(monkeypatch, edge_integrate, edge_closed)
-    values = record_values(monkeypatch, lambda problem: next(sums), edge_census)
+    values = record_values(monkeypatch, lambda problem, *memo: next(sums), edge_census)
 
     def run_task(name, axes, params=None):
         flows.clear()
@@ -890,6 +890,34 @@ def test_matching_task(tmp_path):
     assert rows[0] == ["n", "matching_sum", "per_pair_weight"]
     assert float(rows[1][1]) == pytest.approx(1 + 1 / 16 + 1 / 9)
     assert float(rows[1][2]) == pytest.approx((1 + 1 / 16 + 1 / 9) ** 0.5)
+
+
+def test_matching_run_shares_one_memo_and_no_more(tmp_path, monkeypatch):
+    """A ``matching`` run's n axis shares one pairing-sum memo, so [24, 2, 4, 24]
+    writes the bytes of four one-n runs; each ``main`` call starts from a new,
+    empty memo, so no table outlives its run."""
+    summed, memos = sweeps.wick.matching_sum, []
+
+    def recorded(problem, memo):
+        memos.append((memo, bool(memo)))
+        return summed(problem, memo)
+
+    monkeypatch.setattr(sweeps.wick, "matching_sum", recorded)
+
+    def sweep(ns, name):
+        out = tmp_path / name
+        cfg = {"task": "matching", "axes": {"n": ns}, "params": {"z": 0.37},
+               "output_path": str(out)}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        return out.read_bytes().splitlines(keepends=True)
+
+    together = sweep([24, 2, 4, 24], "together.csv")
+    apart = [sweep([n], f"apart_{i}.csv") for i, n in enumerate([24, 2, 4, 24])]
+    assert together == apart[0][:1] + [lines[1] for lines in apart]
+    shared = memos[0][0]
+    assert [memo is shared for memo, _ in memos] == [True] * 4 + [False] * 4
+    assert [filled for _, filled in memos] == [False, True, True, True] + [False] * 4
+    assert len({id(memo) for memo, _ in memos}) == 5
 
 
 def test_flow_force_removes_stale_traces(tmp_path):

@@ -107,6 +107,53 @@ def test_matching_sum_equals_enumeration(z, seed):
         assert got == pytest.approx(oracle_sum(positions, z), rel=1e-12)
 
 
+def absolute_mask_sum(positions, z):
+    """The pairing-sum DP over absolute masks with one table per call, as
+    ``matching_sum`` keeps it for sites not equally spaced.  Its offset masks
+    on equally spaced sites do the same float operations in the same order."""
+    expo = -2.0 * z
+    table = {0: 1.0}
+
+    def rest(mask):
+        if mask not in table:
+            i = (mask & -mask).bit_length() - 1
+            others = m = mask ^ (1 << i)
+            total = 0.0
+            while m:
+                bit = m & -m
+                j = bit.bit_length() - 1
+                total += abs(positions[i] - positions[j]) ** expo * rest(others ^ bit)
+                m ^= bit
+            table[mask] = total
+        return table[mask]
+
+    return rest((1 << len(positions)) - 1)
+
+
+def test_one_memo_serves_every_problem_exactly():
+    """One dict filled by equally spaced problems at several z, spacings and
+    offsets, in shuffled and repeated order: each sum is the memo-free sum and
+    the absolute-mask DP's, to the bit.  Gapped sites given the same dict
+    still match the enumeration and leave the dict as it was."""
+    memo = {}
+    problems = [MatchingProblem(tuple(range(start, start + n * step, step)), z)
+                for z in (0.0, 0.37, 1.0, 1.5) for step in (1, 2, 3)
+                for start in (-4, 0, 5) for n in (2, 6, 10, 14)]
+    random.Random(1).shuffle(problems)
+    for problem in problems + problems[::3]:
+        got = matching_sum(problem, memo)
+        assert got == matching_sum(problem) == absolute_mask_sum(problem.positions, problem.z)
+    assert set(memo) == {(-2.0 * z, step) for z in (0.0, 0.37, 1.0, 1.5) for step in (1, 2, 3)}
+    kept = {key: dict(table) for key, table in memo.items()}
+    for seed in (1, 2):
+        positions = _spaced(12, seed)
+        for z in (0.37, 1.0):
+            got = matching_sum(MatchingProblem(positions, z), memo)
+            assert got == absolute_mask_sum(positions, z)
+            assert got == pytest.approx(oracle_sum(positions, z), rel=1e-12)
+    assert memo == kept
+
+
 @given(offset=st.integers(-1000, 1000))
 @settings(max_examples=30, deadline=None)
 def test_matching_sum_translation_invariant(offset):
