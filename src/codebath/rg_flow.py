@@ -224,12 +224,16 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     jz0 sin(rl)/r if c < 0, 1 - jz0 l if c = 0 and cosh(rl) - jz0 sinh(rl)/r if c > 0, taken
     over cosh(rl) with jz0 - r from j_perp0**2, or over e^-rl from ln|j_perp0| where jz0 - r
     is below float range beside r or j_max.  Crossings invert by atanh, arctan, asinh.
+    A start whose c underflows off jz = +-j_perp is handed to ``integrate_flow``.
     """
     p0, z0, j_max, j_min = float(j_perp), float(jz), opts.j_max, opts.j_min
     check_start(CouplingVector(p0, p0, z0))
     if max(abs(p0), abs(z0)) >= j_max:
         return ((0.0, p0, z0),), StrongCoupling(l_star=1.0 / j_max)
     c, a, inf = (z0 - p0) * (z0 + p0), abs(p0), math.inf
+    if abs(c) < sys.float_info.min and abs(z0) != abs(p0):  # c underflowed off a separatrix
+        trace = integrate_flow(CouplingVector(p0, p0, z0), opts)
+        return tuple((l, j.jx, j.jz) for l, j in trace.samples), trace.terminal
     r = math.sqrt(abs(c))
     am = a * a / (z0 + r) if z0 > 0 else z0 - r  # jz0 - r, which c > 0 keeps off 0
     tiny = c > 0 < z0 and am < sys.float_info.min * max(j_max, 1)  # w / cosh(rl) would underflow

@@ -314,9 +314,9 @@ def _eval_flow(values: dict):
 
 
 def _separatrix_tag(j_perp: float, jz: float) -> str:
-    """The separatrix jz = -|j_perp| or +|j_perp| (by jz's sign, as the flow reads it)
-    exactly where ``symmetric_flow`` finds c = 0 from the same expression; else empty."""
-    if not j_perp or (jz - j_perp) * (jz + j_perp):
+    """The separatrix jz = -|j_perp| or +|j_perp| (by jz's sign) exactly where
+    ``symmetric_flow`` flows on c = 0: |jz| = |j_perp| != 0; else empty."""
+    if not j_perp or abs(jz) != abs(j_perp):
         return ""
     return "jz=-jperp" if jz < 0 else "jz=+jperp"
 

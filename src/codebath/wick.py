@@ -2,9 +2,9 @@
 
 The pairing sum is computed by an exact DP, independent of the asymptotic
 formulas of :mod:`codebath.lifetimes`: it is the desk-scale oracle they are
-checked against.  On equally spaced sites it keys each subset by its offsets
-from its lowest site, in a memo that a ``matching`` run shares across its n axis
-and drops when it ends.
+checked against.  Its sites are equally spaced, so it keys each subset by its
+offsets from its lowest site, in a memo that a ``matching`` run shares across
+its n axis and drops when it ends.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ MATCHING_HARD_LIMIT = 24   # 46369 memoized subsets, ~0.2 s: the pairing-sum cei
 
 @dataclass(frozen=True)
 class MatchingProblem:
-    """An even number of distinct integer sites plus the decay exponent z >= 0."""
+    """An even number of equally spaced, increasing integer sites and the exponent z >= 0."""
 
     positions: tuple[int, ...]
     z: float
@@ -29,8 +29,9 @@ class MatchingProblem:
             raise ValueError("need an even number (>= 2) of positions")
         if any(not isinstance(p, int) or isinstance(p, bool) for p in pos):
             raise ValueError("positions must be integers")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise ValueError("positions must be strictly increasing")
+        step = pos[1] - pos[0]
+        if step <= 0 or any(b - a != step for a, b in zip(pos, pos[1:])):
+            raise ValueError("positions must be equally spaced and increasing")
         if not self.z >= 0:  # also refuses NaN; a negative z overflows the weights
             raise ValueError("z must be >= 0")
 
@@ -44,39 +45,30 @@ def matching_sum(problem: MatchingProblem, memo: dict | None = None) -> float:
     are reachable that way, so the cost is O(n * 1.62**n) (within the
     O(n * 2**n) bound of the general DP).
 
-    On equally spaced sites a subset's sum depends only on its sites' offsets
-    from its lowest one, so its mask is shifted down to that site: the weights
-    are one row of distance powers, and the last m sites are the m-site
-    problem.  That table lives in ``memo`` under (-2z, spacing), so one dict
-    shared by several calls keeps every smaller problem's sums and never mixes
-    two problems'.  Other sites keep absolute masks in a table of the call's own.
+    A subset's sum depends only on its sites' offsets from its lowest one, so
+    its mask is shifted down to that site: the weights are one row of distance
+    powers, and the last m sites are the m-site problem.  That table lives in
+    ``memo`` under (-2z, spacing), so one dict shared by several calls keeps
+    every smaller problem's sums and never mixes two problems'.
     """
     pos = problem.positions
     n = len(pos)
     check_matching_ceiling(n)
     expo = -2.0 * problem.z
-    step = pos[1] - pos[0]
-    shift = pos == tuple(range(pos[0], pos[-1] + 1, step))
-    rows = pos[:1] if shift else pos  # a shifted mask's lowest site is site 0
-    w = [[abs(a - b) ** expo if a != b else 0.0 for b in pos] for a in rows]
-    table = {0: 1.0}
-    if shift and memo is not None:
-        table = memo.setdefault((expo, step), table)
+    w = [abs(pos[0] - b) ** expo if b != pos[0] else 0.0 for b in pos]
+    table = {0: 1.0} if memo is None else memo.setdefault((expo, pos[1] - pos[0]), {0: 1.0})
 
     def rest(mask: int) -> float:
-        # sum over the perfect matchings of the sites whose bits are set, not yet in table
-        lowest = mask & -mask
-        wi = w[lowest.bit_length() - 1]
-        others = mask ^ lowest
+        # sum over the perfect matchings of the set bits, not yet in table; bit 0 is lowest
+        others = m = mask ^ 1
         total = 0.0
-        m = others
         while m:
             bit = m & -m
             child = others ^ bit
-            if shift and child:
+            if child:
                 child //= child & -child
             sub = table.get(child)
-            total += wi[bit.bit_length() - 1] * (rest(child) if sub is None else sub)
+            total += w[bit.bit_length() - 1] * (rest(child) if sub is None else sub)
             m ^= bit
         table[mask] = total
         return total

@@ -705,6 +705,26 @@ def test_symmetric_pair_whose_square_underflows_runs_away(p0, jz, j_max):
         assert l == 1.0 and p == pytest.approx(p0 * math.exp(0.5), rel=1e-12, abs=0) and z == 0.5
 
 
+def test_symmetric_start_whose_c_underflows_flows_off_the_separatrix():
+    """c = (jz - j_perp) (jz + j_perp) underflows to 0 for (1e-170, +-3e-170), which lie
+    off jz = +-j_perp on c = 8e-340 (r = sqrt(8) 1e-170): the rising start runs away at
+    its pole ln((z0 + r) / (z0 - r)) / 2r plus 1/j_max, not at the separatrix's 1/z0, and
+    the falling one localizes at jz* = -r, not at the cutoff."""
+    opts, r = FlowOptions(j_min=1e-300, l_max=1e200), math.sqrt(8.0) * 1e-170
+    samples, terminal = symmetric_flow(1e-170, 3e-170, opts)
+    pole = math.log((3e-170 + r) / (3e-170 - r)) / (2 * r) + 1.0 / opts.j_max
+    assert isinstance(terminal, StrongCoupling)
+    assert terminal.l_star == pytest.approx(pole, rel=1e-15)  # 6.2322524014023e169
+    assert samples[0] == (0.0, 1e-170, 3e-170) and samples[-1][1:] == (1.0, 1.0)
+    assert len(samples) == PORTRAIT_SAMPLES
+    samples, terminal = symmetric_flow(1e-170, -3e-170, opts)
+    assert isinstance(terminal, Localized)
+    assert terminal.j_star.jz == pytest.approx(-r, rel=1e-15)  # -2.8284271247461902e-170
+    assert terminal.j_star.jx == terminal.j_star.jy == samples[-1][1] < 1e-299
+    assert samples[0] == (0.0, 1e-170, -3e-170) and len(samples) == PORTRAIT_SAMPLES
+    assert all(-3e-170 <= a[2] <= b[2] for a, b in zip(samples, samples[1:]))
+
+
 @pytest.mark.xfail(reason="R_F rounds onto l_max a pole that lies 1.1e-16 beyond it")
 def test_both_closed_forms_stop_a_pole_within_rounding_of_l_max_at_the_cutoff():
     """The pole of this jx = jy start lies just beyond l_max: symmetric_flow ends at the

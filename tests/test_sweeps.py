@@ -28,10 +28,12 @@ from codebath.rg_flow import (
     PORTRAIT_SAMPLES,
     CouplingVector,
     CutoffReached,
+    FlowOptions,
     FlowTrace,
     Localized,
     StrongCoupling,
     constants_of_motion,
+    symmetric_flow,
 )
 from codebath.surface_code import CensusRecord, TieBreak
 from codebath.sweeps import (
@@ -1189,16 +1191,31 @@ def _ulps_away(x: float, k: int) -> float:
        k=st.integers(-3, 3))
 @example(magnitude=0.3, perp_sign=1.0, z_sign=-1.0, k=-1)  # jz = -0.30000000000000004: untagged
 @example(magnitude=1e-200, perp_sign=1.0, z_sign=1.0, k=3)  # c underflows to 0
+@example(magnitude=1e-200, perp_sign=-1.0, z_sign=-1.0, k=0)
 @settings(max_examples=300, deadline=None)
 def test_separatrix_tag_is_the_flows_c_equal_zero(magnitude, perp_sign, z_sign, k):
-    """Starts 0-3 floats from jz = +-|j_perp|: tagged exactly where symmetric_flow's
-    c = (jz - j_perp) (jz + j_perp) is 0, as the flow reads the sign of jz."""
+    """Starts 0-3 floats from jz = +-|j_perp|: tagged exactly where symmetric_flow
+    flows on c = 0, |jz| = |j_perp|, as the flow reads the sign of jz.  A start whose
+    c underflows off the separatrix is untagged, as the flow runs it off."""
     j_perp, jz = perp_sign * magnitude, _ulps_away(z_sign * magnitude, k)
     tag = sweeps._separatrix_tag(j_perp, jz)
-    assert bool(tag) == ((jz - j_perp) * (jz + j_perp) == 0)
+    assert bool(tag) == (k == 0) == (abs(jz) == abs(j_perp))
     assert tag in ("", "jz=-jperp" if jz < 0 else "jz=+jperp")
-    if magnitude < 1e-170:  # c underflows: the flow takes every such start as on a separatrix
-        assert tag
+    if tag:  # c = 0: |jz| stays |j_perp| at every sample
+        samples, _ = symmetric_flow(j_perp, jz, FlowOptions())
+        assert all(abs(z) == abs(p) for _, p, z in samples)
+
+
+def test_phase_diagram_tags_tiny_starts_by_the_flows_c(tmp_path):
+    """At |j| = 1e-170 c underflows for every start: (1e-170, +-3e-170) flow off the
+    separatrix and are untagged; (1e-170, +-1e-170) lie on it and keep their tags."""
+    out = tmp_path / "portrait.csv"
+    run(validate_config({"task": "phase_diagram", "axes": {"j_perp": [1e-170],
+                         "jz": [-3e-170, -1e-170, 1e-170, 3e-170]},
+                         "params": {"j_min": 1e-300, "l_max": 1e200}, "output_path": str(out)}))
+    ends = {row[0]: (row[4], row[5]) for row in read_rows(out)[1:]}
+    assert ends == {"0": ("Localized", ""), "1": ("CutoffReached", "jz=-jperp"),
+                    "2": ("StrongCoupling", "jz=+jperp"), "3": ("StrongCoupling", "")}
 
 
 def test_phase_diagram_integrates_nothing(tmp_path, monkeypatch):
@@ -1537,6 +1554,17 @@ def test_cli_resource_limit_exit_code(tmp_path):
     }
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
     assert not (tmp_path / "big.csv").exists()
+
+
+def test_cli_matching_far_above_ceiling_exits_3(tmp_path, capsys):
+    """n = 10**30 is refused at the ceiling before any site is built: exit 3, its
+    message and no traceback, and no file."""
+    out = tmp_path / "big.csv"
+    cfg = {"task": "matching", "axes": {"n": [10**30]}, "output_path": str(out)}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"n = {10**30} above pairing-sum ceiling 24" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n, z", [([2, 4, 6], -1e300), ([24], -200.0)])

@@ -72,18 +72,20 @@ def test_matching_sum_z0_is_double_factorial():
         assert got == float(double_factorial(n - 1))
 
 
+def _sites(n, start, step):
+    return tuple(range(start, start + n * step, step))
+
+
 @given(
     n_half=st.integers(1, 4),
     z=st.sampled_from([0.25, 0.5, 1.0]),
-    data=st.data(),
+    start=st.integers(-50, 50),
+    step=st.integers(1, 5),
 )
 @settings(max_examples=40, deadline=None)
-def test_matching_sum_matches_oracle(n_half, z, data):
-    gaps = data.draw(st.lists(st.integers(1, 5), min_size=2 * n_half, max_size=2 * n_half))
-    positions = [0]
-    for g in gaps[1:]:
-        positions.append(positions[-1] + g)
-    got = matching_sum(MatchingProblem(tuple(positions), z))
+def test_matching_sum_matches_oracle(n_half, z, start, step):
+    positions = _sites(2 * n_half, start, step)
+    got = matching_sum(MatchingProblem(positions, z))
     assert got == pytest.approx(oracle_sum(positions, z), rel=1e-12)
 
 
@@ -91,16 +93,13 @@ def _spaced(n, seed):
     if seed is None:
         return tuple(range(n))
     rng = random.Random(seed)
-    positions = [0]
-    for _ in range(n - 1):
-        positions.append(positions[-1] + rng.randint(1, 5))
-    return tuple(positions)
+    return _sites(n, rng.randint(-20, 20), rng.randint(2, 7))
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
 @pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 1.5])
 def test_matching_sum_equals_enumeration(z, seed):
-    # unit spacing (seed None) and random integer gaps, every even n <= 14
+    # unit spacing from 0 (seed None) and a drawn start and spacing, every even n <= 14
     for n in range(2, 15, 2):
         positions = _spaced(n, seed)
         got = matching_sum(MatchingProblem(positions, z))
@@ -108,9 +107,9 @@ def test_matching_sum_equals_enumeration(z, seed):
 
 
 def absolute_mask_sum(positions, z):
-    """The pairing-sum DP over absolute masks with one table per call, as
-    ``matching_sum`` keeps it for sites not equally spaced.  Its offset masks
-    on equally spaced sites do the same float operations in the same order."""
+    """The pairing-sum DP over absolute masks and the full weight matrix, with one
+    table per call: ``matching_sum``'s offset masks and one weight row do the same
+    float operations in the same order."""
     expo = -2.0 * z
     table = {0: 1.0}
 
@@ -133,10 +132,10 @@ def absolute_mask_sum(positions, z):
 def test_one_memo_serves_every_problem_exactly():
     """One dict filled by equally spaced problems at several z, spacings and
     offsets, in shuffled and repeated order: each sum is the memo-free sum and
-    the absolute-mask DP's, to the bit.  Gapped sites given the same dict
-    still match the enumeration and leave the dict as it was."""
+    the absolute-mask DP's, to the bit.  Drawn sites given the same dict still
+    match the enumeration and change no entry the dict already held."""
     memo = {}
-    problems = [MatchingProblem(tuple(range(start, start + n * step, step)), z)
+    problems = [MatchingProblem(_sites(n, start, step), z)
                 for z in (0.0, 0.37, 1.0, 1.5) for step in (1, 2, 3)
                 for start in (-4, 0, 5) for n in (2, 6, 10, 14)]
     random.Random(1).shuffle(problems)
@@ -151,23 +150,37 @@ def test_one_memo_serves_every_problem_exactly():
             got = matching_sum(MatchingProblem(positions, z), memo)
             assert got == absolute_mask_sum(positions, z)
             assert got == pytest.approx(oracle_sum(positions, z), rel=1e-12)
-    assert memo == kept
+    assert all(memo[key][mask] == value
+               for key, table in kept.items() for mask, value in table.items())
 
 
-@given(offset=st.integers(-1000, 1000))
+@given(offset=st.integers(-1000, 1000), step=st.integers(1, 7))
 @settings(max_examples=30, deadline=None)
-def test_matching_sum_translation_invariant(offset):
-    base = (0, 1, 3, 7, 8, 12)
-    shifted = tuple(p + offset for p in base)
-    assert matching_sum(MatchingProblem(base, 0.7)) == matching_sum(
-        MatchingProblem(shifted, 0.7)
-    )
+def test_matching_sum_translation_invariant(offset, step):
+    base = _sites(6, 0, step)
+    got = matching_sum(MatchingProblem(base, 0.7))
+    assert got == matching_sum(MatchingProblem(_sites(6, offset, step), 0.7))
+    assert got == pytest.approx(oracle_sum(base, 0.7), rel=1e-12)
 
 
 def test_matching_sum_decreases_with_z():
-    positions = (0, 1, 2, 5)
+    positions = (2, 5, 8, 11)
     values = [matching_sum(MatchingProblem(positions, z)) for z in (0.2, 0.5, 0.8, 1.2)]
     assert all(b < a for a, b in zip(values, values[1:]))
+    assert values == pytest.approx([oracle_sum(positions, z) for z in (0.2, 0.5, 0.8, 1.2)],
+                                   rel=1e-12)
+
+
+def test_far_apart_sites():
+    """Gapped sites are refused at construction from neighbouring differences, however
+    far apart, never from a range of their values; sites a spacing of 1e18 apart sum."""
+    for positions in ((0, 1, 10**18, 10**18 + 1), (0, 1, 10**100, 10**100 + 1)):
+        with pytest.raises(ValueError, match="positions must be equally spaced"):
+            MatchingProblem(positions, 1.0)
+    for z in (0.25, 1.0):
+        positions = _sites(8, -(10**18), 10**18)
+        got = matching_sum(MatchingProblem(positions, z))
+        assert got == pytest.approx(oracle_sum(positions, z), rel=1e-12)
 
 
 def test_matching_problem_validation():
@@ -175,6 +188,9 @@ def test_matching_problem_validation():
         MatchingProblem((0, 1, 2), 1.0)  # odd
     with pytest.raises(ValueError):
         MatchingProblem((3, 1), 1.0)  # not increasing
+    for positions in ((0, 2, 3, 5), (6, 4, 2, 0), (1, 1)):  # gapped, decreasing, repeated
+        with pytest.raises(ValueError, match="positions must be equally spaced and increasing"):
+            MatchingProblem(positions, 1.0)
     with pytest.raises(ValueError):
         MatchingProblem((), 1.0)
     with pytest.raises(ValueError, match="positions must be integers"):
