@@ -191,6 +191,8 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
             new = v + (step / h if h > 0.5 else step)
             if not lo <= new <= hi:
                 new = lo + (hi - lo) / 2
+                if new == v:  # the bracket has collapsed onto v: l(v) rounds coarser than f
+                    return v
             elif abs(new - v) <= 1e-5 * (abs(new) + min(ra, rb)):  # the error is ~ step**3
                 return new
             g = carlson_rf(*at(new))
@@ -224,6 +226,9 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     jz0 sin(rl)/r if c < 0, 1 - jz0 l if c = 0 and cosh(rl) - jz0 sinh(rl)/r if c > 0, taken
     over cosh(rl) with jz0 - r from j_perp0**2, or over e^-rl from ln|j_perp0| where jz0 - r
     is below float range beside r or j_max.  Crossings invert by atanh, arctan, asinh.
+    The form is chosen once a start and every sample past l = 0 and short of the ceiling's
+    scale l_c taken from it in one loop; at l = 0 a sample is the start, at or past l_c (or
+    where w rounds to 0) the signed ceiling.
     A start whose c underflows off jz = +-j_perp is handed to ``integrate_flow``.
     """
     p0, z0, j_max, j_min = float(j_perp), float(jz), opts.j_max, opts.j_min
@@ -237,27 +242,6 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     r = math.sqrt(abs(c))
     am = a * a / (z0 + r) if z0 > 0 else z0 - r  # jz0 - r, which c > 0 keeps off 0
     tiny = c > 0 < z0 and am < sys.float_info.min * max(j_max, 1)  # w / cosh(rl) would underflow
-
-    def at(l: float) -> tuple[float, float]:
-        if l == 0 or not p0:
-            return p0, z0
-        if l >= l_c:  # where the flow stops, short of its pole
-            return math.copysign(top[0], p0), top[1]
-        try:
-            if tiny:  # w e^(rl) = 1 - t, t = am e^(rl) sinh(rl) / r, from g = |j_perp0| e^(rl)
-                g = math.exp(math.log(a) + r * l)
-                t = g / (z0 + r) * (g / (2 * r)) * -math.expm1(-2 * r * l)
-                return math.copysign(g, p0) / (1 - t), (r * (1 + t) + am) / (1 - t)
-            if c > 0:  # from e^-u, which underflows where cosh u would overflow
-                e = math.exp(-r * l)
-                sech = 2 * e / (1 + e * e)
-                w = e * sech - am * math.tanh(r * l) / r
-                return p0 * sech / w, (r * e * sech + am) / w
-            s = math.sin(r * l) / r if r else l
-            w = math.cos(r * l) - z0 * s
-            return p0 / w, (z0 * math.cos(r * l) - c * s) / w
-        except ZeroDivisionError:  # w rounds to 0: l lies within rounding of the pole
-            return math.copysign(top[0], p0), top[1]
 
     fall = rise = l_c = inf  # |j_perp| falling and rising through j_min; the ceiling
     if p0 and c >= 0:
@@ -275,6 +259,39 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     elif p0 and (c < 0 or c == 0 < z0):  # runs away, reaching jz = b
         l_c = math.atan2(r * (b - z0), b * z0 - c) / r if r else 1 / z0 - 1 / b
     _, terminal, scales = _stop(0.0 if a < j_min else fall if z0 < 0 else inf, rise, l_c, opts)
-    samples = tuple((l, *at(l)) for l in scales)
+
+    def closed(ls: list[float]) -> list[tuple[float, float, float]]:  # this start's one form
+        out = []
+        if tiny:  # w e^(rl) = 1 - t, t = am e^(rl) sinh(rl) / r, from g = |j_perp0| e^(rl)
+            for l in ls:
+                g = math.exp(math.log(a) + r * l)
+                t = g / (z0 + r) * (g / (2 * r)) * -math.expm1(-2 * r * l)
+                out.append((l, math.copysign(g, p0) / (1 - t), (r * (1 + t) + am) / (1 - t)))
+        elif c > 0:  # from e^-u, which underflows where cosh u would overflow
+            for l in ls:
+                e = math.exp(-r * l)
+                sech = 2 * e / (1 + e * e)
+                w = e * sech - am * math.tanh(r * l) / r
+                out.append((l, p0 * sech / w, (r * e * sech + am) / w))
+        else:
+            for l in ls:
+                s, cos = math.sin(r * l) / r if r else l, math.cos(r * l)
+                w = cos - z0 * s
+                out.append((l, p0 / w, (z0 * cos - c * s) / w))
+        return out
+
+    # the start where l = 0 or it has no pair, the closed form short of l_c, then the ceiling
+    held, ceiling = scales.count(0.0) if p0 else len(scales), (math.copysign(top[0], p0), top[1])
+    ls = [l for l in scales[held:] if l < l_c]
+    samples = [(l, p0, z0) for l in scales[:held]]
+    try:
+        samples += closed(ls)
+    except ZeroDivisionError:  # w rounds to 0: some l lies within rounding of the pole
+        for l in ls:
+            try:
+                samples += closed([l])
+            except ZeroDivisionError:
+                samples.append((l, *ceiling))
+    samples += [(l, *ceiling) for l in scales[held + len(ls):]]
     _, p, z = samples[-1]  # at l_end
-    return samples, terminal or Localized(j_star=CouplingVector(p, p, z))
+    return tuple(samples), terminal or Localized(j_star=CouplingVector(p, p, z))

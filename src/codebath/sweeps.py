@@ -14,11 +14,13 @@ naming a field of ``FlowOptions`` or ``BathSpec``, all floats, enters it through
 The config key ``parallelism`` (kept for the benchmark's pool workload until ROADMAP item
 1b) and ``flow``'s ``abs_tol`` and ``rel_tol`` are validated and unread, so outputs are
 byte-identical for any of their values.  Each file is written under a unique temporary name
-and renamed into place, a flow's only once all are written, so a failed run changes no
-file.  Each evaluator returns its rows as finished lines (floats as ``%.17g``, integers in
-full, enums by value, an absent Optional float empty), written as they are; a lifetime row
-is led by its axis cells, config values formatted once per run by ``format_cell``.  No cell
-needs quoting: none holds a comma, quote or newline.
+and renamed into place, a flow's only once all are written (a new flow directory is their
+stage directory renamed), so a failed run changes no file.  Each evaluator returns its rows
+as finished lines (floats as ``%.17g``, integers in full, enums by value, an absent Optional
+float empty), written as they are, a fixed number of rows to a write; a lifetime row is led
+by its axis cells, config values formatted once per run by ``format_cell``, a portrait's and
+a flow trace's by one ``%`` template.  No cell needs quoting: none holds a comma, quote or
+newline.
 """
 from __future__ import annotations
 
@@ -215,16 +217,21 @@ def _refuse_overwrite(path: str, force: bool, tree: bool) -> str:
     return head or "."
 
 
+_CHUNK_ROWS = 256  # rows joined into one write
+
+
 def _write_rows(path: str, header: list[str], rows: list[str]) -> None:
     """A CSV of ``header`` and ``rows``, each row one finished line (no cell
-    needs quoting: see the module docstring).  It is written under a unique
-    name beside ``path`` and renamed over it; if the write raises, the new
-    file is removed."""
+    needs quoting: see the module docstring), joined _CHUNK_ROWS to a write.
+    It is written under a unique name beside ``path`` and renamed over it;
+    if the write raises, the new file is removed."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(rows)
+            lines = iter(rows)
+            while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+                fh.write("".join(chunk))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -295,18 +302,16 @@ def _check_flow(values: dict) -> None:
 def _eval_flow(values: dict):
     """A start's index cells (jx0 to jz_star; l_star if it ran away, jz_star if it localized)
     and its trace's (l, jx, jy, jz, c1, c2) lines: ``symmetric_flow``'s if jx, jy are one float."""
-    start, opts, rows = _flow_start(values), _flow_options(values), []
+    start, opts = _flow_start(values), _flow_options(values)
     if start.jx == start.jy and math.copysign(1, start.jx) == math.copysign(1, start.jy):
         samples, terminal = symmetric_flow(start.jx, start.jz, opts)
-        for l, p, z in samples:
-            p_cell = f"{p:.17g}"  # jx and jy, formatted once
-            rows.append(f"{l:.17g},{p_cell},{p_cell},{z:.17g},0,{z * z - p * p:.17g}\n")
+        rows = ["%.17g,%s,%s,%.17g,0,%.17g\n" % (l, p_cell, p_cell, z, z * z - p * p)
+                for l, p, z in samples for p_cell in ["%.17g" % p]]  # jx = jy formatted once
     else:
         trace = integrate_flow(start, opts)
         terminal = trace.terminal
-        for l, j in trace.samples:
-            c1, c2 = constants_of_motion(j)
-            rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (l, j.jx, j.jy, j.jz, c1, c2))
+        row = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+        rows = [row % (l, j.jx, j.jy, j.jz, *constants_of_motion(j)) for l, j in trace.samples]
     l_star = f"{terminal.l_star:.17g}" if isinstance(terminal, StrongCoupling) else ""
     jz_star = f"{terminal.j_star.jz:.17g}" if isinstance(terminal, Localized) else ""
     return (f"{start.jx:.17g},{start.jy:.17g},{start.jz:.17g},{type(terminal).__name__},"
@@ -434,7 +439,8 @@ def _map_points(fn, params: dict, points: list[dict], workers: int) -> list:
 def _write_flow(out: str, root: str, results: list) -> list[str]:
     """One trace file per start plus the index; returns the files written.  All are
     written into a stage directory in ``root`` (``out``'s nearest existing ancestor, so
-    its filesystem) and moved into ``out`` after the last, so a failed write changes nothing."""
+    its filesystem) and committed after the last, so a failed write changes nothing: a new
+    ``out`` whose parent exists is the stage renamed, else each file is moved into ``out``."""
     names = [f"trace_{tid:04d}.csv" for tid in range(len(results))] + ["index.csv"]
     stage = os.path.join(root, f".flow.{os.urandom(8).hex()}.tmp")
     os.mkdir(stage)
@@ -443,16 +449,20 @@ def _write_flow(out: str, root: str, results: list) -> list[str]:
             _write_rows(os.path.join(stage, name), ["l", "jx", "jy", "jz", "c1", "c2"], rows)
         index = [f"{tid},{start},{names[tid]}\n" for tid, (start, _) in enumerate(results)]
         _write_rows(os.path.join(stage, "index.csv"), TASKS["flow"].header, index)
-        os.makedirs(out, exist_ok=True)
-        for name in os.listdir(out):  # a rerun with fewer starts leaves no trace it omits
-            if re.fullmatch(r"trace_[0-9]{4,}\.csv", name) and name not in names:
-                os.remove(os.path.join(out, name))
-        for name in names:
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        if root != out and root == (os.path.dirname(out) or "."):  # out is new, in root
+            os.rename(stage, out)  # raises, changing nothing, onto all but an empty directory
+        else:
+            os.makedirs(out, exist_ok=True)
+            for name in os.listdir(out):  # a rerun with fewer starts leaves no trace it omits
+                if re.fullmatch(r"trace_[0-9]{4,}\.csv", name) and name not in names:
+                    os.remove(os.path.join(out, name))
+            for name in names:
+                os.replace(os.path.join(stage, name), os.path.join(out, name))
     finally:
-        for name in os.listdir(stage):
-            os.remove(os.path.join(stage, name))
-        os.rmdir(stage)
+        if os.path.isdir(stage):  # not renamed into place
+            for name in os.listdir(stage):
+                os.remove(os.path.join(stage, name))
+            os.rmdir(stage)
     return [os.path.join(out, name) for name in names]
 
 
@@ -472,7 +482,7 @@ def run(cfg: SweepConfig, force: bool = False) -> list[str]:
     if tree:
         return _write_flow(out, root, results)
     if header[0] == "trajectory_id":  # a grid point's rows carry its index
-        rows = [f"{tid},{row}" for tid, rs in enumerate(results) for row in rs]
+        rows = [lead + row for tid, rs in enumerate(results) for lead in [f"{tid},"] for row in rs]
     else:
         rows = [row for rs in results for row in rs]
     _write_rows(out, header, rows)

@@ -3,6 +3,7 @@ import decimal
 import functools
 import itertools
 import math
+import sys
 import time
 from typing import Callable, NamedTuple
 
@@ -544,6 +545,23 @@ def test_two_zeros_are_a_fixed_point():
     assert trace.terminal == Localized(start)
 
 
+def test_a_collapsed_bracket_ends_the_search(monkeypatch):
+    """Where every coupling is small, l(v) is a difference of R_F values near 1/|j| whose
+    rounding is coarser than the step a sample asks for; the search bisects until lo == hi
+    == v and stops there, not at its step cap (about 3000 R_F calls for this start).  The
+    flow barely moves it: every sample is the start's linear Taylor series to rounding."""
+    calls, rf = [], rg_flow.carlson_rf
+    monkeypatch.setattr(rg_flow, "carlson_rf", lambda *r: calls.append(r) or rf(*r))
+    j0 = CouplingVector(1.338007731597182e-114, -7.283406736558321e-59, 8.285266500274127e-71)
+    trace = integrate_flow(j0)
+    assert len(calls) <= 2 * PORTRAIT_SAMPLES  # seen: 4
+    assert isinstance(trace.terminal, Localized) and len(trace.samples) == PORTRAIT_SAMPLES
+    for l, j in trace.samples:
+        assert j.jx == pytest.approx(j0.jx + j0.jy * j0.jz * l, rel=1e-14, abs=0)
+        assert j.jy == pytest.approx(j0.jy + j0.jx * j0.jz * l, rel=1e-14, abs=0)
+        assert j.jz == pytest.approx(j0.jz + j0.jx * j0.jy * l, rel=1e-14, abs=0)
+
+
 @pytest.mark.xfail(reason="a start whose R_F passes float range is held, exact only to l = 1e288")
 def test_couplings_all_below_2e_307_move_past_l_1e288():
     """Beside jz = 2e-307 the pair's sum grows as e^(jz l): by e^2 at l = 1e307, from
@@ -742,3 +760,95 @@ def test_symmetric_flow_is_even_in_j_perp():
         mirror, mirrored = symmetric_flow(-0.5, jz, _PORTRAIT)
         assert [(l, -p, z) for l, p, z in samples] == list(mirror)
         assert type(terminal) is type(mirrored)
+
+
+def sample_by_sample(p0: float, z0: float, opts: FlowOptions, ls: list, l_c: float, seen: set):
+    """(j_perp, jz) at each l of ``ls`` from symmetric_flow's closed form, each sample
+    deciding its own case; ``seen`` collects the cases taken."""
+    c, a = (z0 - p0) * (z0 + p0), abs(p0)
+    r = math.sqrt(abs(c))
+    am = a * a / (z0 + r) if z0 > 0 else z0 - r
+    tiny = c > 0 < z0 and am < sys.float_info.min * max(opts.j_max, 1)
+    b = math.sqrt((opts.j_max - r) * (opts.j_max + r))
+    top = (b, opts.j_max) if c > 0 else (opts.j_max, b)
+
+    def at(l: float) -> tuple[float, float]:
+        if l == 0 or not p0:
+            seen.add("start")
+            return p0, z0
+        if l >= l_c:
+            seen.add("ceiling")
+            return math.copysign(top[0], p0), top[1]
+        try:
+            if tiny:
+                seen.add("tiny")
+                g = math.exp(math.log(a) + r * l)
+                t = g / (z0 + r) * (g / (2 * r)) * -math.expm1(-2 * r * l)
+                return math.copysign(g, p0) / (1 - t), (r * (1 + t) + am) / (1 - t)
+            if c > 0:
+                seen.add("sech")
+                e = math.exp(-r * l)
+                sech = 2 * e / (1 + e * e)
+                w = e * sech - am * math.tanh(r * l) / r
+                return p0 * sech / w, (r * e * sech + am) / w
+            seen.add("trig" if r else "linear")
+            s = math.sin(r * l) / r if r else l
+            w = math.cos(r * l) - z0 * s
+            return p0 / w, (z0 * math.cos(r * l) - c * s) / w
+        except ZeroDivisionError:
+            seen.add("pole")
+            return math.copysign(top[0], p0), top[1]
+
+    return [at(l) for l in ls]
+
+
+_RUNAWAY = FlowOptions(j_max=4.0, j_min=1e-320, l_max=1e6)
+
+
+def _tiny_symmetric_starts(n: int, seed: int) -> list[tuple[float, float]]:
+    """n starts of a j_perp of either sign, log-uniform from 1e-300 to 1e-160, beside a jz
+    uniform in (0.01, 0.9): jz - r = j_perp**2 / (jz + r) underflows, so each is tiny."""
+    rng = np.random.default_rng(seed)
+    return [(float(sign * 10**e), float(jz)) for sign, e, jz in zip(
+        rng.choice([-1, 1], n), rng.uniform(-300, -160, n), rng.uniform(0.01, 0.9, n))]
+
+
+def _short_of_the_pole(start: tuple[float, float], u: float) -> FlowOptions:
+    """Options that cut a runaway start u / jz short of its pole (about u / r), so its
+    last sample has w e^(rl) = 1 - t with t near e^(-2u), which its rounding shows."""
+    l_c = symmetric_flow(*start, _RUNAWAY)[1].l_star - 1 / _RUNAWAY.j_max
+    return dataclasses.replace(_RUNAWAY, l_max=l_c - u / start[1])
+
+
+_BRANCH_STARTS = [
+    ((0.1, -0.3), _PORTRAIT), ((0.1, 0.3), _PORTRAIT),  # c > 0: localizing, running away
+    ((0.3, 0.1), _PORTRAIT), ((-0.3, -0.2), _PORTRAIT),  # c < 0
+    ((0.5, 0.5), _PORTRAIT), ((0.5, -0.5), _PORTRAIT), ((-2.0, -2.0), _PORTRAIT),  # c = 0
+    ((1e-100, 1e100), FlowOptions(j_max=1e150, j_min=1e-320, l_max=2000.0)),  # tiny, c > 0
+    ((1e-300, 0.5), FlowOptions()), ((-4.5e-24, 1e153), FlowOptions(j_max=1e154)),
+    ((0.0, 0.3), _PORTRAIT), ((0.0, -0.3), _PORTRAIT),  # no pair
+    ((4.0, 1.0), _PORTRAIT),  # at the ceiling
+    ((0.1, -0.3), FlowOptions(j_max=4.0, l_max=57.5)), ((0.05, -0.1), FlowOptions(l_max=5.0)),
+    ((-1.0, 0.9999999999999999), FlowOptions(j_max=1e100, l_max=1.0)),  # w rounds to 0
+    ((1.0, 3.0), FlowOptions(j_max=1e50)), ((1e-8, 1.3e154), FlowOptions(j_max=1.34e154)),
+    *(((jp, jz), _PORTRAIT) for jp, jz in np.random.default_rng(50).uniform(-3.5, 3.5, (300, 2))),
+    *(((jp, jz), FlowOptions(j_min=1e-12, l_max=1e6)) for jp, jz in
+      np.random.default_rng(51).choice([-1, 1], (100, 2)) * 10 ** np.random.default_rng(52)
+      .uniform(-150, -0.01, (100, 2))),
+    *((start, opts) for start in _tiny_symmetric_starts(100, 53) for opts in (
+        FlowOptions(), _RUNAWAY, _short_of_the_pole(start, 0.05 + start[1] % 0.01 * 200))),
+]
+
+
+def test_each_sample_is_the_closed_form_of_its_own_case():
+    """symmetric_flow decides its case once a start and builds its samples in one loop:
+    each sample equals, bit for bit, the same form decided sample by sample, over starts
+    that reach every case (the start, each of three forms and the line c = 0, the ceiling
+    at or past l_c and a w that rounds to 0 within rounding of the pole)."""
+    seen = set()
+    for (p0, z0), opts in _BRANCH_STARTS:
+        samples, terminal = symmetric_flow(p0, z0, opts)
+        l_c = samples[-1][0] if isinstance(terminal, StrongCoupling) else math.inf
+        ls = [l for l, _, _ in samples]
+        assert [s[1:] for s in samples] == sample_by_sample(p0, z0, opts, ls, l_c, seen)
+    assert seen == {"start", "ceiling", "tiny", "sech", "trig", "linear", "pole"}

@@ -326,6 +326,16 @@ def test_failed_write_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", [0, 1, sweeps._CHUNK_ROWS - 1, sweeps._CHUNK_ROWS,
+                               sweeps._CHUNK_ROWS + 1, 10001])
+def test_rows_written_in_chunks_are_the_rows(tmp_path, n):
+    rows = [f"{i},{i * i}\n" for i in range(n)]
+    out = tmp_path / "rows.csv"
+    sweeps._write_rows(str(out), ["a", "b"], rows)
+    assert out.read_bytes() == ("a,b\n" + "".join(rows)).encode()
+    assert list(tmp_path.iterdir()) == [out]
+
+
 # --- rows: csv.writer with the oracle's own cell rules is their oracle ---------
 
 TRACE_HEADER = ("l", "jx", "jy", "jz", "c1", "c2")
@@ -984,6 +994,66 @@ def test_failed_flow_leaves_no_directory_it_made(tmp_path, monkeypatch):
             run(rerun, force=True)
         assert len(calls) == at and calls[-1].parent.parent == out
         assert listing(tmp_path) == before
+
+
+_FLOW = {"task": "flow", "axes": {"j_perp": [0.05, 0.1, 0.15], "jz": [-0.2, 0.2]},
+         "params": {"l_max": 5.0}}
+
+
+def test_new_flow_directory_is_its_stage_renamed(tmp_path, monkeypatch):
+    """A fresh run into an existing parent writes every file into a stage in that parent and
+    renames the stage into place: one directory moves, and no file on its own."""
+    moves, rename, replace = [], os.rename, os.replace
+    monkeypatch.setattr(os, "rename", lambda a, b: moves.append((a, b, os.path.isdir(a))) or
+                        rename(a, b))
+    monkeypatch.setattr(os, "replace", lambda a, b: moves.append((a, b, os.path.isdir(a))) or
+                        replace(a, b))
+    out = tmp_path / "flows"
+    written = run(validate_config({**_FLOW, "output_path": str(out)}))
+    [(stage, dest, _)] = [move for move in moves if move[2]]
+    assert Path(stage).parent == tmp_path and Path(stage).name.startswith(".flow.")
+    assert dest == str(out) and len(moves) == len(written) + 1 == 8
+    assert all(Path(b).parent == Path(stage) for _, b, is_dir in moves if not is_dir)
+    assert list(tmp_path.iterdir()) == [out]
+    assert sorted(out.iterdir()) == sorted(map(Path, written))
+
+
+@pytest.mark.parametrize("fault", ["first trace", "fourth write", "index", "rename"])
+def test_failed_new_flow_directory_leaves_nothing(tmp_path, monkeypatch, fault):
+    """A fresh run into an existing parent that fails at a write (the first trace, the
+    fourth write or the index, of 6 traces and the index) or at the rename exits 4 and
+    leaves the parent as it was."""
+    parent = tmp_path / "out"
+    parent.mkdir()
+    cfg = write_config(tmp_path, {**_FLOW, "output_path": str(parent / "flows")})
+    if fault == "rename":
+        def rename(a, b):
+            raise OSError(errno.EIO, "rename failed")
+
+        monkeypatch.setattr(os, "rename", rename)
+    else:
+        at = {"first trace": 1, "fourth write": 4, "index": 7}[fault]
+        failing_write(monkeypatch, at, OSError(errno.ENOSPC, "disk full"))
+    assert main(["sweep", "--config", cfg]) == 4
+    assert list(parent.iterdir()) == []
+
+
+def test_directory_that_appears_at_a_new_flow_output_is_kept(tmp_path, monkeypatch, capsys):
+    """A non-empty directory made at the output after the run's check and before its
+    rename is left as it was: the run exits 4 and removes only its own stage."""
+    out, rename = tmp_path / "flows", os.rename
+
+    def appear_then_rename(a, b):
+        out.mkdir()
+        (out / "notes.txt").write_text("theirs")
+        rename(a, b)
+
+    monkeypatch.setattr(os, "rename", appear_then_rename)
+    cfg = write_config(tmp_path, {**_FLOW, "output_path": str(out)})
+    assert main(["sweep", "--config", cfg]) == 4
+    assert "io error" in capsys.readouterr().err
+    assert listing(tmp_path) == {Path("cfg.json"): Path(cfg).read_bytes(), Path("flows"): None,
+                                 Path("flows/notes.txt"): b"theirs"}
 
 
 def test_interrupted_flow_leaves_no_stage(tmp_path, monkeypatch):
