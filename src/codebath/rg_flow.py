@@ -149,7 +149,8 @@ def integrate_flow(j0: CouplingVector, opts: FlowOptions | None = None) -> FlowT
     s = math.copysign(1.0, j[i]) * math.copysign(1.0, j[n])
 
     def at_target(t: float, c: int) -> list[float]:  # |j| where |j_c| = t
-        e = [math.sqrt(abs(m[c] - y)) * math.sqrt(m[c] + y) for y in m]  # sqrt|j_c**2 - j**2|
+        e = [max(m[c], y) if abs(m[c] - y) == m[c] + y else  # sqrt|j_c**2 - j**2|: the larger
+             math.sqrt(abs(m[c] - y)) * math.sqrt(m[c] + y) for y in m]  # if the other is lost
         return [math.sqrt(max(t - x, 0.0)) * math.sqrt(t + x) if y < m[c] else math.hypot(t, x)
                 for x, y in zip(e, m)]
 
@@ -224,24 +225,25 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     c = jz**2 - j_perp**2 is conserved and djz/dl = jz**2 - c (Anderson, Yuval & Hamann, PRB
     1, 4464 (1970)): with r = sqrt|c|, j_perp = j_perp0/w and jz = -w'/w for w = cos(rl) -
     jz0 sin(rl)/r if c < 0, 1 - jz0 l if c = 0 and cosh(rl) - jz0 sinh(rl)/r if c > 0, taken
-    over cosh(rl) with jz0 - r from j_perp0**2, or over e^-rl from ln|j_perp0| where jz0 - r
-    is below float range beside r or j_max.  Crossings invert by atanh, arctan, asinh.
+    over cosh(rl) with jz0 - r from j_perp0**2.  Crossings invert by atanh, arctan, asinh.
     The form is chosen once a start and every sample past l = 0 and short of the ceiling's
     scale l_c taken from it in one loop; at l = 0 a sample is the start, at or past l_c (or
     where w rounds to 0) the signed ceiling.
-    A start whose c underflows off jz = +-j_perp is handed to ``integrate_flow``.
+    ``integrate_flow`` takes a start whose scales leave float range: j_max**2 or c (off a
+    separatrix), j_perp0**2 or (jz0 - r)/j_max subnormal, or (r or 1)/min(|j_perp0|, j_min) inf.
     """
     p0, z0, j_max, j_min = float(j_perp), float(jz), opts.j_max, opts.j_min
     check_start(CouplingVector(p0, p0, z0))
     if max(abs(p0), abs(z0)) >= j_max:
         return ((0.0, p0, z0),), StrongCoupling(l_star=1.0 / j_max)
-    c, a, inf = (z0 - p0) * (z0 + p0), abs(p0), math.inf
-    if abs(c) < sys.float_info.min and abs(z0) != abs(p0):  # c underflowed off a separatrix
-        trace = integrate_flow(CouplingVector(p0, p0, z0), opts)
-        return tuple((l, j.jx, j.jz) for l, j in trace.samples), trace.terminal
+    c, a, inf, least = (z0 - p0) * (z0 + p0), abs(p0), math.inf, sys.float_info.min
     r = math.sqrt(abs(c))
     am = a * a / (z0 + r) if z0 > 0 else z0 - r  # jz0 - r, which c > 0 keeps off 0
-    tiny = c > 0 < z0 and am < sys.float_info.min * max(j_max, 1)  # w / cosh(rl) would underflow
+    if (j_max * j_max < least or abs(c) < least and abs(z0) != abs(p0)  # c off a separatrix
+            or c > 0 < z0 and min(a * a, am / max(j_max, 1)) < least  # jz0 - r loses digits
+            or p0 and c >= 0 and (r or 1) / min(a, j_min) == inf):  # a crossing overflows
+        trace = integrate_flow(CouplingVector(p0, p0, z0), opts)
+        return tuple((l, j.jx, j.jz) for l, j in trace.samples), trace.terminal
 
     fall = rise = l_c = inf  # |j_perp| falling and rising through j_min; the ceiling
     if p0 and c >= 0:
@@ -253,21 +255,14 @@ def symmetric_flow(j_perp: float, jz: float, opts: FlowOptions):
     b = math.sqrt((j_max - r) * (j_max + r))  # the other coupling where one is j_max
     top = (b, j_max) if c > 0 else (j_max, b)  # |j_perp| and jz at the ceiling
     if c > 0 < z0 and p0:  # runs away: atanh(r (j_max - z0) / (j_max z0 - c)) / r
-        q = 2 * r * (j_max - z0) / ((j_max + r) * am) if not tiny else inf  # by logs if inf:
-        l_c = (math.log1p(q) if q < inf else math.log(2 * r / (j_max + r) * (j_max - z0))
-               - (2 * math.log(a) - math.log(z0 + r) if tiny else math.log(am))) / (2 * r)
+        l_c = math.log1p(2 * r * (j_max - z0) / ((j_max + r) * am)) / (2 * r)
     elif p0 and (c < 0 or c == 0 < z0):  # runs away, reaching jz = b
         l_c = math.atan2(r * (b - z0), b * z0 - c) / r if r else 1 / z0 - 1 / b
     _, terminal, scales = _stop(0.0 if a < j_min else fall if z0 < 0 else inf, rise, l_c, opts)
 
     def closed(ls: list[float]) -> list[tuple[float, float, float]]:  # this start's one form
         out = []
-        if tiny:  # w e^(rl) = 1 - t, t = am e^(rl) sinh(rl) / r, from g = |j_perp0| e^(rl)
-            for l in ls:
-                g = math.exp(math.log(a) + r * l)
-                t = g / (z0 + r) * (g / (2 * r)) * -math.expm1(-2 * r * l)
-                out.append((l, math.copysign(g, p0) / (1 - t), (r * (1 + t) + am) / (1 - t)))
-        elif c > 0:  # from e^-u, which underflows where cosh u would overflow
+        if c > 0:  # from e^-u, which underflows where cosh u would overflow
             for l in ls:
                 e = math.exp(-r * l)
                 sech = 2 * e / (1 + e * e)

@@ -3,7 +3,6 @@ import decimal
 import functools
 import itertools
 import math
-import sys
 import time
 from typing import Callable, NamedTuple
 
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codebath import rg_flow
@@ -768,7 +767,6 @@ def sample_by_sample(p0: float, z0: float, opts: FlowOptions, ls: list, l_c: flo
     c, a = (z0 - p0) * (z0 + p0), abs(p0)
     r = math.sqrt(abs(c))
     am = a * a / (z0 + r) if z0 > 0 else z0 - r
-    tiny = c > 0 < z0 and am < sys.float_info.min * max(opts.j_max, 1)
     b = math.sqrt((opts.j_max - r) * (opts.j_max + r))
     top = (b, opts.j_max) if c > 0 else (opts.j_max, b)
 
@@ -780,11 +778,6 @@ def sample_by_sample(p0: float, z0: float, opts: FlowOptions, ls: list, l_c: flo
             seen.add("ceiling")
             return math.copysign(top[0], p0), top[1]
         try:
-            if tiny:
-                seen.add("tiny")
-                g = math.exp(math.log(a) + r * l)
-                t = g / (z0 + r) * (g / (2 * r)) * -math.expm1(-2 * r * l)
-                return math.copysign(g, p0) / (1 - t), (r * (1 + t) + am) / (1 - t)
             if c > 0:
                 seen.add("sech")
                 e = math.exp(-r * l)
@@ -807,15 +800,15 @@ _RUNAWAY = FlowOptions(j_max=4.0, j_min=1e-320, l_max=1e6)
 
 def _tiny_symmetric_starts(n: int, seed: int) -> list[tuple[float, float]]:
     """n starts of a j_perp of either sign, log-uniform from 1e-300 to 1e-160, beside a jz
-    uniform in (0.01, 0.9): jz - r = j_perp**2 / (jz + r) underflows, so each is tiny."""
+    uniform in (0.01, 0.9): jz - r = j_perp**2 / (jz + r) underflows, so each is handed off."""
     rng = np.random.default_rng(seed)
     return [(float(sign * 10**e), float(jz)) for sign, e, jz in zip(
         rng.choice([-1, 1], n), rng.uniform(-300, -160, n), rng.uniform(0.01, 0.9, n))]
 
 
 def _short_of_the_pole(start: tuple[float, float], u: float) -> FlowOptions:
-    """Options that cut a runaway start u / jz short of its pole (about u / r), so its
-    last sample has w e^(rl) = 1 - t with t near e^(-2u), which its rounding shows."""
+    """Options that cut a runaway start u / jz short of its pole (about u / r), so it
+    ends at the cutoff on the steep rise to the pole."""
     l_c = symmetric_flow(*start, _RUNAWAY)[1].l_star - 1 / _RUNAWAY.j_max
     return dataclasses.replace(_RUNAWAY, l_max=l_c - u / start[1])
 
@@ -824,26 +817,22 @@ _BRANCH_STARTS = [
     ((0.1, -0.3), _PORTRAIT), ((0.1, 0.3), _PORTRAIT),  # c > 0: localizing, running away
     ((0.3, 0.1), _PORTRAIT), ((-0.3, -0.2), _PORTRAIT),  # c < 0
     ((0.5, 0.5), _PORTRAIT), ((0.5, -0.5), _PORTRAIT), ((-2.0, -2.0), _PORTRAIT),  # c = 0
-    ((1e-100, 1e100), FlowOptions(j_max=1e150, j_min=1e-320, l_max=2000.0)),  # tiny, c > 0
-    ((1e-300, 0.5), FlowOptions()), ((-4.5e-24, 1e153), FlowOptions(j_max=1e154)),
-    ((0.0, 0.3), _PORTRAIT), ((0.0, -0.3), _PORTRAIT),  # no pair
+    ((0.0, -0.3), _PORTRAIT),  # no pair
     ((4.0, 1.0), _PORTRAIT),  # at the ceiling
     ((0.1, -0.3), FlowOptions(j_max=4.0, l_max=57.5)), ((0.05, -0.1), FlowOptions(l_max=5.0)),
     ((-1.0, 0.9999999999999999), FlowOptions(j_max=1e100, l_max=1.0)),  # w rounds to 0
-    ((1.0, 3.0), FlowOptions(j_max=1e50)), ((1e-8, 1.3e154), FlowOptions(j_max=1.34e154)),
+    ((1.0, 3.0), FlowOptions(j_max=1e50)),
     *(((jp, jz), _PORTRAIT) for jp, jz in np.random.default_rng(50).uniform(-3.5, 3.5, (300, 2))),
     *(((jp, jz), FlowOptions(j_min=1e-12, l_max=1e6)) for jp, jz in
       np.random.default_rng(51).choice([-1, 1], (100, 2)) * 10 ** np.random.default_rng(52)
       .uniform(-150, -0.01, (100, 2))),
-    *((start, opts) for start in _tiny_symmetric_starts(100, 53) for opts in (
-        FlowOptions(), _RUNAWAY, _short_of_the_pole(start, 0.05 + start[1] % 0.01 * 200))),
 ]
 
 
 def test_each_sample_is_the_closed_form_of_its_own_case():
     """symmetric_flow decides its case once a start and builds its samples in one loop:
     each sample equals, bit for bit, the same form decided sample by sample, over starts
-    that reach every case (the start, each of three forms and the line c = 0, the ceiling
+    that reach every case (the start, each of two forms and the line c = 0, the ceiling
     at or past l_c and a w that rounds to 0 within rounding of the pole)."""
     seen = set()
     for (p0, z0), opts in _BRANCH_STARTS:
@@ -851,4 +840,104 @@ def test_each_sample_is_the_closed_form_of_its_own_case():
         l_c = samples[-1][0] if isinstance(terminal, StrongCoupling) else math.inf
         ls = [l for l, _, _ in samples]
         assert [s[1:] for s in samples] == sample_by_sample(p0, z0, opts, ls, l_c, seen)
-    assert seen == {"start", "ceiling", "tiny", "sech", "trig", "linear", "pole"}
+    assert seen == {"start", "ceiling", "sech", "trig", "linear", "pole"}
+
+
+_HANDOFF_STARTS = [  # symmetric starts whose scales leave float range
+    # jz0 - r = j_perp0**2 / (jz0 + r) below float range once divided by j_max (or at all)
+    ((1e-100, 1e100), FlowOptions(j_max=1e150, j_min=1e-320, l_max=2000.0)),
+    ((1e-300, 0.5), FlowOptions()), ((-4.5e-24, 1e153), FlowOptions(j_max=1e154)),
+    ((1e-8, 1.3e154), FlowOptions(j_max=1.34e154)), ((0.0, 0.3), _PORTRAIT),
+    *((start, opts) for start in _tiny_symmetric_starts(100, 53) for opts in (
+        FlowOptions(), _RUNAWAY, _short_of_the_pole(start, 0.05 + start[1] % 0.01 * 200))),
+    # j_perp0**2 subnormal, though jz0 - r is not: am = j_perp0**2 / (jz0 + r) loses digits
+    ((-4.343709287195382e-162, 8.32738650460696e-71), FlowOptions(j_min=1e-320, l_max=1e300)),
+    # c underflows off jz = +-j_perp
+    ((1e-170, 3e-170), FlowOptions(j_min=1e-300, l_max=1e200)),
+    ((1e-170, -3e-170), FlowOptions(j_min=1e-300, l_max=1e200)),
+    # on jz = j_perp, 1 / j_perp0 and 1 / j_min overflow, and with them the rise through j_min
+    ((1e-320, 1e-320), FlowOptions(j_min=1e-315)), ((-1e-320, 1e-320), FlowOptions(j_min=1e-315)),
+    # on jz = +-j_perp, j_max**2 underflows, and with it b = sqrt(j_max**2 - c)
+    *(((1e-170, z), FlowOptions(j_max=1e-165, j_min=1e-175, l_max=1e200))
+      for z in (1e-170, -1e-170)),
+    ((1e-160, 1e-160), FlowOptions(j_max=1e-155, j_min=1e-175, l_max=1e200)),
+]
+
+
+def test_each_start_past_float_range_is_integrate_flows():
+    """symmetric_flow hands each start whose scales leave float range to integrate_flow,
+    whose samples and terminal it returns as they are."""
+    for (p0, z0), opts in _HANDOFF_STARTS:
+        trace = integrate_flow(CouplingVector(p0, p0, z0), opts)
+        assert symmetric_flow(p0, z0, opts) == (
+            tuple((l, j.jx, j.jz) for l, j in trace.samples), trace.terminal)
+    opts = FlowOptions(j_min=1e-320, l_max=1e300)  # l* from atanh at 500 digits
+    l_star = symmetric_flow(-4.343709287195382e-162, 8.32738650460696e-71, opts)[1].l_star
+    assert l_star == pytest.approx(2.5323576794568584e72, rel=1e-12)
+    opts = FlowOptions(j_max=1e-165, j_min=1e-175, l_max=1e200)  # on jz = j_perp, l* = 1 / jz0
+    assert symmetric_flow(1e-170, 1e-170, opts)[1].l_star == pytest.approx(1e170, rel=1e-12)
+
+
+@st.composite
+def _crossing_past_float_range(draw):
+    """A symmetric start at c > 0 whose r / j_min or r / |j_perp0| passes float range, and
+    its options: |jz0| from 10**-14.9 to 1e149 below j_max = 1e150; |j_perp0| and j_min below
+    |jz0| / 10, so that r is |jz0| to 0.5%; one of them 10**308.3 or more below |jz0| (or the
+    least subnormal)."""
+    ez = draw(st.floats(-14.9, 149.0))
+    small = 10 ** max(ez - draw(st.floats(308.3, 330.0)), -323.3)
+    other = 10 ** draw(st.floats(-323.3, ez - 1))
+    a, j_min = (small, other) if draw(st.booleans()) else (other, small)
+    sign_p, sign_z = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+    opts = FlowOptions(j_max=1e150, j_min=j_min, l_max=10 ** draw(st.floats(0.0, 300.0)))
+    return (sign_p * a, sign_z * 10**ez), opts
+
+
+@given(_crossing_past_float_range())
+@example(((1e-70, -9.019255121462758e-06), FlowOptions(j_min=1e-315, l_max=1e9)))
+@example(((1e90, -1e100), FlowOptions(j_max=1e150, j_min=1e-220, l_max=100.0)))
+@example(((5e-324, 715.0), FlowOptions(j_max=1e150, j_min=1e-20, l_max=100.0)))
+@example(((1e-320, 1e-5), FlowOptions(j_min=1e-315)))
+@settings(max_examples=60, deadline=None)
+def test_crossing_past_float_range_ends_as_integrate_flow_ends_it(case):
+    """Where asinh(r / j_min) or asinh(r / |j_perp0|) is inf, the crossing scale read inf or
+    nan: a localizing start reached the cutoff, a rising one localized above j_min, or a
+    dwelling one ran away.  Such a start is handed off, so both flows end it alike."""
+    (p0, z0), opts = case
+    samples, terminal = symmetric_flow(p0, z0, opts)
+    trace = integrate_flow(CouplingVector(p0, p0, z0), opts)
+    assert type(terminal) is type(trace.terminal)
+    assert samples == tuple((l, j.jx, j.jz) for l, j in trace.samples)
+
+
+@pytest.mark.parametrize("p", [1e-160, 1e-200, 1e-300])
+def test_pair_below_half_an_ulp_of_jz_leaves_jz_exact(p):
+    """Beside jz0 = 0.5 the pair's squares are lost: sqrt|jz0**2 - p**2| is jz0 itself."""
+    terminal = integrate_flow(CouplingVector(p, p, 0.5)).terminal
+    assert isinstance(terminal, Localized) and terminal.j_star.jz == 0.5
+
+
+def test_zero_coupling_leaves_the_others_exact_at_both_ends_of_the_target():
+    """With one coupling 0, sqrt|j_c**2 - 0| is |j_c|: a localizing start ends on its own
+    |jz0|, and a runaway one reaches the ceiling with the zero coupling at
+    sqrt(j_max**2 - jz0**2), correctly rounded."""
+    for start in [(0.0, 1e-200, 0.5), (1e-9, -0.0, -0.5), (0.0, 1e-9, 0.5)]:
+        terminal = integrate_flow(CouplingVector(*start)).terminal
+        assert isinstance(terminal, Localized) and terminal.j_star.jz == start[2]
+    for start in [(0.0, 0.3, 0.5), (0.3, 0.0, -0.5), (0.0, 0.3, -0.5)]:
+        trace = integrate_flow(CouplingVector(*start))
+        j = trace.samples[-1][1]
+        assert isinstance(trace.terminal, StrongCoupling) and abs(j.jz) == 1.0
+        assert abs(j.jx if start[0] == 0 else j.jy) == math.sqrt(0.75)
+
+
+@pytest.mark.xfail(reason="ROADMAP item 24b: past ulp(l) = 1, fall + DWELL_INTERVAL rounds "
+                          "to fall, and the end sample is the crossing itself")
+def test_localized_pair_far_out_in_l_lies_below_j_min():
+    """(1e-170, 1e-170, -3e-170) localizes near l = 1.058e172: its pair must end strictly
+    below j_min."""
+    opts = FlowOptions(j_min=1e-300, l_max=1e200)
+    for terminal in (symmetric_flow(1e-170, -3e-170, opts)[1],
+                     integrate_flow(CouplingVector(1e-170, 1e-170, -3e-170), opts).terminal):
+        assert isinstance(terminal, Localized)
+        assert max(abs(terminal.j_star.jx), abs(terminal.j_star.jy)) < opts.j_min

@@ -1677,6 +1677,15 @@ def test_cli_flow_resting_on_j_min(tmp_path):
     assert read_rows(out / "index.csv")[1][4] == "CutoffReached"
 
 
+def test_cli_flow_whose_crossing_scale_passes_float_range_localizes(tmp_path):
+    """r / j_min = 9e309 overflows, yet the pair crosses j_min near l = 6.3e7: Localized."""
+    out = tmp_path / "deep"
+    cfg = {"task": "flow", "axes": {"j_perp": [1e-70], "jz": [-9.019255121462758e-06]},
+           "params": {"j_min": 1e-315, "l_max": 1e9}, "output_path": str(out)}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert read_rows(out / "index.csv")[1][4] == "Localized"
+
+
 @pytest.mark.filterwarnings("ignore:j\\(L\\) >= 1e3")
 @pytest.mark.parametrize("s", [1.0, 0.5])
 @pytest.mark.parametrize("jz_star", [None, -0.3])
